@@ -20,6 +20,7 @@ from .estimation import (
     PriorShape,
     WeightVector,
     fit,
+    fit_batch,
     fit_frequencies,
     mle_weights,
     objective,

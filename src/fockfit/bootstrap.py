@@ -12,10 +12,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimation import FitResult, PriorShape, fit, posterior_weights
+from .estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights
 from .model import SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
-from .sampling import SeedSpec, sample_histogram
+from .sampling import SeedSpec, _sample_counts, sample_histogram
 
 __all__ = [
     "PARAMETERS",
@@ -109,7 +109,8 @@ def parametric_bootstrap(
     seed: SeedSpec,
     n_max: int = 20,
 ) -> ReplicateSet:
-    """Simulate ``n_b`` experiments from the fitted state and refit each.
+    """Simulate ``n_b`` experiments from the fitted state and refit them
+    all in one fit_batch call.
 
     Replicate i draws its histogram from stream ``seed.stream_index + i``
     and is refit with posterior weights under ``prior``.  Raises
@@ -119,17 +120,12 @@ def parametric_bootstrap(
         raise ValueError("bootstrap requires a converged point estimate")
     if n_b < 2:
         raise ValueError(f"n_b must be >= 2, got {n_b}")
-    dist = fock_distribution(point.variances, n_max)
-    records = []
-    for i in range(n_b):
-        h = sample_histogram(
-            dist, n_shots, SeedSpec(seed.master_seed, seed.stream_index + i)
-        )
-        res = fit(h, posterior_weights(h, prior))
-        records.append(
-            (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar, res.converged)
-        )
-    vq, vp, r, nbar, ok = zip(*records)
+    counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
+    fits = fit_batch(counts / n_shots, posterior_weights(counts, prior))
+    vq, vp, r, nbar, ok = zip(*(
+        (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar, res.converged)
+        for res in fits
+    ))
     reps = ReplicateSet(vq, vp, r, nbar, ok)
     if reps.n_failed > MAX_FAILURE_FRACTION * n_b:
         raise BootstrapError(

@@ -18,6 +18,7 @@ import sys
 from . import bootstrap as bt
 from . import estimation as est
 from . import studies
+from ._io import atomic_write, is_json_int
 from .model import QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances
 from .sampling import SeedSpec, sample_histogram
 
@@ -44,11 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        atomic_write(path, text)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
@@ -107,16 +105,14 @@ def _counts_to_histogram(doc: dict, path: str) -> est.FockHistogram:
     for key in ("format_version", "n_max", "counts", "overflow", "total"):
         if key not in doc:
             raise _CliError(EXIT_USAGE, f"{path}: missing field '{key}'")
-    if doc["format_version"] != FORMAT_VERSION:
+    if not is_json_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise _CliError(EXIT_USAGE, f"{path}: unsupported format_version")
     counts = doc["counts"]
-    if (
-        not isinstance(counts, list)
-        or not all(isinstance(k, int) for k in counts)
-        or not isinstance(doc["overflow"], int)
-        or not isinstance(doc["total"], int)
-    ):
-        raise _CliError(EXIT_USAGE, f"{path}: counts, overflow and total must be integers")
+    if not isinstance(counts, list) or not all(is_json_int(k) for k in counts):
+        raise _CliError(EXIT_USAGE, f"{path}: counts must be a list of integers")
+    for key in ("n_max", "overflow", "total"):
+        if not is_json_int(doc[key]):
+            raise _CliError(EXIT_USAGE, f"{path}: {key} must be an integer")
     if doc["n_max"] != len(counts) - 1:
         raise _CliError(EXIT_USAGE, f"{path}: n_max does not match counts length")
     try:
@@ -320,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True)
     _add_weight_flags(p)
     p.add_argument("--replicates", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05,
+                   help="tail probability on each side: the two-sided interval has level "
+                        "1 - 2*alpha, so the default 0.05 gives a 90%% interval")
     p.add_argument("--method", choices=bt.METHODS, default="bc")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .model import (
     QuadratureVariances,
     SqueezedThermalState,
-    _all_probs_batch,
-    _all_probs_scalar,
+    _bin_sum,
+    _fit_coords,
+    _fock_table,
     from_variances,
     to_variances,
 )
@@ -30,6 +32,7 @@ __all__ = [
     "objective",
     "fit",
     "fit_frequencies",
+    "fit_batch",
 ]
 
 
@@ -100,24 +103,41 @@ class FitResult:
     evaluations: int
 
 
-def _beta_posterior_variance(k: float, total: float, prior: PriorShape) -> float:
-    s = prior.nu + total + prior.eta
-    return (k + prior.nu) * (total + prior.eta - k) / (s * s * (s + 1.0))
+def _count_matrix(counts) -> np.ndarray:
+    """Counts for every bin (overflow included) as floats, bins on the last
+    axis; a FockHistogram gives one row."""
+    if isinstance(counts, FockHistogram):
+        return np.array(counts.counts + (counts.overflow_count,), dtype=float)
+    k = np.asarray(counts, dtype=float)
+    if k.ndim < 1 or k.shape[-1] < 3:
+        raise ValueError("count arrays need bins 0, 1 and overflow on the last axis")
+    if not np.all(np.isfinite(k) & (k >= 0.0)):
+        raise ValueError("counts must be finite and nonnegative")
+    return k
 
 
-def posterior_weights(h: FockHistogram, prior: PriorShape = PriorShape(1.0, 1.0)) -> WeightVector:
+def _weights_like(counts, weights: np.ndarray):
+    """A WeightVector for a FockHistogram, the weight array otherwise."""
+    if isinstance(counts, FockHistogram):
+        return WeightVector(tuple(weights.tolist()))
+    return weights
+
+
+def posterior_weights(counts, prior: PriorShape = PriorShape(1.0, 1.0)):
     """Inverse Beta-posterior variances, one per bin:
 
         Var(p_n | k_n) = (k_n + nu)(N + eta - k_n) / [(nu+N+eta)^2 (nu+N+eta+1)]
 
-    Finite and positive for every bin, including k_n = 0.
+    Finite and positive for every bin, including k_n = 0.  ``counts`` is a
+    FockHistogram (giving a WeightVector) or an array of integer or float
+    counts with the bins on its last axis and N the sum over them (giving
+    an array of weights of the same shape).
     """
-    return WeightVector(
-        tuple(
-            1.0 / _beta_posterior_variance(k, h.total, prior)
-            for k in (*h.counts, h.overflow_count)
-        )
-    )
+    k = _count_matrix(counts)
+    total = k.sum(axis=-1, keepdims=True)
+    s = prior.nu + total + prior.eta
+    var = (k + prior.nu) * (total + prior.eta - k) / (s * s * (s + 1.0))
+    return _weights_like(counts, 1.0 / var)
 
 
 # Zero and full bins make the naive binomial variance vanish; half a count
@@ -125,23 +145,23 @@ def posterior_weights(h: FockHistogram, prior: PriorShape = PriorShape(1.0, 1.0)
 _MLE_FALLBACK_COUNT = 0.5
 
 
-def mle_weights(h: FockHistogram) -> WeightVector:
+def mle_weights(counts):
     """Naive inverse-variance weights N^3 / [k_n (N - k_n)] from the
     binomial maximum-likelihood plug-in, with the half-count substitution
     applied whenever k_n is 0 or N.  Kept for comparison studies; the
-    posterior weights are the estimator of record."""
-    n = h.total
-    out = []
-    for k in (*h.counts, h.overflow_count):
-        num = max(float(k), _MLE_FALLBACK_COUNT)
-        rem = max(float(n - k), _MLE_FALLBACK_COUNT)
-        out.append(n ** 3 / (num * rem))
-    return WeightVector(tuple(out))
+    posterior weights are the estimator of record.  ``counts`` is taken as
+    by posterior_weights."""
+    k = _count_matrix(counts)
+    total = k.sum(axis=-1, keepdims=True)
+    num = np.maximum(k, _MLE_FALLBACK_COUNT)
+    rem = np.maximum(total - k, _MLE_FALLBACK_COUNT)
+    return _weights_like(counts, total ** 3 / (num * rem))
 
 
-def uniform_weights(h: FockHistogram) -> WeightVector:
-    """Unit weight for every bin (the unweighted baseline)."""
-    return WeightVector((1.0,) * (h.n_max + 2))
+def uniform_weights(counts):
+    """Unit weight for every bin (the unweighted baseline); ``counts`` is
+    taken as by posterior_weights."""
+    return _weights_like(counts, np.ones_like(_count_matrix(counts)))
 
 
 def _check_lengths(n_bins: int, w: WeightVector) -> None:
@@ -155,172 +175,278 @@ def objective(v: QuadratureVariances, h: FockHistogram, w: WeightVector) -> floa
         Delta = sum_n w_n [P(n | vq, vp) - f_n]^2.
     """
     _check_lengths(h.n_max + 2, w)
-    return _delta(v.vq, v.vp, h.frequencies.tolist(), list(w.weights), h.n_max)
+    point, wts = np.array(_fit_coords(v))[:, None], np.array(w.weights)[:, None]
+    return float(_evaluate(point, h.frequencies[:, None], wts, h.n_max, jacobian=False)[0])
 
 
-def _delta(vq: float, vp: float, freqs: list, wts: list, n_max: int) -> float:
-    probs = _all_probs_scalar(vq, vp, n_max)
-    d = 0.0
-    for i in range(n_max + 2):
-        res = probs[i] - freqs[i]
-        d += wts[i] * res * res
-    return d
+# Rows per grid-stage GEMM.  Every row block has exactly this many rows
+# (the last one is zero-padded), so a row's grid objectives do not depend
+# on the batch it arrives in.  Each GEMM has at most _GRID_GEMM_SIZE
+# multiply-adds (512 points at n_max = 20).  With numpy's OpenBLAS on a
+# busy 2-vCPU machine, products of 1e6 multiply-adds and more sometimes
+# took 16 ms per call, handed to worker threads, where every product of
+# this size took under 0.3 ms.  The grid is built _GRID_BLOCK_POINTS
+# points per kernel call; these blocks and the rows per lock-step
+# refinement bound the temporaries whatever the batch size and n_max.
+_GRID_BLOCK = 32
+_GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
+_GRID_BLOCK_POINTS = 512
+_REFINE_BLOCK = 256
 
-
-# Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
-_NM_ALPHA, _NM_GAMMA, _NM_RHO, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5
+# Projected Levenberg-Marquardt settings: initial damping, its factor per
+# rejected step, and its ceiling (far above any useful value, far below
+# overflow).
+_LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
+# A row has converged when its step changes every coordinate x by at most
+# _STEP_TOL * (|x| + _STEP_FLOOR), or when the step's actual and predicted
+# decrease of the objective are both at most _DECREASE_TOL relative.
+_STEP_TOL, _STEP_FLOOR, _DECREASE_TOL = 1e-10, 1e-6, 1e-15
+# The upper corner of the search box in (q, nbar), at r = 14.2 and
+# nbar = 1e6: far outside any state the model resolves and small enough
+# that every intermediate stays finite.  A fit that ends on an upper face
+# is reported as not converged.
+_UPPER = np.array([1e12, 1e6])[:, None]
 
 # Coordinates closer to a bound than this are candidates for an exact
 # boundary solution; the statistical resolution of any realistic fit is
-# orders of magnitude coarser.
+# orders of magnitude coarser.  A snap is kept when it costs at most
+# _SNAP_SLACK of the objective, which is rounding noise.
 _BOUNDARY_SNAP = 1e-6
+_SNAP_SLACK = 1e-13
 
 
-def _nelder_mead(fun, x0, steps, tol, budget):
-    """Minimize fun over the nonnegative quadrant starting from x0.
+@lru_cache(maxsize=8)
+def _model_grid(n_max: int, r_max: float, nbar_max: float, grid_size: int):
+    """The grid stage's points (q, nbar), ``grid_size`` linear in r over
+    [0, r_max] by ``grid_size`` log-spaced in (1 + nbar) over
+    [1, 1 + nbar_max], and the model probabilities at each point, as
+    read-only (2, points) and (n_max + 2, points) arrays.  The table is
+    built _GRID_BLOCK_POINTS at a time to keep the kernel's temporaries
+    small."""
+    r_vals = np.linspace(0.0, r_max, grid_size)
+    nbar_vals = np.expm1(np.linspace(0.0, math.log1p(nbar_max), grid_size))
+    rg, ng = map(np.ravel, np.meshgrid(r_vals, nbar_vals, indexing="ij"))
+    points = np.stack((2.0 * np.sinh(rg) ** 2, ng))
+    probs = np.empty((n_max + 2, points.shape[1]))
+    for start in range(0, points.shape[1], _GRID_BLOCK_POINTS):
+        cols = slice(start, start + _GRID_BLOCK_POINTS)
+        probs[:, cols] = _fock_table(points[0, cols], points[1, cols], n_max)
+    points.flags.writeable = False
+    probs.flags.writeable = False
+    return points, probs
 
-    Candidate points are folded across the axes (theta -> |theta|), which
-    implements reflection onto the bounds r >= 0, nbar >= 0.  Stops when
-    the simplex spread is below tol in both coordinates or the evaluation
-    budget is exhausted.  Returns (best_x, best_f, evals, converged).
+
+def _grid_winners(freqs: np.ndarray, wts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Index of the best grid point for every row (the first one on ties).
+
+    The objectives are sum w P^2 - 2 sum (w f) P (+ sum w f^2, the same for
+    every point): one GEMM of each block of rows [w, -2 w f] with each
+    block of the grid's points [P^2; P], keeping a running minimum."""
+    rows, n_bins = freqs.shape
+    padded = -(-rows // _GRID_BLOCK) * _GRID_BLOCK
+    lhs = np.zeros((padded, 2 * n_bins))
+    lhs[:rows, :n_bins] = wts
+    lhs[:rows, n_bins:] = -2.0 * wts * freqs
+    best = np.zeros(padded, dtype=np.intp)
+    best_value = np.full(padded, np.inf)
+    points = _GRID_GEMM_SIZE // (_GRID_BLOCK * 2 * n_bins)
+    for first in range(0, probs.shape[1], points):
+        block = probs[:, first:first + points]
+        rhs = np.concatenate((block * block, block))
+        for row in range(0, padded, _GRID_BLOCK):
+            values = lhs[row:row + _GRID_BLOCK] @ rhs
+            index = np.argmin(values, axis=1)
+            value = values[np.arange(_GRID_BLOCK), index]
+            better = value < best_value[row:row + _GRID_BLOCK]
+            best[row:row + _GRID_BLOCK][better] = first + index[better]
+            best_value[row:row + _GRID_BLOCK][better] = value[better]
+    return best[:rows]
+
+
+def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int, jacobian: bool):
+    """Objective (and model and Jacobian) at points x = (q, nbar) of shape
+    (2, m), for the frequency and weight columns f, w of shape (bins, m)."""
+    if jacobian:
+        probs, jac = _fock_table(x[0], x[1], n_max, jacobian=True)
+        return _bin_sum(w * np.square(probs - f)), probs, jac
+    return _bin_sum(w * np.square(_fock_table(x[0], x[1], n_max) - f))
+
+
+def _refine(x, f, w, n_max: int, max_iter: int):
+    """Projected Levenberg-Marquardt on the residuals sqrt(w) (P - f), run
+    in lock-step over the columns, from the start points x (2, m) inside
+    the box [0, _UPPER].
+
+    Each iteration solves the damped 2x2 normal equations of every
+    unconverged column (a coordinate on a face whose gradient points out of
+    the box is held fixed), projects the step onto the box and keeps it
+    only if the objective decreases.  Returns the best points, their
+    objectives, per-column convergence flags and the number of trial
+    evaluations.
     """
-    pts = [np.abs(np.asarray(x0, dtype=float))]
-    for i, s in enumerate(steps):
-        p = pts[0].copy()
-        p[i] += s
-        pts.append(np.abs(p))
-    vals = [fun(p) for p in pts]
-    evals = len(pts)
-    while True:
-        order = np.argsort(vals)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        spread = np.max(pts, axis=0) - np.min(pts, axis=0)
-        if spread[0] < tol and spread[1] < tol:
-            return pts[0], vals[0], evals, True
-        if evals >= budget:
-            return pts[0], vals[0], evals, False
+    m = x.shape[1]
+    x = x.copy()
+    x_out = x.copy()
+    evals = np.zeros(m, dtype=np.int64)
+    converged = np.zeros(m, dtype=bool)
+    obj, probs, jac = _evaluate(x, f, w, n_max, jacobian=True)
+    obj_out = obj.copy()
+    lam = np.full(m, _LM_LAMBDA0)
+    # The state of the unconverged columns, compacted as columns finish.
+    cols = np.arange(m)
+    for _ in range(max_iter):
+        if cols.size == 0:
+            break
+        wj = w[:, None, :] * jac
+        # half the gradient and the Gauss-Newton matrix J^T W J, per column
+        grad = _bin_sum(wj * (probs - f)[:, None, :])
+        h00, h01 = _bin_sum(wj * jac[:, :1])
+        h11 = _bin_sum(wj[:, 1] * jac[:, 1])
+        fixed = ((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0))
+        # Marquardt scaling with a floor, so a vanishing column cannot make
+        # the damped system singular.
+        floor = 1e-12 * (h00 + h11)
+        a00 = np.where(fixed[0], 1.0, h00 + lam * np.maximum(h00, floor))
+        a11 = np.where(fixed[1], 1.0, h11 + lam * np.maximum(h11, floor))
+        a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
+        b0, b1 = np.where(fixed, 0.0, -grad)
+        det = a00 * a11 - a01 * a01
+        solvable = det > 0.0
+        det = np.where(solvable, det, 1.0)
+        step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
+        trial = np.clip(x + step, 0.0, _UPPER)
+        step = trial - x
+        t_obj, t_probs, t_jac = _evaluate(trial, f, w, n_max, jacobian=True)
+        evals[cols] += 1
+        better = t_obj < obj
+        model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
+                       + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
+        done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
+                | (better & (obj - t_obj <= _DECREASE_TOL * obj)
+                   & (model_gain <= _DECREASE_TOL * obj)))
+        # Nielsen's update: the worse the linear model predicted the gain,
+        # the less the damping drops; a rejected step raises it.
+        ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
+        lam = np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX)
+        x[:, better] = trial[:, better]
+        obj[better] = t_obj[better]
+        probs[:, better] = t_probs[:, better]
+        jac[:, :, better] = t_jac[:, :, better]
+        x_out[:, cols] = x
+        obj_out[cols] = obj
+        if done.any():
+            converged[cols[done]] = True
+            live = ~done
+            cols, x, f, w, probs, jac, obj, lam = (
+                a[..., live] for a in (cols, x, f, w, probs, jac, obj, lam))
+    return x_out, obj_out, converged, evals
 
-        centroid = (pts[0] + pts[1]) / 2.0
-        xr = np.abs(centroid + _NM_ALPHA * (centroid - pts[2]))
-        fr = fun(xr)
-        evals += 1
-        if vals[0] <= fr < vals[1]:
-            pts[2], vals[2] = xr, fr
-            continue
-        if fr < vals[0]:
-            xe = np.abs(centroid + _NM_GAMMA * (xr - centroid))
-            fe = fun(xe)
-            evals += 1
-            if fe < fr:
-                pts[2], vals[2] = xe, fe
-            else:
-                pts[2], vals[2] = xr, fr
-            continue
-        xc = np.abs(centroid + _NM_RHO * (pts[2] - centroid))
-        fc = fun(xc)
-        evals += 1
-        if fc < vals[2]:
-            pts[2], vals[2] = xc, fc
-            continue
-        for i in (1, 2):
-            pts[i] = pts[0] + _NM_SIGMA * (pts[i] - pts[0])
-            vals[i] = fun(pts[i])
-            evals += 1
+
+def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
+    """Move coordinates within _BOUNDARY_SNAP of zero (in r and nbar)
+    exactly onto the bound, in place, when the objective stays within
+    rounding noise of its value and at most ``ceiling``.  Returns the
+    number of extra evaluations per column."""
+    r = np.arcsinh(np.sqrt(0.5 * x[0]))
+    near = (x > 0.0) & (np.stack((r, x[1])) < _BOUNDARY_SNAP)
+    cols = np.flatnonzero(near.any(axis=0))
+    extra = np.zeros(x.shape[1], dtype=np.int64)
+    if cols.size:
+        snapped = np.where(near[:, cols], 0.0, x[:, cols])
+        s_obj = _evaluate(snapped, f[:, cols], w[:, cols], n_max, jacobian=False)
+        extra[cols] = 1
+        keep = (s_obj <= obj[cols] * (1.0 + _SNAP_SLACK)) & (s_obj <= ceiling[cols])
+        x[:, cols[keep]] = snapped[:, keep]
+        obj[cols[keep]] = s_obj[keep]
+    return extra
 
 
-def fit_frequencies(
+def _fit_result(q: float, nbar: float, obj: float, converged: bool, evals: int) -> FitResult:
+    variances = to_variances(SqueezedThermalState(math.asinh(math.sqrt(0.5 * q)), nbar))
+    return FitResult(
+        variances=variances,
+        state=from_variances(variances),
+        objective=obj,
+        converged=converged,
+        evaluations=evals,
+    )
+
+
+def fit_batch(
     frequencies,
-    w: WeightVector,
+    weights,
     *,
     r_max: float = 3.5,
     nbar_max: float = 7.0,
     grid_size: int = 60,
-    simplex_tol: float = 1e-9,
     max_evals: int = 10_000,
-) -> FitResult:
-    """Fit (vq, vp) to a frequency vector (bins 0..n_max plus overflow).
+) -> list[FitResult]:
+    """Fit (vq, vp) to every row of a (B, n_max + 2) frequency matrix (bins
+    0..n_max plus overflow) under the matching matrix of positive weights.
 
-    Two stages in (r, nbar) coordinates, where the physical constraints
-    vq <= vp and vq*vp >= 1/4 become the simple bounds r >= 0, nbar >= 0:
+    Rows are independent; each is fitted in two stages in the coordinates
+    (q, nbar), q = cosh 2r - 1, where the physical constraints vq <= vp and
+    vq*vp >= 1/4 become the bounds q >= 0, nbar >= 0:
 
-    1. a coarse grid, ``grid_size`` points linear in r over [0, r_max] by
-       ``grid_size`` points log-spaced in (1 + nbar) over [1, 1 + nbar_max];
-    2. Nelder-Mead refinement from the best grid point, with reflection
-       onto the bounds, run twice (the second pass restarts with a small
-       simplex to guard against premature collapse).
+    1. a grid, ``grid_size`` points linear in r over [0, r_max] by
+       ``grid_size`` points log-spaced in (1 + nbar) over [1, 1 + nbar_max],
+       whose model probabilities are computed once per grid and reused;
+    2. projected Levenberg-Marquardt from the best grid point with the
+       analytic Jacobian, at most ``max_evals`` objective evaluations
+       (``max_evals=0`` returns the grid winner, not converged).
 
-    The returned point is the best one seen across all evaluations, so its
-    objective never exceeds that of any probed grid point.
+    The model depends on r only through cosh 2r, so its gradient in r
+    vanishes at r = 0 and a gradient method in r would stall on that bound;
+    in q it does not.  A coordinate that ends within 1e-6 of zero (in r or
+    nbar) is snapped onto the bound when that does not raise the objective
+    beyond rounding noise.  Each row's objective is never above that of its
+    grid winner, evaluated directly.
     """
+    freqs = np.asarray(frequencies, dtype=float)
+    wts = np.asarray(weights, dtype=float)
+    if freqs.ndim != 2 or freqs.shape[1] < 3:
+        raise ValueError("frequencies must be a (rows, bins) matrix with >= 3 bins")
+    if wts.shape != freqs.shape:
+        raise ValueError(f"expected weights of shape {freqs.shape}, got {wts.shape}")
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError("frequencies must be finite")
+    if not np.all(np.isfinite(wts) & (wts > 0.0)):
+        raise ValueError("all weights must be finite and positive")
+    n_max = freqs.shape[1] - 2
+    grid_x, grid_p = _model_grid(n_max, float(r_max), float(nbar_max), grid_size)
+    start = grid_x[:, _grid_winners(freqs, wts, grid_p)]
+    f, w = freqs.T.copy(), wts.T.copy()
+    grid_obj = _evaluate(start, f, w, n_max, jacobian=False)
+    x, obj = start.copy(), grid_obj.copy()
+    converged = np.zeros(freqs.shape[0], dtype=bool)
+    evals = np.zeros(freqs.shape[0], dtype=np.int64)
+    if max_evals > 0:
+        for first in range(0, freqs.shape[0], _REFINE_BLOCK):
+            b = slice(first, first + _REFINE_BLOCK)
+            x[:, b], obj[b], converged[b], evals[b] = _refine(
+                start[:, b], f[:, b], w[:, b], n_max, max_evals)
+        converged &= ~np.any(x >= _UPPER, axis=0)
+        evals += _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
+    # the grid, then the direct evaluation of each row's grid winner
+    evals += grid_x.shape[1] + 1
+    return [
+        _fit_result(*args)
+        for args in zip(x[0].tolist(), x[1].tolist(), obj.tolist(), converged.tolist(),
+                        evals.tolist())
+    ]
+
+
+def fit_frequencies(frequencies, w: WeightVector, **options) -> FitResult:
+    """Fit (vq, vp) to one frequency vector (bins 0..n_max plus overflow):
+    fit_batch on a batch of one.  The returned point is never worse than
+    the best grid point, and non-convergence is reported through
+    FitResult.converged."""
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.shape[0] < 3:
         raise ValueError("frequencies must be a 1-D vector with >= 3 bins")
-    n_max = freqs.shape[0] - 2
-    _check_lengths(n_max + 2, w)
-    w_arr = np.asarray(w.weights)
-
-    r_vals = np.linspace(0.0, r_max, grid_size)
-    nbar_vals = np.expm1(np.linspace(0.0, math.log1p(nbar_max), grid_size))
-    rg, ng = map(np.ravel, np.meshgrid(r_vals, nbar_vals, indexing="ij"))
-    half = 0.5 * (2.0 * ng + 1.0)
-    pg = _all_probs_batch(half * np.exp(-2.0 * rg), half * np.exp(2.0 * rg), n_max)
-    deltas = np.square(pg - freqs) @ w_arr
-    i0 = int(np.argmin(deltas))
-    evals = deltas.shape[0]
-
-    f_list = freqs.tolist()
-    w_list = w_arr.tolist()
-    best_x = np.array([rg[i0], ng[i0]])
-    best_f = float(deltas[i0])
-
-    def delta_of(theta):
-        nonlocal best_x, best_f
-        half = 0.5 * (2.0 * theta[1] + 1.0)
-        e2 = math.exp(2.0 * theta[0])
-        d = _delta(half / e2, half * e2, f_list, w_list, n_max)
-        if d < best_f:
-            best_f = d
-            best_x = theta.copy()
-        return d
-
-    converged = False
-    nm_evals = 0
-    steps = (max(r_max / (grid_size - 1), 1e-3), max(nbar_max / (grid_size - 1), 1e-3))
-    for _attempt in range(2):
-        remaining = max_evals - nm_evals
-        if remaining <= 3:
-            break
-        _, _, used, converged = _nelder_mead(
-            delta_of, best_x, steps, simplex_tol, remaining
-        )
-        nm_evals += used
-        if not converged:
-            break
-        steps = (1e-5 * (1.0 + best_x[0]), 1e-5 * (1.0 + best_x[1]))
-    evals += nm_evals
-
-    # An active constraint is reported exactly on the bound: coordinates
-    # below the search resolution are snapped to 0 when that does not
-    # worsen the objective.  Without this, replicate estimates never pile
-    # up at r = 0 or nbar = 0 and boundary-state intervals misbehave.
-    snapped = np.where(best_x < _BOUNDARY_SNAP, 0.0, best_x)
-    if snapped[0] != best_x[0] or snapped[1] != best_x[1]:
-        half = 0.5 * (2.0 * snapped[1] + 1.0)
-        e2 = math.exp(2.0 * snapped[0])
-        d = _delta(half / e2, half * e2, f_list, w_list, n_max)
-        evals += 1
-        if d <= best_f:
-            best_x, best_f = snapped, d
-
-    variances = to_variances(SqueezedThermalState(best_x[0], best_x[1]))
-    return FitResult(
-        variances=variances,
-        state=from_variances(variances),
-        objective=best_f,
-        converged=converged,
-        evaluations=evals,
-    )
+    _check_lengths(freqs.shape[0], w)
+    return fit_batch(freqs[None, :], np.asarray(w.weights)[None, :], **options)[0]
 
 
 def fit(h: FockHistogram, w: WeightVector, **options) -> FitResult:

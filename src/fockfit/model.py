@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import lagval
 
-from .numerics import scaled_legendre
+from .numerics import _legendre_jet
 
 __all__ = [
     "HEISENBERG_SLACK",
@@ -132,91 +132,100 @@ def from_variances(v: QuadratureVariances) -> SqueezedThermalState:
     return SqueezedThermalState(max(r, 0.0), max(nbar, 0.0))
 
 
-def _legendre_args(vq: float, vp: float) -> tuple[float, float, float]:
-    """Return (chat, uhat, p0) for the stable closed form.
+def _fit_coords(v: QuadratureVariances) -> tuple[float, float]:
+    """The fit's coordinates (q, nbar) of a state, with q = cosh 2r - 1:
+    q = (vq + vp) / (2 sqrt(vq vp)) - 1 and nbar = sqrt(vq vp) - 1/2,
+    clamped at the physical boundary like from_variances."""
+    h = math.sqrt(v.vq * v.vp)
+    return max((v.vq + v.vp) / (2.0 * h) - 1.0, 0.0), max(h - 0.5, 0.0)
 
-    With A = (2vq-1)(2vp-1), B = (2vq+1)(2vp+1) and c = 4 vq vp - 1 the
-    probability is P(n) = P(0) B**-n G_n(c, A*B).  By homogeneity
-    (G_n(s*c, s^2*u) = s^n G_n(c, u)) this equals P(0) * G_n(c/B, A/B);
-    the scaled arguments stay in (-1, 1), so the recurrence cannot
-    overflow even at extreme variances.
+
+def _bin_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (bin) axis, adding the bins in order.  numpy's
+    sum switches to pairwise summation when that axis is contiguous (a
+    single column), so its rounding would depend on how many columns share
+    the array; an accumulation never does."""
+    return np.add.accumulate(a, axis=0)[-1]
+
+
+def _legendre_args(q, nbar):
+    """(B, chat, uhat, P(0)) of the closed form below at (q, nbar)."""
+    big_b = 4.0 * (nbar + 1.0) ** 2 + 2.0 * (2.0 * nbar + 1.0) * q
+    chat = 4.0 * nbar * (nbar + 1.0) / big_b
+    uhat = (4.0 * nbar * nbar - 2.0 * (2.0 * nbar + 1.0) * q) / big_b
+    return big_b, chat, uhat, 2.0 / np.sqrt(big_b)
+
+
+def _fock_table(q, nbar, n_max: int, jacobian: bool = False):
+    """Probabilities of all n_max + 2 measurement categories (Fock numbers
+    0..n_max, then the overflow bin) for every state (q[i], nbar[i]),
+    q = cosh 2r - 1, as an (n_max + 2, m) array.
+
+    In these coordinates the closed form is rational and free of exp:
+
+        B = 4 (nbar + 1)^2 + 2 (2 nbar + 1) q,
+        P(n) = P(0) G_n(chat, uhat),   P(0) = 2 / sqrt(B),
+        chat = 4 nbar (nbar + 1) / B,  uhat = (4 nbar^2 - 2 (2 nbar + 1) q) / B,
+
+    that is, B = (2vq+1)(2vp+1), B chat = 4 vq vp - 1 and
+    B uhat = (2vq-1)(2vp-1) rewritten with vq vp = (nbar + 1/2)^2 and
+    vq + vp = (2 nbar + 1)(1 + q).  Dividing the Legendre arguments by B
+    (homogeneity: G_n(s c, s^2 u) = s^n G_n(c, u)) keeps them in (-1, 1),
+    so the recurrence cannot overflow; chat >= 0 exactly, so the parity
+    zeros at nbar = 0 come out exactly zero.  The model is smooth in q at
+    r = 0, where it is not smooth in r.  Rounding noise below zero is
+    clamped, and the overflow bin is 1 minus the partial sum, clamped at 0,
+    so each column is a valid multinomial parameter vector.
+
+    With ``jacobian`` the derivatives d/dq and d/dnbar of every entry come
+    from the same recurrence pass, returned as a second (n_max + 2, 2, m)
+    array.  Entries clamped from below zero have zero derivative; an entry
+    exactly zero keeps its derivative, which is the one-sided derivative
+    into the domain where it matters (odd Fock numbers at nbar = 0).
     """
-    big_b = (2.0 * vq + 1.0) * (2.0 * vp + 1.0)
-    chat = (4.0 * vq * vp - 1.0) / big_b
-    uhat = ((2.0 * vq - 1.0) * (2.0 * vp - 1.0)) / big_b
-    p0 = 2.0 / math.sqrt(big_b)
-    return chat, uhat, p0
+    q = np.asarray(q, dtype=float)
+    nbar = np.asarray(nbar, dtype=float)
+    big_b, chat, uhat, p0 = _legendre_args(q, nbar)
+    if jacobian:
+        two_h = 2.0 * nbar + 1.0
+        # value and d/dq, d/dnbar of B, B*chat and B*uhat, then jets of
+        # chat, uhat and the derivatives of P(0)
+        db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
+        c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
+        u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
+        c_jet[1:] /= big_b
+        u_jet[1:] /= big_b
+        dp0 = -0.5 * p0 * db / big_b
+    else:
+        c_jet, u_jet = chat[None], uhat[None]
+    jet = _legendre_jet(c_jet, u_jet, n_max)
+    raw = np.multiply(p0, jet[:, 0], out=jet[:, 0])
+    out = np.empty((n_max + 2,) + raw.shape[1:])
+    np.maximum(raw, 0.0, out=out[: n_max + 1])
+    tail = 1.0 - _bin_sum(out[: n_max + 1])
+    out[n_max + 1] = np.maximum(tail, 0.0)
+    if not jacobian:
+        return out
+    # d(p0 G_n) = dp0 G_n + p0 dG_n, with G_n = raw / p0
+    jac = np.empty((n_max + 2, 2) + raw.shape[1:])
+    np.multiply(p0, jet[:, 1:], out=jac[: n_max + 1])
+    jac[: n_max + 1] += (dp0 / p0) * raw[:, None]
+    jac[: n_max + 1] *= (raw >= 0.0)[:, None]
+    jac[n_max + 1] = np.where(tail >= 0.0, -_bin_sum(jac[: n_max + 1]), 0.0)
+    return out, jac
 
 
 def fock_probability(v: QuadratureVariances, n: int) -> float:
     """Probability of measuring Fock number n in the state with variances v.
 
-    Evaluated as P(0) * G_n via numerics.scaled_legendre, with P(0) =
-    [1/4 + vq*vp + (vq+vp)/2]**(-1/2).  Exact for thermal states
+    One entry of fock_distribution's closed form.  Exact for thermal states
     (nbar**n / (nbar+1)**(n+1)) and reproduces the parity zeros of squeezed
     vacuum.
     """
     if n < 0 or n > MAX_FOCK:
         raise ValueError(f"n must be in [0, {MAX_FOCK}], got {n}")
-    chat, uhat, p0 = _legendre_args(v.vq, v.vp)
-    g = scaled_legendre(chat, uhat, n)[n]
-    return max(float(p0 * g), 0.0)
-
-
-def _all_probs_scalar(vq: float, vp: float, n_max: int) -> list[float]:
-    """[P(0), ..., P(n_max), overflow] as plain floats.
-
-    Same arithmetic as fock_probability, unrolled for the optimizer's hot
-    loop.  The overflow entry is 1 minus the partial sum, clamped at 0 so
-    the result is always a valid multinomial parameter vector.
-    """
-    big_b = (2.0 * vq + 1.0) * (2.0 * vp + 1.0)
-    chat = (4.0 * vq * vp - 1.0) / big_b
-    uhat = ((2.0 * vq - 1.0) * (2.0 * vp - 1.0)) / big_b
-    p0 = 2.0 / math.sqrt(big_b)
-
-    out = [0.0] * (n_max + 2)
-    out[0] = p0
-    total = p0
-    g_prev = 1.0
-    g = chat
-    if n_max >= 1:
-        pn = p0 * g
-        if pn < 0.0:
-            pn = 0.0
-        out[1] = pn
-        total += pn
-    for k in range(1, n_max):
-        g_prev, g = g, ((2 * k + 1) * chat * g - k * uhat * g_prev) / (k + 1)
-        pn = p0 * g
-        if pn < 0.0:
-            pn = 0.0
-        out[k + 1] = pn
-        total += pn
-    tail = 1.0 - total
-    out[n_max + 1] = tail if tail > 0.0 else 0.0
-    return out
-
-
-def _all_probs_batch(vq: np.ndarray, vp: np.ndarray, n_max: int) -> np.ndarray:
-    """Vectorized _all_probs_scalar: given 1-D variance arrays of length m,
-    return an (m, n_max + 2) matrix of probabilities including overflow."""
-    big_b = (2.0 * vq + 1.0) * (2.0 * vp + 1.0)
-    chat = (4.0 * vq * vp - 1.0) / big_b
-    uhat = ((2.0 * vq - 1.0) * (2.0 * vp - 1.0)) / big_b
-    p0 = 2.0 / np.sqrt(big_b)
-
-    out = np.zeros((vq.shape[0], n_max + 2))
-    out[:, 0] = p0
-    g_prev = np.ones_like(chat)
-    g = chat.copy()
-    if n_max >= 1:
-        out[:, 1] = np.maximum(p0 * g, 0.0)
-    for k in range(1, n_max):
-        g_prev, g = g, ((2 * k + 1) * chat * g - k * uhat * g_prev) / (k + 1)
-        out[:, k + 1] = np.maximum(p0 * g, 0.0)
-    out[:, n_max + 1] = np.maximum(1.0 - out[:, : n_max + 1].sum(axis=1), 0.0)
-    return out
+    q, nbar = _fit_coords(v)
+    return float(_fock_table(q, nbar, max(n, 1))[n])
 
 
 def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistribution:
@@ -224,7 +233,8 @@ def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistributi
     (Fock numbers 0..n_max plus one overflow bin for everything above)."""
     if not 1 <= n_max <= MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
-    all_probs = _all_probs_scalar(v.vq, v.vp, n_max)
+    q, nbar = _fit_coords(v)
+    all_probs = _fock_table(q, nbar, n_max).tolist()
     return FockDistribution(n_max, tuple(all_probs[:-1]), all_probs[-1])
 
 

@@ -1,6 +1,7 @@
 """Special functions backing the Fock-distribution model and the
 bias-corrected bootstrap: a scaled Legendre recurrence that stays real for
-squeezed states, plus the standard normal CDF and quantile.
+squeezed states (optionally carrying derivatives), plus the standard normal
+CDF and quantile.
 """
 
 from __future__ import annotations
@@ -31,17 +32,46 @@ def scaled_legendre(c, u, n_max: int) -> np.ndarray:
     ``c`` and ``u`` may be scalars or broadcastable arrays; the result has
     the order n on its leading axis.
     """
+    c_arr, u_arr = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(u, dtype=float))
+    return _legendre_jet(c_arr[None], u_arr[None], n_max)[:, 0]
+
+
+def _legendre_jet(c, u, n_max: int) -> np.ndarray:
+    """G_n of scaled_legendre for n = 0 .. n_max together with their
+    directional derivatives, from one pass of the recurrence over jets.
+
+    ``c`` and ``u`` are jets of equal shape (1 + t, ...): the value on row
+    0 and the derivatives along t tangent directions on rows 1..t.  The
+    product of two jets keeps first order terms only,
+    (x * y)[0] = x[0] y[0] and (x * y)[i] = x[0] y[i] + x[i] y[0], so the
+    recurrence G_{k+1} = a_k c G_k - b_k u G_{k-1}, a_k = (2k + 1)/(k + 1)
+    and b_k = k/(k + 1), carries the derivatives along with the values at
+    a few array operations per step.  Returns an (n_max + 1, 1 + t, ...)
+    array: G_n on [n, 0], its derivatives on [n, 1:].
+    """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    c_arr, u_arr = np.broadcast_arrays(
-        np.asarray(c, dtype=float), np.asarray(u, dtype=float)
-    )
-    out = np.empty((n_max + 1,) + c_arr.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = c_arr
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * c_arr * out[k] - k * u_arr * out[k - 1]) / (k + 1)
+    out = np.zeros((n_max + 1,) + c.shape)
+    out[0, 0] = 1.0
+    if n_max == 0:
+        return out
+    out[1] = c
+    # Step k combines the rows (G_{k-1}, G_k) = out[k-1:k+1] with the
+    # coefficients (-b_k u, a_k c): their values times both jets, plus
+    # their derivatives times both values.
+    k = np.arange(1.0, n_max)[(slice(None),) + (None,) * c.ndim]
+    coef = np.empty((n_max - 1, 2) + c.shape)
+    np.multiply(-k / (k + 1.0), u, out=coef[:, 0])
+    np.multiply((2.0 * k + 1.0) / (k + 1.0), c, out=coef[:, 1])
+    tangents = c.shape[0] > 1
+    terms = np.empty((2,) + c.shape)
+    extra = np.empty((2, c.shape[0] - 1) + c.shape[1:])
+    for step in range(n_max - 1):
+        pair, pair_coef = out[step:step + 2], coef[step]
+        np.multiply(pair_coef[:, :1], pair, out=terms)
+        if tangents:
+            terms[:, 1:] += np.multiply(pair_coef[:, 1:], pair[:, :1], out=extra)
+        np.add(terms[0], terms[1], out=out[step + 2])
     return out
 
 

@@ -38,28 +38,46 @@ class SeedSpec:
         )
 
 
-def sample_histogram(d: FockDistribution, n_shots: int, seed: SeedSpec) -> FockHistogram:
-    """Draw a multinomial histogram of ``n_shots`` measurements from ``d``.
+def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) -> np.ndarray:
+    """Draw ``n`` multinomial histograms of ``n_shots`` measurements from
+    ``d`` into an (n, n_max + 2) integer count matrix (overflow last).
 
-    Sampled by the conditional-binomial decomposition: bin i receives a
-    binomial draw of the shots still unassigned, with success probability
-    p_i renormalized by the remaining tail mass; the overflow bin absorbs
-    whatever is left, so the counts always sum to n_shots exactly.
+    Row i uses the stream ``seed.stream_index + i``.  Each row is sampled
+    by the conditional-binomial decomposition: bin i receives a binomial
+    draw of the shots still unassigned, with success probability p_i
+    renormalized by the remaining tail mass; the overflow bin absorbs
+    whatever is left, so every row sums to n_shots exactly.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    rng = seed.generator()
-    probs = d.probs + (d.overflow,)
-    counts = [0] * len(probs)
-    remaining = n_shots
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    # The renormalized success probabilities are the same for every row.
+    conditional = []
     tail = 1.0
-    for i in range(len(probs) - 1):
-        if remaining == 0 or tail <= 0.0:
+    for p in d.probs:
+        if tail <= 0.0:
             break
-        p = min(max(probs[i] / tail, 0.0), 1.0)
-        k = int(rng.binomial(remaining, p))
-        counts[i] = k
-        remaining -= k
-        tail -= probs[i]
-    counts[-1] = remaining
+        conditional.append(min(max(p / tail, 0.0), 1.0))
+        tail -= p
+    out = np.zeros((n, d.n_max + 2), dtype=np.int64)
+    for row in range(n):
+        binomial = SeedSpec(seed.master_seed, seed.stream_index + row).generator().binomial
+        counts = [0] * (d.n_max + 2)
+        remaining = n_shots
+        for i, p in enumerate(conditional):
+            if remaining == 0:
+                break
+            k = int(binomial(remaining, p))
+            counts[i] = k
+            remaining -= k
+        counts[-1] = remaining
+        out[row] = counts
+    return out
+
+
+def sample_histogram(d: FockDistribution, n_shots: int, seed: SeedSpec) -> FockHistogram:
+    """Draw one multinomial histogram of ``n_shots`` measurements from ``d``
+    from the stream ``seed``, as _sample_counts does for each of its rows."""
+    counts = _sample_counts(d, n_shots, seed, 1)[0].tolist()
     return FockHistogram(tuple(counts[:-1]), counts[-1], n_shots)

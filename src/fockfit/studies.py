@@ -6,26 +6,25 @@ interval-coverage tables.  Reports are machine-readable (CSV and JSON).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from ._io import atomic_write, is_json_int
 from ._parallel import parallel_map
 from .bootstrap import METHODS, coverage_probability
 from .estimation import (
     PriorShape,
-    WeightVector,
-    _beta_posterior_variance,
-    fit,
-    fit_frequencies,
+    fit_batch,
     mle_weights,
     posterior_weights,
     uniform_weights,
 )
 from .model import SqueezedThermalState, fidelity, fock_distribution, to_variances
-from .sampling import SeedSpec, sample_histogram
+from .sampling import SeedSpec, _sample_counts
 
 __all__ = [
     "WEIGHT_SCHEMES",
@@ -71,14 +70,16 @@ class SchemeSpec:
         PriorShape(self.nu, self.eta)
 
 
-def weights_for(h, scheme: str, prior: PriorShape) -> WeightVector:
-    """Weight vector for a histogram under the named scheme."""
+def weights_for(counts, scheme: str, prior: PriorShape):
+    """Weights under the named scheme for a histogram (a WeightVector) or
+    for an array of counts (an array of the same shape), as the weight
+    rules in fockfit.estimation take them."""
     if scheme == "posterior":
-        return posterior_weights(h, prior)
+        return posterior_weights(counts, prior)
     if scheme == "mle":
-        return mle_weights(h)
+        return mle_weights(counts)
     if scheme == "uniform":
-        return uniform_weights(h)
+        return uniform_weights(counts)
     raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
@@ -167,54 +168,46 @@ class StudyReport:
         return [asdict(row) for row in self.rows]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for row in self.to_dicts():
-                writer.writerow(
-                    ["" if row[c] is None else repr(float(row[c]))
-                     if isinstance(row[c], float) else row[c]
-                     for c in REPORT_COLUMNS]
-                )
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(REPORT_COLUMNS)
+        for row in self.to_dicts():
+            writer.writerow(
+                ["" if row[c] is None else repr(float(row[c]))
+                 if isinstance(row[c], float) else row[c]
+                 for c in REPORT_COLUMNS]
+            )
+        atomic_write(path, buf.getvalue())
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"format_version": 1, "rows": self.to_dicts()}, fh, indent=1)
-            fh.write("\n")
+        atomic_write(path, json.dumps({"format_version": 1, "rows": self.to_dicts()},
+                                      indent=1) + "\n")
 
 
-def _exact_weights(freqs: np.ndarray, total: int, spec: SchemeSpec) -> WeightVector:
-    """Weights for exact-probability input, with expected counts N*p_n
-    standing in for observed counts."""
-    if spec.scheme == "uniform":
-        return WeightVector((1.0,) * freqs.shape[0])
-    prior = PriorShape(spec.nu, spec.eta)
-    out = []
-    for f in freqs:
-        k = f * total
-        if spec.scheme == "posterior":
-            out.append(1.0 / _beta_posterior_variance(k, total, prior))
-        else:
-            out.append(total ** 3 / (max(k, 0.5) * max(total - k, 0.5)))
-    return WeightVector(tuple(out))
-
-
-def _point_estimate_experiment(args):
-    (state_r, state_nbar, n_shots, scheme, nu, eta, n_max, master_seed,
-     stream, exact) = args
+def _point_block(args) -> np.ndarray:
+    """Simulate one (state, shots) block of experiments once and fit it
+    under every scheme in one fit_batch call.  Returns a (schemes,
+    experiments, 6) array of (vq, vp, r, nbar, fidelity, converged)."""
+    (state_r, state_nbar, n_shots, schemes, n_max, master_seed, stream, n_experiments,
+     exact) = args
     truth = to_variances(SqueezedThermalState(state_r, state_nbar))
     dist = fock_distribution(truth, n_max)
-    spec = SchemeSpec(scheme, nu, eta)
     if exact:
-        freqs = np.array(dist.probs + (dist.overflow,))
-        res = fit_frequencies(freqs, _exact_weights(freqs, n_shots, spec))
+        # Expected counts N*p_n stand in for observed counts.
+        freqs = np.tile(dist.all_probs, (n_experiments, 1))
+        counts = freqs * n_shots
     else:
-        h = sample_histogram(dist, n_shots, SeedSpec(master_seed, stream))
-        res = fit(h, weights_for(h, scheme, PriorShape(nu, eta)))
-    return (
-        res.variances.vq, res.variances.vp, res.state.r, res.state.nbar,
-        fidelity(res.variances, truth), res.converged,
-    )
+        counts = _sample_counts(dist, n_shots, SeedSpec(master_seed, stream), n_experiments)
+        freqs = counts / n_shots
+    weights = [weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta))
+               for spec in schemes]
+    fits = fit_batch(np.tile(freqs, (len(schemes), 1)), np.concatenate(weights))
+    records = [
+        (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar,
+         fidelity(res.variances, truth), res.converged)
+        for res in fits
+    ]
+    return np.array(records).reshape(len(schemes), n_experiments, 6)
 
 
 def _spread(values: np.ndarray) -> Optional[float]:
@@ -223,11 +216,10 @@ def _spread(values: np.ndarray) -> Optional[float]:
 
 def _aggregate_point_row(
     state: SqueezedThermalState, shots: int, spec: SchemeSpec, cfg: StudyConfig,
-    records: list,
+    records: np.ndarray,
 ) -> StudyRow:
-    arr = np.array(records)
-    ok = arr[:, 5].astype(bool)
-    used = arr[ok]
+    ok = records[:, 5].astype(bool)
+    used = records[ok]
     truth = to_variances(state)
     true_values = {"vq": truth.vq, "vp": truth.vp, "r": state.r, "nbar": state.nbar}
     columns = {"vq": 0, "vp": 1, "r": 2, "nbar": 3}
@@ -261,37 +253,36 @@ def _aggregate_point_row(
 
 
 def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[StudyRow]:
+    # The stream block depends only on (state, shots, experiment), never on
+    # the scheme: schemes see identical simulated data.
+    blocks = [
+        (state, shots, (si * len(cfg.shot_counts) + ni) * cfg.n_experiments)
+        for si, state in enumerate(cfg.true_states)
+        for ni, shots in enumerate(cfg.shot_counts)
+    ]
+    tasks = [
+        (state.r, state.nbar, shots, schemes, cfg.n_max, cfg.master_seed, base,
+         cfg.n_experiments, cfg.exact_probabilities)
+        for state, shots, base in blocks
+    ]
     rows = []
-    for si, state in enumerate(cfg.true_states):
-        for ni, shots in enumerate(cfg.shot_counts):
-            # The stream block depends only on (state, shots, experiment),
-            # never on the scheme: schemes see identical simulated data.
-            base = (si * len(cfg.shot_counts) + ni) * cfg.n_experiments
-            for spec in schemes:
-                tasks = [
-                    (state.r, state.nbar, shots, spec.scheme, spec.nu, spec.eta,
-                     cfg.n_max, cfg.master_seed, base + e, cfg.exact_probabilities)
-                    for e in range(cfg.n_experiments)
-                ]
-                records = parallel_map(_point_estimate_experiment, tasks)
-                rows.append(_aggregate_point_row(state, shots, spec, cfg, records))
+    for (state, shots, _), records in zip(blocks, parallel_map(_point_block, tasks)):
+        for spec, scheme_records in zip(schemes, records):
+            rows.append(_aggregate_point_row(state, shots, spec, cfg, scheme_records))
     return rows
 
 
-def _single_scheme(cfg: StudyConfig) -> tuple[SchemeSpec, ...]:
-    return (SchemeSpec(cfg.weight_scheme, cfg.prior.nu, cfg.prior.eta),)
-
-
 def fidelity_study(cfg: StudyConfig) -> StudyReport:
-    """Mean and spread of the estimate-versus-truth fidelity for every
-    configured (state, shots) pair."""
-    return StudyReport(tuple(_point_rows(cfg, _single_scheme(cfg))))
+    """Point-estimate study under the configured weight scheme: for every
+    configured (state, shots) pair, the mean and spread of the
+    estimate-versus-truth fidelity, and the bias, standard deviation and
+    their ratio for each of the four parameters.  Both the "fidelity" and
+    the "bias" study kinds run it."""
+    spec = SchemeSpec(cfg.weight_scheme, cfg.prior.nu, cfg.prior.eta)
+    return StudyReport(tuple(_point_rows(cfg, (spec,))))
 
 
-def bias_study(cfg: StudyConfig) -> StudyReport:
-    """Bias, standard deviation, and their ratio for each of the four
-    parameters, per configured (state, shots) pair."""
-    return StudyReport(tuple(_point_rows(cfg, _single_scheme(cfg))))
+bias_study = fidelity_study
 
 
 def weight_comparison_study(cfg: StudyConfig) -> StudyReport:
@@ -402,7 +393,8 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     _reject_unknown(doc, _CONFIG_FIELDS, "config")
-    if doc.get("format_version", 1) != 1:
+    version = doc.get("format_version", 1)
+    if not is_json_int(version) or version != 1:
         raise ConfigError("format_version: only version 1 is supported")
     kind = _require(doc, "study", "config")
     if kind not in STUDY_KINDS:
@@ -419,22 +411,22 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     kwargs: dict = {"true_states": true_states}
     if "shot_counts" in doc:
         raw = doc["shot_counts"]
-        if not isinstance(raw, list) or not all(isinstance(n, int) for n in raw):
+        if not isinstance(raw, list) or not all(is_json_int(n) for n in raw):
             raise ConfigError("shot_counts: expected a list of integers")
         kwargs["shot_counts"] = tuple(raw)
     if "n_experiments" in doc:
-        if not isinstance(doc["n_experiments"], int):
+        if not is_json_int(doc["n_experiments"]):
             raise ConfigError("n_experiments: expected an integer")
         kwargs["n_experiments"] = doc["n_experiments"]
     if "n_b" in doc:
         raw = doc["n_b"]
-        if isinstance(raw, int):
+        if is_json_int(raw):
             raw = [raw]
-        if not isinstance(raw, list) or not all(isinstance(n, int) for n in raw):
+        if not isinstance(raw, list) or not all(is_json_int(n) for n in raw):
             raise ConfigError("n_b: expected an integer or list of integers")
         kwargs["n_b"] = tuple(raw)
     if "alpha" in doc:
-        if not isinstance(doc["alpha"], (int, float)):
+        if isinstance(doc["alpha"], bool) or not isinstance(doc["alpha"], (int, float)):
             raise ConfigError("alpha: expected a number")
         kwargs["alpha"] = float(doc["alpha"])
     if "prior" in doc:
@@ -457,11 +449,11 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
             _parse_scheme(s, f"schemes[{i}]") for i, s in enumerate(raw)
         )
     if "n_max" in doc:
-        if not isinstance(doc["n_max"], int):
+        if not is_json_int(doc["n_max"]):
             raise ConfigError("n_max: expected an integer")
         kwargs["n_max"] = doc["n_max"]
     if "master_seed" in doc:
-        if not isinstance(doc["master_seed"], int):
+        if not is_json_int(doc["master_seed"]):
             raise ConfigError("master_seed: expected an integer")
         kwargs["master_seed"] = doc["master_seed"]
     if "exact_probabilities" in doc:

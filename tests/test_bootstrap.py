@@ -135,33 +135,33 @@ class TestParametricBootstrap:
 
     def test_failure_policy(self, monkeypatch):
         point = fit_state(0.5, 0.1, 300)
-        real_fit = bt.fit
-        calls = {"n": 0}
+        real_fit_batch = bt.fit_batch
 
-        def flaky_fit(h, w, **kw):
-            calls["n"] += 1
-            res = real_fit(h, w, **kw)
-            if calls["n"] % 3 == 0:
-                return FitResult(res.variances, res.state, res.objective, False, 1)
-            return res
+        def flaky_fit_batch(freqs, weights, **kw):
+            out = real_fit_batch(freqs, weights, **kw)
+            return [
+                FitResult(res.variances, res.state, res.objective, False, 1)
+                if (i + 1) % 3 == 0 else res
+                for i, res in enumerate(out)
+            ]
 
-        monkeypatch.setattr(bt, "fit", flaky_fit)
+        monkeypatch.setattr(bt, "fit_batch", flaky_fit_batch)
         with pytest.raises(BootstrapError):
             parametric_bootstrap(point, 300, 30, PRIOR, SeedSpec(1, 0))
 
     def test_rare_failures_excluded_not_fatal(self, monkeypatch):
         point = fit_state(0.5, 0.1, 300)
-        real_fit = bt.fit
-        calls = {"n": 0}
+        real_fit_batch = bt.fit_batch
 
-        def once_flaky_fit(h, w, **kw):
-            calls["n"] += 1
-            res = real_fit(h, w, **kw)
-            if calls["n"] == 5:
-                return FitResult(res.variances, res.state, res.objective, False, 1)
-            return res
+        def once_flaky_fit_batch(freqs, weights, **kw):
+            out = real_fit_batch(freqs, weights, **kw)
+            return [
+                FitResult(res.variances, res.state, res.objective, False, 1)
+                if i + 1 == 5 else res
+                for i, res in enumerate(out)
+            ]
 
-        monkeypatch.setattr(bt, "fit", once_flaky_fit)
+        monkeypatch.setattr(bt, "fit_batch", once_flaky_fit_batch)
         reps = parametric_bootstrap(point, 300, 1000, PRIOR, SeedSpec(1, 0))
         assert reps.n_failed == 1
         assert reps.sorted_values("nbar").shape == (999,)

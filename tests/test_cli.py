@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import pytest
 
@@ -297,3 +299,80 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["simulate", "--r", "0", "--nbar", "0"]) == EXIT_USAGE
+
+
+class TestCountsFileIntegers:
+    @pytest.mark.parametrize("field, value", [
+        ("counts", [True, False, 0]),
+        ("overflow", False),
+        ("total", True),
+        ("n_max", True),
+        ("format_version", True),
+    ])
+    def test_boolean_rejected_with_field_name(self, tmp_path, capsys, field, value):
+        doc = {"format_version": 1, "n_max": 2, "counts": [1, 0, 0], "overflow": 0, "total": 1}
+        doc[field] = value
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(doc))
+        est = tmp_path / "estimate.json"
+        assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not est.exists()
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_never_clobber(self, tmp_path):
+        # A fixed "<path>.tmp" lets one writer truncate or rename away the
+        # other's temporary file; each writer needs its own.
+        path = tmp_path / "out.json"
+        texts = [f"{i}" * 5000 for i in range(8)]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(25):
+                    cli._atomic_write(str(path), text)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert path.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_stale_tmp_file_is_not_touched(self, tmp_path):
+        path = tmp_path / "out.json"
+        other = tmp_path / "out.json.tmp"
+        other.write_text("another writer's data")
+        cli._atomic_write(str(path), "mine\n")
+        assert path.read_text() == "mine\n"
+        assert other.read_text() == "another writer's data"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(cli._CliError) as info:
+            cli._atomic_write(str(path), "new\n")
+        assert info.value.code == EXIT_IO
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_report_writes_are_atomic(self, tmp_path, monkeypatch):
+        from fockfit.studies import StudyReport
+
+        report = StudyReport(())
+        monkeypatch.setattr(os, "replace", lambda src, dst: (_ for _ in ()).throw(OSError("x")))
+        for write in (report.write_csv, report.write_json):
+            with pytest.raises(OSError):
+                write(tmp_path / "report")
+        assert list(tmp_path.iterdir()) == []

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockfit.estimation import (
     FockHistogram,
     PriorShape,
     WeightVector,
     fit,
+    fit_batch,
     fit_frequencies,
     mle_weights,
     objective,
@@ -15,12 +18,13 @@ from fockfit.estimation import (
     uniform_weights,
 )
 from fockfit.model import (
+    HEISENBERG_SLACK,
     QuadratureVariances,
     SqueezedThermalState,
     fock_distribution,
     to_variances,
 )
-from fockfit.sampling import SeedSpec, sample_histogram
+from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 
 def histogram_from_counts(counts, n_max=20):
@@ -248,3 +252,103 @@ class TestFit:
     def test_bad_frequency_vector(self):
         with pytest.raises(ValueError):
             fit_frequencies(np.array([1.0, 0.0]), WeightVector((1.0, 1.0)))
+
+
+class TestWeightArrays:
+    def test_count_arrays_match_histograms(self):
+        dist = fock_distribution(to_variances(SqueezedThermalState(1.0, 0.05)), 20)
+        hists = [sample_histogram(dist, 2000, SeedSpec(4, i)) for i in range(5)]
+        counts = np.array([h.counts + (h.overflow_count,) for h in hists])
+        for rule in (posterior_weights, mle_weights, uniform_weights):
+            matrix = rule(counts)
+            assert matrix.shape == counts.shape
+            for h, row in zip(hists, matrix):
+                assert tuple(row.tolist()) == rule(h).weights
+            # float counts, e.g. expected counts N p_n, take the same path
+            np.testing.assert_array_equal(rule(counts.astype(float)), matrix)
+
+    def test_bad_count_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            posterior_weights(np.array([3.0, -1.0, 2.0]))
+        with pytest.raises(ValueError):
+            mle_weights(np.array([3, 1]))
+
+
+def _sampled_rows(r, nbar, shots, n, n_max=20, seed=17):
+    dist = fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max)
+    counts = _sample_counts(dist, shots, SeedSpec(seed, 0), n)
+    return counts, counts / shots, posterior_weights(counts)
+
+
+@st.composite
+def _batches(draw):
+    """1 to 5 histograms that share n_max: sampled from random states, or
+    arbitrary count vectors."""
+    n_max = draw(st.sampled_from((3, 20)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            state = SqueezedThermalState(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
+            dist = fock_distribution(to_variances(state), n_max)
+            seed = SeedSpec(draw(st.integers(0, 2 ** 32)))
+            h = sample_histogram(dist, draw(st.integers(1, 10 ** 5)), seed)
+            rows.append(h.counts + (h.overflow_count,))
+        else:
+            counts = draw(st.lists(st.integers(0, 300), min_size=n_max + 2,
+                                   max_size=n_max + 2).filter(any))
+            rows.append(tuple(counts))
+    return np.array(rows)
+
+
+class TestFitBatch:
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(_batches())
+    def test_batch_equals_single_fits(self, counts):
+        total = counts.sum(axis=1, keepdims=True)
+        weights = posterior_weights(counts)
+        batch = fit_batch(counts / total, weights)
+        for row, w, res in zip(counts, weights, batch):
+            h = FockHistogram(tuple(row[:-1].tolist()), int(row[-1]), int(row.sum()))
+            single = fit(h, WeightVector(tuple(w.tolist())))
+            assert res.converged == single.converged
+            assert abs(res.state.r - single.state.r) <= 1e-9
+            assert abs(res.state.nbar - single.state.nbar) <= 1e-9
+            v = res.variances
+            assert v.vq <= v.vp
+            assert v.vq * v.vp >= 0.25 - HEISENBERG_SLACK
+
+    def test_grid_only_with_zero_budget(self):
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 6)
+        grid = fit_batch(freqs, weights, max_evals=0)
+        full = fit_batch(freqs, weights)
+        r_vals = np.linspace(0.0, 3.5, 60)
+        nbar_vals = np.expm1(np.linspace(0.0, math.log1p(7.0), 60))
+        for f, w, g, res in zip(freqs, weights, grid, full):
+            assert not g.converged
+            assert np.min(np.abs(r_vals - g.state.r)) < 1e-12
+            assert np.min(np.abs(nbar_vals - g.state.nbar)) < 1e-12
+            assert g.objective == pytest.approx(_objective_at(g.variances, f, w), rel=1e-9)
+            assert res.converged and res.objective <= g.objective
+
+    def test_r_zero_fits_are_minima_along_r(self):
+        # A gradient method in r stalls at r = 0, where the model's r
+        # derivative vanishes; in q = cosh 2r - 1 it does not.  Every fit
+        # that lands on r = 0 must be a minimum along r.
+        counts, freqs, weights = _sampled_rows(0.0, 0.01, 10 ** 4, 300)
+        fits = fit_batch(freqs, weights)
+        on_bound = [i for i, res in enumerate(fits) if res.state.r == 0.0]
+        assert len(on_bound) > 50
+        for i in on_bound:
+            probe = to_variances(SqueezedThermalState(1e-3, fits[i].state.nbar))
+            assert _objective_at(probe, freqs[i], weights[i]) >= fits[i].objective
+
+    def test_shape_and_weight_validation(self):
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 1000, 2)
+        with pytest.raises(ValueError):
+            fit_batch(freqs, weights[:, :-1])
+        with pytest.raises(ValueError):
+            fit_batch(freqs[0], weights[0])
+        bad = weights.copy()
+        bad[1, 3] = 0.0
+        with pytest.raises(ValueError):
+            fit_batch(freqs, bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockfit.model import (
+    MAX_FOCK,
     FockDistribution,
     QuadratureVariances,
     SqueezedThermalState,
@@ -14,6 +15,8 @@ from fockfit.model import (
     from_variances,
     to_variances,
 )
+from fockfit.model import _fock_table, _legendre_args
+from fockfit.numerics import scaled_legendre
 
 VACUUM = QuadratureVariances(0.5, 0.5)
 
@@ -230,3 +233,75 @@ class TestFidelity:
     def test_monotone_degradation_in_r(self):
         values = [fidelity(VACUUM, squeezed_vacuum(r)) for r in np.arange(0, 3.5, 0.5)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def _convolution_oracle(q, nbar, n_max):
+    """P(0..n_max) at 50 significant digits from an independent form of the
+    closed form: the generating function sum_n P(n) z^n equals
+    P(0) (1 - alpha z)^(-1/2) (1 - beta z)^(-1/2) with
+    alpha = (2vq-1)/(2vq+1) and beta = (2vp-1)/(2vp+1), so P(n) is the
+    convolution of two binomial series.  The double inputs (q, nbar) are
+    taken exactly."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, nbar = mp.mpf(q), mp.mpf(nbar)
+        h = nbar + mp.mpf(1) / 2
+        e2r = 1 + q + mp.sqrt(q * (q + 2))
+        vq, vp = h / e2r, h * e2r
+        alpha = (2 * vq - 1) / (2 * vq + 1)
+        beta = (2 * vp - 1) / (2 * vp + 1)
+        p0 = 2 / mp.sqrt((2 * vq + 1) * (2 * vp + 1))
+        binom = [mp.mpf(1)]
+        for k in range(1, n_max + 1):
+            binom.append(binom[-1] * (2 * k - 1) / (2 * k))
+        a = [binom[k] * alpha ** k for k in range(n_max + 1)]
+        b = [binom[k] * beta ** k for k in range(n_max + 1)]
+        probs = [p0 * mp.fsum(a[k] * b[n - k] for k in range(n + 1)) for n in range(n_max + 1)]
+        return probs, 1 - mp.fsum(probs)
+
+
+class TestHighPrecision:
+    """The batched kernel over the whole advertised domain n <= MAX_FOCK,
+    beyond the Wigner oracle's n <= 30."""
+
+    R = (0.0, 0.3, 1.0, 1.75, 2.5, 3.5, 5.0)
+    NBAR = (0.0, 0.01, 0.2, 1.0, 5.0, 20.0)
+
+    def test_closed_form_matches_50_digit_oracle(self):
+        r, nbar = map(np.ravel, np.meshgrid(self.R, self.NBAR, indexing="ij"))
+        q = 2.0 * np.sinh(r) ** 2
+        table = _fock_table(q, nbar, MAX_FOCK)
+        for i in range(q.shape[0]):
+            probs, overflow = _convolution_oracle(q[i], nbar[i], MAX_FOCK)
+            # a few ulps per entry; the overflow bin sums 65 of them
+            for n in range(MAX_FOCK + 1):
+                assert abs(table[n, i] - float(probs[n])) <= 2e-15, (r[i], nbar[i], n)
+            assert abs(table[MAX_FOCK + 1, i] - float(overflow)) <= 1e-13, (r[i], nbar[i])
+
+    def test_raw_negative_mass_bounded(self):
+        # The kernel clamps p0 * G_n at zero; over r <= 5, nbar <= 20 the
+        # clamp may only hide rounding noise.  The variance form of the same
+        # closed form leaves up to -2.8e-17 per state on this grid; the
+        # (q, nbar) form, with chat >= 0 exactly, leaves none.
+        r = np.linspace(0.0, 5.0, 101)
+        nbar = np.concatenate([[0.0], np.geomspace(1e-4, 20.0, 100)])
+        rg, ng = map(np.ravel, np.meshgrid(r, nbar, indexing="ij"))
+        _, chat, uhat, p0 = _legendre_args(2.0 * np.sinh(rg) ** 2, ng)
+        raw = p0 * scaled_legendre(chat, uhat, MAX_FOCK)
+        assert np.minimum(raw, 0.0).sum(axis=0).min() >= -1e-17
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_jacobian_matches_central_differences(self, n_max):
+        rng = np.random.default_rng(n_max)
+        r = rng.uniform(0.01, 3.0, 12)
+        nbar = rng.uniform(0.005, 3.0, 12)
+        x = np.stack((2.0 * np.sinh(r) ** 2, nbar))
+        _, jac = _fock_table(x[0], x[1], n_max, jacobian=True)
+        for k in range(2):
+            step = np.zeros_like(x)
+            step[k] = 1e-6 * (1.0 + x[k])
+            up = _fock_table(*(x + step), n_max)
+            down = _fock_table(*(x - step), n_max)
+            diff = (up - down) / (2.0 * step[k])
+            scale = np.abs(jac[:, k]).max(axis=0)
+            assert np.all(np.abs(diff - jac[:, k]) <= 1e-6 * scale)

@@ -218,3 +218,24 @@ class TestThreadCountInvariance:
         monkeypatch.setenv("FOCKFIT_THREADS", "2")
         parallel = fidelity_study(cfg)
         assert serial == parallel
+
+
+class TestBooleansRejected:
+    """JSON booleans parse as bool, a subclass of int; integer fields must
+    not accept them."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_experiments", True),
+        ("shot_counts", [True]),
+        ("n_b", True),
+        ("n_b", [20, False]),
+        ("n_max", True),
+        ("master_seed", False),
+        ("format_version", True),
+        ("alpha", True),
+    ])
+    def test_boolean_rejected_with_field_name(self, field, value):
+        doc = TestParseConfig().good_doc()
+        doc[field] = value
+        with pytest.raises(ConfigError, match=field):
+            parse_config(doc)
