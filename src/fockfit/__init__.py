@@ -15,6 +15,7 @@ from .bootstrap import (
     percentile_interval,
 )
 from .estimation import (
+    WEIGHT_SCHEMES,
     FitResult,
     FockHistogram,
     PriorShape,
@@ -26,6 +27,7 @@ from .estimation import (
     objective,
     posterior_weights,
     uniform_weights,
+    weights_for,
 )
 from .model import (
     FockDistribution,
@@ -42,7 +44,6 @@ from .numerics import scaled_legendre, std_normal_cdf, std_normal_quantile
 from .sampling import SeedSpec, sample_histogram
 from .studies import (
     DEFAULT_SHOT_GRID,
-    WEIGHT_SCHEMES,
     ConfigError,
     SchemeSpec,
     StudyConfig,
@@ -54,7 +55,6 @@ from .studies import (
     parse_config,
     run_study,
     weight_comparison_study,
-    weights_for,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """File and JSON helpers shared by the CLI and the studies module: atomic
-text-file writes and the integer check for parsed JSON fields."""
+text-file writes and the integer and number checks for parsed JSON
+fields."""
 
 from __future__ import annotations
 
@@ -7,12 +8,17 @@ import contextlib
 import os
 import secrets
 
-__all__ = ["atomic_write", "is_json_int"]
+__all__ = ["atomic_write", "is_json_int", "is_json_number"]
 
 
 def is_json_int(value) -> bool:
     """A JSON integer; JSON booleans parse as bool, a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value) -> bool:
+    """A JSON number, integer or not; booleans and numeric strings are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def atomic_write(path, text: str) -> None:

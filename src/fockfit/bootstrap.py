@@ -12,8 +12,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights
-from .model import SqueezedThermalState, fock_distribution, to_variances
+from .estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights, weights_for
+from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
 from .sampling import SeedSpec, _sample_counts, sample_histogram
 
@@ -24,9 +24,11 @@ __all__ = [
     "ConfidenceInterval",
     "ReplicateSet",
     "CoverageResult",
+    "parameter_values",
     "parametric_bootstrap",
     "percentile_interval",
     "bc_interval",
+    "intervals",
     "coverage_probability",
 ]
 
@@ -36,6 +38,11 @@ METHODS = ("percentile", "bc")
 # Refits that fail to converge are flagged and excluded from intervals;
 # above this fraction the whole bootstrap is considered unusable.
 MAX_FAILURE_FRACTION = 0.01
+
+
+def parameter_values(v: QuadratureVariances, state: SqueezedThermalState) -> dict[str, float]:
+    """The four parameters of one state, keyed and ordered as PARAMETERS."""
+    return dict(zip(PARAMETERS, (v.vq, v.vp, state.r, state.nbar)))
 
 
 class BootstrapError(RuntimeError):
@@ -108,12 +115,14 @@ def parametric_bootstrap(
     prior: PriorShape,
     seed: SeedSpec,
     n_max: int = 20,
+    scheme: str = "posterior",
 ) -> ReplicateSet:
     """Simulate ``n_b`` experiments from the fitted state and refit them
     all in one fit_batch call.
 
     Replicate i draws its histogram from stream ``seed.stream_index + i``
-    and is refit with posterior weights under ``prior``.  Raises
+    and is refit with the weights ``weights_for(counts, scheme, prior)``;
+    pass the scheme the point estimate was fitted with.  Raises
     BootstrapError if more than MAX_FAILURE_FRACTION of refits fail.
     """
     if not point.converged:
@@ -121,7 +130,7 @@ def parametric_bootstrap(
     if n_b < 2:
         raise ValueError(f"n_b must be >= 2, got {n_b}")
     counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
-    fits = fit_batch(counts / n_shots, posterior_weights(counts, prior))
+    fits = fit_batch(counts / n_shots, weights_for(counts, scheme, prior))
     vq, vp, r, nbar, ok = zip(*(
         (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar, res.converged)
         for res in fits
@@ -225,42 +234,41 @@ class CoverageResult:
     n_used: int
 
 
-def _interval(values: np.ndarray, method: str, point: float, alpha: float,
-              parameter: str) -> ConfidenceInterval:
-    if method == "percentile":
-        return percentile_interval(values, alpha, parameter)
-    if method == "bc":
-        return bc_interval(values, point, alpha, parameter)
-    raise ValueError(f"unknown method {method!r}")
+def intervals(
+    reps: ReplicateSet, point: FitResult, alpha: float, methods: Sequence[str]
+) -> list[ConfidenceInterval]:
+    """One interval per (parameter, method) from the replicates of the
+    point estimate ``point``, parameters in PARAMETERS order and, within
+    each, methods in the order given."""
+    points = parameter_values(point.variances, point.state)
+    out = []
+    for parameter in PARAMETERS:
+        values = reps.sorted_values(parameter)
+        for method in methods:
+            if method == "percentile":
+                out.append(percentile_interval(values, alpha, parameter))
+            elif method == "bc":
+                out.append(bc_interval(values, points[parameter], alpha, parameter))
+            else:
+                raise ValueError(f"unknown method {method!r}")
+    return out
 
 
 def _coverage_experiment(args) -> tuple[bool, dict]:
-    (state_r, state_nbar, n_shots, n_b, alpha, methods, nu, eta, n_max,
-     master_seed, base_stream) = args
-    truth = SqueezedThermalState(state_r, state_nbar)
+    truth, n_shots, n_b, alpha, methods, prior, n_max, seed = args
     tv = to_variances(truth)
-    prior = PriorShape(nu, eta)
-    h = sample_histogram(
-        fock_distribution(tv, n_max), n_shots, SeedSpec(master_seed, base_stream)
-    )
+    h = sample_histogram(fock_distribution(tv, n_max), n_shots, seed)
     point = fit(h, posterior_weights(h, prior))
     if not point.converged:
         return False, {}
     reps = parametric_bootstrap(
-        point, n_shots, n_b, prior, SeedSpec(master_seed, base_stream + 1), n_max
+        point, n_shots, n_b, prior, SeedSpec(seed.master_seed, seed.stream_index + 1), n_max
     )
-    true_values = {"vq": tv.vq, "vp": tv.vp, "r": truth.r, "nbar": truth.nbar}
-    points = {
-        "vq": point.variances.vq, "vp": point.variances.vp,
-        "r": point.state.r, "nbar": point.state.nbar,
+    true_values = parameter_values(tv, truth)
+    return True, {
+        (ci.parameter, ci.method): ci.contains(true_values[ci.parameter])
+        for ci in intervals(reps, point, alpha, methods)
     }
-    hits = {}
-    for parameter in PARAMETERS:
-        values = reps.sorted_values(parameter)
-        for method in methods:
-            ci = _interval(values, method, points[parameter], alpha, parameter)
-            hits[(parameter, method)] = ci.contains(true_values[parameter])
-    return True, hits
 
 
 def coverage_probability(
@@ -289,9 +297,8 @@ def coverage_probability(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     tasks = [
-        (true_state.r, true_state.nbar, n_shots, n_b, alpha, methods,
-         prior.nu, prior.eta, n_max, seed.master_seed,
-         seed.stream_index + i * (n_b + 1))
+        (true_state, n_shots, n_b, alpha, methods, prior, n_max,
+         SeedSpec(seed.master_seed, seed.stream_index + i * (n_b + 1)))
         for i in range(n_experiments)
     ]
     results = parallel_map(_coverage_experiment, tasks)

@@ -198,7 +198,7 @@ def _fit_from_args(args, h: est.FockHistogram):
         scheme = "uniform" if getattr(args, "from_exact", False) else "posterior"
     prior = est.PriorShape(args.nu, args.eta)
     try:
-        weights = studies.weights_for(h, scheme, prior)
+        weights = est.weights_for(h, scheme, prior)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     return est.fit(h, weights), scheme, prior
@@ -215,6 +215,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ci(args) -> int:
+    if not 0.0 < args.alpha < 0.5:
+        raise _CliError(EXIT_USAGE, f"--alpha must be in (0, 0.5), got {args.alpha}")
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
     res, scheme, prior = _fit_from_args(args, h)
     if not res.converged:
@@ -223,22 +225,12 @@ def cmd_ci(args) -> int:
     try:
         reps = bt.parametric_bootstrap(
             res, h.total, args.replicates, prior,
-            SeedSpec(args.seed, args.stream), h.n_max,
+            SeedSpec(args.seed, args.stream), h.n_max, scheme,
         )
     except bt.BootstrapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NONCONVERGED
-    points = {
-        "vq": res.variances.vq, "vp": res.variances.vp,
-        "r": res.state.r, "nbar": res.state.nbar,
-    }
-    intervals = []
-    for parameter in bt.PARAMETERS:
-        values = reps.sorted_values(parameter)
-        if args.method == "percentile":
-            intervals.append(bt.percentile_interval(values, args.alpha, parameter))
-        else:
-            intervals.append(bt.bc_interval(values, points[parameter], args.alpha, parameter))
+    intervals = bt.intervals(reps, res, args.alpha, (args.method,))
     _atomic_write(args.out, json.dumps(_estimate_doc(res, scheme, prior, intervals)) + "\n")
     return EXIT_OK
 
@@ -277,8 +269,9 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--weights", choices=studies.WEIGHT_SCHEMES, default=None,
-                   help="weighting scheme (default: posterior)")
+    p.add_argument("--weights", choices=est.WEIGHT_SCHEMES, default=None,
+                   help="weighting scheme of the fit and of ci's replicate refits "
+                        "(default: posterior)")
     p.add_argument("--nu", type=float, default=1.0, help="Beta prior shape nu")
     p.add_argument("--eta", type=float, default=1.0, help="Beta prior shape eta")
 

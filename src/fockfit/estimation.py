@@ -22,6 +22,7 @@ from .model import (
 )
 
 __all__ = [
+    "WEIGHT_SCHEMES",
     "FockHistogram",
     "PriorShape",
     "WeightVector",
@@ -29,11 +30,14 @@ __all__ = [
     "posterior_weights",
     "mle_weights",
     "uniform_weights",
+    "weights_for",
     "objective",
     "fit",
     "fit_frequencies",
     "fit_batch",
 ]
+
+WEIGHT_SCHEMES = ("posterior", "mle", "uniform")
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,19 @@ def uniform_weights(counts):
     return _weights_like(counts, np.ones_like(_count_matrix(counts)))
 
 
+def weights_for(counts, scheme: str, prior: PriorShape):
+    """Weights under the named scheme (one of WEIGHT_SCHEMES; ``prior``
+    is used by the posterior scheme only), for ``counts`` as taken by
+    posterior_weights."""
+    if scheme == "posterior":
+        return posterior_weights(counts, prior)
+    if scheme == "mle":
+        return mle_weights(counts)
+    if scheme == "uniform":
+        return uniform_weights(counts)
+    raise ValueError(f"unknown weight scheme {scheme!r}")
+
+
 def _check_lengths(n_bins: int, w: WeightVector) -> None:
     if len(w.weights) != n_bins:
         raise ValueError(f"expected {n_bins} weights, got {len(w.weights)}")
@@ -178,6 +195,10 @@ def objective(v: QuadratureVariances, h: FockHistogram, w: WeightVector) -> floa
     point, wts = np.array(_fit_coords(v))[:, None], np.array(w.weights)[:, None]
     return float(_evaluate(point, h.frequencies[:, None], wts, h.n_max, jacobian=False)[0])
 
+
+# The grid stage: _GRID_SIZE points linear in r over [0, _GRID_R_MAX] by
+# _GRID_SIZE points log-spaced in (1 + nbar) over [1, 1 + _GRID_NBAR_MAX].
+_GRID_R_MAX, _GRID_NBAR_MAX, _GRID_SIZE = 3.5, 7.0, 60
 
 # Rows per grid-stage GEMM.  Every row block has exactly this many rows
 # (the last one is zero-padded), so a row's grid objectives do not depend
@@ -216,15 +237,13 @@ _SNAP_SLACK = 1e-13
 
 
 @lru_cache(maxsize=8)
-def _model_grid(n_max: int, r_max: float, nbar_max: float, grid_size: int):
-    """The grid stage's points (q, nbar), ``grid_size`` linear in r over
-    [0, r_max] by ``grid_size`` log-spaced in (1 + nbar) over
-    [1, 1 + nbar_max], and the model probabilities at each point, as
-    read-only (2, points) and (n_max + 2, points) arrays.  The table is
-    built _GRID_BLOCK_POINTS at a time to keep the kernel's temporaries
-    small."""
-    r_vals = np.linspace(0.0, r_max, grid_size)
-    nbar_vals = np.expm1(np.linspace(0.0, math.log1p(nbar_max), grid_size))
+def _model_grid(n_max: int):
+    """The grid stage's points (q, nbar) and the model probabilities at
+    each point, as read-only (2, points) and (n_max + 2, points) arrays.
+    The table is built _GRID_BLOCK_POINTS at a time to keep the kernel's
+    temporaries small."""
+    r_vals = np.linspace(0.0, _GRID_R_MAX, _GRID_SIZE)
+    nbar_vals = np.expm1(np.linspace(0.0, math.log1p(_GRID_NBAR_MAX), _GRID_SIZE))
     rg, ng = map(np.ravel, np.meshgrid(r_vals, nbar_vals, indexing="ij"))
     points = np.stack((2.0 * np.sinh(rg) ** 2, ng))
     probs = np.empty((n_max + 2, points.shape[1]))
@@ -373,15 +392,10 @@ def _fit_result(q: float, nbar: float, obj: float, converged: bool, evals: int) 
     )
 
 
-def fit_batch(
-    frequencies,
-    weights,
-    *,
-    r_max: float = 3.5,
-    nbar_max: float = 7.0,
-    grid_size: int = 60,
-    max_evals: int = 10_000,
-) -> list[FitResult]:
+_MAX_EVALS = 10_000
+
+
+def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> list[FitResult]:
     """Fit (vq, vp) to every row of a (B, n_max + 2) frequency matrix (bins
     0..n_max plus overflow) under the matching matrix of positive weights.
 
@@ -389,9 +403,9 @@ def fit_batch(
     (q, nbar), q = cosh 2r - 1, where the physical constraints vq <= vp and
     vq*vp >= 1/4 become the bounds q >= 0, nbar >= 0:
 
-    1. a grid, ``grid_size`` points linear in r over [0, r_max] by
-       ``grid_size`` points log-spaced in (1 + nbar) over [1, 1 + nbar_max],
-       whose model probabilities are computed once per grid and reused;
+    1. a grid, 60 points linear in r over [0, 3.5] by 60 points
+       log-spaced in (1 + nbar) over [1, 8], whose model probabilities are
+       computed once per n_max and reused;
     2. projected Levenberg-Marquardt from the best grid point with the
        analytic Jacobian, at most ``max_evals`` objective evaluations
        (``max_evals=0`` returns the grid winner, not converged).
@@ -414,7 +428,7 @@ def fit_batch(
     if not np.all(np.isfinite(wts) & (wts > 0.0)):
         raise ValueError("all weights must be finite and positive")
     n_max = freqs.shape[1] - 2
-    grid_x, grid_p = _model_grid(n_max, float(r_max), float(nbar_max), grid_size)
+    grid_x, grid_p = _model_grid(n_max)
     start = grid_x[:, _grid_winners(freqs, wts, grid_p)]
     f, w = freqs.T.copy(), wts.T.copy()
     grid_obj = _evaluate(start, f, w, n_max, jacobian=False)
@@ -437,7 +451,7 @@ def fit_batch(
     ]
 
 
-def fit_frequencies(frequencies, w: WeightVector, **options) -> FitResult:
+def fit_frequencies(frequencies, w: WeightVector, *, max_evals: int = _MAX_EVALS) -> FitResult:
     """Fit (vq, vp) to one frequency vector (bins 0..n_max plus overflow):
     fit_batch on a batch of one.  The returned point is never worse than
     the best grid point, and non-convergence is reported through
@@ -446,13 +460,14 @@ def fit_frequencies(frequencies, w: WeightVector, **options) -> FitResult:
     if freqs.ndim != 1 or freqs.shape[0] < 3:
         raise ValueError("frequencies must be a 1-D vector with >= 3 bins")
     _check_lengths(freqs.shape[0], w)
-    return fit_batch(freqs[None, :], np.asarray(w.weights)[None, :], **options)[0]
+    return fit_batch(freqs[None, :], np.asarray(w.weights)[None, :], max_evals=max_evals)[0]
 
 
-def fit(h: FockHistogram, w: WeightVector, **options) -> FitResult:
-    """Constrained weighted least-squares fit of a count histogram.
+def fit(h: FockHistogram, w: WeightVector, *, max_evals: int = _MAX_EVALS) -> FitResult:
+    """Constrained weighted least-squares fit of a count histogram, as
+    fit_frequencies does it.
 
     Non-convergence is reported through FitResult.converged, never
-    silently.  Keyword options are forwarded to fit_frequencies.
+    silently.
     """
-    return fit_frequencies(h.frequencies, w, **options)
+    return fit_frequencies(h.frequencies, w, max_evals=max_evals)

@@ -13,21 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from ._io import atomic_write, is_json_int
+from ._io import atomic_write, is_json_int, is_json_number
 from ._parallel import parallel_map
-from .bootstrap import METHODS, coverage_probability
-from .estimation import (
-    PriorShape,
-    fit_batch,
-    mle_weights,
-    posterior_weights,
-    uniform_weights,
-)
+from .bootstrap import METHODS, PARAMETERS, coverage_probability, parameter_values
+from .estimation import WEIGHT_SCHEMES, PriorShape, fit_batch, weights_for
 from .model import SqueezedThermalState, fidelity, fock_distribution, to_variances
 from .sampling import SeedSpec, _sample_counts
 
 __all__ = [
-    "WEIGHT_SCHEMES",
     "DEFAULT_SHOT_GRID",
     "STUDY_KINDS",
     "ConfigError",
@@ -35,7 +28,6 @@ __all__ = [
     "StudyConfig",
     "StudyRow",
     "StudyReport",
-    "weights_for",
     "fidelity_study",
     "bias_study",
     "weight_comparison_study",
@@ -43,8 +35,6 @@ __all__ = [
     "run_study",
     "parse_config",
 ]
-
-WEIGHT_SCHEMES = ("posterior", "mle", "uniform")
 
 # Logarithmic shot grid for fidelity-vs-N curves (10^2 .. 10^5, half-decade
 # steps), used when a config does not list shot counts explicitly.
@@ -68,19 +58,6 @@ class SchemeSpec:
         if self.scheme not in WEIGHT_SCHEMES:
             raise ValueError(f"unknown weight scheme {self.scheme!r}")
         PriorShape(self.nu, self.eta)
-
-
-def weights_for(counts, scheme: str, prior: PriorShape):
-    """Weights under the named scheme for a histogram (a WeightVector) or
-    for an array of counts (an array of the same shape), as the weight
-    rules in fockfit.estimation take them."""
-    if scheme == "posterior":
-        return posterior_weights(counts, prior)
-    if scheme == "mle":
-        return mle_weights(counts)
-    if scheme == "uniform":
-        return uniform_weights(counts)
-    raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -188,16 +165,15 @@ def _point_block(args) -> np.ndarray:
     """Simulate one (state, shots) block of experiments once and fit it
     under every scheme in one fit_batch call.  Returns a (schemes,
     experiments, 6) array of (vq, vp, r, nbar, fidelity, converged)."""
-    (state_r, state_nbar, n_shots, schemes, n_max, master_seed, stream, n_experiments,
-     exact) = args
-    truth = to_variances(SqueezedThermalState(state_r, state_nbar))
+    state, n_shots, schemes, n_max, seed, n_experiments, exact = args
+    truth = to_variances(state)
     dist = fock_distribution(truth, n_max)
     if exact:
         # Expected counts N*p_n stand in for observed counts.
         freqs = np.tile(dist.all_probs, (n_experiments, 1))
         counts = freqs * n_shots
     else:
-        counts = _sample_counts(dist, n_shots, SeedSpec(master_seed, stream), n_experiments)
+        counts = _sample_counts(dist, n_shots, seed, n_experiments)
         freqs = counts / n_shots
     weights = [weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta))
                for spec in schemes]
@@ -220,11 +196,9 @@ def _aggregate_point_row(
 ) -> StudyRow:
     ok = records[:, 5].astype(bool)
     used = records[ok]
-    truth = to_variances(state)
-    true_values = {"vq": truth.vq, "vp": truth.vp, "r": state.r, "nbar": state.nbar}
-    columns = {"vq": 0, "vp": 1, "r": 2, "nbar": 3}
+    true_values = parameter_values(to_variances(state), state)
     stats: dict[str, Optional[float]] = {}
-    for name, col in columns.items():
+    for col, name in enumerate(PARAMETERS):
         est = used[:, col]
         bias = float(np.mean(est) - true_values[name]) if est.shape[0] else None
         std = _spread(est)
@@ -255,18 +229,15 @@ def _aggregate_point_row(
 def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[StudyRow]:
     # The stream block depends only on (state, shots, experiment), never on
     # the scheme: schemes see identical simulated data.
-    blocks = [
-        (state, shots, (si * len(cfg.shot_counts) + ni) * cfg.n_experiments)
+    tasks = [
+        (state, shots, schemes, cfg.n_max,
+         SeedSpec(cfg.master_seed, (si * len(cfg.shot_counts) + ni) * cfg.n_experiments),
+         cfg.n_experiments, cfg.exact_probabilities)
         for si, state in enumerate(cfg.true_states)
         for ni, shots in enumerate(cfg.shot_counts)
     ]
-    tasks = [
-        (state.r, state.nbar, shots, schemes, cfg.n_max, cfg.master_seed, base,
-         cfg.n_experiments, cfg.exact_probabilities)
-        for state, shots, base in blocks
-    ]
     rows = []
-    for (state, shots, _), records in zip(blocks, parallel_map(_point_block, tasks)):
+    for (state, shots, *_), records in zip(tasks, parallel_map(_point_block, tasks)):
         for spec, scheme_records in zip(schemes, records):
             rows.append(_aggregate_point_row(state, shots, spec, cfg, scheme_records))
     return rows
@@ -319,10 +290,8 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
                             eta=cfg.prior.eta,
                             n_experiments=cfg.n_experiments,
                             n_failed=result.n_experiments - result.n_used,
-                            coverage_vq=cov["vq"], se_coverage_vq=se["vq"],
-                            coverage_vp=cov["vp"], se_coverage_vp=se["vp"],
-                            coverage_r=cov["r"], se_coverage_r=se["r"],
-                            coverage_nbar=cov["nbar"], se_coverage_nbar=se["nbar"],
+                            **{f"coverage_{p}": cov[p] for p in PARAMETERS},
+                            **{f"se_coverage_{p}": se[p] for p in PARAMETERS},
                             method=method,
                             n_b=nb,
                         )
@@ -356,13 +325,19 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"{where}: unknown field '{key}'")
 
 
+def _number(value, field: str) -> float:
+    if not is_json_number(value):
+        raise ConfigError(f"{field}: expected a number")
+    return float(value)
+
+
 def _parse_state(entry, where: str) -> SqueezedThermalState:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object with 'r' and 'nbar'")
     _reject_unknown(entry, {"r", "nbar"}, where)
+    r, nbar = (_number(_require(entry, key, where), f"{where}.{key}") for key in ("r", "nbar"))
     try:
-        return SqueezedThermalState(float(_require(entry, "r", where)),
-                                    float(_require(entry, "nbar", where)))
+        return SqueezedThermalState(r, nbar)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -371,9 +346,9 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object with 'scheme'")
     _reject_unknown(entry, {"scheme", "nu", "eta"}, where)
+    nu, eta = (_number(entry.get(key, 1.0), f"{where}.{key}") for key in ("nu", "eta"))
     try:
-        return SchemeSpec(_require(entry, "scheme", where),
-                          float(entry.get("nu", 1.0)), float(entry.get("eta", 1.0)))
+        return SchemeSpec(_require(entry, "scheme", where), nu, eta)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -426,22 +401,25 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
             raise ConfigError("n_b: expected an integer or list of integers")
         kwargs["n_b"] = tuple(raw)
     if "alpha" in doc:
-        if isinstance(doc["alpha"], bool) or not isinstance(doc["alpha"], (int, float)):
-            raise ConfigError("alpha: expected a number")
-        kwargs["alpha"] = float(doc["alpha"])
+        kwargs["alpha"] = _number(doc["alpha"], "alpha")
     if "prior" in doc:
         entry = doc["prior"]
         if not isinstance(entry, dict):
             raise ConfigError("prior: expected an object with 'nu' and 'eta'")
         _reject_unknown(entry, {"nu", "eta"}, "prior")
+        nu, eta = (_number(_require(entry, key, "prior"), f"prior.{key}")
+                   for key in ("nu", "eta"))
         try:
-            kwargs["prior"] = PriorShape(float(_require(entry, "nu", "prior")),
-                                         float(_require(entry, "eta", "prior")))
+            kwargs["prior"] = PriorShape(nu, eta)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"prior: {exc}") from exc
     if "weight_scheme" in doc:
+        if kind == "coverage" and doc["weight_scheme"] != "posterior":
+            raise ConfigError("weight_scheme: a coverage study uses posterior weights only")
         kwargs["weight_scheme"] = doc["weight_scheme"]
-    if "schemes" in doc and doc["schemes"] is not None:
+    if doc.get("schemes") is not None:
+        if kind != "weight_comparison":
+            raise ConfigError(f"schemes: only a weight_comparison study uses them, not {kind!r}")
         raw = doc["schemes"]
         if not isinstance(raw, list):
             raise ConfigError("schemes: expected a list")

@@ -3,9 +3,13 @@ import pytest
 
 import fockfit.bootstrap as bt
 from fockfit.bootstrap import (
+    METHODS,
+    PARAMETERS,
     BootstrapError,
     bc_interval,
     coverage_probability,
+    intervals,
+    parameter_values,
     parametric_bootstrap,
     percentile_interval,
 )
@@ -165,6 +169,29 @@ class TestParametricBootstrap:
         reps = parametric_bootstrap(point, 300, 1000, PRIOR, SeedSpec(1, 0))
         assert reps.n_failed == 1
         assert reps.sorted_values("nbar").shape == (999,)
+
+
+class TestIntervals:
+    @pytest.mark.parametrize("methods", [METHODS, ("bc", "percentile"), ("percentile",)])
+    def test_parameters_by_methods_in_order(self, methods):
+        point = fit_state(0.5, 0.1, 1000)
+        reps = parametric_bootstrap(point, 1000, 50, PRIOR, SeedSpec(3, 0))
+        got = intervals(reps, point, 0.05, methods)
+        assert [(ci.parameter, ci.method) for ci in got] == [
+            (p, m) for p in PARAMETERS for m in methods
+        ]
+        points = parameter_values(point.variances, point.state)
+        for ci in got:
+            values = reps.sorted_values(ci.parameter)
+            ref = (percentile_interval(values, 0.05, ci.parameter) if ci.method == "percentile"
+                   else bc_interval(values, points[ci.parameter], 0.05, ci.parameter))
+            assert ci == ref
+
+    def test_unknown_method_rejected(self):
+        point = fit_state(0.5, 0.1, 1000)
+        reps = parametric_bootstrap(point, 1000, 10, PRIOR, SeedSpec(3, 0))
+        with pytest.raises(ValueError, match="bca"):
+            intervals(reps, point, 0.05, ("bca",))
 
 
 class TestCoverage:

@@ -6,8 +6,10 @@ import threading
 import pytest
 
 import fockfit.cli as cli
+from fockfit.bootstrap import intervals, parametric_bootstrap
 from fockfit.cli import EXIT_IO, EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main
-from fockfit.estimation import FitResult
+from fockfit.estimation import FitResult, PriorShape, fit, weights_for
+from fockfit.sampling import SeedSpec
 
 
 def run(args):
@@ -198,6 +200,46 @@ class TestCi:
         assert run(["ci", "--counts", str(counts), "--replicates", "1000",
                     "--method", "percentile", "--seed", "2", "--out", str(out)]) == EXIT_OK
         assert captured["got"] == captured["expected"]
+
+
+    @pytest.mark.parametrize("scheme", ["uniform", "mle"])
+    def test_replicates_refit_under_the_weight_scheme(self, tmp_path, scheme):
+        counts = tmp_path / "counts.json"
+        out = tmp_path / "ci.json"
+        run(["simulate", "--r", "1.0", "--nbar", "0.05", "--shots", "2000",
+             "--seed", "5", "--out", str(counts)])
+        assert run(["ci", "--counts", str(counts), "--weights", scheme, "--replicates", "60",
+                    "--method", "bc", "--seed", "6", "--out", str(out)]) == EXIT_OK
+        doc = read_json(out)
+        assert doc["weight_scheme"] == scheme
+        got = [(e["parameter"], e["method"], e["level"], e["lower"], e["upper"])
+               for e in doc["intervals"]]
+
+        h = cli._counts_to_histogram(read_json(counts), str(counts))
+        prior = PriorShape(1.0, 1.0)
+        point = fit(h, weights_for(h, scheme, prior))
+
+        def expected(refit_scheme):
+            reps = parametric_bootstrap(point, h.total, 60, prior, SeedSpec(6, 0), h.n_max,
+                                        scheme=refit_scheme)
+            return [(ci.parameter, ci.method, ci.level, ci.lower, ci.upper)
+                    for ci in intervals(reps, point, 0.05, ("bc",))]
+
+        assert got == expected(scheme)
+        assert got != expected("posterior")
+
+    @pytest.mark.parametrize("alpha", ["0.7", "0.5", "0", "-0.1", "nan"])
+    def test_bad_alpha_rejected_before_fitting(self, tmp_path, monkeypatch, capsys, alpha):
+        counts = tmp_path / "counts.json"
+        out = tmp_path / "ci.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "500", "--out", str(counts)])
+        fits = []
+        monkeypatch.setattr(cli.est, "fit", lambda *a, **kw: fits.append(a))
+        assert run(["ci", "--counts", str(counts), "--replicates", "1000",
+                    "--alpha", alpha, "--out", str(out)]) == EXIT_USAGE
+        assert fits == []
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFidelityCommand:

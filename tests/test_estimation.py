@@ -212,12 +212,16 @@ class TestFit:
         assert res.objective <= grid_best + 1e-15
 
     def test_constraints_always_satisfied(self):
+        # 1000 badly fitting histograms in one batch; the first 50 also
+        # through fit (TestFitBatch ties batched rows to single fits).
         rng = np.random.default_rng(31)
-        for _ in range(1000):
-            pvals = rng.dirichlet(np.full(22, 0.3))
-            counts = rng.multinomial(200, pvals)
-            h = FockHistogram(tuple(int(c) for c in counts[:-1]), int(counts[-1]), 200)
-            res = fit(h, posterior_weights(h, PriorShape(1, 1)))
+        counts = np.array([rng.multinomial(200, rng.dirichlet(np.full(22, 0.3)))
+                           for _ in range(1000)])
+        results = fit_batch(counts / 200, posterior_weights(counts, PriorShape(1, 1)))
+        for row in counts[:50]:
+            h = FockHistogram(tuple(int(c) for c in row[:-1]), int(row[-1]), 200)
+            results.append(fit(h, posterior_weights(h, PriorShape(1, 1))))
+        for res in results:
             v = res.variances
             assert v.vq <= v.vp
             assert v.vq * v.vp >= 0.25 - 1e-12

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -242,7 +243,6 @@ def _convolution_oracle(q, nbar, n_max):
     alpha = (2vq-1)/(2vq+1) and beta = (2vp-1)/(2vp+1), so P(n) is the
     convolution of two binomial series.  The double inputs (q, nbar) are
     taken exactly."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         q, nbar = mp.mpf(q), mp.mpf(nbar)
         h = nbar + mp.mpf(1) / 2

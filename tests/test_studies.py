@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -238,4 +239,48 @@ class TestBooleansRejected:
         doc = TestParseConfig().good_doc()
         doc[field] = value
         with pytest.raises(ConfigError, match=field):
+            parse_config(doc)
+
+
+class TestFloatFieldsRejectNonNumbers:
+    """Float fields take JSON numbers only: float() would turn a boolean
+    into 0.0 or 1.0 and parse a numeric string."""
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize("field, put", [
+        ("true_states[0].r", lambda doc, v: doc["true_states"][0].update(r=v)),
+        ("true_states[0].nbar", lambda doc, v: doc["true_states"][0].update(nbar=v)),
+        ("prior.nu", lambda doc, v: doc.update(prior={"nu": v, "eta": 1.0})),
+        ("prior.eta", lambda doc, v: doc.update(prior={"nu": 1.0, "eta": v})),
+        ("schemes[1].nu", lambda doc, v: doc["schemes"][1].update(nu=v)),
+        ("schemes[1].eta", lambda doc, v: doc["schemes"][1].update(eta=v)),
+        ("alpha", lambda doc, v: doc.update(alpha=v)),
+    ])
+    def test_rejected_with_field_name(self, field, put, value):
+        doc = TestParseConfig().good_doc()
+        doc["study"] = "weight_comparison"
+        doc["schemes"] = [{"scheme": "uniform"}, {"scheme": "posterior"}]
+        parse_config(doc)
+        put(doc, value)
+        with pytest.raises(ConfigError, match=re.escape(field) + ": expected a number"):
+            parse_config(doc)
+
+
+class TestFieldsTheStudyIgnores:
+    @pytest.mark.parametrize("scheme", ["uniform", "mle"])
+    def test_coverage_takes_posterior_weights_only(self, scheme):
+        doc = TestParseConfig().good_doc()
+        doc["study"] = "coverage"
+        doc["weight_scheme"] = "posterior"
+        assert parse_config(doc)[1].weight_scheme == "posterior"
+        doc["weight_scheme"] = scheme
+        with pytest.raises(ConfigError, match="weight_scheme"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind", ["coverage", "fidelity", "bias"])
+    def test_schemes_only_for_weight_comparison(self, kind):
+        doc = TestParseConfig().good_doc()
+        doc["study"] = kind
+        doc["schemes"] = [{"scheme": "uniform"}, {"scheme": "posterior"}]
+        with pytest.raises(ConfigError, match="schemes"):
             parse_config(doc)
