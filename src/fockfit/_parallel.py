@@ -1,4 +1,6 @@
-"""Process-pool helper shared by the bootstrap and study drivers.
+"""Process pool for coverage experiments, each a long serial chain of a
+point fit, a bootstrap and its intervals (point studies fit every row in
+one serial batch instead).
 
 Work items are mapped in input order with per-item seeds, so results are
 identical for any worker count (including 1, which runs inline).

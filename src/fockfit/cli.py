@@ -217,6 +217,8 @@ def cmd_estimate(args) -> int:
 def cmd_ci(args) -> int:
     if not 0.0 < args.alpha < 0.5:
         raise _CliError(EXIT_USAGE, f"--alpha must be in (0, 0.5), got {args.alpha}")
+    if args.replicates < 2:
+        raise _CliError(EXIT_USAGE, f"--replicates must be >= 2, got {args.replicates}")
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
     res, scheme, prior = _fit_from_args(args, h)
     if not res.converged:

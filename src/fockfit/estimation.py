@@ -212,7 +212,12 @@ _GRID_R_MAX, _GRID_NBAR_MAX, _GRID_SIZE = 3.5, 7.0, 60
 _GRID_BLOCK = 32
 _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 _GRID_BLOCK_POINTS = 512
-_REFINE_BLOCK = 256
+# The refinement is elementwise in its columns, so a row's result does not
+# depend on the block size.  Wider blocks spread numpy's per-call overhead
+# over more rows; each column holds about 5 KB of temporaries at
+# n_max = 20, so 1024 columns would add ~6 MB to a 1000-replicate ci for a
+# few ms.
+_REFINE_BLOCK = 512
 
 # Projected Levenberg-Marquardt settings: initial damping, its factor per
 # rejected step, and its ceiling (far above any useful value, far below

@@ -42,37 +42,32 @@ def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) ->
     """Draw ``n`` multinomial histograms of ``n_shots`` measurements from
     ``d`` into an (n, n_max + 2) integer count matrix (overflow last).
 
-    Row i uses the stream ``seed.stream_index + i``.  Each row is sampled
-    by the conditional-binomial decomposition: bin i receives a binomial
-    draw of the shots still unassigned, with success probability p_i
-    renormalized by the remaining tail mass; the overflow bin absorbs
-    whatever is left, so every row sums to n_shots exactly.
+    Row i is one ``Generator.multinomial`` draw from the stream
+    ``seed.stream_index + i``: the conditional-binomial decomposition, in
+    which bin j receives a binomial draw of the shots still unassigned
+    with success probability p_j divided by the tail mass left before it,
+    and the overflow bin absorbs whatever is left, so every row sums to
+    n_shots exactly.  Where rounding lets a bin's probability reach the
+    tail mass left before it, the bin's entry becomes that tail exactly
+    (and later entries 0), so its conditional probability is exactly 1 and
+    it takes every remaining shot.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    # The renormalized success probabilities are the same for every row.
-    conditional = []
+    pvals = d.all_probs
     tail = 1.0
-    for p in d.probs:
-        if tail <= 0.0:
+    for j, p in enumerate(d.probs):
+        if p / tail >= 1.0:
+            pvals[j] = tail
+            pvals[j + 1:] = 0.0
             break
-        conditional.append(min(max(p / tail, 0.0), 1.0))
         tail -= p
-    out = np.zeros((n, d.n_max + 2), dtype=np.int64)
+    out = np.empty((n, d.n_max + 2), dtype=np.int64)
     for row in range(n):
-        binomial = SeedSpec(seed.master_seed, seed.stream_index + row).generator().binomial
-        counts = [0] * (d.n_max + 2)
-        remaining = n_shots
-        for i, p in enumerate(conditional):
-            if remaining == 0:
-                break
-            k = int(binomial(remaining, p))
-            counts[i] = k
-            remaining -= k
-        counts[-1] = remaining
-        out[row] = counts
+        out[row] = SeedSpec(seed.master_seed, seed.stream_index + row).generator().multinomial(
+            n_shots, pvals)
     return out
 
 

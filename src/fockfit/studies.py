@@ -9,12 +9,12 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from ._io import atomic_write, is_json_int, is_json_number
-from ._parallel import parallel_map
 from .bootstrap import METHODS, PARAMETERS, coverage_probability, parameter_values
 from .estimation import WEIGHT_SCHEMES, PriorShape, fit_batch, weights_for
 from .model import SqueezedThermalState, fidelity, fock_distribution, to_variances
@@ -161,31 +161,6 @@ class StudyReport:
                                       indent=1) + "\n")
 
 
-def _point_block(args) -> np.ndarray:
-    """Simulate one (state, shots) block of experiments once and fit it
-    under every scheme in one fit_batch call.  Returns a (schemes,
-    experiments, 6) array of (vq, vp, r, nbar, fidelity, converged)."""
-    state, n_shots, schemes, n_max, seed, n_experiments, exact = args
-    truth = to_variances(state)
-    dist = fock_distribution(truth, n_max)
-    if exact:
-        # Expected counts N*p_n stand in for observed counts.
-        freqs = np.tile(dist.all_probs, (n_experiments, 1))
-        counts = freqs * n_shots
-    else:
-        counts = _sample_counts(dist, n_shots, seed, n_experiments)
-        freqs = counts / n_shots
-    weights = [weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta))
-               for spec in schemes]
-    fits = fit_batch(np.tile(freqs, (len(schemes), 1)), np.concatenate(weights))
-    records = [
-        (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar,
-         fidelity(res.variances, truth), res.converged)
-        for res in fits
-    ]
-    return np.array(records).reshape(len(schemes), n_experiments, 6)
-
-
 def _spread(values: np.ndarray) -> Optional[float]:
     return float(np.std(values, ddof=1)) if values.shape[0] >= 2 else None
 
@@ -227,19 +202,38 @@ def _aggregate_point_row(
 
 
 def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[StudyRow]:
-    # The stream block depends only on (state, shots, experiment), never on
-    # the scheme: schemes see identical simulated data.
-    tasks = [
-        (state, shots, schemes, cfg.n_max,
-         SeedSpec(cfg.master_seed, (si * len(cfg.shot_counts) + ni) * cfg.n_experiments),
-         cfg.n_experiments, cfg.exact_probabilities)
-        for si, state in enumerate(cfg.true_states)
-        for ni, shots in enumerate(cfg.shot_counts)
-    ]
+    """One report row per (state, shots, scheme).  Each (state, shots)
+    block of experiments is simulated once, from the streams starting at
+    block * n_experiments (blocks in config order, shots varying fastest),
+    so every scheme sees identical simulated data; then every block's
+    experiments under every scheme are fitted in one fit_batch call, which
+    fits a row the same whatever rows share its batch."""
+    blocks = [(state, shots) for state in cfg.true_states for shots in cfg.shot_counts]
+    n = cfg.n_experiments
+    freqs, weights = [], []
+    for b, (state, shots) in enumerate(blocks):
+        dist = fock_distribution(to_variances(state), cfg.n_max)
+        if cfg.exact_probabilities:
+            # Expected counts N*p_n stand in for observed counts.
+            f = np.tile(dist.all_probs, (n, 1))
+            counts = f * shots
+        else:
+            counts = _sample_counts(dist, shots, SeedSpec(cfg.master_seed, b * n), n)
+            f = counts / shots
+        for spec in schemes:
+            freqs.append(f)
+            weights.append(weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta)))
+    fits = iter(fit_batch(np.concatenate(freqs), np.concatenate(weights)))
     rows = []
-    for (state, shots, *_), records in zip(tasks, parallel_map(_point_block, tasks)):
-        for spec, scheme_records in zip(schemes, records):
-            rows.append(_aggregate_point_row(state, shots, spec, cfg, scheme_records))
+    for state, shots in blocks:
+        truth = to_variances(state)
+        for spec in schemes:
+            records = np.array([
+                (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar,
+                 fidelity(res.variances, truth), res.converged)
+                for res in islice(fits, n)
+            ])
+            rows.append(_aggregate_point_row(state, shots, spec, cfg, records))
     return rows
 
 

@@ -241,6 +241,22 @@ class TestCi:
         assert "--alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("replicates", ["1", "0", "-5"])
+    def test_too_few_replicates_rejected_before_fitting(self, tmp_path, monkeypatch, capsys,
+                                                        replicates):
+        counts = tmp_path / "counts.json"
+        out = tmp_path / "ci.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "500", "--out", str(counts)])
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("ci fitted before rejecting --replicates")
+
+        monkeypatch.setattr(cli.est, "fit", no_fit)
+        assert run(["ci", "--counts", str(counts), "--replicates", replicates,
+                    "--out", str(out)]) == EXIT_USAGE
+        assert "--replicates" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFidelityCommand:
     def test_identical_states(self, capsys):

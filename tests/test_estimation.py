@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,3 +357,34 @@ class TestFitBatch:
         bad[1, 3] = 0.0
         with pytest.raises(ValueError):
             fit_batch(freqs, bad)
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_row_independent_of_preceding_rows(self, n_max):
+        # Rows are fitted in 32-row grid blocks and 512-row refinement
+        # blocks; offsets 0..33 put the target rows at every position of a
+        # grid block, and their results must not move by a single bit.
+        _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, 33, n_max, seed=3)
+        targets = [_sampled_rows(r, nbar, 10 ** 4, 2, n_max, seed=5)
+                   for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01))]
+        target_f = np.concatenate([t[1] for t in targets])
+        target_w = np.concatenate([t[2] for t in targets])
+        alone = fit_batch(target_f, target_w)
+        for offset in range(34):
+            fits = fit_batch(np.concatenate((filler_f[:offset], target_f)),
+                             np.concatenate((filler_w[:offset], target_w)))
+            assert fits[offset:] == alone
+
+    def test_peak_memory_of_a_thousand_rows(self):
+        # tracemalloc sees numpy's array buffers.  The budget is the peak
+        # measured at n_max = 20 with 512-column refinement blocks
+        # (3.0 MB) plus 25%; wider blocks or new per-column temporaries
+        # raise the peak RSS of every 1000-replicate bootstrap.
+        _, freqs, weights = _sampled_rows(2.5, 0.01, 10 ** 4, 1000)
+        fit_batch(freqs[:1], weights[:1])  # build the cached model grid
+        tracemalloc.start()
+        try:
+            fit_batch(freqs, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75e6

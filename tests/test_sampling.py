@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, sample_histogram
+from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
+from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 VACUUM_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 0)), 20)
 THERMAL_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 1.0)), 10)
@@ -82,3 +82,66 @@ class TestMarginals:
             b[i] = sample_histogram(THERMAL_DIST, 200, SeedSpec(21, 2 * i + 1)).counts[0]
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 5.0 / np.sqrt(reps)
+
+
+def _reference_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) -> np.ndarray:
+    """The conditional-binomial decomposition written out in Python: bin i
+    receives a binomial draw of the shots still unassigned, with success
+    probability p_i renormalized by the remaining tail mass (clamped to
+    [0, 1]); the overflow bin absorbs whatever is left."""
+    conditional = []
+    tail = 1.0
+    for p in d.probs:
+        if tail <= 0.0:
+            break
+        conditional.append(min(max(p / tail, 0.0), 1.0))
+        tail -= p
+    out = np.zeros((n, d.n_max + 2), dtype=np.int64)
+    for row in range(n):
+        binomial = SeedSpec(seed.master_seed, seed.stream_index + row).generator().binomial
+        counts = [0] * (d.n_max + 2)
+        remaining = n_shots
+        for i, p in enumerate(conditional):
+            if remaining == 0:
+                break
+            k = int(binomial(remaining, p))
+            counts[i] = k
+            remaining -= k
+        counts[-1] = remaining
+        out[row] = counts
+    return out
+
+
+def _dist(r, nbar, n_max):
+    return fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max)
+
+
+class TestSampleCounts:
+    """_sample_counts draws exactly what the Python conditional-binomial
+    loop draws, stream by stream."""
+
+    @pytest.mark.parametrize("dist, n_shots, seed, n", [
+        (_dist(0.0, 0.0, 20), 10_000, SeedSpec(3, 0), 50),
+        (_dist(1.75, 0.0, 20), 10_000, SeedSpec(4, 0), 50),
+        (_dist(2.5, 0.01, 64), 10_000, SeedSpec(5, 0), 50),
+        (_dist(0.0, 3.0, 20), 10_000, SeedSpec(6, 0), 50),
+        (_dist(1.0, 0.05, 20), 1, SeedSpec(7, 0), 50),
+        (_dist(1.0, 0.05, 20), 10 ** 6, SeedSpec(8, 0), 20),
+        (_dist(0.5, 1.0, 10), 500, SeedSpec(9, 12_345), 30),
+        (_dist(0.5, 1.0, 10), 500, SeedSpec(9, 7), 0),
+    ], ids=["vacuum", "squeezed-vacuum", "nmax64", "thermal", "one-shot", "1e6-shots",
+            "stream-offset", "no-rows"])
+    def test_matches_reference_loop(self, dist, n_shots, seed, n):
+        got = _sample_counts(dist, n_shots, seed, n)
+        assert got.shape == (n, dist.n_max + 2) and got.dtype == np.int64
+        assert np.array_equal(got, _reference_counts(dist, n_shots, seed, n))
+        assert np.all(got.sum(axis=1) == n_shots)
+
+    def test_partial_sums_past_one(self):
+        # 0.5 + (0.5 + 1e-13) passes 1 before the overflow bin: bin 1 has a
+        # conditional probability above 1 that the loop clamps to 1.
+        d = FockDistribution(1, (0.5, 0.5 + 1e-13), 0.0)
+        assert d.probs[1] / (1.0 - d.probs[0]) > 1.0
+        got = _sample_counts(d, 1000, SeedSpec(10, 0), 40)
+        assert np.array_equal(got, _reference_counts(d, 1000, SeedSpec(10, 0), 40))
+        assert np.all(got[:, 2] == 0) and np.all(got.sum(axis=1) == 1000)
