@@ -16,6 +16,7 @@ from .bootstrap import (
 )
 from .estimation import (
     WEIGHT_SCHEMES,
+    FitBatch,
     FitResult,
     FockHistogram,
     PriorShape,

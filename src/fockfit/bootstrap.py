@@ -12,7 +12,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights, weights_for
+from .estimation import (PARAMETERS, FitBatch, FitResult, PriorShape, fit, fit_batch,
+                         posterior_weights, weights_for)
 from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
 from .sampling import SeedSpec, _sample_counts, sample_histogram
@@ -32,7 +33,6 @@ __all__ = [
     "coverage_probability",
 ]
 
-PARAMETERS = ("vq", "vp", "r", "nbar")
 METHODS = ("percentile", "bc")
 
 # Refits that fail to converge are flagged and excluded from intervals;
@@ -71,41 +71,7 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class ReplicateSet:
-    """Per-replicate refit estimates of all four parameters.
-
-    Failed refits keep their slot (converged[i] is False) but are excluded
-    from sorted_values and hence from every interval.
-    """
-
-    vq: tuple[float, ...]
-    vp: tuple[float, ...]
-    r: tuple[float, ...]
-    nbar: tuple[float, ...]
-    converged: tuple[bool, ...]
-
-    def __post_init__(self):
-        n = len(self.converged)
-        if n < 2:
-            raise ValueError("need at least 2 replicates")
-        if any(len(getattr(self, p)) != n for p in PARAMETERS):
-            raise ValueError("parameter tuples must all have n_b entries")
-
-    @property
-    def n_b(self) -> int:
-        return len(self.converged)
-
-    @property
-    def n_failed(self) -> int:
-        return self.converged.count(False)
-
-    def sorted_values(self, parameter: str) -> np.ndarray:
-        """Ascending converged-replicate estimates of one parameter."""
-        if parameter not in PARAMETERS:
-            raise ValueError(f"unknown parameter {parameter!r}")
-        vals = np.array(getattr(self, parameter))[np.array(self.converged)]
-        return np.sort(vals)
+ReplicateSet = FitBatch  # a bootstrap's replicate set is its refits' FitBatch
 
 
 def parametric_bootstrap(
@@ -116,9 +82,9 @@ def parametric_bootstrap(
     seed: SeedSpec,
     n_max: int = 20,
     scheme: str = "posterior",
-) -> ReplicateSet:
+) -> FitBatch:
     """Simulate ``n_b`` experiments from the fitted state and refit them
-    all in one fit_batch call.
+    all in one fit_batch call, whose FitBatch is the replicate set.
 
     Replicate i draws its histogram from stream ``seed.stream_index + i``
     and is refit with the weights ``weights_for(counts, scheme, prior)``;
@@ -130,12 +96,7 @@ def parametric_bootstrap(
     if n_b < 2:
         raise ValueError(f"n_b must be >= 2, got {n_b}")
     counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
-    fits = fit_batch(counts / n_shots, weights_for(counts, scheme, prior))
-    vq, vp, r, nbar, ok = zip(*(
-        (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar, res.converged)
-        for res in fits
-    ))
-    reps = ReplicateSet(vq, vp, r, nbar, ok)
+    reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior))
     if reps.n_failed > MAX_FAILURE_FRACTION * n_b:
         raise BootstrapError(
             f"{reps.n_failed} of {n_b} bootstrap refits failed to converge"
@@ -235,7 +196,7 @@ class CoverageResult:
 
 
 def intervals(
-    reps: ReplicateSet, point: FitResult, alpha: float, methods: Sequence[str]
+    reps: FitBatch, point: FitResult, alpha: float, methods: Sequence[str]
 ) -> list[ConfidenceInterval]:
     """One interval per (parameter, method) from the replicates of the
     point estimate ``point``, parameters in PARAMETERS order and, within

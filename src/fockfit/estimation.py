@@ -6,7 +6,7 @@ weighted sum of squared residuals, and the constrained two-stage fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -22,11 +22,13 @@ from .model import (
 )
 
 __all__ = [
+    "PARAMETERS",
     "WEIGHT_SCHEMES",
     "FockHistogram",
     "PriorShape",
     "WeightVector",
     "FitResult",
+    "FitBatch",
     "posterior_weights",
     "mle_weights",
     "uniform_weights",
@@ -37,6 +39,7 @@ __all__ = [
     "fit_batch",
 ]
 
+PARAMETERS = ("vq", "vp", "r", "nbar")
 WEIGHT_SCHEMES = ("posterior", "mle", "uniform")
 
 
@@ -105,6 +108,54 @@ class FitResult:
     objective: float
     converged: bool
     evaluations: int
+
+
+@dataclass(frozen=True)
+class FitBatch:
+    """fit_batch's result as read-only columns, one entry per row: the
+    parameters (named as in PARAMETERS), objective, convergence flag and
+    evaluation count.  ``batch[i]`` is row i as a FitResult, ``batch[i:j]``
+    a FitBatch.  Failed rows are left out of sorted_values."""
+
+    vq: np.ndarray
+    vp: np.ndarray
+    r: np.ndarray
+    nbar: np.ndarray
+    objective: np.ndarray
+    converged: np.ndarray
+    evaluations: np.ndarray
+
+    def __post_init__(self):
+        for field in fields(self):
+            column = np.asarray(getattr(self, field.name)).view()
+            if column.ndim != 1 or column.shape != np.shape(self.converged):
+                raise ValueError("columns must be 1-D and of equal length")
+            column.flags.writeable = False
+            object.__setattr__(self, field.name, column)
+
+    def __len__(self) -> int:
+        return self.converged.shape[0]
+
+    def __getitem__(self, index):
+        columns = (column[index] for column in vars(self).values())
+        if isinstance(index, slice):
+            return FitBatch(*columns)
+        vq, vp, r, nbar, *rest = (column.item() for column in columns)
+        return FitResult(QuadratureVariances(vq, vp), SqueezedThermalState(r, nbar), *rest)
+
+    def __eq__(self, other):
+        return isinstance(other, FitBatch) and all(
+            np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+    @property
+    def n_failed(self) -> int:
+        return len(self) - int(np.count_nonzero(self.converged))
+
+    def sorted_values(self, parameter: str) -> np.ndarray:
+        """Ascending converged-row estimates of one parameter."""
+        if parameter not in PARAMETERS:
+            raise ValueError(f"unknown parameter {parameter!r}")
+        return np.sort(getattr(self, parameter)[self.converged])
 
 
 def _count_matrix(counts) -> np.ndarray:
@@ -212,11 +263,11 @@ _GRID_R_MAX, _GRID_NBAR_MAX, _GRID_SIZE = 3.5, 7.0, 60
 _GRID_BLOCK = 32
 _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 _GRID_BLOCK_POINTS = 512
-# The refinement is elementwise in its columns, so a row's result does not
-# depend on the block size.  Wider blocks spread numpy's per-call overhead
-# over more rows; each column holds about 5 KB of temporaries at
-# n_max = 20, so 1024 columns would add ~6 MB to a 1000-replicate ci for a
-# few ms.
+# Rows per fit_batch block, through every stage.  The refinement is
+# elementwise and this is a multiple of _GRID_BLOCK, so a row's result does
+# not depend on it.  Wider blocks spread numpy's per-call overhead; each
+# column holds ~5 KB of temporaries at n_max = 20, so 1024 columns would
+# add ~6 MB to a 1000-replicate ci for a few ms.
 _REFINE_BLOCK = 512
 
 # Projected Levenberg-Marquardt settings: initial damping, its factor per
@@ -386,21 +437,17 @@ def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
     return extra
 
 
-def _fit_result(q: float, nbar: float, obj: float, converged: bool, evals: int) -> FitResult:
+def _parameters(q: float, nbar: float) -> tuple[float, float, float, float]:
+    """(vq, vp, r, nbar) at the fit coordinates (q, nbar), by the model's conversions."""
     variances = to_variances(SqueezedThermalState(math.asinh(math.sqrt(0.5 * q)), nbar))
-    return FitResult(
-        variances=variances,
-        state=from_variances(variances),
-        objective=obj,
-        converged=converged,
-        evaluations=evals,
-    )
+    state = from_variances(variances)
+    return variances.vq, variances.vp, state.r, state.nbar
 
 
 _MAX_EVALS = 10_000
 
 
-def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> list[FitResult]:
+def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     """Fit (vq, vp) to every row of a (B, n_max + 2) frequency matrix (bins
     0..n_max plus overflow) under the matching matrix of positive weights.
 
@@ -420,7 +467,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> list[FitR
     in q it does not.  A coordinate that ends within 1e-6 of zero (in r or
     nbar) is snapped onto the bound when that does not raise the objective
     beyond rounding noise.  Each row's objective is never above that of its
-    grid winner, evaluated directly.
+    grid winner, evaluated directly.  Rows go through both stages
+    _REFINE_BLOCK at a time, which bounds the working memory.
     """
     freqs = np.asarray(frequencies, dtype=float)
     wts = np.asarray(weights, dtype=float)
@@ -432,28 +480,26 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> list[FitR
         raise ValueError("frequencies must be finite")
     if not np.all(np.isfinite(wts) & (wts > 0.0)):
         raise ValueError("all weights must be finite and positive")
-    n_max = freqs.shape[1] - 2
+    rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     grid_x, grid_p = _model_grid(n_max)
-    start = grid_x[:, _grid_winners(freqs, wts, grid_p)]
-    f, w = freqs.T.copy(), wts.T.copy()
-    grid_obj = _evaluate(start, f, w, n_max, jacobian=False)
-    x, obj = start.copy(), grid_obj.copy()
-    converged = np.zeros(freqs.shape[0], dtype=bool)
-    evals = np.zeros(freqs.shape[0], dtype=np.int64)
-    if max_evals > 0:
-        for first in range(0, freqs.shape[0], _REFINE_BLOCK):
-            b = slice(first, first + _REFINE_BLOCK)
-            x[:, b], obj[b], converged[b], evals[b] = _refine(
-                start[:, b], f[:, b], w[:, b], n_max, max_evals)
-        converged &= ~np.any(x >= _UPPER, axis=0)
-        evals += _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
+    params = np.empty((len(PARAMETERS), rows))
+    objective = np.empty(rows)
+    converged = np.zeros(rows, dtype=bool)
     # the grid, then the direct evaluation of each row's grid winner
-    evals += grid_x.shape[1] + 1
-    return [
-        _fit_result(*args)
-        for args in zip(x[0].tolist(), x[1].tolist(), obj.tolist(), converged.tolist(),
-                        evals.tolist())
-    ]
+    evals = np.full(rows, grid_x.shape[1] + 1, dtype=np.int64)
+    for first in range(0, rows, _REFINE_BLOCK):
+        b = slice(first, first + _REFINE_BLOCK)
+        start = grid_x[:, _grid_winners(freqs[b], wts[b], grid_p)]
+        f, w = freqs[b].T.copy(), wts[b].T.copy()
+        grid_obj = _evaluate(start, f, w, n_max, jacobian=False)
+        x, obj = start, grid_obj
+        if max_evals > 0:
+            x, obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
+            converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
+            evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
+        objective[b] = obj
+        params[:, b] = np.transpose([_parameters(q, nbar) for q, nbar in zip(*x.tolist())])
+    return FitBatch(*params, objective, converged, evals)
 
 
 def fit_frequencies(frequencies, w: WeightVector, *, max_evals: int = _MAX_EVALS) -> FitResult:

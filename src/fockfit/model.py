@@ -281,10 +281,12 @@ def fidelity(a: QuadratureVariances, b: QuadratureVariances) -> float:
             = (sqrt(Xi + Lam) + sqrt(Lam)) / Xi,
 
     where the rationalized last form is branch- and cancellation-free.
-    Returns a value in (0, 1], exactly 1 for identical states.
+    Returns a value in (0, 1], exactly 1 for identical states; an ``a``
+    with vq, vp columns (a FitBatch) gives one per row.
     """
     xi = (a.vq + b.vq) * (a.vp + b.vp)
-    det_a = max(a.vq * a.vp - 0.25, 0.0)
-    det_b = max(b.vq * b.vp - 0.25, 0.0)
+    det_a = np.maximum(a.vq * a.vp - 0.25, 0.0)
+    det_b = np.maximum(b.vq * b.vp - 0.25, 0.0)
     lam = 4.0 * det_a * det_b
-    return min((math.sqrt(xi + lam) + math.sqrt(lam)) / xi, 1.0)
+    f = np.minimum((np.sqrt(xi + lam) + np.sqrt(lam)) / xi, 1.0)
+    return f if f.ndim else float(f)

@@ -9,14 +9,13 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from ._io import atomic_write, is_json_int, is_json_number
 from .bootstrap import METHODS, PARAMETERS, coverage_probability, parameter_values
-from .estimation import WEIGHT_SCHEMES, PriorShape, fit_batch, weights_for
+from .estimation import WEIGHT_SCHEMES, FitBatch, PriorShape, fit_batch, weights_for
 from .model import SqueezedThermalState, fidelity, fock_distribution, to_variances
 from .sampling import SeedSpec, _sample_counts
 
@@ -165,16 +164,14 @@ def _spread(values: np.ndarray) -> Optional[float]:
     return float(np.std(values, ddof=1)) if values.shape[0] >= 2 else None
 
 
-def _aggregate_point_row(
-    state: SqueezedThermalState, shots: int, spec: SchemeSpec, cfg: StudyConfig,
-    records: np.ndarray,
-) -> StudyRow:
-    ok = records[:, 5].astype(bool)
-    used = records[ok]
-    true_values = parameter_values(to_variances(state), state)
+def _aggregate_point_row(state: SqueezedThermalState, shots: int, spec: SchemeSpec,
+                         cfg: StudyConfig, fits: FitBatch) -> StudyRow:
+    ok = fits.converged
+    truth = to_variances(state)
+    true_values = parameter_values(truth, state)
     stats: dict[str, Optional[float]] = {}
-    for col, name in enumerate(PARAMETERS):
-        est = used[:, col]
+    for name in PARAMETERS:
+        est = getattr(fits, name)[ok]
         bias = float(np.mean(est) - true_values[name]) if est.shape[0] else None
         std = _spread(est)
         stats[f"bias_{name}"] = bias
@@ -182,7 +179,7 @@ def _aggregate_point_row(
         stats[f"bias_over_std_{name}"] = (
             bias / std if bias is not None and std is not None and std > 0.0 else None
         )
-    fid = used[:, 4]
+    fid = fidelity(fits, truth)[ok]
     is_posterior = spec.scheme == "posterior"
     return StudyRow(
         state_r=state.r,
@@ -192,7 +189,7 @@ def _aggregate_point_row(
         nu=spec.nu if is_posterior else None,
         eta=spec.eta if is_posterior else None,
         n_experiments=cfg.n_experiments,
-        n_failed=int((~ok).sum()),
+        n_failed=fits.n_failed,
         mean_fidelity=float(np.mean(fid)) if fid.shape[0] else None,
         std_fidelity=_spread(fid),
         mean_infidelity=float(np.mean(1.0 - fid)) if fid.shape[0] else None,
@@ -223,18 +220,10 @@ def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[Study
         for spec in schemes:
             freqs.append(f)
             weights.append(weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta)))
-    fits = iter(fit_batch(np.concatenate(freqs), np.concatenate(weights)))
-    rows = []
-    for state, shots in blocks:
-        truth = to_variances(state)
-        for spec in schemes:
-            records = np.array([
-                (res.variances.vq, res.variances.vp, res.state.r, res.state.nbar,
-                 fidelity(res.variances, truth), res.converged)
-                for res in islice(fits, n)
-            ])
-            rows.append(_aggregate_point_row(state, shots, spec, cfg, records))
-    return rows
+    fits = fit_batch(np.concatenate(freqs), np.concatenate(weights))
+    cells = [(state, shots, spec) for state, shots in blocks for spec in schemes]
+    return [_aggregate_point_row(state, shots, spec, cfg, fits[k * n:(k + 1) * n])
+            for k, (state, shots, spec) in enumerate(cells)]
 
 
 def fidelity_study(cfg: StudyConfig) -> StudyReport:
@@ -347,11 +336,18 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_CONFIG_FIELDS = {
-    "format_version", "study", "true_states", "shot_counts", "n_experiments",
-    "n_b", "alpha", "prior", "weight_scheme", "schemes", "n_max",
-    "master_seed", "exact_probabilities",
+# The fields each study kind reads; parse_config rejects the others by
+# name.  A weight comparison also accepts a prior, which existing configs
+# set though each of its schemes carries its own.
+_POINT_FIELDS = {"format_version", "study", "true_states", "shot_counts", "n_experiments",
+                 "prior", "n_max", "master_seed", "exact_probabilities"}
+_KIND_FIELDS = {
+    "fidelity": _POINT_FIELDS | {"weight_scheme"},
+    "bias": _POINT_FIELDS | {"weight_scheme"},
+    "weight_comparison": _POINT_FIELDS | {"schemes"},
+    "coverage": _POINT_FIELDS - {"exact_probabilities"} | {"n_b", "alpha", "weight_scheme"},
 }
+_CONFIG_FIELDS = set().union(*_KIND_FIELDS.values())
 
 
 def parse_config(doc: dict) -> tuple[str, StudyConfig]:
@@ -383,10 +379,11 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
         if not isinstance(raw, list) or not all(is_json_int(n) for n in raw):
             raise ConfigError("shot_counts: expected a list of integers")
         kwargs["shot_counts"] = tuple(raw)
-    if "n_experiments" in doc:
-        if not is_json_int(doc["n_experiments"]):
-            raise ConfigError("n_experiments: expected an integer")
-        kwargs["n_experiments"] = doc["n_experiments"]
+    for key in ("n_experiments", "n_max", "master_seed"):
+        if key in doc:
+            if not is_json_int(doc[key]):
+                raise ConfigError(f"{key}: expected an integer")
+            kwargs[key] = doc[key]
     if "n_b" in doc:
         raw = doc["n_b"]
         if is_json_int(raw):
@@ -412,26 +409,19 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
             raise ConfigError("weight_scheme: a coverage study uses posterior weights only")
         kwargs["weight_scheme"] = doc["weight_scheme"]
     if doc.get("schemes") is not None:
-        if kind != "weight_comparison":
-            raise ConfigError(f"schemes: only a weight_comparison study uses them, not {kind!r}")
         raw = doc["schemes"]
         if not isinstance(raw, list):
             raise ConfigError("schemes: expected a list")
         kwargs["schemes"] = tuple(
             _parse_scheme(s, f"schemes[{i}]") for i, s in enumerate(raw)
         )
-    if "n_max" in doc:
-        if not is_json_int(doc["n_max"]):
-            raise ConfigError("n_max: expected an integer")
-        kwargs["n_max"] = doc["n_max"]
-    if "master_seed" in doc:
-        if not is_json_int(doc["master_seed"]):
-            raise ConfigError("master_seed: expected an integer")
-        kwargs["master_seed"] = doc["master_seed"]
     if "exact_probabilities" in doc:
         if not isinstance(doc["exact_probabilities"], bool):
             raise ConfigError("exact_probabilities: expected a boolean")
         kwargs["exact_probabilities"] = doc["exact_probabilities"]
+    for key in doc:
+        if key not in _KIND_FIELDS[kind]:
+            raise ConfigError(f"{key}: a {kind} study does not use this field")
     try:
         cfg = StudyConfig(**kwargs)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockfit.estimation import (
+    FitBatch,
+    FitResult,
     FockHistogram,
     PriorShape,
     WeightVector,
@@ -218,7 +221,7 @@ class TestFit:
         rng = np.random.default_rng(31)
         counts = np.array([rng.multinomial(200, rng.dirichlet(np.full(22, 0.3)))
                            for _ in range(1000)])
-        results = fit_batch(counts / 200, posterior_weights(counts, PriorShape(1, 1)))
+        results = list(fit_batch(counts / 200, posterior_weights(counts, PriorShape(1, 1))))
         for row in counts[:50]:
             h = FockHistogram(tuple(int(c) for c in row[:-1]), int(row[-1]), 200)
             results.append(fit(h, posterior_weights(h, PriorShape(1, 1))))
@@ -312,13 +315,10 @@ class TestFitBatch:
         total = counts.sum(axis=1, keepdims=True)
         weights = posterior_weights(counts)
         batch = fit_batch(counts / total, weights)
-        for row, w, res in zip(counts, weights, batch):
+        for i, (row, w) in enumerate(zip(counts, weights)):
             h = FockHistogram(tuple(row[:-1].tolist()), int(row[-1]), int(row.sum()))
-            single = fit(h, WeightVector(tuple(w.tolist())))
-            assert res.converged == single.converged
-            assert abs(res.state.r - single.state.r) <= 1e-9
-            assert abs(res.state.nbar - single.state.nbar) <= 1e-9
-            v = res.variances
+            assert batch[i] == fit(h, WeightVector(tuple(w.tolist())))
+            v = batch[i].variances
             assert v.vq <= v.vp
             assert v.vq * v.vp >= 0.25 - HEISENBERG_SLACK
 
@@ -388,3 +388,37 @@ class TestFitBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 3.75e6
+
+
+class TestFitBatchColumns:
+    def batch(self):
+        return FitBatch(vq=[0.5, 0.2, 0.4], vp=[0.5, 1.25, 0.9], r=[0.0, 0.4, 0.2],
+                        nbar=[0.0, 0.0, 0.1], objective=[0.0, 1e-3, 2e-3],
+                        converged=[True, False, True], evaluations=[3601, 3610, 3605])
+
+    def test_rows_slices_and_failures(self):
+        batch = self.batch()
+        assert len(batch) == 3 and batch.n_failed == 1
+        assert batch[1] == FitResult(QuadratureVariances(0.2, 1.25),
+                                     SqueezedThermalState(0.4, 0.0), 1e-3, False, 3610)
+        assert type(batch[1].objective) is float and type(batch[1].evaluations) is int
+        assert batch[-1] == batch[2]
+        assert batch[1:] == FitBatch(*(column[1:] for column in astuple(batch)))
+        assert list(batch) == [batch[0], batch[1], batch[2]]
+
+    def test_sorted_values_skip_failed_rows(self):
+        batch = self.batch()
+        np.testing.assert_array_equal(batch.sorted_values("vq"), [0.4, 0.5])
+        with pytest.raises(ValueError, match="sigma"):
+            batch.sorted_values("sigma")
+
+    def test_columns_read_only_and_checked(self):
+        r = np.array([0.0, 0.4, 0.2])
+        batch = replace(self.batch(), r=r)
+        with pytest.raises(ValueError):
+            batch.r[0] = 1.0
+        r[0] = 1.0  # the caller's array stays writeable
+        with pytest.raises(ValueError, match="equal length"):
+            replace(self.batch(), converged=[True])
+        with pytest.raises(ValueError, match="1-D"):
+            replace(self.batch(), vq=[[0.5, 0.2, 0.4]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
@@ -145,3 +147,12 @@ class TestSampleCounts:
         got = _sample_counts(d, 1000, SeedSpec(10, 0), 40)
         assert np.array_equal(got, _reference_counts(d, 1000, SeedSpec(10, 0), 40))
         assert np.all(got[:, 2] == 0) and np.all(got.sum(axis=1) == 1000)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(r=st.floats(0.0, 3.0), nbar=st.floats(0.0, 5.0), n_max=st.sampled_from((1, 20, 64)),
+           n_shots=st.integers(1, 10 ** 7), seed=st.integers(0, 2 ** 64 - 1),
+           n=st.integers(1, 4))
+    def test_rows_nonnegative_with_exact_totals(self, r, nbar, n_max, n_shots, seed, n):
+        got = _sample_counts(_dist(r, nbar, n_max), n_shots, SeedSpec(seed, 0), n)
+        assert got.shape == (n, n_max + 2)
+        assert np.all(got >= 0) and np.all(got.sum(axis=1) == n_shots)

@@ -200,6 +200,7 @@ class TestParseConfig:
 
     def test_scalar_n_b_accepted(self):
         doc = self.good_doc()
+        doc["study"] = "coverage"
         doc["n_b"] = 50
         _, cfg = parse_config(doc)
         assert cfg.n_b == (50,)
@@ -283,4 +284,21 @@ class TestFieldsTheStudyIgnores:
         doc["study"] = kind
         doc["schemes"] = [{"scheme": "uniform"}, {"scheme": "posterior"}]
         with pytest.raises(ConfigError, match="schemes"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("coverage", "exact_probabilities", True),
+        *((kind, field, value) for kind in ("fidelity", "bias", "weight_comparison")
+          for field, value in (("n_b", 50), ("alpha", 0.1))),
+        ("weight_comparison", "weight_scheme", "posterior"),
+    ])
+    def test_fields_the_kind_does_not_read_rejected(self, kind, field, value):
+        doc = TestParseConfig().good_doc()
+        doc["study"] = kind
+        doc["prior"] = {"nu": 1.0, "eta": 1.0}  # read by all but weight_comparison
+        if kind == "weight_comparison":
+            doc["schemes"] = [{"scheme": "uniform"}, {"scheme": "posterior"}]
+        parse_config(doc)
+        doc[field] = value
+        with pytest.raises(ConfigError, match=f"{field}: a {kind} study does not use"):
             parse_config(doc)
