@@ -1,15 +1,15 @@
-"""Process pool for coverage experiments, each a long serial chain of a
-point fit, a bootstrap and its intervals (point studies fit every row in
-one serial batch instead).
+"""Process pool for coverage studies: after one batched fit of every
+experiment's point histogram, each task is one experiment's bootstrap and
+its intervals (point studies fit every row in one serial batch instead).
 
 Work items are mapped in input order with per-item seeds, so results are
-identical for any worker count (including 1, which runs inline).
+identical for any worker count (including 1, which runs inline).  The pool
+module is imported only when a pool is started.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["worker_count", "parallel_map"]
 
@@ -35,6 +35,8 @@ def parallel_map(fn, items: list) -> list:
     workers = min(worker_count(), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

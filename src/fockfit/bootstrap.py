@@ -12,11 +12,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .estimation import (PARAMETERS, FitBatch, FitResult, PriorShape, fit, fit_batch,
-                         posterior_weights, weights_for)
+from .estimation import PARAMETERS, FitBatch, FitResult, PriorShape, fit_batch, weights_for
 from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
-from .sampling import SeedSpec, _sample_counts, sample_histogram
+from .sampling import SeedSpec, _sample_counts
 
 __all__ = [
     "PARAMETERS",
@@ -215,21 +214,13 @@ def intervals(
     return out
 
 
-def _coverage_experiment(args) -> tuple[bool, dict]:
-    truth, n_shots, n_b, alpha, methods, prior, n_max, seed = args
-    tv = to_variances(truth)
-    h = sample_histogram(fock_distribution(tv, n_max), n_shots, seed)
-    point = fit(h, posterior_weights(h, prior))
-    if not point.converged:
-        return False, {}
-    reps = parametric_bootstrap(
-        point, n_shots, n_b, prior, SeedSpec(seed.master_seed, seed.stream_index + 1), n_max
-    )
-    true_values = parameter_values(tv, truth)
-    return True, {
-        (ci.parameter, ci.method): ci.contains(true_values[ci.parameter])
-        for ci in intervals(reps, point, alpha, methods)
-    }
+def _experiment_hits(args) -> list[bool]:
+    """Whether each interval of one experiment's bootstrap, in intervals'
+    order, contains the true value of its parameter."""
+    point, true_values, n_shots, n_b, alpha, methods, prior, n_max, seed = args
+    reps = parametric_bootstrap(point, n_shots, n_b, prior, seed, n_max)
+    return [ci.contains(true_values[ci.parameter])
+            for ci in intervals(reps, point, alpha, methods)]
 
 
 def coverage_probability(
@@ -246,10 +237,14 @@ def coverage_probability(
     """Estimate interval coverage by repeated simulate-fit-bootstrap runs.
 
     Experiment i occupies the stream block
-    [stream_index + i*(n_b + 1), stream_index + (i+1)*(n_b + 1)), so runs
-    are reproducible and independent of scheduling.  Accepts one method
-    name or several; all methods share the same replicate sets, so their
-    coverages are directly comparable.
+    [stream_index + i*(n_b + 1), stream_index + (i+1)*(n_b + 1)): its
+    point histogram comes from the first stream and its replicates from
+    the rest, so runs are reproducible and independent of scheduling.  All
+    point histograms are fitted with posterior weights in one fit_batch
+    call; if more than MAX_FAILURE_FRACTION of them fail, BootstrapError
+    is raised before any bootstrap runs, else the failed experiments are
+    left out of n_used.  Accepts one method name or several; all methods
+    share the same replicate sets, so their coverages are comparable.
     """
     if n_experiments < 1 or n_shots < 1:
         raise ValueError("all counts must be positive")
@@ -257,24 +252,25 @@ def coverage_probability(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    tasks = [
-        (true_state, n_shots, n_b, alpha, methods, prior, n_max,
-         SeedSpec(seed.master_seed, seed.stream_index + i * (n_b + 1)))
-        for i in range(n_experiments)
-    ]
-    results = parallel_map(_coverage_experiment, tasks)
-    used = [hits for ok, hits in results if ok]
-    n_failed = n_experiments - len(used)
-    if n_failed > MAX_FAILURE_FRACTION * n_experiments:
+    truth = to_variances(true_state)
+    dist = fock_distribution(truth, n_max)
+    starts = range(seed.stream_index, seed.stream_index + n_experiments * (n_b + 1), n_b + 1)
+    counts = np.concatenate(
+        [_sample_counts(dist, n_shots, SeedSpec(seed.master_seed, s), 1) for s in starts])
+    points = fit_batch(counts / n_shots, weights_for(counts, "posterior", prior))
+    if points.n_failed > MAX_FAILURE_FRACTION * n_experiments:
         raise BootstrapError(
-            f"{n_failed} of {n_experiments} experiments failed to converge"
+            f"{points.n_failed} of {n_experiments} experiments failed to converge"
         )
-    coverage: dict[str, dict[str, float]] = {m: {} for m in methods}
-    std_error: dict[str, dict[str, float]] = {m: {} for m in methods}
-    n_used = len(used)
-    for parameter in PARAMETERS:
-        for m in methods:
-            frac = sum(h[(parameter, m)] for h in used) / n_used
-            coverage[m][parameter] = frac
-            std_error[m][parameter] = math.sqrt(frac * (1.0 - frac) / n_used)
+    true_values = parameter_values(truth, true_state)
+    tasks = [(points[i], true_values, n_shots, n_b, alpha, methods, prior, n_max,
+              SeedSpec(seed.master_seed, starts[i] + 1)) for i in np.flatnonzero(points.converged)]
+    n_used = len(tasks)
+    # one row of hits per used experiment, its columns in intervals' order
+    hits = np.array(parallel_map(_experiment_hits, tasks))
+    frac = hits.sum(axis=0).reshape(len(PARAMETERS), len(methods)) / n_used
+    coverage = {m: {p: float(frac[i, j]) for i, p in enumerate(PARAMETERS)}
+                for j, m in enumerate(methods)}
+    std_error = {m: {p: math.sqrt(c * (1.0 - c) / n_used) for p, c in coverage[m].items()}
+                 for m in methods}
     return CoverageResult(coverage, std_error, n_experiments, n_used)

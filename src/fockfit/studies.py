@@ -66,9 +66,7 @@ class StudyConfig:
     n_experiments: int = 100
     n_b: tuple[int, ...] = (1000,)
     alpha: float = 0.05
-    prior: PriorShape = PriorShape(1.0, 1.0)
-    weight_scheme: str = "posterior"
-    schemes: Optional[tuple[SchemeSpec, ...]] = None
+    schemes: tuple[SchemeSpec, ...] = (SchemeSpec("posterior"),)
     n_max: int = 20
     master_seed: int = 0
     exact_probabilities: bool = False
@@ -84,8 +82,8 @@ class StudyConfig:
             raise ValueError("n_b values must be >= 2")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise ValueError(f"unknown weight scheme {self.weight_scheme!r}")
+        if not self.schemes or not all(isinstance(s, SchemeSpec) for s in self.schemes):
+            raise ValueError("schemes must be a nonempty tuple of SchemeSpec")
         if not 1 <= self.n_max <= 64:
             raise ValueError(f"n_max must be in [1, 64], got {self.n_max}")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -198,7 +196,7 @@ def _aggregate_point_row(state: SqueezedThermalState, shots: int, spec: SchemeSp
     )
 
 
-def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[StudyRow]:
+def _point_rows(cfg: StudyConfig) -> list[StudyRow]:
     """One report row per (state, shots, scheme).  Each (state, shots)
     block of experiments is simulated once, from the streams starting at
     block * n_experiments (blocks in config order, shots varying fastest),
@@ -217,23 +215,22 @@ def _point_rows(cfg: StudyConfig, schemes: tuple[SchemeSpec, ...]) -> list[Study
         else:
             counts = _sample_counts(dist, shots, SeedSpec(cfg.master_seed, b * n), n)
             f = counts / shots
-        for spec in schemes:
+        for spec in cfg.schemes:
             freqs.append(f)
             weights.append(weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta)))
     fits = fit_batch(np.concatenate(freqs), np.concatenate(weights))
-    cells = [(state, shots, spec) for state, shots in blocks for spec in schemes]
+    cells = [(state, shots, spec) for state, shots in blocks for spec in cfg.schemes]
     return [_aggregate_point_row(state, shots, spec, cfg, fits[k * n:(k + 1) * n])
             for k, (state, shots, spec) in enumerate(cells)]
 
 
 def fidelity_study(cfg: StudyConfig) -> StudyReport:
-    """Point-estimate study under the configured weight scheme: for every
-    configured (state, shots) pair, the mean and spread of the
+    """Point-estimate study under each configured weight scheme: for every
+    configured (state, shots, scheme), the mean and spread of the
     estimate-versus-truth fidelity, and the bias, standard deviation and
-    their ratio for each of the four parameters.  Both the "fidelity" and
-    the "bias" study kinds run it."""
-    spec = SchemeSpec(cfg.weight_scheme, cfg.prior.nu, cfg.prior.eta)
-    return StudyReport(tuple(_point_rows(cfg, (spec,))))
+    their ratio for each of the four parameters.  The "fidelity", "bias"
+    and "weight_comparison" study kinds all run it."""
+    return StudyReport(tuple(_point_rows(cfg)))
 
 
 bias_study = fidelity_study
@@ -242,14 +239,20 @@ bias_study = fidelity_study
 def weight_comparison_study(cfg: StudyConfig) -> StudyReport:
     """fidelity_study repeated per weighting scheme on shared simulated
     data, so the resulting curves are paired."""
-    if cfg.schemes is None or len(cfg.schemes) < 2:
+    if len(cfg.schemes) < 2:
         raise ValueError("weight comparison needs >= 2 entries in schemes")
-    return StudyReport(tuple(_point_rows(cfg, cfg.schemes)))
+    return fidelity_study(cfg)
 
 
 def coverage_study(cfg: StudyConfig) -> StudyReport:
     """Interval coverage per (state, shots, n_b), reported for both the
-    percentile and BC methods computed from the same replicate sets."""
+    percentile and BC methods computed from the same replicate sets.
+    Coverage fits with posterior weights only, so ``cfg.schemes`` must be
+    one posterior spec, whose prior it uses."""
+    spec = cfg.schemes[0]
+    if len(cfg.schemes) != 1 or spec.scheme != "posterior":
+        raise ValueError("a coverage study needs schemes to be one posterior spec")
+    prior = PriorShape(spec.nu, spec.eta)
     rows = []
     offset = 0
     for state in cfg.true_states:
@@ -257,7 +260,7 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
             for nb in cfg.n_b:
                 result = coverage_probability(
                     state, shots, cfg.n_experiments, nb, cfg.alpha, METHODS,
-                    cfg.prior, SeedSpec(cfg.master_seed, offset), cfg.n_max,
+                    prior, SeedSpec(cfg.master_seed, offset), cfg.n_max,
                 )
                 offset += cfg.n_experiments * (nb + 1)
                 for method in METHODS:
@@ -269,8 +272,8 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
                             state_nbar=state.nbar,
                             shots=shots,
                             scheme="posterior",
-                            nu=cfg.prior.nu,
-                            eta=cfg.prior.eta,
+                            nu=spec.nu,
+                            eta=spec.eta,
                             n_experiments=cfg.n_experiments,
                             n_failed=result.n_experiments - result.n_used,
                             **{f"coverage_{p}": cov[p] for p in PARAMETERS},
@@ -291,7 +294,7 @@ STUDY_KINDS = {
 
 
 def run_study(kind: str, cfg: StudyConfig) -> StudyReport:
-    if kind not in STUDY_KINDS:
+    if not isinstance(kind, str) or kind not in STUDY_KINDS:
         raise ConfigError(f"study: unknown study kind {kind!r}")
     return STUDY_KINDS[kind](cfg)
 
@@ -337,8 +340,8 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
 
 
 # The fields each study kind reads; parse_config rejects the others by
-# name.  A weight comparison also accepts a prior, which existing configs
-# set though each of its schemes carries its own.
+# name.  weight_scheme and prior give the other kinds their one scheme; a
+# weight comparison accepts a prior, which existing configs set, but ignores it.
 _POINT_FIELDS = {"format_version", "study", "true_states", "shot_counts", "n_experiments",
                  "prior", "n_max", "master_seed", "exact_probabilities"}
 _KIND_FIELDS = {
@@ -362,7 +365,7 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     if not is_json_int(version) or version != 1:
         raise ConfigError("format_version: only version 1 is supported")
     kind = _require(doc, "study", "config")
-    if kind not in STUDY_KINDS:
+    if not isinstance(kind, str) or kind not in STUDY_KINDS:
         raise ConfigError(
             f"study: expected one of {sorted(STUDY_KINDS)}, got {kind!r}"
         )
@@ -393,21 +396,18 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
         kwargs["n_b"] = tuple(raw)
     if "alpha" in doc:
         kwargs["alpha"] = _number(doc["alpha"], "alpha")
-    if "prior" in doc:
-        entry = doc["prior"]
-        if not isinstance(entry, dict):
-            raise ConfigError("prior: expected an object with 'nu' and 'eta'")
-        _reject_unknown(entry, {"nu", "eta"}, "prior")
-        nu, eta = (_number(_require(entry, key, "prior"), f"prior.{key}")
-                   for key in ("nu", "eta"))
-        try:
-            kwargs["prior"] = PriorShape(nu, eta)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"prior: {exc}") from exc
-    if "weight_scheme" in doc:
-        if kind == "coverage" and doc["weight_scheme"] != "posterior":
-            raise ConfigError("weight_scheme: a coverage study uses posterior weights only")
-        kwargs["weight_scheme"] = doc["weight_scheme"]
+    scheme = doc.get("weight_scheme", "posterior")
+    if scheme not in WEIGHT_SCHEMES:
+        raise ConfigError(f"weight_scheme: unknown weight scheme {scheme!r}")
+    if kind == "coverage" and scheme != "posterior":
+        raise ConfigError("weight_scheme: a coverage study uses posterior weights only")
+    prior = doc.get("prior", {"nu": 1.0, "eta": 1.0})
+    if not isinstance(prior, dict):
+        raise ConfigError("prior: expected an object with 'nu' and 'eta'")
+    _reject_unknown(prior, {"nu", "eta"}, "prior")
+    for key in ("nu", "eta"):
+        _require(prior, key, "prior")
+    kwargs["schemes"] = (_parse_scheme({**prior, "scheme": scheme}, "prior"),)
     if doc.get("schemes") is not None:
         raw = doc["schemes"]
         if not isinstance(raw, list):
@@ -426,6 +426,6 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
         cfg = StudyConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    if kind == "weight_comparison" and (cfg.schemes is None or len(cfg.schemes) < 2):
+    if kind == "weight_comparison" and len(cfg.schemes) < 2:
         raise ConfigError("schemes: weight_comparison needs >= 2 entries")
     return kind, cfg

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,85 @@ class TestCoverage:
                 SqueezedThermalState(0.5, 0.1), 500, 2, 20, 0.05,
                 "bca", PRIOR, SeedSpec(12, 0),
             )
+
+    def test_equals_per_experiment_chain(self):
+        # The public single-experiment path: sample, fit, bootstrap from
+        # the experiment's stream block, intervals.
+        # Narrow intervals at a biased state, so hits vary between experiments.
+        truth = SqueezedThermalState(2.5, 0.01)
+        shots, n_exp, n_b, alpha, seed = 10 ** 4, 6, 30, 0.25, SeedSpec(11, 7)
+        true_values = parameter_values(to_variances(truth), truth)
+        dist = fock_distribution(to_variances(truth), 20)
+        hits = []
+        for i in range(n_exp):
+            start = seed.stream_index + i * (n_b + 1)
+            h = sample_histogram(dist, shots, SeedSpec(seed.master_seed, start))
+            point = fit(h, posterior_weights(h, PRIOR))
+            assert point.converged
+            reps = parametric_bootstrap(point, shots, n_b, PRIOR,
+                                        SeedSpec(seed.master_seed, start + 1))
+            hits.append({(ci.parameter, ci.method): ci.contains(true_values[ci.parameter])
+                         for ci in intervals(reps, point, alpha, METHODS)})
+        coverage = {m: {p: sum(h[(p, m)] for h in hits) / n_exp for p in PARAMETERS}
+                    for m in METHODS}
+        std_error = {m: {p: math.sqrt(c * (1.0 - c) / n_exp) for p, c in coverage[m].items()}
+                     for m in METHODS}
+        res = coverage_probability(truth, shots, n_exp, n_b, alpha, METHODS, PRIOR, seed)
+        assert res == bt.CoverageResult(coverage, std_error, n_exp, n_exp)
+
+
+def _failing_rows(monkeypatch, n_rows, failed):
+    """Make every fit_batch call of ``n_rows`` rows report the rows in
+    ``failed`` as not converged."""
+    real_fit_batch = bt.fit_batch
+
+    def flaky_fit_batch(freqs, weights, **kw):
+        out = real_fit_batch(freqs, weights, **kw)
+        if len(out) != n_rows:
+            return out
+        return replace(out, converged=out.converged & ~np.isin(np.arange(n_rows), failed))
+
+    monkeypatch.setattr(bt, "fit_batch", flaky_fit_batch)
+
+
+def _record_bootstraps(monkeypatch):
+    """Run the pool inline and record the first stream of every bootstrap."""
+    monkeypatch.setenv("FOCKFIT_THREADS", "1")
+    real_bootstrap = bt.parametric_bootstrap
+    streams = []
+
+    def recording_bootstrap(point, n_shots, n_b, prior, seed, n_max=20):
+        streams.append(seed.stream_index)
+        return real_bootstrap(point, n_shots, n_b, prior, seed, n_max)
+
+    monkeypatch.setattr(bt, "parametric_bootstrap", recording_bootstrap)
+    return streams
+
+
+class TestCoverageFailurePolicy:
+    STATE = SqueezedThermalState(0.5, 0.1)
+
+    def test_failed_point_fit_excludes_its_experiment(self, monkeypatch):
+        # 1 failure in 100 experiments is within the 1% allowance
+        _failing_rows(monkeypatch, 100, [37])
+        streams = _record_bootstraps(monkeypatch)
+        res = coverage_probability(self.STATE, 300, 100, 3, 0.25, "percentile", PRIOR,
+                                   SeedSpec(2, 0))
+        assert (res.n_experiments, res.n_used) == (100, 99)
+        assert streams == [i * 4 + 1 for i in range(100) if i != 37]
+
+    def test_too_many_failed_point_fits_raise_before_any_bootstrap(self, monkeypatch):
+        _failing_rows(monkeypatch, 10, [4])
+        streams = _record_bootstraps(monkeypatch)
+        with pytest.raises(BootstrapError, match="1 of 10 experiments"):
+            coverage_probability(self.STATE, 300, 10, 20, 0.05, METHODS, PRIOR, SeedSpec(2, 0))
+        assert streams == []
+
+    def test_too_many_failed_replicates_raise(self, monkeypatch):
+        # one experiment's bootstrap loses 1 of 30 refits, above 1%
+        _failing_rows(monkeypatch, 30, [12])
+        with pytest.raises(BootstrapError, match="1 of 30 bootstrap refits"):
+            coverage_probability(self.STATE, 300, 3, 30, 0.05, METHODS, PRIOR, SeedSpec(2, 0))
 
 
 class TestConfidenceIntervalType:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -349,6 +351,37 @@ class TestStudyCommand:
         assert run(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         body = out.read_text().splitlines()
         assert len(body) == 3  # header + percentile row + bc row
+
+    @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
+    def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):
+        cfg = self.write_config(tmp_path, {
+            "format_version": 1,
+            "study": kind,
+            "true_states": [{"r": 0.5, "nbar": 0.1}],
+        })
+        out = tmp_path / "report.csv"
+        proc = _fresh_python("from fockfit.cli import main; raise SystemExit(main())",
+                             "study", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("fockfit: study: ")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this fockfit."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # The pool module is imported only when a coverage study starts a pool.
+    proc = _fresh_python("import sys, fockfit.cli; "
+                         "print('concurrent.futures.process' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestUsage:

@@ -41,7 +41,7 @@ class TestConfigValidation:
         assert cfg.n_experiments == 100
         assert cfg.n_max == 20
         assert cfg.alpha == 0.05
-        assert cfg.prior == PriorShape(1.0, 1.0)
+        assert cfg.schemes == (SchemeSpec("posterior", 1.0, 1.0),)
         assert cfg.shot_counts == DEFAULT_SHOT_GRID
 
     def test_invalid_values_rejected(self):
@@ -52,10 +52,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(n_b=(1,))
         with pytest.raises(ValueError):
-            small_cfg(weight_scheme="magic")
+            small_cfg(schemes=(SchemeSpec("magic"),))
+        for schemes in ((), ("posterior",)):
+            with pytest.raises(ValueError, match="schemes"):
+                small_cfg(schemes=schemes)
 
 
 class TestFidelityStudy:
+    def test_runs_the_configured_scheme(self):
+        cfg = small_cfg(n_experiments=3, schemes=(SchemeSpec("uniform"),))
+        (row,) = fidelity_study(cfg).rows
+        assert (row.scheme, row.nu, row.eta) == ("uniform", None, None)
+        paired = weight_comparison_study(
+            small_cfg(n_experiments=3, schemes=(SchemeSpec("posterior"), SchemeSpec("uniform"))))
+        assert paired.rows[1] == row
+
     def test_exact_mode_reaches_unit_fidelity(self):
         cfg = small_cfg(n_experiments=1, exact_probabilities=True,
                         shot_counts=(10 ** 6,))
@@ -137,6 +148,24 @@ class TestWeightComparison:
 
 
 class TestCoverageStudy:
+    @pytest.mark.parametrize("schemes", [
+        (SchemeSpec("uniform"),),
+        (SchemeSpec("mle"),),
+        (SchemeSpec("posterior"), SchemeSpec("posterior")),
+    ])
+    def test_needs_one_posterior_scheme(self, schemes):
+        with pytest.raises(ValueError, match="one posterior spec"):
+            coverage_study(small_cfg(n_experiments=2, schemes=schemes))
+
+    def test_prior_comes_from_the_scheme(self):
+        cfg = small_cfg(n_experiments=2, schemes=(SchemeSpec("posterior", 2.0, 0.5),))
+        row = coverage_study(cfg).rows[0]
+        assert (row.scheme, row.nu, row.eta) == ("posterior", 2.0, 0.5)
+        assert row == run_study(*parse_config({
+            "study": "coverage", "true_states": [{"r": 1.0, "nbar": 0.01}],
+            "shot_counts": [500], "n_experiments": 2, "n_b": 20, "master_seed": 99,
+            "prior": {"nu": 2.0, "eta": 0.5}})).rows[0]
+
     def test_rows_per_method_and_nb(self):
         cfg = small_cfg(n_experiments=4, n_b=(20, 30))
         report = coverage_study(cfg)
@@ -198,6 +227,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="study"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
+    def test_non_string_study_kind_rejected(self, kind):
+        doc = self.good_doc()
+        doc["study"] = kind
+        with pytest.raises(ConfigError, match="^study: "):
+            parse_config(doc)
+        with pytest.raises(ConfigError, match="^study: "):
+            run_study(kind, small_cfg())
+
+    @pytest.mark.parametrize("scheme", ["magic", ["posterior"], {"scheme": "posterior"}])
+    def test_unknown_weight_scheme_named(self, scheme):
+        doc = self.good_doc()
+        doc["weight_scheme"] = scheme
+        with pytest.raises(ConfigError, match="^weight_scheme: unknown weight scheme"):
+            parse_config(doc)
+
     def test_scalar_n_b_accepted(self):
         doc = self.good_doc()
         doc["study"] = "coverage"
@@ -213,12 +258,17 @@ class TestParseConfig:
 
 
 class TestThreadCountInvariance:
-    def test_results_identical_serial_vs_parallel(self, monkeypatch):
-        cfg = small_cfg(n_experiments=6)
+    # A coverage study runs its bootstraps on the process pool; a point
+    # study fits in one serial batch whatever the worker count.
+    @pytest.mark.parametrize("study, cfg", [
+        (fidelity_study, small_cfg(n_experiments=6)),
+        (coverage_study, small_cfg(n_experiments=3, shot_counts=(500, 800))),
+    ], ids=["fidelity", "coverage"])
+    def test_results_identical_serial_vs_parallel(self, monkeypatch, study, cfg):
         monkeypatch.setenv("FOCKFIT_THREADS", "1")
-        serial = fidelity_study(cfg)
+        serial = study(cfg)
         monkeypatch.setenv("FOCKFIT_THREADS", "2")
-        parallel = fidelity_study(cfg)
+        parallel = study(cfg)
         assert serial == parallel
 
 
@@ -235,11 +285,13 @@ class TestBooleansRejected:
         ("master_seed", False),
         ("format_version", True),
         ("alpha", True),
+        ("study", True),
+        ("weight_scheme", True),
     ])
     def test_boolean_rejected_with_field_name(self, field, value):
         doc = TestParseConfig().good_doc()
         doc[field] = value
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
             parse_config(doc)
 
 
@@ -273,7 +325,7 @@ class TestFieldsTheStudyIgnores:
         doc = TestParseConfig().good_doc()
         doc["study"] = "coverage"
         doc["weight_scheme"] = "posterior"
-        assert parse_config(doc)[1].weight_scheme == "posterior"
+        assert parse_config(doc)[1].schemes == (SchemeSpec("posterior"),)
         doc["weight_scheme"] = scheme
         with pytest.raises(ConfigError, match="weight_scheme"):
             parse_config(doc)
