@@ -1,6 +1,7 @@
-"""Process pool for coverage studies: after one batched fit of every
-experiment's point histogram, each task is one experiment's bootstrap and
-its intervals (point studies fit every row in one serial batch instead).
+"""Process pool for coverage: a coverage study starts one pool for all its
+cells.  After one batched fit of every experiment's point histogram, each
+task is one experiment's bootstrap and its intervals (point studies fit
+every row in one serial batch instead).
 
 Work items are mapped in input order with per-item seeds, so results are
 identical for any worker count (including 1, which runs inline).  The pool

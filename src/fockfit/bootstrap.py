@@ -234,7 +234,9 @@ def coverage_probability(
     seed: SeedSpec,
     n_max: int = 20,
 ) -> CoverageResult:
-    """Estimate interval coverage by repeated simulate-fit-bootstrap runs.
+    """Estimate interval coverage by repeated simulate-fit-bootstrap runs:
+    the one-cell case of the coverage engine that coverage studies run
+    over all their cells at once.
 
     Experiment i occupies the stream block
     [stream_index + i*(n_b + 1), stream_index + (i+1)*(n_b + 1)): its
@@ -245,32 +247,64 @@ def coverage_probability(
     is raised before any bootstrap runs, else the failed experiments are
     left out of n_used.  Accepts one method name or several; all methods
     share the same replicate sets, so their coverages are comparable.
+    Bad arguments raise ValueError before anything is sampled.
     """
-    if n_experiments < 1 or n_shots < 1:
-        raise ValueError("all counts must be positive")
     methods = (method,) if isinstance(method, str) else tuple(method)
+    cells = [(true_state, n_shots, n_b)]
+    return _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max)[0]
+
+
+def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[CoverageResult]:
+    """One CoverageResult per cell (true_state, n_shots, n_b), each run as
+    coverage_probability describes, with cell k's stream block starting at
+    seed.stream_index + sum over j < k of n_experiments * (n_b_j + 1).
+
+    Every cell's point histograms are fitted in one fit_batch call, the
+    failed-point check runs per cell (in cell order) before any bootstrap,
+    and every converged experiment's bootstrap goes through one
+    parallel_map."""
+    states, shots, n_bs = zip(*cells)
+    if n_experiments < 1 or min(shots) < 1:
+        raise ValueError("all counts must be positive")
+    if min(n_bs) < 2:
+        raise ValueError(f"n_b must be >= 2, got {min(n_bs)}")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    if not methods:
+        raise ValueError(f"method must name at least one of {METHODS}")
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
-    truth = to_variances(true_state)
-    dist = fock_distribution(truth, n_max)
-    starts = range(seed.stream_index, seed.stream_index + n_experiments * (n_b + 1), n_b + 1)
-    counts = np.concatenate(
-        [_sample_counts(dist, n_shots, SeedSpec(seed.master_seed, s), 1) for s in starts])
-    points = fit_batch(counts / n_shots, weights_for(counts, "posterior", prior))
-    if points.n_failed > MAX_FAILURE_FRACTION * n_experiments:
-        raise BootstrapError(
-            f"{points.n_failed} of {n_experiments} experiments failed to converge"
-        )
-    true_values = parameter_values(truth, true_state)
-    tasks = [(points[i], true_values, n_shots, n_b, alpha, methods, prior, n_max,
-              SeedSpec(seed.master_seed, starts[i] + 1)) for i in np.flatnonzero(points.converged)]
-    n_used = len(tasks)
+    # (cell, first stream) of every experiment, cells in order
+    experiments, stream = [], seed.stream_index
+    for k, n_b in enumerate(n_bs):
+        experiments += [(k, stream + i * (n_b + 1)) for i in range(n_experiments)]
+        stream += n_experiments * (n_b + 1)
+    truths = [to_variances(state) for state in states]
+    dists = [fock_distribution(truth, n_max) for truth in truths]
+    counts = np.concatenate([_sample_counts(dists[k], shots[k], SeedSpec(seed.master_seed, s), 1)
+                             for k, s in experiments])
+    freqs = counts / np.repeat(shots, n_experiments)[:, None]
+    points = fit_batch(freqs, weights_for(counts, "posterior", prior))
+    n_used = points.converged.reshape(len(cells), n_experiments).sum(axis=1)
+    for n_failed in n_experiments - n_used:
+        if n_failed > MAX_FAILURE_FRACTION * n_experiments:
+            raise BootstrapError(
+                f"{n_failed} of {n_experiments} experiments failed to converge"
+            )
+    true_values = [parameter_values(truth, state) for truth, state in zip(truths, states)]
+    tasks = [(points[j], true_values[k], shots[k], n_bs[k], alpha, methods, prior, n_max,
+              SeedSpec(seed.master_seed, s + 1))
+             for j, (k, s) in enumerate(experiments) if points.converged[j]]
     # one row of hits per used experiment, its columns in intervals' order
     hits = np.array(parallel_map(_experiment_hits, tasks))
-    frac = hits.sum(axis=0).reshape(len(PARAMETERS), len(methods)) / n_used
-    coverage = {m: {p: float(frac[i, j]) for i, p in enumerate(PARAMETERS)}
-                for j, m in enumerate(methods)}
-    std_error = {m: {p: math.sqrt(c * (1.0 - c) / n_used) for p, c in coverage[m].items()}
-                 for m in methods}
-    return CoverageResult(coverage, std_error, n_experiments, n_used)
+    results = []
+    for cell_hits in np.split(hits, np.cumsum(n_used)[:-1]):
+        used = cell_hits.shape[0]
+        frac = cell_hits.sum(axis=0).reshape(len(PARAMETERS), len(methods)) / used
+        coverage = {m: {p: float(frac[i, j]) for i, p in enumerate(PARAMETERS)}
+                    for j, m in enumerate(methods)}
+        std_error = {m: {p: math.sqrt(c * (1.0 - c) / used) for p, c in coverage[m].items()}
+                     for m in methods}
+        results.append(CoverageResult(coverage, std_error, n_experiments, used))
+    return results

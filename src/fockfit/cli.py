@@ -245,6 +245,10 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_study(args) -> int:
+    json_out = args.json_out or os.path.splitext(args.out)[0] + ".json"
+    if os.path.realpath(json_out) == os.path.realpath(args.out):
+        raise _CliError(EXIT_USAGE, f"--out/--json-out: both reports would be written to "
+                                    f"{args.out}; give --json-out a different path")
     doc = _read_json(args.config)
     try:
         kind, cfg = studies.parse_config(doc)
@@ -254,7 +258,6 @@ def cmd_study(args) -> int:
     except bt.BootstrapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NONCONVERGED
-    json_out = args.json_out or os.path.splitext(args.out)[0] + ".json"
     try:
         report.write_csv(args.out)
         report.write_json(json_out)

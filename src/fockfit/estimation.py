@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
+    MAX_FOCK,
     QuadratureVariances,
     SqueezedThermalState,
     _bin_sum,
@@ -449,7 +450,8 @@ _MAX_EVALS = 10_000
 
 def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     """Fit (vq, vp) to every row of a (B, n_max + 2) frequency matrix (bins
-    0..n_max plus overflow) under the matching matrix of positive weights.
+    0..n_max plus overflow, 1 <= n_max <= MAX_FOCK) under the matching
+    matrix of positive weights.
 
     Rows are independent; each is fitted in two stages in the coordinates
     (q, nbar), q = cosh 2r - 1, where the physical constraints vq <= vp and
@@ -481,6 +483,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     if not np.all(np.isfinite(wts) & (wts > 0.0)):
         raise ValueError("all weights must be finite and positive")
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
+    if n_max > MAX_FOCK:
+        raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
     grid_x, grid_p = _model_grid(n_max)
     params = np.empty((len(PARAMETERS), rows))
     objective = np.empty(rows)

@@ -7,13 +7,14 @@ CDF and quantile.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 __all__ = ["scaled_legendre", "std_normal_cdf", "std_normal_quantile"]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 
 
 def scaled_legendre(c, u, n_max: int) -> np.ndarray:
@@ -80,55 +81,16 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-# Acklam's rational approximation to the normal quantile (absolute error
-# below 1.2e-9 on its own); one Newton step against std_normal_cdf then
-# brings the round-trip error under 1e-13.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACKLAM_PLOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf on (0, 1).
+    """Inverse of std_normal_cdf on (0, 1): statistics.NormalDist's
+    inv_cdf (Wichura's AS241, accurate to about 1e-16 relative).
 
     Raises ValueError outside the open interval.  The reflection for
-    p > 1/2 keeps the Newton residual free of cancellation near 1 and makes
-    the symmetry quantile(p) = -quantile(1 - p) exact.
+    p > 1/2 evaluates the lower tail at the exact 1 - p and makes the
+    symmetry quantile(p) = -quantile(1 - p) exact.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if p > 0.5:
         return -std_normal_quantile(1.0 - p)
-    x = _acklam(p)
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if pdf > 0.0:
-        x -= (std_normal_cdf(x) - p) / pdf
-    return x
+    return _STD_NORMAL.inv_cdf(p)

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from ._io import atomic_write, is_json_int, is_json_number
-from .bootstrap import METHODS, PARAMETERS, coverage_probability, parameter_values
+from .bootstrap import METHODS, PARAMETERS, _coverage, parameter_values
 from .estimation import WEIGHT_SCHEMES, FitBatch, PriorShape, fit_batch, weights_for
-from .model import SqueezedThermalState, fidelity, fock_distribution, to_variances
+from .model import MAX_FOCK, SqueezedThermalState, fidelity, fock_distribution, to_variances
 from .sampling import SeedSpec, _sample_counts
 
 __all__ = [
@@ -84,8 +84,8 @@ class StudyConfig:
             raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
         if not self.schemes or not all(isinstance(s, SchemeSpec) for s in self.schemes):
             raise ValueError("schemes must be a nonempty tuple of SchemeSpec")
-        if not 1 <= self.n_max <= 64:
-            raise ValueError(f"n_max must be in [1, 64], got {self.n_max}")
+        if not 1 <= self.n_max <= MAX_FOCK:
+            raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {self.n_max}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
 
@@ -246,42 +246,36 @@ def weight_comparison_study(cfg: StudyConfig) -> StudyReport:
 
 def coverage_study(cfg: StudyConfig) -> StudyReport:
     """Interval coverage per (state, shots, n_b), reported for both the
-    percentile and BC methods computed from the same replicate sets.
+    percentile and BC methods computed from the same replicate sets.  All
+    cells run in one coverage pass: one batch of point fits and one pool of
+    bootstraps, with the cells' stream blocks laid out back to back in
+    config order (n_b varying fastest).
     Coverage fits with posterior weights only, so ``cfg.schemes`` must be
     one posterior spec, whose prior it uses."""
     spec = cfg.schemes[0]
     if len(cfg.schemes) != 1 or spec.scheme != "posterior":
         raise ValueError("a coverage study needs schemes to be one posterior spec")
-    prior = PriorShape(spec.nu, spec.eta)
-    rows = []
-    offset = 0
-    for state in cfg.true_states:
-        for shots in cfg.shot_counts:
-            for nb in cfg.n_b:
-                result = coverage_probability(
-                    state, shots, cfg.n_experiments, nb, cfg.alpha, METHODS,
-                    prior, SeedSpec(cfg.master_seed, offset), cfg.n_max,
-                )
-                offset += cfg.n_experiments * (nb + 1)
-                for method in METHODS:
-                    cov = result.coverage[method]
-                    se = result.std_error[method]
-                    rows.append(
-                        StudyRow(
-                            state_r=state.r,
-                            state_nbar=state.nbar,
-                            shots=shots,
-                            scheme="posterior",
-                            nu=spec.nu,
-                            eta=spec.eta,
-                            n_experiments=cfg.n_experiments,
-                            n_failed=result.n_experiments - result.n_used,
-                            **{f"coverage_{p}": cov[p] for p in PARAMETERS},
-                            **{f"se_coverage_{p}": se[p] for p in PARAMETERS},
-                            method=method,
-                            n_b=nb,
-                        )
-                    )
+    cells = [(state, shots, nb) for state in cfg.true_states
+             for shots in cfg.shot_counts for nb in cfg.n_b]
+    results = _coverage(cells, cfg.n_experiments, cfg.alpha, METHODS,
+                        PriorShape(spec.nu, spec.eta), SeedSpec(cfg.master_seed, 0), cfg.n_max)
+    rows = [
+        StudyRow(
+            state_r=state.r,
+            state_nbar=state.nbar,
+            shots=shots,
+            scheme="posterior",
+            nu=spec.nu,
+            eta=spec.eta,
+            n_experiments=cfg.n_experiments,
+            n_failed=result.n_experiments - result.n_used,
+            **{f"coverage_{p}": result.coverage[method][p] for p in PARAMETERS},
+            **{f"se_coverage_{p}": result.std_error[method][p] for p in PARAMETERS},
+            method=method,
+            n_b=nb,
+        )
+        for (state, shots, nb), result in zip(cells, results) for method in METHODS
+    ]
     return StudyReport(tuple(rows))
 
 

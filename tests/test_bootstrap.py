@@ -237,6 +237,27 @@ class TestCoverage:
                 "bca", PRIOR, SeedSpec(12, 0),
             )
 
+    @pytest.mark.parametrize("bad, name", [
+        ({"method": ()}, "method"),
+        ({"n_b": -1}, "n_b"),
+        ({"n_b": 1}, "n_b"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 0.5}, "alpha"),
+    ], ids=["no-method", "n_b=-1", "n_b=1", "alpha=0", "alpha=0.5"])
+    def test_bad_arguments_rejected_before_sampling(self, monkeypatch, bad, name):
+        calls = []
+
+        def recorder(label):
+            return lambda *args, **kw: calls.append(label)
+
+        monkeypatch.setattr(bt, "_sample_counts", recorder("_sample_counts"))
+        monkeypatch.setattr(bt, "fit_batch", recorder("fit_batch"))
+        args = {"n_b": 20, "alpha": 0.05, "method": METHODS, **bad}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            coverage_probability(SqueezedThermalState(0.5, 0.1), 500, 2, args["n_b"],
+                                 args["alpha"], args["method"], PRIOR, SeedSpec(12, 0))
+        assert calls == []
+
     def test_equals_per_experiment_chain(self):
         # The public single-experiment path: sample, fit, bootstrap from
         # the experiment's stream block, intervals.

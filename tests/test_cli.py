@@ -133,6 +133,18 @@ class TestEstimate:
         est = tmp_path / "estimate.json"
         assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
 
+    def test_counts_beyond_the_model_domain_rejected(self, tmp_path, capsys):
+        # 80 bins is n_max = 79, above MAX_FOCK = 64
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({
+            "format_version": 1, "n_max": 79, "counts": [50, 30] + [1] * 78,
+            "overflow": 0, "total": 158,
+        }))
+        est = tmp_path / "estimate.json"
+        assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+        assert "n_max must be in [1, 64], got 79" in capsys.readouterr().err
+        assert not est.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         counts = tmp_path / "counts.json"
         est = tmp_path / "estimate.json"
@@ -351,6 +363,25 @@ class TestStudyCommand:
         assert run(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         body = out.read_text().splitlines()
         assert len(body) == 3  # header + percentile row + bc row
+
+    @pytest.mark.parametrize("json_out", [None, "report.json", "./report.json"])
+    def test_reports_sharing_one_path_rejected_before_the_study(self, tmp_path, monkeypatch,
+                                                                capsys, json_out):
+        cfg = self.write_config(tmp_path, {
+            "format_version": 1,
+            "study": "fidelity",
+            "true_states": [{"r": 0.5, "nbar": 0.1}],
+            "shot_counts": [300],
+            "n_experiments": 2,
+        })
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.studies, "run_study", lambda *a: pytest.fail("study ran"))
+        args = ["study", "--config", str(cfg), "--out", "report.json"]
+        if json_out is not None:
+            args += ["--json-out", json_out]
+        assert run(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("fockfit: --out/--json-out: ")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
     def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):

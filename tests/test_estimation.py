@@ -358,6 +358,15 @@ class TestFitBatch:
         with pytest.raises(ValueError):
             fit_batch(freqs, bad)
 
+    def test_bins_bounded_by_the_model_domain(self):
+        # n_max = MAX_FOCK = 64 gives 66 bins; one bin more is outside the
+        # model's validated domain.
+        counts, freqs, weights = _sampled_rows(1.0, 0.05, 1000, 2, n_max=64)
+        assert fit_batch(freqs, weights).converged.all()
+        wide = np.pad(counts, ((0, 0), (0, 1)))
+        with pytest.raises(ValueError, match=r"^n_max must be in \[1, 64\], got 65$"):
+            fit_batch(wide / 1000, posterior_weights(wide))
+
     @pytest.mark.parametrize("n_max", [20, 64])
     def test_row_independent_of_preceding_rows(self, n_max):
         # Rows are fitted in 32-row grid blocks and 512-row refinement

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,6 +153,27 @@ class TestStdNormalQuantile:
             assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
             q = 1.0 - p
             assert std_normal_cdf(std_normal_quantile(q)) == pytest.approx(q, abs=1e-10)
+
+    def test_against_mpmath_root(self):
+        # The root x of ncdf(x) = p at 30 digits, by Newton from the float
+        # value; above 1/2 the same root solves ncdf(-x) = 1 - p, whose
+        # right side is exact in mpmath and keeps the residual's digits.
+        lower = np.geomspace(1e-300, 0.5, 120)
+        upper = 1.0 - np.geomspace(1e-16, 0.5, 40)
+        with mpmath.workdps(30):
+            for p in np.concatenate((lower, upper)).tolist():
+                q = std_normal_quantile(p)
+                x = mpmath.mpf(q)
+                for _ in range(6):
+                    if p <= 0.5:
+                        residual = mpmath.ncdf(x) - p
+                    else:
+                        residual = (1 - mpmath.mpf(p)) - mpmath.ncdf(-x)
+                    step = residual / mpmath.npdf(x)
+                    x -= step
+                    if abs(step) <= mpmath.mpf(10) ** -28 * max(abs(x), 1):
+                        break
+                assert abs(q - x) <= 2e-15 * max(abs(x), 1), p
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_domain_errors(self, p):

@@ -1,10 +1,14 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fockfit.bootstrap as bt
+from fockfit.bootstrap import BootstrapError
 from fockfit.model import SqueezedThermalState
+from fockfit.sampling import SeedSpec
 from fockfit.studies import (
     DEFAULT_SHOT_GRID,
     REPORT_COLUMNS,
@@ -354,3 +358,79 @@ class TestFieldsTheStudyIgnores:
         doc[field] = value
         with pytest.raises(ConfigError, match=f"{field}: a {kind} study does not use"):
             parse_config(doc)
+
+
+class TestCoverageStudyOnePass:
+    """A coverage study is one coverage pass: one point fit_batch over every
+    cell and one parallel_map over every cell's bootstraps."""
+
+    CFG = small_cfg(true_states=(STATE, SqueezedThermalState(0.5, 0.1)), n_experiments=3,
+                    n_b=(20, 30, 25), master_seed=7)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Run the pool inline and log every fit_batch and parallel_map call
+        (fit_batch with its row count); bootstrap refits log too."""
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        log = []
+        real_fit_batch, real_parallel_map = bt.fit_batch, bt.parallel_map
+
+        def counted_fit_batch(freqs, weights, **kw):
+            log.append(("fit_batch", len(freqs)))
+            return real_fit_batch(freqs, weights, **kw)
+
+        def counted_parallel_map(fn, items):
+            log.append(("parallel_map", len(items)))
+            return real_parallel_map(fn, items)
+
+        monkeypatch.setattr(bt, "fit_batch", counted_fit_batch)
+        monkeypatch.setattr(bt, "parallel_map", counted_parallel_map)
+        return log
+
+    def test_one_point_batch_and_one_pool(self, monkeypatch):
+        log = self._count_calls(monkeypatch)
+        coverage_study(self.CFG)
+        n_cells = 6
+        # the point batch, then the one map, inside which each of the 18
+        # experiments refits its replicates
+        assert log[:2] == [("fit_batch", 3 * n_cells), ("parallel_map", 3 * n_cells)]
+        assert sorted(set(log[2:])) == [("fit_batch", 20), ("fit_batch", 25), ("fit_batch", 30)]
+        assert len(log[2:]) == 3 * n_cells
+
+    def test_rows_equal_per_cell_calls_at_their_offsets(self, monkeypatch):
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        cfg = self.CFG
+        expected, offset = [], 0
+        for state in cfg.true_states:
+            for shots in cfg.shot_counts:
+                for nb in cfg.n_b:
+                    res = bt.coverage_probability(state, shots, cfg.n_experiments, nb, cfg.alpha,
+                                                  bt.METHODS, PriorShape(1.0, 1.0),
+                                                  SeedSpec(cfg.master_seed, offset), cfg.n_max)
+                    offset += cfg.n_experiments * (nb + 1)
+                    for method in bt.METHODS:
+                        expected.append((state, shots, nb, method, res.n_used,
+                                         res.coverage[method], res.std_error[method]))
+        rows = [(SqueezedThermalState(row.state_r, row.state_nbar), row.shots, row.n_b,
+                 row.method, row.n_experiments - row.n_failed,
+                 {p: getattr(row, f"coverage_{p}") for p in bt.PARAMETERS},
+                 {p: getattr(row, f"se_coverage_{p}") for p in bt.PARAMETERS})
+                for row in coverage_study(cfg).rows]
+        assert rows == expected
+
+    def test_failed_point_in_second_cell_raises_before_any_bootstrap(self, monkeypatch):
+        log = self._count_calls(monkeypatch)
+        counted_fit_batch = bt.fit_batch
+        n_rows = 3 * 6
+
+        def failing_fit_batch(freqs, weights, **kw):
+            out = counted_fit_batch(freqs, weights, **kw)
+            if len(out) != n_rows:
+                return out
+            # row 4 is the second experiment of the second cell
+            return replace(out, converged=out.converged & (np.arange(n_rows) != 4))
+
+        monkeypatch.setattr(bt, "fit_batch", failing_fit_batch)
+        with pytest.raises(BootstrapError, match="^1 of 3 experiments failed to converge$"):
+            coverage_study(self.CFG)
+        assert log == [("fit_batch", n_rows)]
