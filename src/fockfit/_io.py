@@ -1,24 +1,24 @@
-"""File and JSON helpers shared by the CLI and the studies module: atomic
-text-file writes and the integer and number checks for parsed JSON
-fields."""
+"""Helpers shared by the CLI and the studies module: atomic text-file
+writes and the integer and number checks of JSON and study-config values."""
 
 from __future__ import annotations
 
 import contextlib
+import numbers
 import os
 import secrets
 
-__all__ = ["atomic_write", "is_json_int", "is_json_number"]
+__all__ = ["atomic_write", "is_int", "is_number"]
 
 
-def is_json_int(value) -> bool:
-    """A JSON integer; JSON booleans parse as bool, a subclass of int."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def is_int(value) -> bool:
+    """A Python or numpy integer, never a bool (JSON booleans parse as bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_json_number(value) -> bool:
-    """A JSON number, integer or not; booleans and numeric strings are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value) -> bool:
+    """A real number, integer or not; booleans and numeric strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def atomic_write(path, text: str) -> None:

@@ -18,7 +18,7 @@ import sys
 from . import bootstrap as bt
 from . import estimation as est
 from . import studies
-from ._io import atomic_write, is_json_int
+from ._io import atomic_write, is_int
 from .model import QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances
 from .sampling import SeedSpec, sample_histogram
 
@@ -64,21 +64,30 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _state_from_flags(args) -> QuadratureVariances:
-    has_rn = args.r is not None or args.nbar is not None
-    has_v = args.vq is not None or args.vp is not None
-    if has_rn == has_v:
-        raise _CliError(EXIT_USAGE, "give exactly one of --r/--nbar or --vq/--vp")
+def _check_output_dirs(args) -> None:
+    """Fail before any work if the directory of an output path is missing."""
+    for flag in ("--out", "--json-out"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise _CliError(EXIT_IO, f"{flag}: cannot write {path}: no such directory")
+
+
+def _state(values: dict, where: str, expected: str) -> QuadratureVariances:
+    """The state from exactly r and nbar or vq and vp; errors start with ``where``."""
     try:
-        if has_rn:
-            if args.r is None or args.nbar is None:
-                raise _CliError(EXIT_USAGE, "--r and --nbar must be given together")
-            return to_variances(SqueezedThermalState(args.r, args.nbar))
-        if args.vq is None or args.vp is None:
-            raise _CliError(EXIT_USAGE, "--vq and --vp must be given together")
-        return QuadratureVariances(args.vq, args.vp)
+        if values.keys() == {"r", "nbar"}:
+            return to_variances(SqueezedThermalState(values["r"], values["nbar"]))
+        if values.keys() == {"vq", "vp"}:
+            return QuadratureVariances(values["vq"], values["vp"])
     except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
+        raise _CliError(EXIT_USAGE, f"{where}: {exc}") from exc
+    raise _CliError(EXIT_USAGE, f"{where}: expected {expected}")
+
+
+def _state_from_flags(args) -> QuadratureVariances:
+    given = {k: v for k in ("r", "nbar", "vq", "vp") if (v := getattr(args, k)) is not None}
+    return _state(given, "/".join(f"--{k}" for k in given) or "--r/--nbar/--vq/--vp",
+                  "--r with --nbar, or --vq with --vp")
 
 
 def _parse_state_string(text: str, flag: str) -> QuadratureVariances:
@@ -91,27 +100,20 @@ def _parse_state_string(text: str, flag: str) -> QuadratureVariances:
             pairs[key.strip()] = float(value)
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, f"{flag}: bad number in {chunk!r}") from exc
-    try:
-        if set(pairs) == {"r", "nbar"}:
-            return to_variances(SqueezedThermalState(pairs["r"], pairs["nbar"]))
-        if set(pairs) == {"vq", "vp"}:
-            return QuadratureVariances(pairs["vq"], pairs["vp"])
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, f"{flag}: {exc}") from exc
-    raise _CliError(EXIT_USAGE, f"{flag}: expected r=..,nbar=.. or vq=..,vp=..")
+    return _state(pairs, flag, "r=..,nbar=.. or vq=..,vp=..")
 
 
 def _counts_to_histogram(doc: dict, path: str) -> est.FockHistogram:
     for key in ("format_version", "n_max", "counts", "overflow", "total"):
         if key not in doc:
             raise _CliError(EXIT_USAGE, f"{path}: missing field '{key}'")
-    if not is_json_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
+    if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise _CliError(EXIT_USAGE, f"{path}: unsupported format_version")
     counts = doc["counts"]
-    if not isinstance(counts, list) or not all(is_json_int(k) for k in counts):
+    if not isinstance(counts, list) or not all(is_int(k) for k in counts):
         raise _CliError(EXIT_USAGE, f"{path}: counts must be a list of integers")
     for key in ("n_max", "overflow", "total"):
-        if not is_json_int(doc[key]):
+        if not is_int(doc[key]):
             raise _CliError(EXIT_USAGE, f"{path}: {key} must be an integer")
     if doc["n_max"] != len(counts) - 1:
         raise _CliError(EXIT_USAGE, f"{path}: n_max does not match counts length")
@@ -342,13 +344,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_dirs(args)
         return args.handler(args)
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"fockfit: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"fockfit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, _CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._io import atomic_write, is_json_int, is_json_number
+from ._io import atomic_write, is_int, is_number
 from .bootstrap import METHODS, PARAMETERS, _coverage, parameter_values
 from .estimation import WEIGHT_SCHEMES, FitBatch, PriorShape, fit_batch, weights_for
 from .model import MAX_FOCK, SqueezedThermalState, fidelity, fock_distribution, to_variances
@@ -41,7 +41,7 @@ DEFAULT_SHOT_GRID = (100, 316, 1000, 3162, 10000, 31623, 100000)
 
 
 class ConfigError(ValueError):
-    """Study configuration schema violation; the message names the field."""
+    """A study-config rule broken; the message starts "<field>: " or "config: "."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,19 @@ class SchemeSpec:
         PriorShape(self.nu, self.eta)
 
 
+def _ints_from(lo: int, hi: float = float("inf")):
+    return lambda n: is_int(n) and lo <= n <= hi
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (tuple, list)) and len(v) > 0 and all(map(ok, v))
+
+
 @dataclass(frozen=True)
 class StudyConfig:
+    """One study's settings.  Built in Python or by parse_config, it checks
+    every field's type and range and raises ConfigError naming the field."""
+
     true_states: tuple[SqueezedThermalState, ...]
     shot_counts: tuple[int, ...] = DEFAULT_SHOT_GRID
     n_experiments: int = 100
@@ -72,22 +83,25 @@ class StudyConfig:
     exact_probabilities: bool = False
 
     def __post_init__(self):
-        if not self.true_states:
-            raise ValueError("true_states must be nonempty")
-        if not self.shot_counts or any(n < 1 for n in self.shot_counts):
-            raise ValueError("shot_counts must be positive")
-        if self.n_experiments < 1:
-            raise ValueError("n_experiments must be >= 1")
-        if not self.n_b or any(nb < 2 for nb in self.n_b):
-            raise ValueError("n_b values must be >= 2")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if not self.schemes or not all(isinstance(s, SchemeSpec) for s in self.schemes):
-            raise ValueError("schemes must be a nonempty tuple of SchemeSpec")
-        if not 1 <= self.n_max <= MAX_FOCK:
-            raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {self.n_max}")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        for name, ok, expected in _FIELD_RULES:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+
+
+# (field, check, what it expects) for each StudyConfig field; see is_int.
+_FIELD_RULES = (
+    ("true_states", _list_of(lambda s: isinstance(s, SqueezedThermalState)),
+     "a nonempty list of SqueezedThermalState"),
+    ("shot_counts", _list_of(_ints_from(1)), "a nonempty list of integers >= 1"),
+    ("n_experiments", _ints_from(1), "an integer >= 1"),
+    ("n_b", _list_of(_ints_from(2)), "a nonempty list of integers >= 2"),
+    ("alpha", lambda a: is_number(a) and 0.0 < a < 0.5, "a number in (0, 0.5)"),
+    ("schemes", _list_of(lambda s: isinstance(s, SchemeSpec)), "a nonempty list of SchemeSpec"),
+    ("n_max", _ints_from(1, MAX_FOCK), f"an integer in [1, {MAX_FOCK}]"),
+    ("master_seed", _ints_from(0, 2 ** 64 - 1), "an integer in [0, 2**64)"),
+    ("exact_probabilities", lambda b: isinstance(b, bool), "a bool"),
+)
 
 
 @dataclass(frozen=True)
@@ -239,9 +253,13 @@ bias_study = fidelity_study
 def weight_comparison_study(cfg: StudyConfig) -> StudyReport:
     """fidelity_study repeated per weighting scheme on shared simulated
     data, so the resulting curves are paired."""
-    if len(cfg.schemes) < 2:
-        raise ValueError("weight comparison needs >= 2 entries in schemes")
+    _check_paired_schemes(cfg)
     return fidelity_study(cfg)
+
+
+def _check_paired_schemes(cfg: StudyConfig) -> None:
+    if len(cfg.schemes) < 2:
+        raise ConfigError("schemes: a weight comparison needs >= 2 entries")
 
 
 def coverage_study(cfg: StudyConfig) -> StudyReport:
@@ -254,7 +272,7 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
     one posterior spec, whose prior it uses."""
     spec = cfg.schemes[0]
     if len(cfg.schemes) != 1 or spec.scheme != "posterior":
-        raise ValueError("a coverage study needs schemes to be one posterior spec")
+        raise ConfigError("schemes: a coverage study needs one posterior spec")
     cells = [(state, shots, nb) for state in cfg.true_states
              for shots in cfg.shot_counts for nb in cfg.n_b]
     results = _coverage(cells, cfg.n_experiments, cfg.alpha, METHODS,
@@ -287,10 +305,14 @@ STUDY_KINDS = {
 }
 
 
-def run_study(kind: str, cfg: StudyConfig) -> StudyReport:
+def _check_kind(kind) -> str:
     if not isinstance(kind, str) or kind not in STUDY_KINDS:
-        raise ConfigError(f"study: unknown study kind {kind!r}")
-    return STUDY_KINDS[kind](cfg)
+        raise ConfigError(f"study: expected one of {sorted(STUDY_KINDS)}, got {kind!r}")
+    return kind
+
+
+def run_study(kind: str, cfg: StudyConfig) -> StudyReport:
+    return STUDY_KINDS[_check_kind(kind)](cfg)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -306,7 +328,7 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
 
 
 def _number(value, field: str) -> float:
-    if not is_json_number(value):
+    if not is_number(value):
         raise ConfigError(f"{field}: expected a number")
     return float(value)
 
@@ -320,6 +342,13 @@ def _parse_state(entry, where: str) -> SqueezedThermalState:
         return SqueezedThermalState(r, nbar)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _each(raw, field: str, parse) -> tuple:
+    """Each entry of a JSON list parsed, named by path; a non-list is StudyConfig's."""
+    if not isinstance(raw, list):
+        return raw
+    return tuple(parse(entry, f"{field}[{i}]") for i, entry in enumerate(raw))
 
 
 def _parse_scheme(entry, where: str) -> SchemeSpec:
@@ -345,51 +374,31 @@ _KIND_FIELDS = {
     "coverage": _POINT_FIELDS - {"exact_probabilities"} | {"n_b", "alpha", "weight_scheme"},
 }
 _CONFIG_FIELDS = set().union(*_KIND_FIELDS.values())
+# StudyConfig fields that map from JSON as they are, a list as a tuple.
+_PLAIN_FIELDS = {f.name for f in fields(StudyConfig)} - {"true_states", "schemes"}
 
 
 def parse_config(doc: dict) -> tuple[str, StudyConfig]:
-    """Validate a study-config document and build (study kind, StudyConfig).
+    """Map a study-config document onto (study kind, StudyConfig).
 
-    Raises ConfigError naming the offending field on any schema violation.
+    It checks what only the document has: a JSON object of known fields at
+    format_version 1, a known study kind that reads every field set, and the
+    nested states, prior and schemes, named by path.  StudyConfig checks
+    every field's own rules; its ConfigError passes through unchanged.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     _reject_unknown(doc, _CONFIG_FIELDS, "config")
     version = doc.get("format_version", 1)
-    if not is_json_int(version) or version != 1:
+    if not is_int(version) or version != 1:
         raise ConfigError("format_version: only version 1 is supported")
-    kind = _require(doc, "study", "config")
-    if not isinstance(kind, str) or kind not in STUDY_KINDS:
-        raise ConfigError(
-            f"study: expected one of {sorted(STUDY_KINDS)}, got {kind!r}"
-        )
-    states = _require(doc, "true_states", "config")
-    if not isinstance(states, list) or not states:
-        raise ConfigError("true_states: expected a nonempty list")
-    true_states = tuple(
-        _parse_state(s, f"true_states[{i}]") for i, s in enumerate(states)
-    )
-
-    kwargs: dict = {"true_states": true_states}
-    if "shot_counts" in doc:
-        raw = doc["shot_counts"]
-        if not isinstance(raw, list) or not all(is_json_int(n) for n in raw):
-            raise ConfigError("shot_counts: expected a list of integers")
-        kwargs["shot_counts"] = tuple(raw)
-    for key in ("n_experiments", "n_max", "master_seed"):
-        if key in doc:
-            if not is_json_int(doc[key]):
-                raise ConfigError(f"{key}: expected an integer")
-            kwargs[key] = doc[key]
-    if "n_b" in doc:
-        raw = doc["n_b"]
-        if is_json_int(raw):
-            raw = [raw]
-        if not isinstance(raw, list) or not all(is_json_int(n) for n in raw):
-            raise ConfigError("n_b: expected an integer or list of integers")
-        kwargs["n_b"] = tuple(raw)
-    if "alpha" in doc:
-        kwargs["alpha"] = _number(doc["alpha"], "alpha")
+    kind = _check_kind(_require(doc, "study", "config"))
+    kwargs = {key: tuple(doc[key]) if isinstance(doc[key], list) else doc[key]
+              for key in _PLAIN_FIELDS & doc.keys()}
+    if "n_b" in doc and not isinstance(doc["n_b"], list):
+        kwargs["n_b"] = (doc["n_b"],)
+    kwargs["true_states"] = _each(_require(doc, "true_states", "config"), "true_states",
+                                  _parse_state)
     scheme = doc.get("weight_scheme", "posterior")
     if scheme not in WEIGHT_SCHEMES:
         raise ConfigError(f"weight_scheme: unknown weight scheme {scheme!r}")
@@ -402,24 +411,12 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     for key in ("nu", "eta"):
         _require(prior, key, "prior")
     kwargs["schemes"] = (_parse_scheme({**prior, "scheme": scheme}, "prior"),)
-    if doc.get("schemes") is not None:
-        raw = doc["schemes"]
-        if not isinstance(raw, list):
-            raise ConfigError("schemes: expected a list")
-        kwargs["schemes"] = tuple(
-            _parse_scheme(s, f"schemes[{i}]") for i, s in enumerate(raw)
-        )
-    if "exact_probabilities" in doc:
-        if not isinstance(doc["exact_probabilities"], bool):
-            raise ConfigError("exact_probabilities: expected a boolean")
-        kwargs["exact_probabilities"] = doc["exact_probabilities"]
+    if "schemes" in doc:
+        kwargs["schemes"] = _each(doc["schemes"], "schemes", _parse_scheme)
+    cfg = StudyConfig(**kwargs)
     for key in doc:
         if key not in _KIND_FIELDS[kind]:
             raise ConfigError(f"{key}: a {kind} study does not use this field")
-    try:
-        cfg = StudyConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    if kind == "weight_comparison" and len(cfg.schemes) < 2:
-        raise ConfigError("schemes: weight_comparison needs >= 2 entries")
+    if kind == "weight_comparison":
+        _check_paired_schemes(cfg)
     return kind, cfg

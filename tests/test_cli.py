@@ -51,6 +51,19 @@ class TestProbs:
         assert capsys.readouterr().out.startswith("n,probability\n0,1.0")
 
 
+class TestStateFlags:
+    @pytest.mark.parametrize("flags, where", [
+        ([], "--r/--nbar/--vq/--vp: expected"),
+        (["--r", "1"], "--r: expected --r with --nbar, or --vq with --vp"),
+        (["--r", "1", "--nbar", "0", "--vq", "1"], "--r/--nbar/--vq: expected"),
+        (["--r", "1", "--nbar", "-1"], "--r/--nbar: thermal occupation nbar"),
+        (["--vq", "0.2", "--vp", "0.2"], "--vq/--vp: "),
+    ])
+    def test_usage_error_names_the_flags(self, capsys, flags, where):
+        assert run(["probs", *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"fockfit: {where}")
+
+
 class TestSimulate:
     def test_vacuum_counts(self, tmp_path):
         out = tmp_path / "counts.json"
@@ -413,6 +426,38 @@ def test_cli_import_does_not_load_the_process_pool():
                          "print('concurrent.futures.process' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+class TestOutputDirectoryCheckedFirst:
+    """Every output path's directory is checked before any input is read or
+    anything is simulated or fitted."""
+
+    @pytest.mark.parametrize("command, flag", [
+        (["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100"], "--out"),
+        (["estimate", "--counts", "counts.json"], "--out"),
+        (["ci", "--counts", "counts.json", "--replicates", "1000"], "--out"),
+        (["study", "--config", "study.json"], "--out"),
+        (["study", "--config", "study.json", "--out", "report.csv"], "--json-out"),
+    ])
+    def test_missing_directory_fails_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     command, flag):
+        monkeypatch.chdir(tmp_path)
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100",
+             "--out", "counts.json"])
+        (tmp_path / "study.json").write_text(json.dumps(
+            {"study": "fidelity", "true_states": [{"r": 0.5, "nbar": 0.1}]}))
+        before = sorted(tmp_path.iterdir())
+
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the output paths were checked")
+
+        for owner, name in ((cli, "_read_json"), (cli, "sample_histogram"),
+                            (cli.est, "fit_batch"), (cli.studies, "run_study")):
+            monkeypatch.setattr(owner, name, no_work)
+        missing = os.path.join("missing_dir", "out.json")
+        assert run([*command, flag, missing]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"fockfit: {flag}: cannot write {missing}: ")
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsage:

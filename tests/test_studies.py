@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,31 @@ class TestConfigValidation:
         for schemes in ((), ("posterior",)):
             with pytest.raises(ValueError, match="schemes"):
                 small_cfg(schemes=schemes)
+
+
+class TestStudyConfigRules:
+    """StudyConfig checks its own fields, so a config built in Python meets
+    the same rules as one read by parse_config."""
+
+    @pytest.mark.parametrize("field, value", [
+        *((field, bad) for field in ("shot_counts", "n_b")
+          for bad in ((True,), (500.5,), ("500",))),
+        *((field, bad) for field in ("n_experiments", "n_max", "master_seed")
+          for bad in (True, 8.0, "8")),
+        ("alpha", True),
+        ("alpha", "0.05"),
+        ("true_states", ((1.0, 0.01),)),
+        ("exact_probabilities", "yes"),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            small_cfg(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        cfg = small_cfg(shot_counts=(i(500),), n_experiments=i(2), n_b=(i(20),),
+                        n_max=i(20), master_seed=i(99))
+        assert fidelity_study(cfg) == fidelity_study(small_cfg(n_experiments=2))
 
 
 class TestFidelityStudy:
@@ -434,3 +460,25 @@ class TestCoverageStudyOnePass:
         with pytest.raises(BootstrapError, match="^1 of 3 experiments failed to converge$"):
             coverage_study(self.CFG)
         assert log == [("fit_batch", n_rows)]
+
+
+class TestReadmeExamples:
+    """The study configs that README.md documents parse as documented."""
+
+    def section(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        return text.split("### Study configs", 1)[1].split("\n## ", 1)[0]
+
+    def test_json_block_is_a_coverage_config(self):
+        block = re.search(r"```json\n(.*?)```", self.section(), re.S).group(1)
+        kind, cfg = parse_config(json.loads(block))
+        assert kind == "coverage"
+        assert cfg.n_b == (1000, 2000)
+
+    def test_schemes_snippet_is_a_weight_comparison(self):
+        snippet = re.search(r'"schemes": (\[.*?\])', self.section(), re.S).group(1)
+        doc = {"study": "weight_comparison", "true_states": [{"r": 1.0, "nbar": 0.01}],
+               "schemes": json.loads(snippet)}
+        kind, cfg = parse_config(doc)
+        assert kind == "weight_comparison"
+        assert cfg.schemes == (SchemeSpec("posterior", 1.0, 1.0), SchemeSpec("uniform"))
