@@ -199,11 +199,7 @@ def _fit_from_args(args, h: est.FockHistogram):
     if scheme is None:
         scheme = "uniform" if getattr(args, "from_exact", False) else "posterior"
     prior = est.PriorShape(args.nu, args.eta)
-    try:
-        weights = est.weights_for(h, scheme, prior)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
-    return est.fit(h, weights), scheme, prior
+    return est.fit(h, est.weights_for(h, scheme, prior)), scheme, prior
 
 
 def cmd_estimate(args) -> int:
@@ -251,12 +247,9 @@ def cmd_study(args) -> int:
     if os.path.realpath(json_out) == os.path.realpath(args.out):
         raise _CliError(EXIT_USAGE, f"--out/--json-out: both reports would be written to "
                                     f"{args.out}; give --json-out a different path")
-    doc = _read_json(args.config)
+    kind, cfg = studies.parse_config(_read_json(args.config))
     try:
-        kind, cfg = studies.parse_config(doc)
         report = studies.run_study(kind, cfg)
-    except studies.ConfigError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
     except bt.BootstrapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NONCONVERGED

@@ -27,7 +27,6 @@ __all__ = [
     "WEIGHT_SCHEMES",
     "FockHistogram",
     "PriorShape",
-    "WeightVector",
     "FitResult",
     "FitBatch",
     "posterior_weights",
@@ -81,19 +80,10 @@ class PriorShape:
     eta: float
 
     def __post_init__(self):
-        if not (self.nu > 0.0 and self.eta > 0.0):
-            raise ValueError(f"shape parameters must be positive, got {self}")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """One positive, finite weight per histogram bin (overflow included)."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(math.isfinite(w) and w > 0.0 for w in self.weights):
-            raise ValueError("all weights must be finite and positive")
+        for name in ("nu", "eta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,28 +162,21 @@ def _count_matrix(counts) -> np.ndarray:
     return k
 
 
-def _weights_like(counts, weights: np.ndarray):
-    """A WeightVector for a FockHistogram, the weight array otherwise."""
-    if isinstance(counts, FockHistogram):
-        return WeightVector(tuple(weights.tolist()))
-    return weights
-
-
 def posterior_weights(counts, prior: PriorShape = PriorShape(1.0, 1.0)):
     """Inverse Beta-posterior variances, one per bin:
 
         Var(p_n | k_n) = (k_n + nu)(N + eta - k_n) / [(nu+N+eta)^2 (nu+N+eta+1)]
 
     Finite and positive for every bin, including k_n = 0.  ``counts`` is a
-    FockHistogram (giving a WeightVector) or an array of integer or float
-    counts with the bins on its last axis and N the sum over them (giving
-    an array of weights of the same shape).
+    FockHistogram, taken as its row of counts plus overflow, or an array of
+    integer or float counts with the bins on its last axis and N the sum
+    over them; the weights are a float array of the counts' shape.
     """
     k = _count_matrix(counts)
     total = k.sum(axis=-1, keepdims=True)
     s = prior.nu + total + prior.eta
     var = (k + prior.nu) * (total + prior.eta - k) / (s * s * (s + 1.0))
-    return _weights_like(counts, 1.0 / var)
+    return 1.0 / var
 
 
 # Zero and full bins make the naive binomial variance vanish; half a count
@@ -211,13 +194,13 @@ def mle_weights(counts):
     total = k.sum(axis=-1, keepdims=True)
     num = np.maximum(k, _MLE_FALLBACK_COUNT)
     rem = np.maximum(total - k, _MLE_FALLBACK_COUNT)
-    return _weights_like(counts, total ** 3 / (num * rem))
+    return total ** 3 / (num * rem)
 
 
 def uniform_weights(counts):
     """Unit weight for every bin (the unweighted baseline); ``counts`` is
     taken as by posterior_weights."""
-    return _weights_like(counts, np.ones_like(_count_matrix(counts)))
+    return np.ones_like(_count_matrix(counts))
 
 
 def weights_for(counts, scheme: str, prior: PriorShape):
@@ -233,19 +216,28 @@ def weights_for(counts, scheme: str, prior: PriorShape):
     raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
-def _check_lengths(n_bins: int, w: WeightVector) -> None:
-    if len(w.weights) != n_bins:
-        raise ValueError(f"expected {n_bins} weights, got {len(w.weights)}")
+def _checked_weights(weights, shape: tuple) -> np.ndarray:
+    """The weights as a float array, which must have the frequencies' shape
+    and only finite, positive entries."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != shape:
+        raise ValueError(f"expected weights of shape {shape}, got {w.shape}")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("all weights must be finite and positive")
+    return w
 
 
-def objective(v: QuadratureVariances, h: FockHistogram, w: WeightVector) -> float:
+def objective(v: QuadratureVariances, h: FockHistogram, weights) -> float:
     """Weighted sum of squared residuals over all bins, overflow included:
 
-        Delta = sum_n w_n [P(n | vq, vp) - f_n]^2.
+        Delta = sum_n w_n [P(n | vq, vp) - f_n]^2,
+
+    for one weight per bin, as a weight rule gives them for ``h``.
     """
-    _check_lengths(h.n_max + 2, w)
-    point, wts = np.array(_fit_coords(v))[:, None], np.array(w.weights)[:, None]
-    return float(_evaluate(point, h.frequencies[:, None], wts, h.n_max, jacobian=False)[0])
+    freqs = h.frequencies
+    wts = _checked_weights(weights, freqs.shape)
+    point = np.array(_fit_coords(v))[:, None]
+    return float(_evaluate(point, freqs[:, None], wts[:, None], h.n_max, jacobian=False)[0])
 
 
 # The grid stage: _GRID_SIZE points linear in r over [0, _GRID_R_MAX] by
@@ -473,15 +465,11 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     _REFINE_BLOCK at a time, which bounds the working memory.
     """
     freqs = np.asarray(frequencies, dtype=float)
-    wts = np.asarray(weights, dtype=float)
     if freqs.ndim != 2 or freqs.shape[1] < 3:
         raise ValueError("frequencies must be a (rows, bins) matrix with >= 3 bins")
-    if wts.shape != freqs.shape:
-        raise ValueError(f"expected weights of shape {freqs.shape}, got {wts.shape}")
     if not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be finite")
-    if not np.all(np.isfinite(wts) & (wts > 0.0)):
-        raise ValueError("all weights must be finite and positive")
+    wts = _checked_weights(weights, freqs.shape)
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     if n_max > MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
@@ -506,23 +494,22 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     return FitBatch(*params, objective, converged, evals)
 
 
-def fit_frequencies(frequencies, w: WeightVector, *, max_evals: int = _MAX_EVALS) -> FitResult:
-    """Fit (vq, vp) to one frequency vector (bins 0..n_max plus overflow):
-    fit_batch on a batch of one.  The returned point is never worse than
-    the best grid point, and non-convergence is reported through
-    FitResult.converged."""
+def fit_frequencies(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitResult:
+    """Fit (vq, vp) to one frequency vector (bins 0..n_max plus overflow)
+    under one weight per bin: fit_batch on a batch of one.  The returned
+    point is never worse than the best grid point, and non-convergence is
+    reported through FitResult.converged."""
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.shape[0] < 3:
         raise ValueError("frequencies must be a 1-D vector with >= 3 bins")
-    _check_lengths(freqs.shape[0], w)
-    return fit_batch(freqs[None, :], np.asarray(w.weights)[None, :], max_evals=max_evals)[0]
+    return fit_batch(freqs[None, :], np.asarray(weights)[None], max_evals=max_evals)[0]
 
 
-def fit(h: FockHistogram, w: WeightVector, *, max_evals: int = _MAX_EVALS) -> FitResult:
-    """Constrained weighted least-squares fit of a count histogram, as
-    fit_frequencies does it.
+def fit(h: FockHistogram, weights) -> FitResult:
+    """Constrained weighted least-squares fit of a count histogram under one
+    weight per bin, as fit_frequencies does it.
 
     Non-convergence is reported through FitResult.converged, never
     silently.
     """
-    return fit_frequencies(h.frequencies, w, max_evals=max_evals)
+    return fit_frequencies(h.frequencies, weights)

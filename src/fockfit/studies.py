@@ -87,6 +87,12 @@ class StudyConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+        # numpy integers pass the rules; stored as ints, they reach the
+        # reports as the same numbers Python ints give.
+        for name in ("shot_counts", "n_b"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        for name in ("n_experiments", "n_max", "master_seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 # (field, check, what it expects) for each StudyConfig field; see is_int.

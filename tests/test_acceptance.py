@@ -77,7 +77,7 @@ def test_criterion_3_fidelity_sanity():
 
 
 def test_criterion_4_fit_recovery():
-    w = ff.WeightVector((1.0,) * 22)
+    w = np.ones(22)
     worst = 0.0
     for r in (0.0, 1.0, 2.5):
         for nbar in (0.001, 0.01, 0.1, 2.0):

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import fockfit.cli as cli
@@ -458,6 +460,103 @@ class TestOutputDirectoryCheckedFirst:
         assert run([*command, flag, missing]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"fockfit: {flag}: cannot write {missing}: ")
         assert sorted(tmp_path.iterdir()) == before
+
+
+def _failing_fit_batch(monkeypatch, owner, n_rows, failed):
+    """Make ``owner.fit_batch`` report the rows in ``failed`` of every call
+    with ``n_rows`` rows as not converged."""
+    real_fit_batch = owner.fit_batch
+
+    def flaky_fit_batch(freqs, weights, **kw):
+        out = real_fit_batch(freqs, weights, **kw)
+        if len(out) != n_rows:
+            return out
+        return replace(out, converged=out.converged & ~np.isin(np.arange(n_rows), failed))
+
+    monkeypatch.setattr(owner, "fit_batch", flaky_fit_batch)
+
+
+def _coverage_config(tmp_path, n_experiments=10):
+    path = tmp_path / "coverage.json"
+    path.write_text(json.dumps({
+        "study": "coverage", "true_states": [{"r": 0.5, "nbar": 0.1}], "shot_counts": [300],
+        "n_experiments": n_experiments, "n_b": 20, "master_seed": 1,
+    }))
+    return path
+
+
+class TestConvergenceFailureExits:
+    """Exit 2: the reason on stderr and no output written."""
+
+    def counts(self, tmp_path):
+        counts = tmp_path / "counts.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "2000", "--seed", "5",
+             "--out", str(counts)])
+        return counts
+
+    def test_ci_with_a_nonconverged_point_fit(self, tmp_path, monkeypatch, capsys):
+        counts, out = self.counts(tmp_path), tmp_path / "ci.json"
+        _failing_fit_batch(monkeypatch, cli.est, 1, [0])
+        assert run(["ci", "--counts", str(counts), "--replicates", "50",
+                    "--out", str(out)]) == EXIT_NONCONVERGED
+        assert capsys.readouterr().err == "fit did not converge; no intervals computed\n"
+        assert not out.exists()
+
+    def test_ci_with_too_many_failed_replicate_refits(self, tmp_path, monkeypatch, capsys):
+        counts, out = self.counts(tmp_path), tmp_path / "ci.json"
+        _failing_fit_batch(monkeypatch, cli.bt, 50, [7])
+        assert run(["ci", "--counts", str(counts), "--replicates", "50",
+                    "--out", str(out)]) == EXIT_NONCONVERGED
+        assert capsys.readouterr().err == "1 of 50 bootstrap refits failed to converge\n"
+        assert not out.exists()
+
+    def test_coverage_study_with_too_many_failed_point_fits(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        _failing_fit_batch(monkeypatch, cli.bt, 10, [4])
+        out = tmp_path / "report.csv"
+        assert run(["study", "--config", str(_coverage_config(tmp_path)),
+                    "--out", str(out)]) == EXIT_NONCONVERGED
+        assert capsys.readouterr().err == "1 of 10 experiments failed to converge\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coverage.json"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("FOCKFIT_THREADS", value)
+    out = tmp_path / "report.csv"
+    assert run(["study", "--config", str(_coverage_config(tmp_path, 2)),
+                "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("fockfit: FOCKFIT_THREADS must be ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coverage.json"]
+
+
+class TestNonFinitePriorShape:
+    @pytest.mark.parametrize("flag, field", [("--nu", "nu"), ("--eta", "eta")])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("command", ["estimate", "ci"])
+    def test_bad_shape_rejected_before_any_fit(self, tmp_path, monkeypatch, capsys, flag,
+                                               field, value, command):
+        counts, out = tmp_path / "counts.json", tmp_path / "out.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "300", "--out", str(counts)])
+        monkeypatch.setattr(cli.est, "fit_batch", lambda *a, **kw: pytest.fail("fit ran"))
+        args = [command, "--counts", str(counts), flag, value, "--out", str(out)]
+        if command == "ci":
+            args += ["--replicates", "50"]
+        assert run(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"fockfit: {field}: expected a finite number > 0, got ")
+        assert not out.exists()
+
+    def test_json_infinity_in_a_study_config(self, tmp_path, monkeypatch, capsys):
+        cfg, out = tmp_path / "study.json", tmp_path / "report.csv"
+        cfg.write_text('{"study": "fidelity", "true_states": [{"r": 0.5, "nbar": 0.1}], '
+                       '"prior": {"nu": Infinity, "eta": 1}}')
+        monkeypatch.setattr(cli.studies, "run_study", lambda *a: pytest.fail("study ran"))
+        assert run(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "fockfit: prior: nu: expected a finite number > 0, got inf\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study.json"]
 
 
 class TestUsage:

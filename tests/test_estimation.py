@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockfit.estimation import (
+    WEIGHT_SCHEMES,
     FitBatch,
     FitResult,
     FockHistogram,
     PriorShape,
-    WeightVector,
     fit,
     fit_batch,
     fit_frequencies,
@@ -20,6 +20,7 @@ from fockfit.estimation import (
     objective,
     posterior_weights,
     uniform_weights,
+    weights_for,
 )
 from fockfit.model import (
     HEISENBERG_SLACK,
@@ -69,26 +70,26 @@ class TestPosteriorWeights:
         # Var(p|k=0, N=100) = 101 / (102^2 * 103)
         var = 101.0 / (102 ** 2 * 103)
         assert var == pytest.approx(9.4250e-5, rel=1e-4)
-        assert w.weights[1] == pytest.approx(1.0 / var, rel=1e-12)
-        assert w.weights[1] == pytest.approx(10610.0, abs=0.5)
+        assert w[1] == pytest.approx(1.0 / var, rel=1e-12)
+        assert w[1] == pytest.approx(10610.0, abs=0.5)
 
     def test_half_count_bin_value(self):
         h = histogram_from_counts([50, 50])
         w = posterior_weights(h, PriorShape(1, 1))
         var = 51.0 * 51.0 / (102 ** 2 * 103)
         assert var == pytest.approx(2.4272e-3, rel=1e-4)
-        assert w.weights[0] == pytest.approx(1.0 / var, rel=1e-12)
+        assert w[0] == pytest.approx(1.0 / var, rel=1e-12)
 
     def test_symmetry_under_count_reflection(self):
         h = histogram_from_counts([70, 30])
         w = posterior_weights(h, PriorShape(2.5, 2.5))
-        assert w.weights[0] == pytest.approx(w.weights[1], rel=1e-12)
+        assert w[0] == pytest.approx(w[1], rel=1e-12)
 
     def test_all_finite_for_empty_bins(self):
         h = vacuum_histogram(10)
         w = posterior_weights(h, PriorShape(1, 1))
-        assert len(w.weights) == 22
-        assert all(math.isfinite(x) and x > 0 for x in w.weights)
+        assert len(w) == 22
+        assert all(math.isfinite(x) and x > 0 for x in w)
 
 
 class TestMleWeights:
@@ -96,41 +97,103 @@ class TestMleWeights:
         # Var(f) = k (N - k) / N^3 = 50*50/100^3 = 2.5e-3, weight 400
         h = histogram_from_counts([50, 50])
         w = mle_weights(h)
-        assert w.weights[0] == pytest.approx(400.0, rel=1e-12)
+        assert w[0] == pytest.approx(400.0, rel=1e-12)
 
     def test_zero_and_full_fallback(self):
         h = vacuum_histogram(100)
         w = mle_weights(h)
         # k -> max(k, 1/2) on the vanishing side: N^3 / (0.5 * N) = 2 N^2
-        assert w.weights[0] == pytest.approx(2.0 * 100 ** 2, rel=1e-12)
-        assert w.weights[1] == pytest.approx(2.0 * 100 ** 2, rel=1e-12)
+        assert w[0] == pytest.approx(2.0 * 100 ** 2, rel=1e-12)
+        assert w[1] == pytest.approx(2.0 * 100 ** 2, rel=1e-12)
 
 
 class TestUniformWeights:
     def test_all_ones_and_length(self):
         h = vacuum_histogram(7)
         w = uniform_weights(h)
-        assert w.weights == (1.0,) * 22
+        assert np.array_equal(w, (1.0,) * 22)
 
     def test_independent_of_counts(self):
-        assert uniform_weights(vacuum_histogram(5)) == uniform_weights(
+        assert np.array_equal(uniform_weights(vacuum_histogram(5)), uniform_weights(
             histogram_from_counts([1, 2, 2])
-        )
+        ))
 
 
-class TestWeightVector:
-    def test_rejects_nonpositive(self):
+class TestWeightArrays:
+    """Weights are plain float arrays: a histogram and its row of counts
+    plus overflow give the same ones, and fit, fit_frequencies, objective
+    and fit_batch take any of them."""
+
+    def test_histogram_and_count_row_agree(self):
+        dist = fock_distribution(to_variances(SqueezedThermalState(1.0, 0.05)), 20)
+        h = sample_histogram(dist, 2000, SeedSpec(4, 0))
+        k = np.array(h.counts + (h.overflow_count,))
+        prior = PriorShape(2.0, 0.5)
+        rules = [lambda c: posterior_weights(c, prior), mle_weights, uniform_weights,
+                 *(lambda c, s=s: weights_for(c, s, prior) for s in WEIGHT_SCHEMES)]
+        for rule in rules:
+            assert rule(h).shape == (22,)
+            assert np.array_equal(rule(h), rule(k))
+        v = to_variances(SqueezedThermalState(0.9, 0.1))
+        assert fit(h, posterior_weights(k)) == fit(h, posterior_weights(h))
+        assert objective(v, h, posterior_weights(k)) == objective(v, h, posterior_weights(h))
+        assert fit(h, posterior_weights(h).tolist()) == fit(h, posterior_weights(h))
+
+    def test_count_arrays_match_histograms(self):
+        dist = fock_distribution(to_variances(SqueezedThermalState(1.0, 0.05)), 20)
+        hists = [sample_histogram(dist, 2000, SeedSpec(4, i)) for i in range(5)]
+        counts = np.array([h.counts + (h.overflow_count,) for h in hists])
+        for rule in (posterior_weights, mle_weights, uniform_weights):
+            matrix = rule(counts)
+            assert matrix.shape == counts.shape
+            for h, row in zip(hists, matrix):
+                assert np.array_equal(row, rule(h))
+            # float counts, e.g. expected counts N p_n, take the same path
+            np.testing.assert_array_equal(rule(counts.astype(float)), matrix)
+
+    def test_bad_count_arrays_rejected(self):
         with pytest.raises(ValueError):
-            WeightVector((1.0, 0.0))
+            posterior_weights(np.array([3.0, -1.0, 2.0]))
         with pytest.raises(ValueError):
-            WeightVector((1.0, math.inf))
+            mle_weights(np.array([3, 1]))
+
+    CALLS = {
+        "fit": lambda h, w: fit(h, w),
+        "fit_frequencies": lambda h, w: fit_frequencies(h.frequencies, w),
+        "objective": lambda h, w: objective(QuadratureVariances(0.5, 0.5), h, w),
+        "fit_batch": lambda h, w: fit_batch(h.frequencies[None], np.asarray(w)[None]),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("length", [5, 21, 23])
+    def test_wrong_length_rejected(self, call, length):
+        with pytest.raises(ValueError, match="^expected weights of shape"):
+            self.CALLS[call](vacuum_histogram(100), np.ones(length))
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_nonpositive_or_nonfinite_entry_rejected(self, call, bad):
+        w = np.ones(22)
+        w[3] = bad
+        with pytest.raises(ValueError, match="^all weights must be finite and positive$"):
+            self.CALLS[call](vacuum_histogram(100), w)
+
+
+class TestPriorShape:
+    @pytest.mark.parametrize("nu, eta, field", [
+        (math.inf, 1.0, "nu"), (math.nan, 1.0, "nu"), (0.0, 1.0, "nu"), (-1.0, 1.0, "nu"),
+        (1.0, math.inf, "eta"), (1.0, math.nan, "eta"), (1.0, 0.0, "eta"),
+    ])
+    def test_nonpositive_or_nonfinite_shape_named(self, nu, eta, field):
+        with pytest.raises(ValueError, match=f"^{field}: expected a finite number > 0, got "):
+            PriorShape(nu, eta)
 
 
 class TestObjective:
     def test_zero_at_exact_frequencies(self):
         state = SqueezedThermalState(1.2, 0.3)
         freqs = exact_frequencies(state)
-        w = WeightVector((1.0,) * 22)
+        w = np.ones(22)
         res = fit_frequencies(freqs, w)
         # the real zero-residual check: objective is a quadratic form
         v = to_variances(state)
@@ -173,7 +236,7 @@ class TestObjective:
     def test_weight_length_checked(self):
         h = vacuum_histogram(100)
         with pytest.raises(ValueError):
-            objective(QuadratureVariances(0.5, 0.5), h, WeightVector((1.0,) * 5))
+            objective(QuadratureVariances(0.5, 0.5), h, np.ones(5))
 
 
 def _objective_at(v, freqs, weights):
@@ -184,7 +247,7 @@ def _objective_at(v, freqs, weights):
 
 class TestFit:
     def test_exact_recovery_on_state_grid(self):
-        w = WeightVector((1.0,) * 22)
+        w = np.ones(22)
         for r in (0.0, 1.0, 2.5):
             for nbar in (0.001, 0.01, 0.1, 2.0):
                 truth = to_variances(SqueezedThermalState(r, nbar))
@@ -208,7 +271,7 @@ class TestFit:
         nbar_vals = np.expm1(np.linspace(0.0, math.log1p(7.0), 60))
         grid_best = min(
             _objective_at(
-                to_variances(SqueezedThermalState(r, nb)), h.frequencies, w.weights
+                to_variances(SqueezedThermalState(r, nb)), h.frequencies, w
             )
             for r in r_vals
             for nb in nbar_vals
@@ -259,27 +322,7 @@ class TestFit:
 
     def test_bad_frequency_vector(self):
         with pytest.raises(ValueError):
-            fit_frequencies(np.array([1.0, 0.0]), WeightVector((1.0, 1.0)))
-
-
-class TestWeightArrays:
-    def test_count_arrays_match_histograms(self):
-        dist = fock_distribution(to_variances(SqueezedThermalState(1.0, 0.05)), 20)
-        hists = [sample_histogram(dist, 2000, SeedSpec(4, i)) for i in range(5)]
-        counts = np.array([h.counts + (h.overflow_count,) for h in hists])
-        for rule in (posterior_weights, mle_weights, uniform_weights):
-            matrix = rule(counts)
-            assert matrix.shape == counts.shape
-            for h, row in zip(hists, matrix):
-                assert tuple(row.tolist()) == rule(h).weights
-            # float counts, e.g. expected counts N p_n, take the same path
-            np.testing.assert_array_equal(rule(counts.astype(float)), matrix)
-
-    def test_bad_count_arrays_rejected(self):
-        with pytest.raises(ValueError):
-            posterior_weights(np.array([3.0, -1.0, 2.0]))
-        with pytest.raises(ValueError):
-            mle_weights(np.array([3, 1]))
+            fit_frequencies(np.array([1.0, 0.0]), np.ones(2))
 
 
 def _sampled_rows(r, nbar, shots, n, n_max=20, seed=17):
@@ -317,7 +360,7 @@ class TestFitBatch:
         batch = fit_batch(counts / total, weights)
         for i, (row, w) in enumerate(zip(counts, weights)):
             h = FockHistogram(tuple(row[:-1].tolist()), int(row[-1]), int(row.sum()))
-            assert batch[i] == fit(h, WeightVector(tuple(w.tolist())))
+            assert batch[i] == fit(h, w)
             v = batch[i].variances
             assert v.vq <= v.vp
             assert v.vq * v.vp >= 0.25 - HEISENBERG_SLACK

@@ -88,6 +88,46 @@ class TestStudyConfigRules:
         assert fidelity_study(cfg) == fidelity_study(small_cfg(n_experiments=2))
 
 
+class TestNumpyIntegerReports:
+    @pytest.mark.parametrize("study", [fidelity_study, coverage_study])
+    def test_reports_match_python_int_configs(self, tmp_path, monkeypatch, study):
+        # Integer fields take numpy integers; the reports must not show it.
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        configs = {
+            "python": small_cfg(n_experiments=2),
+            "numpy": small_cfg(shot_counts=(np.int64(500),), n_experiments=np.int32(2),
+                               n_b=(np.int64(20),), n_max=np.int16(20),
+                               master_seed=np.uint64(99)),
+        }
+        for name, cfg in configs.items():
+            report = study(cfg)
+            report.write_csv(tmp_path / f"{name}.csv")
+            report.write_json(tmp_path / f"{name}.json")
+        for suffix in ("csv", "json"):
+            python, numpy = (tmp_path / f"{name}.{suffix}" for name in configs)
+            assert numpy.read_bytes() == python.read_bytes()
+
+
+class TestNonFinitePriorShape:
+    def test_scheme_spec_names_the_field(self):
+        with pytest.raises(ValueError, match="^eta: expected a finite number > 0, got inf$"):
+            SchemeSpec("posterior", 1, float("inf"))
+
+    @pytest.mark.parametrize("kind, text, where", [
+        ("fidelity", '"prior": {"nu": Infinity, "eta": 1}', "prior: nu"),
+        ("weight_comparison",
+         '"schemes": [{"scheme": "uniform"}, {"scheme": "posterior", "eta": Infinity}]',
+         "schemes[1]: eta"),
+    ])
+    def test_json_infinity_rejected_by_path(self, kind, text, where):
+        # Python's json module parses the non-standard literal Infinity.
+        doc = json.loads(f'{{"study": "{kind}", "true_states": [{{"r": 1.0, "nbar": 0.01}}], '
+                         f'{text}}}')
+        with pytest.raises(ConfigError,
+                           match="^" + re.escape(where) + ": expected a finite number > 0"):
+            parse_config(doc)
+
+
 class TestFidelityStudy:
     def test_runs_the_configured_scheme(self):
         cfg = small_cfg(n_experiments=3, schemes=(SchemeSpec("uniform"),))
@@ -171,8 +211,8 @@ class TestWeightComparison:
 
         dist = fock_distribution(to_variances(SqueezedThermalState(2.5, 0.01)), 20)
         h = sample_histogram(dist, 1000, SeedSpec(0, 0))
-        w11 = np.array(posterior_weights(h, PriorShape(1, 1)).weights)
-        w22 = np.array(posterior_weights(h, PriorShape(2, 2)).weights)
+        w11 = posterior_weights(h, PriorShape(1, 1))
+        w22 = posterior_weights(h, PriorShape(2, 2))
         ratio = w11 / w22
         assert np.all(ratio < 10.0) and np.all(ratio > 0.1)
 
@@ -463,11 +503,22 @@ class TestCoverageStudyOnePass:
 
 
 class TestReadmeExamples:
-    """The study configs that README.md documents parse as documented."""
+    """README.md's library quick tour runs, and the study configs it
+    documents parse as documented."""
 
-    def section(self):
+    def section(self, heading="### Study configs"):
         text = (Path(__file__).parents[1] / "README.md").read_text()
-        return text.split("### Study configs", 1)[1].split("\n## ", 1)[0]
+        return text.split(heading, 1)[1].split("\n## ", 1)[0]
+
+    def test_library_quick_tour_runs(self, capsys):
+        block = re.search(r"```python\n(.*?)```", self.section("## Library quick tour"),
+                          re.S).group(1)
+        exec(compile(block, "README.md quick tour", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("SqueezedThermalState(") and lines[0].endswith(" True")
+        assert lines[1].startswith("1000 0 ")
+        assert lines[2].startswith("ConfidenceInterval(") and "level=0.9" in lines[2]
 
     def test_json_block_is_a_coverage_config(self):
         block = re.search(r"```json\n(.*?)```", self.section(), re.S).group(1)
