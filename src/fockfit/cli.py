@@ -198,7 +198,11 @@ def _fit_from_args(args, h: est.FockHistogram):
     scheme = args.weights
     if scheme is None:
         scheme = "uniform" if getattr(args, "from_exact", False) else "posterior"
-    prior = est.PriorShape(args.nu, args.eta)
+    try:
+        prior = est.PriorShape(args.nu, args.eta)
+    except ValueError as exc:
+        # PriorShape's message starts with the field, which is also the flag's name
+        raise _CliError(EXIT_USAGE, f"--{exc}") from exc
     return est.fit(h, est.weights_for(h, scheme, prior)), scheme, prior
 
 

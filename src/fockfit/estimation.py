@@ -12,14 +12,15 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
+    HEISENBERG_SLACK,
     MAX_FOCK,
     QuadratureVariances,
     SqueezedThermalState,
     _bin_sum,
     _fit_coords,
     _fock_table,
-    from_variances,
-    to_variances,
+    _state_params,
+    _variances,
 )
 
 __all__ = [
@@ -430,11 +431,25 @@ def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
     return extra
 
 
-def _parameters(q: float, nbar: float) -> tuple[float, float, float, float]:
-    """(vq, vp, r, nbar) at the fit coordinates (q, nbar), by the model's conversions."""
-    variances = to_variances(SqueezedThermalState(math.asinh(math.sqrt(0.5 * q)), nbar))
-    state = from_variances(variances)
-    return variances.vq, variances.vp, state.r, state.nbar
+def _parameters(x: np.ndarray) -> np.ndarray:
+    """The (vq, vp, r, nbar) rows at the fit coordinates x = (q, nbar) of
+    shape (2, m), by the model's conversions (to_variances, then
+    from_variances) on plain floats.  The coordinates and then the columns
+    are checked as a whole, as the model's state classes check each value."""
+    message = "fit coordinates outside the physical domain"
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError(message)
+    rows = []
+    for q, nbar in zip(*x.tolist()):
+        vq, vp = _variances(math.asinh(math.sqrt(0.5 * q)), nbar)
+        rows.append((vq, vp, *_state_params(vq, vp)))
+    params = np.array(rows).reshape(-1, len(PARAMETERS)).T
+    vq, vp, r, nbar = params
+    if not (np.all(np.isfinite(params)) and np.all(vq > 0.0) and np.all(vq <= vp)
+            and np.all(vq * vp >= 0.25 - HEISENBERG_SLACK)
+            and np.all(r >= 0.0) and np.all(nbar >= 0.0)):
+        raise ValueError(message)
+    return params
 
 
 _MAX_EVALS = 10_000
@@ -490,7 +505,7 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
             converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
             evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
         objective[b] = obj
-        params[:, b] = np.transpose([_parameters(q, nbar) for q, nbar in zip(*x.tolist())])
+        params[:, b] = _parameters(x)
     return FitBatch(*params, objective, converged, evals)
 
 
@@ -502,7 +517,8 @@ def fit_frequencies(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> Fit
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 1 or freqs.shape[0] < 3:
         raise ValueError("frequencies must be a 1-D vector with >= 3 bins")
-    return fit_batch(freqs[None, :], np.asarray(weights)[None], max_evals=max_evals)[0]
+    wts = _checked_weights(weights, freqs.shape)
+    return fit_batch(freqs[None, :], wts[None], max_evals=max_evals)[0]
 
 
 def fit(h: FockHistogram, weights) -> FitResult:

@@ -111,13 +111,23 @@ class FockDistribution:
         return np.array(self.probs + (self.overflow,))
 
 
+def _variances(r: float, nbar: float) -> tuple[float, float]:
+    """to_variances on plain floats, unchecked."""
+    half = 0.5 * (2.0 * nbar + 1.0)
+    return half * math.exp(-2.0 * r), half * math.exp(2.0 * r)
+
+
+def _state_params(vq: float, vp: float) -> tuple[float, float]:
+    """from_variances on plain floats, unchecked."""
+    return max(0.25 * math.log(vp / vq), 0.0), max(math.sqrt(vq * vp) - 0.5, 0.0)
+
+
 def to_variances(state: SqueezedThermalState) -> QuadratureVariances:
     """Quadrature variances of a squeezed thermal state:
 
     vq = (2 nbar + 1) exp(-2r) / 2,   vp = (2 nbar + 1) exp(+2r) / 2.
     """
-    half = 0.5 * (2.0 * state.nbar + 1.0)
-    return QuadratureVariances(half * math.exp(-2.0 * state.r), half * math.exp(2.0 * state.r))
+    return QuadratureVariances(*_variances(state.r, state.nbar))
 
 
 def from_variances(v: QuadratureVariances) -> SqueezedThermalState:
@@ -127,9 +137,7 @@ def from_variances(v: QuadratureVariances) -> SqueezedThermalState:
     state sitting exactly on r = 0 or nbar = 0 cannot produce a negative
     parameter.
     """
-    r = 0.25 * math.log(v.vp / v.vq)
-    nbar = math.sqrt(v.vq * v.vp) - 0.5
-    return SqueezedThermalState(max(r, 0.0), max(nbar, 0.0))
+    return SqueezedThermalState(*_state_params(v.vq, v.vp))
 
 
 def _fit_coords(v: QuadratureVariances) -> tuple[float, float]:
@@ -141,11 +149,16 @@ def _fit_coords(v: QuadratureVariances) -> tuple[float, float]:
 
 
 def _bin_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the leading (bin) axis, adding the bins in order.  numpy's
-    sum switches to pairwise summation when that axis is contiguous (a
-    single column), so its rounding would depend on how many columns share
-    the array; an accumulation never does."""
-    return np.add.accumulate(a, axis=0)[-1]
+    """Sum over the leading (bin) axis, adding the bins in order, one row
+    add at a time.  numpy's sum switches to pairwise summation when that
+    axis is contiguous (a single column), so its rounding would depend on
+    how many columns share the array; adding the rows in order never does.
+    These are the adds of np.add.accumulate(a, axis=0)[-1], without
+    writing out the partial sums."""
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc
 
 
 def _legendre_args(q, nbar):

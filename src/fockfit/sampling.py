@@ -5,6 +5,7 @@ drawn from a model distribution with reproducible, independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,12 +39,118 @@ class SeedSpec:
         )
 
 
+# The seeding that SeedSpec.generator() runs, step by step: numpy's
+# SeedSequence (the public algorithm of numpy.random.bit_generator, fixed by
+# numpy's stream-compatibility policy, NEP 19) hashes the entropy words into
+# a pool of four uint32 words and hashes the pool into eight state words,
+# and PCG64 takes them as its 128-bit seed and stream.  Values are Python
+# ints or uint32 arrays; both wrap mod 2**32 through _MASK32.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_MASK128 = (1 << 128) - 1
+
+
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """Constants first .. first + count - 1 of one of SeedSequence's hash
+    sequences, init * mult**k mod 2**32, as a read-only (count, 1) uint32
+    column."""
+    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                  for k in range(first, first + count)], dtype=np.uint32)[:, None]
+    c.flags.writeable = False
+    return c
+
+
+def _hashmix(value, xor, mul):
+    """SeedSequence's hashmix with the hash constants xor and mul (the
+    constant in use and the one after it)."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word y into the pool word x."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=16)
+def _master_pool(master_seed: int) -> np.ndarray:
+    """The pool of SeedSequence(master_seed, spawn_key=(...)) before the
+    spawn key is mixed in, as a read-only (4, 1) uint32 column: the
+    master's words zero-padded to the pool size, hashed, then every pool
+    word mixed into every other.  The 16 hashes use the first 17 constants."""
+    c = _hash_constants(_INIT_A, _MULT_A, 0, 17)[:, 0].tolist()
+    entropy = (_words(master_seed) + [0] * _POOL_SIZE)[:_POOL_SIZE]
+    pool = [_hashmix(word, c[k], c[k + 1]) for k, word in enumerate(entropy)]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k], c[k + 1]))
+                k += 1
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool.flags.writeable = False
+    return pool
+
+
+def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
+    """The PCG64 states of SeedSpec(seed.master_seed, seed.stream_index + i)
+    .generator() for i < n, as bit_generator.state dicts, derived in one
+    pass: each spawn-key word is mixed into every stream's pool by (4, n)
+    array operations, and the eight state words come from one (8, n) hash.
+
+    A stream index of 2**32 or more has more than one word.  Within a run
+    of streams that share the bits above the lowest 32 only the lowest
+    word differs, so the rows are mixed one such run at a time."""
+    master, first = int(seed.master_seed), int(seed.stream_index)
+    pools = np.empty((_POOL_SIZE, n), dtype=np.uint32)
+    row = 0
+    while row < n:
+        high, low = divmod(first + row, 1 << 32)
+        size = min(n - row, (1 << 32) - low)
+        words = [np.arange(low, low + size, dtype=np.uint32)]
+        words += _words(high) if high else []
+        pool = _master_pool(master)
+        for j, word in enumerate(words):
+            # the hash constants go on from the master's 16 hashes
+            c = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1)
+            pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
+        pools[:, row:row + size] = pool
+        row += size
+    # generate_state(4, np.uint64): pool words cycled, paired little-endian
+    c = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
+    state_words = _hashmix(np.tile(pools, (2, 1)), c[:-1], c[1:]).astype(np.uint64)
+    seeds = (state_words[0::2] | state_words[1::2] << 32).tolist()
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
+        # pcg64_set_seed: setseq seeding from initstate and initseq
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) -> np.ndarray:
     """Draw ``n`` multinomial histograms of ``n_shots`` measurements from
     ``d`` into an (n, n_max + 2) integer count matrix (overflow last).
 
     Row i is one ``Generator.multinomial`` draw from the stream
-    ``seed.stream_index + i``: the conditional-binomial decomposition, in
+    ``seed.stream_index + i``, whose state _stream_states derives exactly
+    as SeedSpec.generator() would: the conditional-binomial decomposition, in
     which bin j receives a binomial draw of the shots still unassigned
     with success probability p_j divided by the tail mass left before it,
     and the overflow bin absorbs whatever is left, so every row sums to
@@ -65,9 +172,11 @@ def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) ->
             break
         tail -= p
     out = np.empty((n, d.n_max + 2), dtype=np.int64)
-    for row in range(n):
-        out[row] = SeedSpec(seed.master_seed, seed.stream_index + row).generator().multinomial(
-            n_shots, pvals)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, state in enumerate(_stream_states(seed, n)):
+        bit_generator.state = state
+        out[row] = generator.multinomial(n_shots, pvals)
     return out
 
 

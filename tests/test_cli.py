@@ -545,8 +545,15 @@ class TestNonFinitePriorShape:
             args += ["--replicates", "50"]
         assert run(args) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(
-            f"fockfit: {field}: expected a finite number > 0, got ")
+            f"fockfit: --{field}: expected a finite number > 0, got ")
         assert not out.exists()
+
+    def test_message_names_the_flag(self, tmp_path, capsys):
+        counts, out = tmp_path / "counts.json", tmp_path / "out.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "300", "--out", str(counts)])
+        assert run(["ci", "--counts", str(counts), "--eta", "nan", "--replicates", "50",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "fockfit: --eta: expected a finite number > 0, got nan\n"
 
     def test_json_infinity_in_a_study_config(self, tmp_path, monkeypatch, capsys):
         cfg, out = tmp_path / "study.json", tmp_path / "report.csv"

@@ -27,8 +27,10 @@ from fockfit.model import (
     QuadratureVariances,
     SqueezedThermalState,
     fock_distribution,
+    from_variances,
     to_variances,
 )
+from fockfit.estimation import _UPPER, _parameters
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 
@@ -169,6 +171,12 @@ class TestWeightArrays:
     def test_wrong_length_rejected(self, call, length):
         with pytest.raises(ValueError, match="^expected weights of shape"):
             self.CALLS[call](vacuum_histogram(100), np.ones(length))
+
+    @pytest.mark.parametrize("call", ["fit", "fit_frequencies", "objective"])
+    def test_wrong_length_names_the_row_shapes(self, call):
+        with pytest.raises(ValueError) as exc:
+            self.CALLS[call](vacuum_histogram(100), np.ones(5))
+        assert str(exc.value) == "expected weights of shape (22,), got (5,)"
 
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
@@ -474,3 +482,32 @@ class TestFitBatchColumns:
             replace(self.batch(), converged=[True])
         with pytest.raises(ValueError, match="1-D"):
             replace(self.batch(), vq=[[0.5, 0.2, 0.4]])
+
+
+class TestParameters:
+    """fit_batch's parameter columns come from plain-float conversions that
+    give exactly the floats of the model's dataclass conversions."""
+
+    @staticmethod
+    def _dataclass_path(q, nbar):
+        v = to_variances(SqueezedThermalState(math.asinh(math.sqrt(0.5 * q)), nbar))
+        s = from_variances(v)
+        return v.vq, v.vp, s.r, s.nbar
+
+    def test_equals_dataclass_path(self):
+        qs = [0.0, 5e-324, 1e-13, 1e-6, 0.3, 1.0, 2.0 * math.sinh(3.5) ** 2, 1e6, _UPPER[0, 0]]
+        nbars = [0.0, 5e-324, 1e-12, 0.05, 1.0, 7.0, 1e3, _UPPER[1, 0]]
+        x = np.array([(q, nbar) for q in qs for nbar in nbars]).T
+        got = _parameters(x)
+        assert got.shape == (4, x.shape[1])
+        want = np.array([self._dataclass_path(q, nbar) for q, nbar in x.T.tolist()]).T
+        assert np.array_equal(got, want)
+
+    def test_no_rows(self):
+        assert _parameters(np.empty((2, 0))).shape == (4, 0)
+
+    @pytest.mark.parametrize("q, nbar", [(0.0, -0.1), (0.0, -1e-14), (math.nan, 0.0),
+                                         (0.0, math.nan), (0.0, math.inf), (math.inf, 0.0)])
+    def test_rejects_coordinates_outside_the_domain(self, q, nbar):
+        with pytest.raises(ValueError, match="outside the physical domain"):
+            _parameters(np.array([[0.5, q], [0.1, nbar]]))

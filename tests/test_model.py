@@ -16,7 +16,7 @@ from fockfit.model import (
     from_variances,
     to_variances,
 )
-from fockfit.model import _fock_table, _legendre_args
+from fockfit.model import _bin_sum, _fock_table, _legendre_args
 from fockfit.numerics import scaled_legendre
 
 VACUUM = QuadratureVariances(0.5, 0.5)
@@ -305,3 +305,23 @@ class TestHighPrecision:
             diff = (up - down) / (2.0 * step[k])
             scale = np.abs(jac[:, k]).max(axis=0)
             assert np.all(np.abs(diff - jac[:, k]) <= 1e-6 * scale)
+
+
+class TestBinSum:
+    """_bin_sum adds the bins in order: bit for bit what np.add.accumulate
+    gives, whatever the trailing shape."""
+
+    @pytest.mark.parametrize("shape", [(22,), (22, 1), (2, 1), (3, 7), (22, 512),
+                                       (21, 2, 5), (66, 2, 1)])
+    def test_equals_accumulate(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        got = _bin_sum(a)
+        want = np.add.accumulate(a, axis=0)[-1]
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+    def test_input_untouched(self):
+        a = np.arange(12.0).reshape(4, 3)
+        _bin_sum(a)
+        assert np.array_equal(a, np.arange(12.0).reshape(4, 3))

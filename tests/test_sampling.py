@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
+from fockfit.sampling import SeedSpec, _sample_counts, _stream_states, sample_histogram
 
 VACUUM_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 0)), 20)
 THERMAL_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 1.0)), 10)
@@ -156,3 +156,35 @@ class TestSampleCounts:
         got = _sample_counts(_dist(r, nbar, n_max), n_shots, SeedSpec(seed, 0), n)
         assert got.shape == (n, n_max + 2)
         assert np.all(got >= 0) and np.all(got.sum(axis=1) == n_shots)
+
+
+# Masters of one and two words, and first streams whose runs cross 2**32
+# (a second spawn-key word) or 2**64 (a third).
+EDGE_MASTERS = [0, 1, 7, 12_345, 2 ** 32, 120_000_000_000_000, 2 ** 64 - 1]
+EDGE_FIRSTS = [0, 7, 2 ** 32 - 5, 2 ** 32 - 3, 2 ** 40, 2 ** 63, 2 ** 64 - 3]
+
+
+class TestStreamSeeding:
+    """_sample_counts derives every stream's PCG64 state in one pass; the
+    states and the draws are those of SeedSpec.generator()."""
+
+    @pytest.mark.parametrize("master", EDGE_MASTERS)
+    @pytest.mark.parametrize("first", EDGE_FIRSTS)
+    def test_states_match_generator(self, master, first):
+        got = _stream_states(SeedSpec(master, first), 6)
+        assert got == [SeedSpec(master, first + i).generator().bit_generator.state
+                       for i in range(6)]
+
+    def test_no_streams(self):
+        assert _stream_states(SeedSpec(3, 2 ** 32 - 1), 0) == []
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(master=st.integers(0, 2 ** 64 - 1),
+           first=st.one_of(st.integers(0, 2 ** 40), st.integers(2 ** 32 - 40, 2 ** 32)),
+           n=st.integers(0, 40), n_shots=st.integers(1, 10 ** 6))
+    def test_draws_match_generator(self, master, first, n, n_shots):
+        d = _dist(1.0, 0.05, 20)
+        got = _sample_counts(d, n_shots, SeedSpec(master, first), n)
+        want = [SeedSpec(master, first + i).generator().multinomial(n_shots, d.all_probs)
+                for i in range(n)]
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(n, 22))
