@@ -1,0 +1,40 @@
+"""Byte-identity of the CLI's outputs against tests/golden/outputs, at one
+and two worker threads (see tests/golden/regenerate.py)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def test_every_output_is_committed():
+    assert sorted(golden.output_names()) == sorted(p.name for p in golden.OUTPUTS.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_match_the_golden_files(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("FOCKFIT_THREADS", threads)
+    golden.write_outputs(tmp_path)
+    mismatches = [golden.first_difference(name, (golden.OUTPUTS / name).read_bytes(),
+                                          (tmp_path / name).read_bytes())
+                  for name in golden.output_names()]
+    assert [m for m in mismatches if m] == []
+
+
+@pytest.mark.parametrize("name, want, got, message", [
+    ("a.json", b'{"x": [1, {"y": 2.0}]}', b'{"x": [1, {"y": 2.5}]}',
+     "a.json: $.x[1].y: expected 2.0, got 2.5"),
+    ("a.json", b'{"x": 1}', b'{"x": 1, "z": 2}',
+     "a.json: $: expected {'x': 1}, got {'x': 1, 'z': 2}"),
+    ("a.json", b'{"x": 1}\n', b'{"x":1}\n', "a.json: bytes differ from offset 5"),
+    ("b.csv", b"p,q\n1,2\n3,4\n", b"p,q\n1,2\n3,5\n", "b.csv: row 2, column q: expected '4', got '5'"),
+    ("b.csv", b"p,q\n1,2\n", b"p,q\n1,2\n3,4\n", "b.csv: rows: expected 2, got 3"),
+])
+def test_a_mismatch_names_the_file_and_the_first_differing_field(name, want, got, message):
+    assert golden.first_difference(name, want, got) == message
+    assert golden.first_difference(name, want, want) is None
