@@ -251,12 +251,11 @@ _GRID_R_MAX, _GRID_NBAR_MAX, _GRID_SIZE = 3.5, 7.0, 60
 # multiply-adds (512 points at n_max = 20).  With numpy's OpenBLAS on a
 # busy 2-vCPU machine, products of 1e6 multiply-adds and more sometimes
 # took 16 ms per call, handed to worker threads, where every product of
-# this size took under 0.3 ms.  The grid is built _GRID_BLOCK_POINTS
-# points per kernel call; these blocks and the rows per lock-step
+# this size took under 0.3 ms.  The model table is built one GEMM's block
+# of points per kernel call; these blocks and the rows per lock-step
 # refinement bound the temporaries whatever the batch size and n_max.
 _GRID_BLOCK = 32
 _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
-_GRID_BLOCK_POINTS = 512
 # Rows per fit_batch block, through every stage.  The refinement is
 # elementwise and this is a multiple of _GRID_BLOCK, so a row's result does
 # not depend on it.  Wider blocks spread numpy's per-call overhead; each
@@ -288,47 +287,44 @@ _SNAP_SLACK = 1e-13
 
 @lru_cache(maxsize=8)
 def _model_grid(n_max: int):
-    """The grid stage's points (q, nbar) and the model probabilities at
-    each point, as read-only (2, points) and (n_max + 2, points) arrays.
-    The table is built _GRID_BLOCK_POINTS at a time to keep the kernel's
-    temporaries small."""
+    """The grid stage's points (q, nbar), a read-only (2, points) array,
+    and its GEMM operands: a tuple of read-only, C-contiguous [P^2; P]
+    blocks of the model probabilities P at consecutive points, each
+    (2 (n_max + 2), width) with width the most points a GEMM of _GRID_BLOCK
+    rows takes within _GRID_GEMM_SIZE multiply-adds (the last block may be
+    narrower).  The table is built one block at a time."""
     r_vals = np.linspace(0.0, _GRID_R_MAX, _GRID_SIZE)
     nbar_vals = np.expm1(np.linspace(0.0, math.log1p(_GRID_NBAR_MAX), _GRID_SIZE))
     rg, ng = map(np.ravel, np.meshgrid(r_vals, nbar_vals, indexing="ij"))
     points = np.stack((2.0 * np.sinh(rg) ** 2, ng))
-    probs = np.empty((n_max + 2, points.shape[1]))
-    for start in range(0, points.shape[1], _GRID_BLOCK_POINTS):
-        cols = slice(start, start + _GRID_BLOCK_POINTS)
-        probs[:, cols] = _fock_table(points[0, cols], points[1, cols], n_max)
     points.flags.writeable = False
-    probs.flags.writeable = False
-    return points, probs
+    width = _GRID_GEMM_SIZE // (_GRID_BLOCK * 2 * (n_max + 2))
+    operands = []
+    for first in range(0, points.shape[1], width):
+        probs = _fock_table(points[0, first:first + width], points[1, first:first + width], n_max)
+        operands.append(np.concatenate((probs * probs, probs)))
+        operands[-1].flags.writeable = False
+    return points, tuple(operands)
 
 
-def _grid_winners(freqs: np.ndarray, wts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _grid_winners(freqs: np.ndarray, wts: np.ndarray, operands: tuple) -> np.ndarray:
     """Index of the best grid point for every row (the first one on ties).
 
     The objectives are sum w P^2 - 2 sum (w f) P (+ sum w f^2, the same for
-    every point): one GEMM of each block of rows [w, -2 w f] with each
-    block of the grid's points [P^2; P], keeping a running minimum."""
+    every point): for each block of rows [w, -2 w f], one GEMM with each
+    operand of _model_grid into one row of values per row, then one argmin."""
     rows, n_bins = freqs.shape
     padded = -(-rows // _GRID_BLOCK) * _GRID_BLOCK
     lhs = np.zeros((padded, 2 * n_bins))
     lhs[:rows, :n_bins] = wts
     lhs[:rows, n_bins:] = -2.0 * wts * freqs
-    best = np.zeros(padded, dtype=np.intp)
-    best_value = np.full(padded, np.inf)
-    points = _GRID_GEMM_SIZE // (_GRID_BLOCK * 2 * n_bins)
-    for first in range(0, probs.shape[1], points):
-        block = probs[:, first:first + points]
-        rhs = np.concatenate((block * block, block))
-        for row in range(0, padded, _GRID_BLOCK):
-            values = lhs[row:row + _GRID_BLOCK] @ rhs
-            index = np.argmin(values, axis=1)
-            value = values[np.arange(_GRID_BLOCK), index]
-            better = value < best_value[row:row + _GRID_BLOCK]
-            best[row:row + _GRID_BLOCK][better] = first + index[better]
-            best_value[row:row + _GRID_BLOCK][better] = value[better]
+    values = np.empty((_GRID_BLOCK, sum(block.shape[1] for block in operands)))
+    outs = np.split(values, np.cumsum([block.shape[1] for block in operands[:-1]]), axis=1)
+    best = np.empty(padded, dtype=np.intp)
+    for row in range(0, padded, _GRID_BLOCK):
+        for block, out in zip(operands, outs):
+            np.matmul(lhs[row:row + _GRID_BLOCK], block, out=out)
+        best[row:row + _GRID_BLOCK] = np.argmin(values, axis=1)
     return best[:rows]
 
 
@@ -350,16 +346,17 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     unconverged column (a coordinate on a face whose gradient points out of
     the box is held fixed), projects the step onto the box and keeps it
     only if the objective decreases.  Returns the best points, their
-    objectives, per-column convergence flags and the number of trial
-    evaluations.
+    objectives, the objectives at the start points (from the first
+    evaluation, which is not counted), per-column convergence flags and the
+    number of trial evaluations.
     """
     m = x.shape[1]
     x = x.copy()
     x_out = x.copy()
     evals = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    obj, probs, jac = _evaluate(x, f, w, n_max, jacobian=True)
-    obj_out = obj.copy()
+    start_obj, probs, jac = _evaluate(x, f, w, n_max, jacobian=True)
+    obj, obj_out = start_obj.copy(), start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
     # The state of the unconverged columns, compacted as columns finish.
     cols = np.arange(m)
@@ -409,7 +406,7 @@ def _refine(x, f, w, n_max: int, max_iter: int):
             live = ~done
             cols, x, f, w, probs, jac, obj, lam = (
                 a[..., live] for a in (cols, x, f, w, probs, jac, obj, lam))
-    return x_out, obj_out, converged, evals
+    return x_out, obj_out, start_obj, converged, evals
 
 
 def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
@@ -468,15 +465,16 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
        log-spaced in (1 + nbar) over [1, 8], whose model probabilities are
        computed once per n_max and reused;
     2. projected Levenberg-Marquardt from the best grid point with the
-       analytic Jacobian, at most ``max_evals`` objective evaluations
-       (``max_evals=0`` returns the grid winner, not converged).
+       analytic Jacobian, at most ``max_evals`` objective evaluations after
+       the one at the grid winner (``max_evals=0`` returns the grid
+       winner, not converged).
 
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;
     in q it does not.  A coordinate that ends within 1e-6 of zero (in r or
     nbar) is snapped onto the bound when that does not raise the objective
     beyond rounding noise.  Each row's objective is never above that of its
-    grid winner, evaluated directly.  Rows go through both stages
+    grid winner.  Rows go through both stages
     _REFINE_BLOCK at a time, which bounds the working memory.
     """
     freqs = np.asarray(frequencies, dtype=float)
@@ -488,22 +486,19 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     if n_max > MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
-    grid_x, grid_p = _model_grid(n_max)
+    grid_x, operands = _model_grid(n_max)
     params = np.empty((len(PARAMETERS), rows))
     objective = np.empty(rows)
     converged = np.zeros(rows, dtype=bool)
-    # the grid, then the direct evaluation of each row's grid winner
+    # the grid, then the refinement's first evaluation, at each row's grid winner
     evals = np.full(rows, grid_x.shape[1] + 1, dtype=np.int64)
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
-        start = grid_x[:, _grid_winners(freqs[b], wts[b], grid_p)]
+        start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
         f, w = freqs[b].T.copy(), wts[b].T.copy()
-        grid_obj = _evaluate(start, f, w, n_max, jacobian=False)
-        x, obj = start, grid_obj
-        if max_evals > 0:
-            x, obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
-            converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
-            evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
+        x, obj, grid_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
+        converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
+        evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
         objective[b] = obj
         params[:, b] = _parameters(x)
     return FitBatch(*params, objective, converged, evals)

@@ -30,7 +30,10 @@ from fockfit.model import (
     from_variances,
     to_variances,
 )
-from fockfit.estimation import _UPPER, _parameters
+from fockfit.estimation import (
+    _GRID_BLOCK, _GRID_GEMM_SIZE, _UPPER, _evaluate, _grid_winners, _model_grid, _parameters,
+)
+from fockfit.model import _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 
@@ -448,6 +451,49 @@ class TestFitBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 3.75e6
+
+
+class TestGridStage:
+    """The cached GEMM operands of the grid stage, its one argmin per row
+    block, and the grid-only fit of a zero budget."""
+
+    @pytest.mark.parametrize("n_max", [1, 20, 64])
+    def test_operands_are_bounded_read_only_blocks(self, n_max):
+        points, operands = _model_grid(n_max)
+        assert not points.flags.writeable
+        assert sum(block.shape[1] for block in operands) == points.shape[1] == 60 * 60
+        for block in operands:
+            assert not block.flags.writeable and block.flags.c_contiguous
+            assert block.shape[0] == 2 * (n_max + 2)
+            assert _GRID_BLOCK * block.shape[0] * block.shape[1] <= _GRID_GEMM_SIZE
+
+    @pytest.mark.parametrize("n_max", [1, 20, 64])
+    def test_operands_hold_the_model_table_and_its_square(self, n_max):
+        points, operands = _model_grid(n_max)
+        table = np.concatenate(operands, axis=1)
+        probs = _fock_table(points[0], points[1], n_max)
+        np.testing.assert_array_equal(table[n_max + 2:], probs)
+        np.testing.assert_array_equal(table[:n_max + 2], probs * probs)
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_winners_minimise_the_objective_over_the_grid(self, n_max):
+        # 40 rows: one full 32-row block and one zero-padded block.
+        rows = [_sampled_rows(r, nbar, 10 ** 4, 10, n_max, seed=9)
+                for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.5, 1.0))]
+        freqs = np.concatenate([row[1] for row in rows])
+        weights = np.concatenate([row[2] for row in rows])
+        points, operands = _model_grid(n_max)
+        winners = _grid_winners(freqs, weights, operands)
+        for f, w, best in zip(freqs, weights, winners):
+            direct = _evaluate(points, f[:, None], w[:, None], n_max, jacobian=False)
+            assert direct[best] <= direct.min() + 1e-9 * np.sum(w * f * f)
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_zero_budget_counts_the_grid_and_the_winner(self, n_max):
+        _, freqs, weights = _sampled_rows(0.0, 0.01, 10 ** 4, 40, n_max)
+        grid = fit_batch(freqs, weights, max_evals=0)
+        np.testing.assert_array_equal(grid.evaluations, 60 * 60 + 1)
+        assert not grid.converged.any()
 
 
 class TestFitBatchColumns:
