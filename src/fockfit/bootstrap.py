@@ -22,7 +22,6 @@ __all__ = [
     "METHODS",
     "BootstrapError",
     "ConfidenceInterval",
-    "ReplicateSet",
     "CoverageResult",
     "parameter_values",
     "parametric_bootstrap",
@@ -68,9 +67,6 @@ class ConfidenceInterval:
 
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
-
-
-ReplicateSet = FitBatch  # a bootstrap's replicate set is its refits' FitBatch
 
 
 def parametric_bootstrap(

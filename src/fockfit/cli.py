@@ -226,14 +226,10 @@ def cmd_ci(args) -> int:
     if not res.converged:
         print("fit did not converge; no intervals computed", file=sys.stderr)
         return EXIT_NONCONVERGED
-    try:
-        reps = bt.parametric_bootstrap(
-            res, h.total, args.replicates, prior,
-            SeedSpec(args.seed, args.stream), h.n_max, scheme,
-        )
-    except bt.BootstrapError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NONCONVERGED
+    reps = bt.parametric_bootstrap(
+        res, h.total, args.replicates, prior,
+        SeedSpec(args.seed, args.stream), h.n_max, scheme,
+    )
     intervals = bt.intervals(reps, res, args.alpha, (args.method,))
     _atomic_write(args.out, json.dumps(_estimate_doc(res, scheme, prior, intervals)) + "\n")
     return EXIT_OK
@@ -252,11 +248,7 @@ def cmd_study(args) -> int:
         raise _CliError(EXIT_USAGE, f"--out/--json-out: both reports would be written to "
                                     f"{args.out}; give --json-out a different path")
     kind, cfg = studies.parse_config(_read_json(args.config))
-    try:
-        report = studies.run_study(kind, cfg)
-    except bt.BootstrapError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NONCONVERGED
+    report = studies.run_study(kind, cfg)
     try:
         report.write_csv(args.out)
         report.write_json(json_out)
@@ -343,6 +335,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_output_dirs(args)
         return args.handler(args)
+    except bt.BootstrapError as exc:
+        # too many refits failed: the reason alone, as a failed fit reports it
+        print(exc, file=sys.stderr)
+        return EXIT_NONCONVERGED
     except (_CliError, ValueError) as exc:
         print(f"fockfit: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _CliError) else EXIT_USAGE

@@ -2,8 +2,7 @@
 
 Parameterizations (squeezing/temperature vs. quadrature variances), the
 Fock-number probability distribution in a numerically stable closed form,
-an independent quadrature-based evaluation of the same probabilities for
-cross-checks, and the fidelity between two zero-mean Gaussian states.
+and the fidelity between two zero-mean Gaussian states.
 
 Units: hbar = 1 with vacuum quadrature variance 1/2.
 """
@@ -12,11 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.laguerre import lagval
 
 from .numerics import _legendre_jet
 
@@ -30,7 +26,6 @@ __all__ = [
     "from_variances",
     "fock_probability",
     "fock_distribution",
-    "fock_probability_oracle",
     "fidelity",
 ]
 
@@ -40,8 +35,6 @@ HEISENBERG_SLACK = 1e-12
 
 # Largest Fock number the closed-form path is validated for.
 MAX_FOCK = 64
-
-_ORACLE_MAX_FOCK = 30
 
 
 @dataclass(frozen=True)
@@ -249,38 +242,6 @@ def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistributi
     q, nbar = _fit_coords(v)
     all_probs = _fock_table(q, nbar, n_max).tolist()
     return FockDistribution(n_max, tuple(all_probs[:-1]), all_probs[-1])
-
-
-@lru_cache(maxsize=8)
-def _gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return hermgauss(m)
-
-
-def fock_probability_oracle(v: QuadratureVariances, n: int, nodes: int = 48) -> float:
-    """Slow, independent evaluation of fock_probability by numerically
-    overlapping the state's Wigner function with the Fock state's.
-
-    The Gaussian Wigner function of the state times the Fock Wigner factor
-    exp(-q^2 - p^2) is reduced to the Gauss-Hermite weight by rescaling
-    each axis, leaving a bivariate polynomial (a Laguerre polynomial of
-    2q^2 + 2p^2) that the tensor-product rule integrates exactly once the
-    node count exceeds the polynomial degree.
-    """
-    if n < 0 or n > _ORACLE_MAX_FOCK:
-        raise ValueError(f"oracle supports n in [0, {_ORACLE_MAX_FOCK}], got {n}")
-    if nodes <= n:
-        raise ValueError("need more quadrature nodes than the polynomial degree")
-    x, w = _gauss_hermite(nodes)
-    sq2 = 2.0 * v.vq / (2.0 * v.vq + 1.0)
-    sp2 = 2.0 * v.vp / (2.0 * v.vp + 1.0)
-    arg = 2.0 * (sq2 * x[:, None] ** 2 + sp2 * x[None, :] ** 2)
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    integral = w @ lagval(arg, coeffs) @ w
-    sign = -1.0 if n % 2 else 1.0
-    return float(
-        sign / (math.pi * math.sqrt(v.vq * v.vp)) * math.sqrt(sq2 * sp2) * integral
-    )
 
 
 def fidelity(a: QuadratureVariances, b: QuadratureVariances) -> float:

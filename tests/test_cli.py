@@ -430,6 +430,13 @@ def test_cli_import_does_not_load_the_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_does_not_load_numpy_polynomial():
+    # Only the tests' Wigner-overlap oracle uses Gauss-Hermite quadrature.
+    proc = _fresh_python("import sys, fockfit.cli; print('numpy.polynomial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestOutputDirectoryCheckedFirst:
     """Every output path's directory is checked before any input is read or
     anything is simulated or fitted."""

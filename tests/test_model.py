@@ -12,12 +12,12 @@ from fockfit.model import (
     fidelity,
     fock_distribution,
     fock_probability,
-    fock_probability_oracle,
     from_variances,
     to_variances,
 )
 from fockfit.model import _bin_sum, _fock_table, _legendre_args
 from fockfit.numerics import scaled_legendre
+from wigner_oracle import fock_probability_oracle
 
 VACUUM = QuadratureVariances(0.5, 0.5)
 
