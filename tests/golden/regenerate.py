@@ -79,8 +79,8 @@ def _first_json_difference(want, got, path: str):
         items = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(want, got))]
     else:
         return None if want == got and type(want) is type(got) else (path, want, got)
-    for item in items:
-        found = _first_json_difference(*item[1:], item[0])
+    for sub_path, a, b in items:
+        found = _first_json_difference(a, b, sub_path)
         if found:
             return found
     return None
