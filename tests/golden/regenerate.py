@@ -9,6 +9,9 @@ Run this file by hand to rewrite ``outputs/``, only in a change that means
 to change numbers:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+It prints, for each file it rewrites, the largest relative shift of every
+field that moved against the file it replaces.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -118,9 +122,68 @@ def first_difference(name: str, want: bytes, got: bytes) -> str | None:
     return f"{name}: {field}: expected {a!r}, got {b!r}"
 
 
+def _json_fields(value, field: str):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_fields(item, f"{field}.{key}")
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_fields(item, f"{field}[]")
+    else:
+        yield field, value
+
+
+def _csv_value(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _fields(name: str, data: bytes) -> list:
+    """(field, value) for every leaf of an output, in file order: a JSON
+    path with the list indices left out, so that one field gathers every
+    row, or a CSV column, whose numeric cells are read as floats."""
+    if name.endswith(".json"):
+        return list(_json_fields(json.loads(data), "$"))
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    return [(column, _csv_value(cell)) for row in rows[1:] for column, cell in zip(rows[0], row)]
+
+
+def _relative_shift(old, new) -> float:
+    if old == new and type(old) is type(new):
+        return 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    return abs(new - old) / abs(old) if numbers and old != 0 else math.inf
+
+
+def largest_shifts(name: str, old: bytes, new: bytes) -> dict:
+    """The largest relative shift |new - old| / |old| of every field of an
+    output that moved (inf where a zero or a non-number changed), or
+    {"(layout)": inf} when the two files do not have the same fields."""
+    old_fields, new_fields = _fields(name, old), _fields(name, new)
+    if [f for f, _ in old_fields] != [f for f, _ in new_fields]:
+        return {"(layout)": math.inf}
+    shifts = {}
+    for (field, a), (_, b) in zip(old_fields, new_fields):
+        shift = _relative_shift(a, b)
+        if shift > 0.0:
+            shifts[field] = max(shift, shifts.get(field, 0.0))
+    return shifts
+
+
 if __name__ == "__main__":
     OUTPUTS.mkdir(exist_ok=True)
+    previous = {}
     for stale in OUTPUTS.iterdir():
+        previous[stale.name] = stale.read_bytes()
         stale.unlink()
     write_outputs(OUTPUTS)
     print(f"wrote {len(output_names())} files to {OUTPUTS}", file=sys.stderr)
+    for name in output_names():
+        if name not in previous:
+            print(f"{name}: new")
+            continue
+        shifts = largest_shifts(name, previous[name], (OUTPUTS / name).read_bytes())
+        print(f"{name}: " + (", ".join(f"{field} {shift:.1e}" for field, shift in shifts.items())
+                             or "unchanged"))

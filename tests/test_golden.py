@@ -2,6 +2,7 @@
 and two worker threads (see tests/golden/regenerate.py)."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,19 @@ def test_outputs_match_the_golden_files(tmp_path, monkeypatch, threads):
 def test_a_mismatch_names_the_file_and_the_first_differing_field(name, want, got, message):
     assert golden.first_difference(name, want, got) == message
     assert golden.first_difference(name, want, want) is None
+
+
+@pytest.mark.parametrize("name, old, new, shifts", [
+    ("a.json", b'{"x": [1.0, {"y": 2.0}, {"y": 4.0}]}', b'{"x": [1.0, {"y": 2.5}, {"y": 4.0}]}',
+     {"$.x[].y": 0.25}),
+    ("a.json", b'{"x": [{"y": 2.0}, {"y": 4.0}]}', b'{"x": [{"y": 2.2}, {"y": 5.0}]}',
+     {"$.x[].y": 0.25}),
+    ("a.json", b'{"x": 0.0, "ok": true, "s": null}', b'{"x": 1e-300, "ok": false, "s": null}',
+     {"$.x": math.inf, "$.ok": math.inf}),
+    ("a.json", b'{"x": [1.0]}', b'{"x": [1.0, 2.0]}', {"(layout)": math.inf}),
+    ("b.csv", b"p,q\n1,2\n3,4\n", b"p,q\n1,2\n3,5\n", {"q": 0.25}),
+    ("b.csv", b"p,q\n1,\n", b"p,q\n1,bc\n", {"q": math.inf}),
+])
+def test_regeneration_reports_the_largest_shift_per_field(name, old, new, shifts):
+    assert golden.largest_shifts(name, old, new) == shifts
+    assert golden.largest_shifts(name, old, old) == {}
