@@ -268,9 +268,34 @@ _REFINE_BLOCK = 512
 # overflow).
 _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 # A row has converged when its step changes every coordinate x by at most
-# _STEP_TOL * (|x| + _STEP_FLOOR), or when the step's actual and predicted
-# decrease of the objective are both at most _DECREASE_TOL relative.
+# _STEP_TOL * (|x| + _STEP_FLOOR), when the step's actual and predicted
+# decrease of the objective are both at most _DECREASE_TOL relative, or when
+# the objective sits on its rounding floor rho: the trial is rejected but
+# ties the objective within rho, and the undamped Gauss-Newton decrease
+# g^T H^-1 g over the free coordinates is at most rho as well, so no step
+# could show a gain that rounding does not hide (Madsen, Nielsen &
+# Tingleff, Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+#
+# rho bounds the rounding error of one evaluation of the objective
+# sum_n w_n (P_n - f_n)^2, with eps the machine epsilon (twice the unit
+# roundoff u of Higham, Accuracy and Stability of Numerical Algorithms,
+# ch. 4):
+# - the in-order sum of the n_max + 2 terms errs by at most (n_max + 1) u
+#   obj, and forming each term (difference, square, weight) by 3 u of it,
+#   together at most (n_max + 2) eps obj;
+# - an error dP_n of the model moves its term by 2 w_n |P_n - f_n| dP_n.
+#   Each order of the Legendre recurrence adds about one rounding, and at
+#   the recurrence's double root (thermal states, q = 0) an error made at
+#   order k grows linearly up to order n, so |dP_n| is taken as
+#   (n + 1)(n + 2)/2 eps P_n for n <= n_max.  The overflow bin is 1 - sum P,
+#   so its error is absolute: the sum of those errors plus (n_max + 1) eps
+#   for the sum itself.  A linear (n + 1) eps P_n is exceeded up to 11-fold
+#   at n_max = 64 for thermal states; the tests check this model against
+#   the objective's spread over +-4-ulp perturbations of fitted points.
+# The stop compares two evaluations, the trial's and the current one, each
+# with its own error, so rho is _FLOOR_FACTOR times that bound.
 _STEP_TOL, _STEP_FLOOR, _DECREASE_TOL = 1e-10, 1e-6, 1e-15
+_FLOOR_FACTOR = 2.0
 # The upper corner of the search box in (q, nbar), at r = 14.2 and
 # nbar = 1e6: far outside any state the model resolves and small enough
 # that every intermediate stays finite.  A fit that ends on an upper face
@@ -337,6 +362,16 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int, jacobian:
     return _bin_sum(w * np.square(_fock_table(x[0], x[1], n_max) - f))
 
 
+def _rounding_floor(obj, probs, f, w, n_max: int):
+    """rho of the comment above _STEP_TOL for the columns of f, w (bins, m)
+    at points with objectives obj and model probabilities probs."""
+    n = np.arange(n_max + 2.0)[:, None]
+    model_error = 0.5 * (n + 1.0) * (n + 2.0) * probs
+    model_error[n_max + 1] = _bin_sum(model_error[:n_max + 1]) + (n_max + 1.0)
+    model_term = _bin_sum(w * np.abs(probs - f) * model_error)
+    return _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * obj + 2.0 * model_term)
+
+
 def _refine(x, f, w, n_max: int, max_iter: int):
     """Projected Levenberg-Marquardt on the residuals sqrt(w) (P - f), run
     in lock-step over the columns, from the start points x (2, m) inside
@@ -345,7 +380,12 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     Each iteration solves the damped 2x2 normal equations of every
     unconverged column (a coordinate on a face whose gradient points out of
     the box is held fixed), projects the step onto the box and keeps it
-    only if the objective decreases.  Returns the best points, their
+    only if the objective decreases.  A column stops when its step is below
+    _STEP_TOL, when the actual and predicted decrease of an accepted step
+    are below _DECREASE_TOL, or when it sits on the objective's rounding
+    floor (a rejected trial that ties the objective within rho, with an
+    undamped Gauss-Newton decrease within rho too; see above _STEP_TOL).
+    Every test reads only its own column.  Returns the best points, their
     objectives, the objectives at the start points (from the first
     evaluation, which is not counted), per-column convergence flags and the
     number of trial evaluations.
@@ -372,10 +412,16 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         # Marquardt scaling with a floor, so a vanishing column cannot make
         # the damped system singular.
         floor = 1e-12 * (h00 + h11)
-        a00 = np.where(fixed[0], 1.0, h00 + lam * np.maximum(h00, floor))
-        a11 = np.where(fixed[1], 1.0, h11 + lam * np.maximum(h11, floor))
+        g00 = np.where(fixed[0], 1.0, h00)
+        g11 = np.where(fixed[1], 1.0, h11)
         a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
         b0, b1 = np.where(fixed, 0.0, -grad)
+        # the undamped Gauss-Newton decrease g^T H^-1 g over the free coordinates
+        gn_det = g00 * g11 - a01 * a01
+        gn_gain = np.where(gn_det > 0.0, (g11 * b0 * b0 - 2.0 * a01 * b0 * b1 + g00 * b1 * b1)
+                           / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
+        a00 = g00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
+        a11 = g11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
         det = a00 * a11 - a01 * a01
         solvable = det > 0.0
         det = np.where(solvable, det, 1.0)
@@ -387,9 +433,11 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         better = t_obj < obj
         model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
                        + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
+        rho = _rounding_floor(obj, probs, f, w, n_max)
         done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
                 | (better & (obj - t_obj <= _DECREASE_TOL * obj)
-                   & (model_gain <= _DECREASE_TOL * obj)))
+                   & (model_gain <= _DECREASE_TOL * obj))
+                | (~better & (t_obj - obj <= rho) & (gn_gain <= rho)))
         # Nielsen's update: the worse the linear model predicted the gain,
         # the less the damping drops; a rejected step raises it.
         ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
@@ -467,7 +515,12 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     2. projected Levenberg-Marquardt from the best grid point with the
        analytic Jacobian, at most ``max_evals`` objective evaluations after
        the one at the grid winner (``max_evals=0`` returns the grid
-       winner, not converged).
+       winner, not converged).  A row has converged when a step moves
+       every coordinate by at most 1e-10 relative, when an accepted step's
+       actual and predicted decrease are both at most 1e-15 relative, or
+       when the objective sits on its rounding floor: a rejected trial ties
+       it within the objective's rounding bound, and so does the undamped
+       Gauss-Newton decrease.
 
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;
@@ -483,11 +536,20 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     if not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be finite")
     wts = _checked_weights(weights, freqs.shape)
-    rows, n_max = freqs.shape[0], freqs.shape[1] - 2
+    n_max = freqs.shape[1] - 2
     if n_max > MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
+    x, objective, converged, evals = _fit_points(freqs, wts, max_evals)
+    return FitBatch(*_parameters(x), objective, converged, evals)
+
+
+def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int):
+    """fit_batch's stages on checked input: the fitted points (q, nbar) as a
+    (2, rows) array, with each row's objective, convergence flag and
+    evaluation count."""
+    rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     grid_x, operands = _model_grid(n_max)
-    params = np.empty((len(PARAMETERS), rows))
+    points = np.empty((2, rows))
     objective = np.empty(rows)
     converged = np.zeros(rows, dtype=bool)
     # the grid, then the refinement's first evaluation, at each row's grid winner
@@ -500,8 +562,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
         converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
         evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
         objective[b] = obj
-        params[:, b] = _parameters(x)
-    return FitBatch(*params, objective, converged, evals)
+        points[:, b] = x
+    return points, objective, converged, evals
 
 
 def fit_frequencies(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitResult:

@@ -31,7 +31,8 @@ from fockfit.model import (
     to_variances,
 )
 from fockfit.estimation import (
-    _GRID_BLOCK, _GRID_GEMM_SIZE, _UPPER, _evaluate, _grid_winners, _model_grid, _parameters,
+    _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points, _grid_winners,
+    _model_grid, _parameters, _refine, _rounding_floor,
 )
 from fockfit.model import _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
@@ -292,10 +293,8 @@ class TestFit:
     def test_constraints_always_satisfied(self):
         # 1000 badly fitting histograms in one batch; the first 50 also
         # through fit (TestFitBatch ties batched rows to single fits).
-        rng = np.random.default_rng(31)
-        counts = np.array([rng.multinomial(200, rng.dirichlet(np.full(22, 0.3)))
-                           for _ in range(1000)])
-        results = list(fit_batch(counts / 200, posterior_weights(counts, PriorShape(1, 1))))
+        counts, freqs, weights = _dirichlet_rows(1000)
+        results = list(fit_batch(freqs, weights))
         for row in counts[:50]:
             h = FockHistogram(tuple(int(c) for c in row[:-1]), int(row[-1]), 200)
             results.append(fit(h, posterior_weights(h, PriorShape(1, 1))))
@@ -339,6 +338,15 @@ class TestFit:
 def _sampled_rows(r, nbar, shots, n, n_max=20, seed=17):
     dist = fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max)
     counts = _sample_counts(dist, shots, SeedSpec(seed, 0), n)
+    return counts, counts / shots, posterior_weights(counts)
+
+
+def _dirichlet_rows(n, n_max=20, seed=31, shots=200):
+    """Histograms of ``shots`` draws from Dirichlet(0.3) bin probabilities:
+    rows that fit badly, some in flat valleys at large nbar."""
+    rng = np.random.default_rng(seed)
+    counts = np.array([rng.multinomial(shots, rng.dirichlet(np.full(n_max + 2, 0.3)))
+                       for _ in range(n)])
     return counts, counts / shots, posterior_weights(counts)
 
 
@@ -426,9 +434,12 @@ class TestFitBatch:
         # Rows are fitted in 32-row grid blocks and 512-row refinement
         # blocks; offsets 0..33 put the target rows at every position of a
         # grid block, and their results must not move by a single bit.
+        # The targets include badly fitting Dirichlet rows and rows on the
+        # nbar = 0 bound; every stop test reads only its own column.
         _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, 33, n_max, seed=3)
         targets = [_sampled_rows(r, nbar, 10 ** 4, 2, n_max, seed=5)
-                   for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01))]
+                   for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.3, 0.0))]
+        targets.append(_dirichlet_rows(3, n_max, seed=41))
         target_f = np.concatenate([t[1] for t in targets])
         target_w = np.concatenate([t[2] for t in targets])
         alone = fit_batch(target_f, target_w)
@@ -451,6 +462,73 @@ class TestFitBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 3.75e6
+
+
+class TestRoundingFloor:
+    """The refinement's third stop, at the objective's rounding floor rho:
+    rho bounds the objective's rounding noise at every fitted point, and a
+    refinement restarted there finds no decrease beyond it."""
+
+    STATES = ((0.0, 0.01), (0.0, 2.0), (0.5, 1.0), (1.0, 0.05), (1.0, 0.01), (2.0, 0.3),
+              (2.5, 0.01))
+
+    def rows(self, n_max):
+        sets = [_sampled_rows(r, nbar, shots, 100, n_max, seed=11 + i)
+                for i, (r, nbar) in enumerate(self.STATES) for shots in (200, 10 ** 4)]
+        sets += [_sampled_rows(r, nbar, shots, 50, n_max, seed=7)
+                 for r, nbar in ((0.0, 0.01), (0.3, 0.0)) for shots in (200, 10 ** 4)]
+        sets.append(_dirichlet_rows(1000, n_max))
+        return (np.concatenate([s[1] for s in sets]), np.concatenate([s[2] for s in sets]))
+
+    @staticmethod
+    def literal_rho(obj, p, f, w, n_max):
+        eps = np.finfo(float).eps
+        c = [(n + 1) * (n + 2) / 2 for n in range(n_max + 1)]
+        d = [c[n] * p[n] for n in range(n_max + 1)] + [sum(c[n] * p[n] for n in range(n_max + 1))
+                                                        + n_max + 1]
+        return 2 * eps * ((n_max + 2) * obj + 2 * sum(
+            w[n] * abs(p[n] - f[n]) * d[n] for n in range(n_max + 2)))
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_rho_bounds_the_noise_at_every_fitted_point(self, n_max):
+        freqs, weights = self.rows(n_max)
+        x, obj, converged, _ = _fit_points(freqs, weights, _MAX_EVALS)
+        assert converged.all()
+        f, w = freqs.T.copy(), weights.T.copy()
+        rho = _rounding_floor(obj, _fock_table(x[0], x[1], n_max), f, w, n_max)
+        for i in range(0, len(obj), 97):
+            want = self.literal_rho(obj[i], _fock_table(x[0, i:i + 1], x[1, i:i + 1], n_max)[:, 0],
+                                    f[:, i], w[:, i], n_max)
+            assert rho[i] == pytest.approx(want, rel=1e-12)
+        # the objective over every point within 4 ulps of the fitted one
+        low, high = obj.copy(), obj.copy()
+        for dq in range(-4, 5):
+            q = x[0]
+            for _ in range(abs(dq)):
+                q = np.maximum(np.nextafter(q, dq * np.inf), 0.0)
+            for dn in range(-4, 5):
+                nbar = x[1]
+                for _ in range(abs(dn)):
+                    nbar = np.maximum(np.nextafter(nbar, dn * np.inf), 0.0)
+                values = _evaluate(np.stack((q, nbar)), f, w, n_max, jacobian=False)
+                np.minimum(low, values, out=low)
+                np.maximum(high, values, out=high)
+        assert np.all(high - low <= rho)
+        # a fresh refinement from the fitted point; its first (Jacobian)
+        # evaluation gives the fitted objective bit for bit
+        _, restarted, start, _, _ = _refine(x, f, w, n_max, _MAX_EVALS)
+        assert np.array_equal(start, obj)
+        assert np.all(obj - restarted <= rho)
+
+    def test_rows_in_their_minimum_stop_early(self):
+        # At the state of a 1000-replicate ci, rows that reach their minimum
+        # used to make rejected trials until the damping grew large enough
+        # for the step test: 9.2 LM evaluations per row before this stop,
+        # 6.1 with it.
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 500)
+        fits = fit_batch(freqs, weights)
+        assert fits.converged.all()
+        assert np.mean(fits.evaluations - (60 * 60 + 1)) <= 7.0
 
 
 class TestGridStage:

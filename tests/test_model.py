@@ -306,6 +306,21 @@ class TestHighPrecision:
             scale = np.abs(jac[:, k]).max(axis=0)
             assert np.all(np.abs(diff - jac[:, k]) <= 1e-6 * scale)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 20, MAX_FOCK])
+    def test_jacobian_pass_values_equal_the_value_pass(self, n_max):
+        # The fit compares objectives from Jacobian passes with value-only
+        # ones (the grid ceiling, the boundary snap and the rounding-floor
+        # stop), which is sound only while the two give the same bits.
+        q_vals = [0.0, 5e-324, 1e-12, 1e-6, 0.3, 2.0 * math.sinh(1.0) ** 2, 73.2, 1e4, 1e12]
+        nbar_vals = [0.0, 5e-324, 1e-9, 0.01, 0.3, 2.0, 33.1, 1e3, 1e6]
+        q, nbar = map(np.ravel, np.meshgrid(q_vals, nbar_vals, indexing="ij"))
+        rng = np.random.default_rng(n_max)
+        q = np.concatenate((q, 2.0 * np.sinh(rng.uniform(0.0, 3.5, 200)) ** 2))
+        nbar = np.concatenate((nbar, np.expm1(rng.uniform(0.0, 4.0, 200))))
+        values, _ = _fock_table(q, nbar, n_max, jacobian=True)
+        want = _fock_table(q, nbar, n_max)
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
 
 class TestBinSum:
     """_bin_sum adds the bins in order: bit for bit what np.add.accumulate
