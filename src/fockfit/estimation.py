@@ -412,16 +412,16 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         # Marquardt scaling with a floor, so a vanishing column cannot make
         # the damped system singular.
         floor = 1e-12 * (h00 + h11)
-        g00 = np.where(fixed[0], 1.0, h00)
-        g11 = np.where(fixed[1], 1.0, h11)
+        u00 = np.where(fixed[0], 1.0, h00)
+        u11 = np.where(fixed[1], 1.0, h11)
         a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
         b0, b1 = np.where(fixed, 0.0, -grad)
         # the undamped Gauss-Newton decrease g^T H^-1 g over the free coordinates
-        gn_det = g00 * g11 - a01 * a01
-        gn_gain = np.where(gn_det > 0.0, (g11 * b0 * b0 - 2.0 * a01 * b0 * b1 + g00 * b1 * b1)
+        gn_det = u00 * u11 - a01 * a01
+        gn_gain = np.where(gn_det > 0.0, (u11 * b0 * b0 - 2.0 * a01 * b0 * b1 + u00 * b1 * b1)
                            / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
-        a00 = g00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
-        a11 = g11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
+        a00 = u00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
+        a11 = u11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
         det = a00 * a11 - a01 * a01
         solvable = det > 0.0
         det = np.where(solvable, det, 1.0)
