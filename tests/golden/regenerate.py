@@ -51,7 +51,7 @@ COMMANDS = (
     "--stream 4294967000 --out {outputs}/ci-stream.json",
     *(f"study --config {{inputs}}/study-{kind}.json --out {{outputs}}/study-{kind}.csv "
       f"--json-out {{outputs}}/study-{kind}.json"
-      for kind in ("fidelity", "bias-mle", "weights", "coverage")),
+      for kind in ("fidelity", "bias-mle", "bias-exact-uniform", "weights", "coverage")),
 )
 
 

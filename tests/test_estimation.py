@@ -409,6 +409,17 @@ class TestFitBatch:
             probe = to_variances(SqueezedThermalState(1e-3, fits[i].state.nbar))
             assert _objective_at(probe, freqs[i], weights[i]) >= fits[i].objective
 
+    @pytest.mark.parametrize("n_max", [20, 64])
+    @pytest.mark.parametrize("r, nbar, zero", [(0.0, 0.01, "r"), (0.0, 1.0, "r"),
+                                               (2.5, 0.0, "nbar")])
+    def test_exact_boundary_rows_snap_onto_the_bound(self, n_max, r, nbar, zero):
+        # A zero-residual row on a bound: the refinement alone ends up to
+        # 1e-8 off it; the snap puts the coordinate exactly on zero.
+        freqs = fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max).all_probs
+        fits = fit_batch(freqs[None], np.ones((1, freqs.size)))
+        assert fits.converged.all()
+        assert getattr(fits, zero)[0] == 0.0
+
     def test_shape_and_weight_validation(self):
         _, freqs, weights = _sampled_rows(1.0, 0.05, 1000, 2)
         with pytest.raises(ValueError):
