@@ -148,6 +148,22 @@ class TestStdNormalQuantile:
                 0.0, abs=1e-10
             )
 
+    def test_exact_antisymmetry_above_one_half(self):
+        # For x in (1/2, 1), 1 - x is exact (Sterbenz), so the two sides
+        # evaluate the same tail and must agree bit for bit.  Below 1/2,
+        # 1 - p can round and they need not.
+        ulp = 2.0 ** -53
+        xs = np.concatenate((
+            np.random.default_rng(3).uniform(0.5, 1.0, 10 ** 4),
+            0.5 + ulp * np.arange(1, 1001),
+            1.0 - ulp * np.arange(1, 1001),
+            1.0 - np.geomspace(0.5, 1e-16, 2000),
+        ))
+        xs = xs[(xs > 0.5) & (xs < 1.0)]
+        assert xs.size >= 10 ** 4
+        for x in xs.tolist():
+            assert std_normal_quantile(x) == -std_normal_quantile(1.0 - x)
+
     def test_round_trip(self):
         for p in np.geomspace(1e-8, 0.5, 40):
             assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
