@@ -270,11 +270,11 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 # A row has converged when its step changes every coordinate x by at most
 # _STEP_TOL * (|x| + _STEP_FLOOR), when the step's actual and predicted
 # decrease of the objective are both at most _DECREASE_TOL relative, or when
-# the objective sits on its rounding floor rho: the trial is rejected but
-# ties the objective within rho, and the undamped Gauss-Newton decrease
-# g^T H^-1 g over the free coordinates is at most rho as well, so no step
-# could show a gain that rounding does not hide (Madsen, Nielsen &
-# Tingleff, Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+# the objective sits on its rounding floor rho: the trial is rejected and
+# the undamped Gauss-Newton decrease g^T H^-1 g over the free coordinates is
+# at most rho, so no step could show a gain that rounding does not hide
+# (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
+# Problems, 2004, sec. 3.2).
 #
 # rho bounds the rounding error of one evaluation of the objective
 # sum_n w_n (P_n - f_n)^2, with eps the machine epsilon (twice the unit
@@ -292,8 +292,9 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 #   for the sum itself.  A linear (n + 1) eps P_n is exceeded up to 11-fold
 #   at n_max = 64 for thermal states; the tests check this model against
 #   the objective's spread over +-4-ulp perturbations of fitted points.
-# The stop compares two evaluations, the trial's and the current one, each
-# with its own error, so rho is _FLOOR_FACTOR times that bound.
+# A gain shows only as the difference of two evaluations, the trial's and
+# the current one, each with its own error, so rho is _FLOOR_FACTOR times
+# that bound.
 _STEP_TOL, _STEP_FLOOR, _DECREASE_TOL = 1e-10, 1e-6, 1e-15
 _FLOOR_FACTOR = 2.0
 # The upper corner of the search box in (q, nbar), at r = 14.2 and
@@ -383,8 +384,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     only if the objective decreases.  A column stops when its step is below
     _STEP_TOL, when the actual and predicted decrease of an accepted step
     are below _DECREASE_TOL, or when it sits on the objective's rounding
-    floor (a rejected trial that ties the objective within rho, with an
-    undamped Gauss-Newton decrease within rho too; see above _STEP_TOL).
+    floor (a rejected trial whose undamped Gauss-Newton decrease is within
+    rho; see above _STEP_TOL).
     Every test reads only its own column.  Returns the best points, their
     objectives, the objectives at the start points (from the first
     evaluation, which is not counted), per-column convergence flags and the
@@ -437,7 +438,7 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
                 | (better & (obj - t_obj <= _DECREASE_TOL * obj)
                    & (model_gain <= _DECREASE_TOL * obj))
-                | (~better & (t_obj - obj <= rho) & (gn_gain <= rho)))
+                | (~better & (gn_gain <= rho)))
         # Nielsen's update: the worse the linear model predicted the gain,
         # the less the damping drops; a rejected step raises it.
         ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
@@ -518,9 +519,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
        winner, not converged).  A row has converged when a step moves
        every coordinate by at most 1e-10 relative, when an accepted step's
        actual and predicted decrease are both at most 1e-15 relative, or
-       when the objective sits on its rounding floor: a rejected trial ties
-       it within the objective's rounding bound, and so does the undamped
-       Gauss-Newton decrease.
+       when a trial is rejected and the undamped Gauss-Newton decrease is
+       within the objective's rounding bound.
 
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;

@@ -85,12 +85,10 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of std_normal_cdf on (0, 1): statistics.NormalDist's
     inv_cdf (Wichura's AS241, accurate to about 1e-16 relative).
 
-    Raises ValueError outside the open interval.  The reflection for
-    p > 1/2 evaluates the lower tail at the exact 1 - p and makes the
-    symmetry quantile(p) = -quantile(1 - p) exact.
+    Raises ValueError outside the open interval.  inv_cdf evaluates the
+    upper tail at the exact 1 - p and its central branch is odd in p - 1/2,
+    so quantile(p) = -quantile(1 - p) holds exactly for p > 1/2.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if p > 0.5:
-        return -std_normal_quantile(1.0 - p)
     return _STD_NORMAL.inv_cdf(p)

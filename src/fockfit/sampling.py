@@ -42,9 +42,11 @@ class SeedSpec:
 # The seeding that SeedSpec.generator() runs, step by step: numpy's
 # SeedSequence (the public algorithm of numpy.random.bit_generator, fixed by
 # numpy's stream-compatibility policy, NEP 19) hashes the entropy words into
-# a pool of four uint32 words and hashes the pool into eight state words,
-# and PCG64 takes them as its 128-bit seed and stream.  Values are Python
-# ints or uint32 arrays; both wrap mod 2**32 through _MASK32.
+# a pool of four uint32 words, mixes the spawn key's words into it and
+# hashes the pool into eight state words, and PCG64 takes them as its
+# 128-bit seed and stream.  The master's pool comes from numpy; the rest is
+# written out here, over every stream at once.  Values are Python ints or
+# uint32 arrays; both wrap mod 2**32 through _MASK32.
 _MASK32 = 0xFFFF_FFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
@@ -89,19 +91,9 @@ def _words(value: int) -> list[int]:
 @lru_cache(maxsize=16)
 def _master_pool(master_seed: int) -> np.ndarray:
     """The pool of SeedSequence(master_seed, spawn_key=(...)) before the
-    spawn key is mixed in, as a read-only (4, 1) uint32 column: the
-    master's words zero-padded to the pool size, hashed, then every pool
-    word mixed into every other.  The 16 hashes use the first 17 constants."""
-    c = _hash_constants(_INIT_A, _MULT_A, 0, 17)[:, 0].tolist()
-    entropy = (_words(master_seed) + [0] * _POOL_SIZE)[:_POOL_SIZE]
-    pool = [_hashmix(word, c[k], c[k + 1]) for k, word in enumerate(entropy)]
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[k], c[k + 1]))
-                k += 1
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    spawn key is mixed in, as a read-only (4, 1) uint32 column: the pool of
+    SeedSequence(master_seed), which stops there without a spawn key."""
+    pool = np.random.SeedSequence(master_seed).pool[:, None].copy()
     pool.flags.writeable = False
     return pool
 

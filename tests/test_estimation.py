@@ -476,7 +476,8 @@ class TestFitBatch:
 
 
 class TestRoundingFloor:
-    """The refinement's third stop, at the objective's rounding floor rho:
+    """The refinement's third stop, a rejected trial whose undamped
+    Gauss-Newton decrease is within the objective's rounding floor rho:
     rho bounds the objective's rounding noise at every fitted point, and a
     refinement restarted there finds no decrease beyond it."""
 
