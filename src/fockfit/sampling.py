@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._io import is_int
 from .estimation import FockHistogram
 from .model import FockDistribution
 
@@ -28,10 +29,10 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not (is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be >= 0")
+        if not (is_int(self.stream_index) and self.stream_index >= 0):
+            raise ValueError("stream_index must be an integer >= 0")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(

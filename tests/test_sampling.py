@@ -19,6 +19,13 @@ class TestSeedSpec:
             SeedSpec(2 ** 64, 0)
         with pytest.raises(ValueError):
             SeedSpec(0, -1)
+        for master, stream, name in ((7.9, 0, "master_seed"), (7.0, 0, "master_seed"),
+                                     (True, 0, "master_seed"), (7, 0.5, "stream_index"),
+                                     (7, 1.0, "stream_index"), (7, False, "stream_index")):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                SeedSpec(master, stream)
+        assert SeedSpec(np.uint64(2 ** 64 - 1), np.int64(3)).generator().integers(2 ** 62) == (
+            SeedSpec(2 ** 64 - 1, 3).generator().integers(2 ** 62))
 
     def test_streams_differ(self):
         a = SeedSpec(123, 0).generator().random(4)
