@@ -260,8 +260,10 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     and every converged experiment's bootstrap goes through one
     parallel_map."""
     states, shots, n_bs = zip(*cells)
-    if n_experiments < 1 or min(shots) < 1:
-        raise ValueError("all counts must be positive")
+    if n_experiments < 1:
+        raise ValueError(f"n_experiments must be >= 1, got {n_experiments}")
+    if min(shots) < 1:
+        raise ValueError(f"n_shots must be >= 1, got {min(shots)}")
     if min(n_bs) < 2:
         raise ValueError(f"n_b must be >= 2, got {min(n_bs)}")
     if not 0.0 < alpha < 0.5:

@@ -243,7 +243,10 @@ class TestCoverage:
         ({"n_b": 1}, "n_b"),
         ({"alpha": 0.0}, "alpha"),
         ({"alpha": 0.5}, "alpha"),
-    ], ids=["no-method", "n_b=-1", "n_b=1", "alpha=0", "alpha=0.5"])
+        ({"n_experiments": 0}, "n_experiments"),
+        ({"n_shots": 0}, "n_shots"),
+    ], ids=["no-method", "n_b=-1", "n_b=1", "alpha=0", "alpha=0.5", "n_experiments=0",
+            "n_shots=0"])
     def test_bad_arguments_rejected_before_sampling(self, monkeypatch, bad, name):
         calls = []
 
@@ -252,10 +255,12 @@ class TestCoverage:
 
         monkeypatch.setattr(bt, "_sample_counts", recorder("_sample_counts"))
         monkeypatch.setattr(bt, "fit_batch", recorder("fit_batch"))
-        args = {"n_b": 20, "alpha": 0.05, "method": METHODS, **bad}
+        args = {"n_shots": 500, "n_experiments": 2, "n_b": 20, "alpha": 0.05,
+                "method": METHODS, **bad}
         with pytest.raises(ValueError, match=f"^{name} "):
-            coverage_probability(SqueezedThermalState(0.5, 0.1), 500, 2, args["n_b"],
-                                 args["alpha"], args["method"], PRIOR, SeedSpec(12, 0))
+            coverage_probability(SqueezedThermalState(0.5, 0.1), args["n_shots"],
+                                 args["n_experiments"], args["n_b"], args["alpha"],
+                                 args["method"], PRIOR, SeedSpec(12, 0))
         assert calls == []
 
     def test_equals_per_experiment_chain(self):
