@@ -1,5 +1,5 @@
-"""Helpers shared by the CLI and the studies module: atomic text-file
-writes and the integer and number checks of JSON and study-config values."""
+"""Helpers shared across the package: atomic text-file writes and the
+integer and number checks of arguments, JSON and study-config values."""
 
 from __future__ import annotations
 
@@ -8,12 +8,21 @@ import numbers
 import os
 import secrets
 
-__all__ = ["atomic_write", "is_int", "is_number"]
+__all__ = ["atomic_write", "check_int", "is_int", "is_number"]
 
 
 def is_int(value) -> bool:
     """A Python or numpy integer, never a bool (JSON booleans parse as bool)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError, its message starting with ``name``, unless
+    ``value`` is an integer (see is_int) of at least ``low``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def is_number(value) -> bool:

@@ -11,6 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._io import check_int
 from ._parallel import parallel_map
 from .estimation import PARAMETERS, FitBatch, FitResult, PriorShape, fit_batch, weights_for
 from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
@@ -88,8 +89,7 @@ def parametric_bootstrap(
     """
     if not point.converged:
         raise ValueError("bootstrap requires a converged point estimate")
-    if n_b < 2:
-        raise ValueError(f"n_b must be >= 2, got {n_b}")
+    check_int("n_b", n_b, 2)
     counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
     reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior))
     if reps.n_failed > MAX_FAILURE_FRACTION * n_b:
@@ -260,12 +260,10 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     and every converged experiment's bootstrap goes through one
     parallel_map."""
     states, shots, n_bs = zip(*cells)
-    if n_experiments < 1:
-        raise ValueError(f"n_experiments must be >= 1, got {n_experiments}")
-    if min(shots) < 1:
-        raise ValueError(f"n_shots must be >= 1, got {min(shots)}")
-    if min(n_bs) < 2:
-        raise ValueError(f"n_b must be >= 2, got {min(n_bs)}")
+    check_int("n_experiments", n_experiments, 1)
+    for name, values, low in (("n_shots", shots, 1), ("n_b", n_bs, 2)):
+        for value in values:
+            check_int(name, value, low)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
     if not methods:

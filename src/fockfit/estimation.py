@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._io import check_int, is_int
 from .model import (
     HEISENBERG_SLACK,
     MAX_FOCK,
@@ -56,10 +57,12 @@ class FockHistogram:
     def __post_init__(self):
         if len(self.counts) < 2:
             raise ValueError("need at least bins 0 and 1")
-        if any(k < 0 for k in self.counts) or self.overflow_count < 0:
+        if not all(is_int(k) for k in self.counts):
+            raise ValueError(f"counts must be integers, got {self.counts!r}")
+        if any(k < 0 for k in self.counts):
             raise ValueError("counts must be nonnegative")
-        if self.total < 1:
-            raise ValueError("total must be >= 1")
+        check_int("overflow_count", self.overflow_count, 0)
+        check_int("total", self.total, 1)
         if sum(self.counts) + self.overflow_count != self.total:
             raise ValueError("counts plus overflow must sum to total")
 
@@ -238,7 +241,7 @@ def objective(v: QuadratureVariances, h: FockHistogram, weights) -> float:
     freqs = h.frequencies
     wts = _checked_weights(weights, freqs.shape)
     point = np.array(_fit_coords(v))[:, None]
-    return float(_evaluate(point, freqs[:, None], wts[:, None], h.n_max, jacobian=False)[0])
+    return float(_evaluate(point, freqs[:, None], wts[:, None], h.n_max)[0][0])
 
 
 # The grid stage: _GRID_SIZE points linear in r over [0, _GRID_R_MAX] by
@@ -290,8 +293,8 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 #   (n + 1)(n + 2)/2 eps P_n for n <= n_max.  The overflow bin is 1 - sum P,
 #   so its error is absolute: the sum of those errors plus (n_max + 1) eps
 #   for the sum itself.  A linear (n + 1) eps P_n is exceeded up to 11-fold
-#   at n_max = 64 for thermal states; the tests check this model against
-#   the objective's spread over +-4-ulp perturbations of fitted points.
+#   at n_max = 64 for thermal states; the tests check this model against a
+#   50-digit oracle, and rho against the objective's spread near fitted points.
 # A gain shows only as the difference of two evaluations, the trial's and
 # the current one, each with its own error, so rho is _FLOOR_FACTOR times
 # that bound.
@@ -327,7 +330,7 @@ def _model_grid(n_max: int):
     width = _GRID_GEMM_SIZE // (_GRID_BLOCK * 2 * (n_max + 2))
     operands = []
     for first in range(0, points.shape[1], width):
-        probs = _fock_table(points[0, first:first + width], points[1, first:first + width], n_max)
+        probs, _ = _fock_table(*points[:, first:first + width], n_max)
         operands.append(np.concatenate((probs * probs, probs)))
         operands[-1].flags.writeable = False
     return points, tuple(operands)
@@ -354,13 +357,11 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray, operands: tuple) -> np.nda
     return best[:rows]
 
 
-def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int, jacobian: bool):
-    """Objective (and model and Jacobian) at points x = (q, nbar) of shape
+def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int):
+    """Objective, model and Jacobian at points x = (q, nbar) of shape
     (2, m), for the frequency and weight columns f, w of shape (bins, m)."""
-    if jacobian:
-        probs, jac = _fock_table(x[0], x[1], n_max, jacobian=True)
-        return _bin_sum(w * np.square(probs - f)), probs, jac
-    return _bin_sum(w * np.square(_fock_table(x[0], x[1], n_max) - f))
+    probs, jac = _fock_table(x[0], x[1], n_max)
+    return _bin_sum(w * np.square(probs - f)), probs, jac
 
 
 def _rounding_floor(obj, probs, f, w, n_max: int):
@@ -396,7 +397,7 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     x_out = x.copy()
     evals = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    start_obj, probs, jac = _evaluate(x, f, w, n_max, jacobian=True)
+    start_obj, probs, jac = _evaluate(x, f, w, n_max)
     obj, obj_out = start_obj.copy(), start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
     # The state of the unconverged columns, compacted as columns finish.
@@ -429,7 +430,7 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
         trial = np.clip(x + step, 0.0, _UPPER)
         step = trial - x
-        t_obj, t_probs, t_jac = _evaluate(trial, f, w, n_max, jacobian=True)
+        t_obj, t_probs, t_jac = _evaluate(trial, f, w, n_max)
         evals[cols] += 1
         better = t_obj < obj
         model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
@@ -469,7 +470,7 @@ def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
     extra = np.zeros(x.shape[1], dtype=np.int64)
     if cols.size:
         snapped = np.where(near[:, cols], 0.0, x[:, cols])
-        s_obj = _evaluate(snapped, f[:, cols], w[:, cols], n_max, jacobian=False)
+        s_obj = _evaluate(snapped, f[:, cols], w[:, cols], n_max)[0]
         extra[cols] = 1
         keep = (s_obj <= obj[cols] * (1.0 + _SNAP_SLACK)) & (s_obj <= ceiling[cols])
         x[:, cols[keep]] = snapped[:, keep]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import check_int, is_int
 from .numerics import _legendre_jet
 
 __all__ = [
@@ -91,6 +92,7 @@ class FockDistribution:
     overflow: float
 
     def __post_init__(self):
+        check_int("n_max", self.n_max, 0)
         if len(self.probs) != self.n_max + 1:
             raise ValueError("probs must have n_max + 1 entries")
         if any(p < 0.0 or p > 1.0 for p in self.probs) or not 0.0 <= self.overflow <= 1.0:
@@ -162,10 +164,12 @@ def _legendre_args(q, nbar):
     return big_b, chat, uhat, 2.0 / np.sqrt(big_b)
 
 
-def _fock_table(q, nbar, n_max: int, jacobian: bool = False):
+def _fock_table(q, nbar, n_max: int):
     """Probabilities of all n_max + 2 measurement categories (Fock numbers
     0..n_max, then the overflow bin) for every state (q[i], nbar[i]),
-    q = cosh 2r - 1, as an (n_max + 2, m) array.
+    q = cosh 2r - 1, as an (n_max + 2, m) array, and their derivatives
+    d/dq and d/dnbar as an (n_max + 2, 2, m) array, from one pass of the
+    recurrence.
 
     In these coordinates the closed form is rational and free of exp:
 
@@ -183,35 +187,28 @@ def _fock_table(q, nbar, n_max: int, jacobian: bool = False):
     clamped, and the overflow bin is 1 minus the partial sum, clamped at 0,
     so each column is a valid multinomial parameter vector.
 
-    With ``jacobian`` the derivatives d/dq and d/dnbar of every entry come
-    from the same recurrence pass, returned as a second (n_max + 2, 2, m)
-    array.  Entries clamped from below zero have zero derivative; an entry
-    exactly zero keeps its derivative, which is the one-sided derivative
-    into the domain where it matters (odd Fock numbers at nbar = 0).
+    Entries clamped from below zero have zero derivative; an entry exactly
+    zero keeps its derivative, which is the one-sided derivative into the
+    domain where it matters (odd Fock numbers at nbar = 0).
     """
     q = np.asarray(q, dtype=float)
     nbar = np.asarray(nbar, dtype=float)
     big_b, chat, uhat, p0 = _legendre_args(q, nbar)
-    if jacobian:
-        two_h = 2.0 * nbar + 1.0
-        # value and d/dq, d/dnbar of B, B*chat and B*uhat, then jets of
-        # chat, uhat and the derivatives of P(0)
-        db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
-        c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
-        u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
-        c_jet[1:] /= big_b
-        u_jet[1:] /= big_b
-        dp0 = -0.5 * p0 * db / big_b
-    else:
-        c_jet, u_jet = chat[None], uhat[None]
+    two_h = 2.0 * nbar + 1.0
+    # value and d/dq, d/dnbar of B, B*chat and B*uhat, then jets of
+    # chat, uhat and the derivatives of P(0)
+    db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
+    c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
+    u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
+    c_jet[1:] /= big_b
+    u_jet[1:] /= big_b
+    dp0 = -0.5 * p0 * db / big_b
     jet = _legendre_jet(c_jet, u_jet, n_max)
     raw = np.multiply(p0, jet[:, 0], out=jet[:, 0])
     out = np.empty((n_max + 2,) + raw.shape[1:])
     np.maximum(raw, 0.0, out=out[: n_max + 1])
     tail = 1.0 - _bin_sum(out[: n_max + 1])
     out[n_max + 1] = np.maximum(tail, 0.0)
-    if not jacobian:
-        return out
     # d(p0 G_n) = dp0 G_n + p0 dG_n, with G_n = raw / p0
     jac = np.empty((n_max + 2, 2) + raw.shape[1:])
     np.multiply(p0, jet[:, 1:], out=jac[: n_max + 1])
@@ -228,19 +225,23 @@ def fock_probability(v: QuadratureVariances, n: int) -> float:
     (nbar**n / (nbar+1)**(n+1)) and reproduces the parity zeros of squeezed
     vacuum.
     """
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0 or n > MAX_FOCK:
         raise ValueError(f"n must be in [0, {MAX_FOCK}], got {n}")
     q, nbar = _fit_coords(v)
-    return float(_fock_table(q, nbar, max(n, 1))[n])
+    return float(_fock_table(q, nbar, max(n, 1))[0][n])
 
 
 def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistribution:
     """Model distribution over the n_max + 2 measurement categories
     (Fock numbers 0..n_max plus one overflow bin for everything above)."""
+    if not is_int(n_max):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if not 1 <= n_max <= MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
     q, nbar = _fit_coords(v)
-    all_probs = _fock_table(q, nbar, n_max).tolist()
+    all_probs = _fock_table(q, nbar, n_max)[0].tolist()
     return FockDistribution(n_max, tuple(all_probs[:-1]), all_probs[-1])
 
 

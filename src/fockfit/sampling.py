@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import is_int
+from ._io import check_int, is_int
 from .estimation import FockHistogram
 from .model import FockDistribution
 
@@ -31,8 +31,7 @@ class SeedSpec:
     def __post_init__(self):
         if not (is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64):
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if not (is_int(self.stream_index) and self.stream_index >= 0):
-            raise ValueError("stream_index must be an integer >= 0")
+        check_int("stream_index", self.stream_index, 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -89,16 +88,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-@lru_cache(maxsize=16)
-def _master_pool(master_seed: int) -> np.ndarray:
-    """The pool of SeedSequence(master_seed, spawn_key=(...)) before the
-    spawn key is mixed in, as a read-only (4, 1) uint32 column: the pool of
-    SeedSequence(master_seed), which stops there without a spawn key."""
-    pool = np.random.SeedSequence(master_seed).pool[:, None].copy()
-    pool.flags.writeable = False
-    return pool
-
-
 def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
     """The PCG64 states of SeedSpec(seed.master_seed, seed.stream_index + i)
     .generator() for i < n, as bit_generator.state dicts, derived in one
@@ -108,7 +97,9 @@ def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
     A stream index of 2**32 or more has more than one word.  Within a run
     of streams that share the bits above the lowest 32 only the lowest
     word differs, so the rows are mixed one such run at a time."""
-    master, first = int(seed.master_seed), int(seed.stream_index)
+    first = int(seed.stream_index)
+    # SeedSequence(master_seed) stops at the pool before any spawn key
+    master_pool = np.random.SeedSequence(int(seed.master_seed)).pool[:, None]
     pools = np.empty((_POOL_SIZE, n), dtype=np.uint32)
     row = 0
     while row < n:
@@ -116,7 +107,7 @@ def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
         size = min(n - row, (1 << 32) - low)
         words = [np.arange(low, low + size, dtype=np.uint32)]
         words += _words(high) if high else []
-        pool = _master_pool(master)
+        pool = master_pool
         for j, word in enumerate(words):
             # the hash constants go on from the master's 16 hashes
             c = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1)
@@ -152,10 +143,8 @@ def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) ->
     (and later entries 0), so its conditional probability is exactly 1 and
     it takes every remaining shot.
     """
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_int("n_shots", n_shots, 1)
+    check_int("n", n, 0)
     pvals = d.all_probs
     tail = 1.0
     for j, p in enumerate(d.probs):

@@ -153,6 +153,14 @@ class TestParametricBootstrap:
         assert boot_std < 2.0 * direct_std
         assert boot_std > 0.5 * direct_std
 
+    @pytest.mark.parametrize("n_shots, n_b, name", [
+        (1000.5, 10, "n_shots"), (True, 10, "n_shots"), (1000, 10.5, "n_b"), (1000, 10.0, "n_b"),
+    ])
+    def test_non_integer_counts_rejected(self, n_shots, n_b, name):
+        point = fit_state(0.5, 0.1, 1000)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            parametric_bootstrap(point, n_shots, n_b, PRIOR, SeedSpec(0, 0))
+
     def test_nonconverged_point_rejected(self):
         point = fit_state(0.5, 0.1, 500)
         bad = FitResult(point.variances, point.state, point.objective, False, 1)
@@ -245,8 +253,14 @@ class TestCoverage:
         ({"alpha": 0.5}, "alpha"),
         ({"n_experiments": 0}, "n_experiments"),
         ({"n_shots": 0}, "n_shots"),
+        ({"n_shots": 1000.5}, "n_shots"),
+        ({"n_shots": True}, "n_shots"),
+        ({"n_experiments": 2.5}, "n_experiments"),
+        ({"n_experiments": 2.0}, "n_experiments"),
+        ({"n_b": 10.5}, "n_b"),
     ], ids=["no-method", "n_b=-1", "n_b=1", "alpha=0", "alpha=0.5", "n_experiments=0",
-            "n_shots=0"])
+            "n_shots=0", "n_shots=1000.5", "n_shots=True", "n_experiments=2.5",
+            "n_experiments=2.0", "n_b=10.5"])
     def test_bad_arguments_rejected_before_sampling(self, monkeypatch, bad, name):
         calls = []
 

@@ -68,6 +68,17 @@ class TestHistogram:
         with pytest.raises(ValueError):
             FockHistogram((5, -1), 0, 4)
 
+    def test_integer_fields_checked(self):
+        for counts, overflow, total, name in (
+                ((1.5, 2.5), 0, 4, "counts"), ((True, 2), 0, 3, "counts"),
+                ((1.0, 2), 0, 3, "counts"), ((1, 2), 0.0, 3, "overflow_count"),
+                ((1, 2), False, 3, "overflow_count"), ((1, 2), 0, 3.0, "total"),
+                ((1, 0), 0, True, "total")):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                FockHistogram(counts, overflow, total)
+        h = FockHistogram((np.int64(1), np.uint32(2)), np.int16(0), np.int64(3))
+        assert np.array_equal(h.frequencies, FockHistogram((1, 2), 0, 3).frequencies)
+
 
 class TestPosteriorWeights:
     def test_zero_count_bin_value(self):
@@ -507,9 +518,9 @@ class TestRoundingFloor:
         x, obj, converged, _ = _fit_points(freqs, weights, _MAX_EVALS)
         assert converged.all()
         f, w = freqs.T.copy(), weights.T.copy()
-        rho = _rounding_floor(obj, _fock_table(x[0], x[1], n_max), f, w, n_max)
+        rho = _rounding_floor(obj, _fock_table(x[0], x[1], n_max)[0], f, w, n_max)
         for i in range(0, len(obj), 97):
-            want = self.literal_rho(obj[i], _fock_table(x[0, i:i + 1], x[1, i:i + 1], n_max)[:, 0],
+            want = self.literal_rho(obj[i], _fock_table(*x[:, i:i + 1], n_max)[0][:, 0],
                                     f[:, i], w[:, i], n_max)
             assert rho[i] == pytest.approx(want, rel=1e-12)
         # the objective over every point within 4 ulps of the fitted one
@@ -522,12 +533,12 @@ class TestRoundingFloor:
                 nbar = x[1]
                 for _ in range(abs(dn)):
                     nbar = np.maximum(np.nextafter(nbar, dn * np.inf), 0.0)
-                values = _evaluate(np.stack((q, nbar)), f, w, n_max, jacobian=False)
+                values = _evaluate(np.stack((q, nbar)), f, w, n_max)[0]
                 np.minimum(low, values, out=low)
                 np.maximum(high, values, out=high)
         assert np.all(high - low <= rho)
-        # a fresh refinement from the fitted point; its first (Jacobian)
-        # evaluation gives the fitted objective bit for bit
+        # a fresh refinement from the fitted point; its first evaluation
+        # gives the fitted objective bit for bit
         _, restarted, start, _, _ = _refine(x, f, w, n_max, _MAX_EVALS)
         assert np.array_equal(start, obj)
         assert np.all(obj - restarted <= rho)
@@ -561,7 +572,7 @@ class TestGridStage:
     def test_operands_hold_the_model_table_and_its_square(self, n_max):
         points, operands = _model_grid(n_max)
         table = np.concatenate(operands, axis=1)
-        probs = _fock_table(points[0], points[1], n_max)
+        probs, _ = _fock_table(points[0], points[1], n_max)
         np.testing.assert_array_equal(table[n_max + 2:], probs)
         np.testing.assert_array_equal(table[:n_max + 2], probs * probs)
 
@@ -575,7 +586,7 @@ class TestGridStage:
         points, operands = _model_grid(n_max)
         winners = _grid_winners(freqs, weights, operands)
         for f, w, best in zip(freqs, weights, winners):
-            direct = _evaluate(points, f[:, None], w[:, None], n_max, jacobian=False)
+            direct = _evaluate(points, f[:, None], w[:, None], n_max)[0]
             assert direct[best] <= direct.min() + 1e-9 * np.sum(w * f * f)
 
     @pytest.mark.parametrize("n_max", [20, 64])

@@ -15,6 +15,7 @@ from fockfit.model import (
     from_variances,
     to_variances,
 )
+from fockfit.estimation import _FLOOR_FACTOR
 from fockfit.model import _bin_sum, _fock_table, _legendre_args
 from fockfit.numerics import scaled_legendre
 from wigner_oracle import fock_probability_oracle
@@ -125,6 +126,12 @@ class TestFockProbability:
         with pytest.raises(ValueError):
             fock_probability(VACUUM, -1)
 
+    def test_integer_n_checked(self):
+        for n in (2.0, 2.5, True):
+            with pytest.raises(ValueError, match="^n must be an integer"):
+                fock_probability(thermal(1.0), n)
+        assert fock_probability(thermal(1.0), np.int64(2)) == fock_probability(thermal(1.0), 2)
+
     def test_envelope_does_not_overflow(self):
         for vq, vp in [(1e-6, 1e6), (1e-6, 0.25e6 + 1), (1e6, 1e6), (1e-6, 1e-6 + 0.25e12)]:
             v = QuadratureVariances(vq, min(vp, 1e6) if vq * min(vp, 1e6) >= 0.25 else vp)
@@ -179,9 +186,18 @@ class TestFockDistribution:
         with pytest.raises(ValueError):
             fock_distribution(VACUUM, 65)
 
+    def test_integer_n_max_checked(self):
+        for n_max in (20.0, 20.5, True):
+            with pytest.raises(ValueError, match="^n_max must be an integer"):
+                fock_distribution(thermal(1.0), n_max)
+        assert fock_distribution(thermal(1.0), np.int32(20)) == fock_distribution(thermal(1.0), 20)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             FockDistribution(1, (0.5, 0.2), 0.1)
+        for n_max in (1.0, True):
+            with pytest.raises(ValueError, match="^n_max must be an integer"):
+                FockDistribution(n_max, (0.5, 0.5), 0.0)
 
 
 class TestOracleAgreement:
@@ -270,13 +286,44 @@ class TestHighPrecision:
     def test_closed_form_matches_50_digit_oracle(self):
         r, nbar = map(np.ravel, np.meshgrid(self.R, self.NBAR, indexing="ij"))
         q = 2.0 * np.sinh(r) ** 2
-        table = _fock_table(q, nbar, MAX_FOCK)
+        table, _ = _fock_table(q, nbar, MAX_FOCK)
         for i in range(q.shape[0]):
             probs, overflow = _convolution_oracle(q[i], nbar[i], MAX_FOCK)
             # a few ulps per entry; the overflow bin sums 65 of them
             for n in range(MAX_FOCK + 1):
                 assert abs(table[n, i] - float(probs[n])) <= 2e-15, (r[i], nbar[i], n)
             assert abs(table[MAX_FOCK + 1, i] - float(overflow)) <= 1e-13, (r[i], nbar[i])
+
+    def test_error_within_the_rounding_floor_model(self):
+        # estimation._rounding_floor takes the error of bin n <= n_max as
+        # (n + 1)(n + 2)/2 eps P_n, quadratic in n because at the
+        # recurrence's double root (q = 0) an error made at order k grows
+        # linearly up to order n, and that of the overflow bin as the sum of
+        # those plus (n_max + 1) eps; the floor is _FLOOR_FACTOR times this.
+        # Thermal and near-thermal states up to nbar = 50 and random states;
+        # the parity zeros at nbar = 0 and P_n below 1e-280, where a
+        # relative error means nothing, are skipped.
+        nbars = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 33.1, 50.0)
+        r = [0.0, 1e-4, 1e-2, 0.1] * len(nbars)
+        nbar = [x for x in nbars for _ in range(4)]
+        rng = np.random.default_rng(64)
+        r = np.concatenate((r, rng.uniform(0.0, 3.5, 60)))
+        nbar = np.concatenate((nbar, np.expm1(rng.uniform(0.0, math.log1p(50.0), 60))))
+        q = 2.0 * np.sinh(r) ** 2
+        table, _ = _fock_table(q, nbar, MAX_FOCK)
+        n = np.arange(MAX_FOCK + 1)
+        per_bin = _FLOOR_FACTOR * 0.5 * (n + 1.0) * (n + 2.0) * np.finfo(float).eps
+        with mp.workdps(50):
+            for i in range(q.shape[0]):
+                probs, overflow = _convolution_oracle(q[i], nbar[i], MAX_FOCK)
+                for k in range(MAX_FOCK + 1):
+                    if (nbar[i] == 0.0 and k % 2) or probs[k] < mp.mpf("1e-280"):
+                        continue
+                    err = abs(mp.mpf(table[k, i]) - probs[k])
+                    assert err <= per_bin[k] * probs[k], (r[i], nbar[i], k)
+                tail = per_bin @ np.array([float(p) for p in probs]) + _FLOOR_FACTOR * (
+                    MAX_FOCK + 1.0) * np.finfo(float).eps
+                assert abs(mp.mpf(table[MAX_FOCK + 1, i]) - overflow) <= tail, (r[i], nbar[i])
 
     def test_raw_negative_mass_bounded(self):
         # The kernel clamps p0 * G_n at zero; over r <= 5, nbar <= 20 the
@@ -296,30 +343,15 @@ class TestHighPrecision:
         r = rng.uniform(0.01, 3.0, 12)
         nbar = rng.uniform(0.005, 3.0, 12)
         x = np.stack((2.0 * np.sinh(r) ** 2, nbar))
-        _, jac = _fock_table(x[0], x[1], n_max, jacobian=True)
+        _, jac = _fock_table(x[0], x[1], n_max)
         for k in range(2):
             step = np.zeros_like(x)
             step[k] = 1e-6 * (1.0 + x[k])
-            up = _fock_table(*(x + step), n_max)
-            down = _fock_table(*(x - step), n_max)
+            up, _ = _fock_table(*(x + step), n_max)
+            down, _ = _fock_table(*(x - step), n_max)
             diff = (up - down) / (2.0 * step[k])
             scale = np.abs(jac[:, k]).max(axis=0)
             assert np.all(np.abs(diff - jac[:, k]) <= 1e-6 * scale)
-
-    @pytest.mark.parametrize("n_max", [1, 2, 20, MAX_FOCK])
-    def test_jacobian_pass_values_equal_the_value_pass(self, n_max):
-        # The fit compares objectives from Jacobian passes with value-only
-        # ones (the grid ceiling, the boundary snap and the rounding-floor
-        # stop), which is sound only while the two give the same bits.
-        q_vals = [0.0, 5e-324, 1e-12, 1e-6, 0.3, 2.0 * math.sinh(1.0) ** 2, 73.2, 1e4, 1e12]
-        nbar_vals = [0.0, 5e-324, 1e-9, 0.01, 0.3, 2.0, 33.1, 1e3, 1e6]
-        q, nbar = map(np.ravel, np.meshgrid(q_vals, nbar_vals, indexing="ij"))
-        rng = np.random.default_rng(n_max)
-        q = np.concatenate((q, 2.0 * np.sinh(rng.uniform(0.0, 3.5, 200)) ** 2))
-        nbar = np.concatenate((nbar, np.expm1(rng.uniform(0.0, 4.0, 200))))
-        values, _ = _fock_table(q, nbar, n_max, jacobian=True)
-        want = _fock_table(q, nbar, n_max)
-        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
 
 
 class TestBinSum:

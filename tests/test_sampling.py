@@ -64,6 +64,9 @@ class TestSampleHistogram:
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
             sample_histogram(THERMAL_DIST, 0, SeedSpec(0, 0))
+        for n_shots in (1000.5, 1000.0, True):
+            with pytest.raises(ValueError, match="^n_shots must be an integer"):
+                sample_histogram(THERMAL_DIST, n_shots, SeedSpec(0, 0))
 
 
 class TestMarginals:
@@ -154,6 +157,15 @@ class TestSampleCounts:
         got = _sample_counts(d, 1000, SeedSpec(10, 0), 40)
         assert np.array_equal(got, _reference_counts(d, 1000, SeedSpec(10, 0), 40))
         assert np.all(got[:, 2] == 0) and np.all(got.sum(axis=1) == 1000)
+
+    def test_integer_arguments_checked(self):
+        # numpy's multinomial would truncate 1000.5 to 1000 shots
+        for n_shots, n, name in ((1000.5, 3, "n_shots"), (True, 3, "n_shots"),
+                                 (500, 3.0, "n"), (500, True, "n")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                _sample_counts(THERMAL_DIST, n_shots, SeedSpec(0, 0), n)
+        got = _sample_counts(THERMAL_DIST, np.int64(500), SeedSpec(3, 0), np.int32(4))
+        assert np.array_equal(got, _sample_counts(THERMAL_DIST, 500, SeedSpec(3, 0), 4))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(r=st.floats(0.0, 3.0), nbar=st.floats(0.0, 5.0), n_max=st.sampled_from((1, 20, 64)),
