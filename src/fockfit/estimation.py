@@ -357,21 +357,37 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray, operands: tuple) -> np.nda
     return best[:rows]
 
 
-def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int):
-    """Objective, model and Jacobian at points x = (q, nbar) of shape
-    (2, m), for the frequency and weight columns f, w of shape (bins, m)."""
+def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
+    """What the refinement needs of the model at points x = (q, nbar) of
+    shape (2, m), for the frequency and weight columns f, w of shape
+    (bins, m): the rows (objective, half gradient, J^T W J as h00, h01,
+    h11, rho) of a (7, m) array, with J the model's Jacobian and rho the
+    objective's rounding floor (see above _STEP_TOL).
+
+    Every bin's terms sit side by side, so one pass of in-order adds over
+    bins 0..n_max sums them all; the overflow bin's terms are added last,
+    once its model error (the sum of the others' plus (n_max + 1) eps) is
+    known."""
     probs, jac = _fock_table(x[0], x[1], n_max)
-    return _bin_sum(w * np.square(probs - f)), probs, jac
-
-
-def _rounding_floor(obj, probs, f, w, n_max: int):
-    """rho of the comment above _STEP_TOL for the columns of f, w (bins, m)
-    at points with objectives obj and model probabilities probs."""
-    n = np.arange(n_max + 2.0)[:, None]
-    model_error = 0.5 * (n + 1.0) * (n + 2.0) * probs
-    model_error[n_max + 1] = _bin_sum(model_error[:n_max + 1]) + (n_max + 1.0)
-    model_term = _bin_sum(w * np.abs(probs - f) * model_error)
-    return _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * obj + 2.0 * model_term)
+    resid = probs - f
+    terms = np.empty((n_max + 2, 8) + resid.shape[1:])
+    np.square(resid, out=terms[:, 0])
+    terms[:, 0] *= w
+    wj = np.multiply(w[:, None], jac, out=terms[:, 3:5])
+    np.multiply(wj, resid[:, None], out=terms[:, 1:3])
+    np.multiply(wj[:, 1], jac[:, 1], out=terms[:, 5])
+    wj *= jac[:, :1]
+    np.abs(resid, out=terms[:, 6])
+    terms[:, 6] *= w
+    # per-bin model errors (n + 1)(n + 2)/2 P_n, in units of eps
+    n = np.arange(n_max + 1.0)[:, None]
+    np.multiply(0.5 * (n + 1.0) * (n + 2.0), probs[:n_max + 1], out=terms[:n_max + 1, 7])
+    terms[:n_max + 1, 6] *= terms[:n_max + 1, 7]
+    rows = _bin_sum(terms[:n_max + 1])
+    terms[n_max + 1, 6] *= rows[7] + (n_max + 1.0)
+    rows[:7] += terms[n_max + 1, :7]
+    rows[6] = _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * rows[0] + 2.0 * rows[6])
+    return rows[:7]
 
 
 def _refine(x, f, w, n_max: int, max_iter: int):
@@ -397,19 +413,17 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     x_out = x.copy()
     evals = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    start_obj, probs, jac = _evaluate(x, f, w, n_max)
-    obj, obj_out = start_obj.copy(), start_obj.copy()
+    # _evaluate's rows at each column's current point
+    at = _evaluate(x, f, w, n_max)
+    start_obj = at[0].copy()
+    obj_out = start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
     # The state of the unconverged columns, compacted as columns finish.
     cols = np.arange(m)
     for _ in range(max_iter):
         if cols.size == 0:
             break
-        wj = w[:, None, :] * jac
-        # half the gradient and the Gauss-Newton matrix J^T W J, per column
-        grad = _bin_sum(wj * (probs - f)[:, None, :])
-        h00, h01 = _bin_sum(wj * jac[:, :1])
-        h11 = _bin_sum(wj[:, 1] * jac[:, 1])
+        obj, grad, (h00, h01, h11), rho = at[0], at[1:3], at[3:6], at[6]
         fixed = ((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0))
         # Marquardt scaling with a floor, so a vanishing column cannot make
         # the damped system singular.
@@ -430,12 +444,12 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
         trial = np.clip(x + step, 0.0, _UPPER)
         step = trial - x
-        t_obj, t_probs, t_jac = _evaluate(trial, f, w, n_max)
+        t_at = _evaluate(trial, f, w, n_max)
+        t_obj = t_at[0]
         evals[cols] += 1
         better = t_obj < obj
         model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
                        + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
-        rho = _rounding_floor(obj, probs, f, w, n_max)
         done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
                 | (better & (obj - t_obj <= _DECREASE_TOL * obj)
                    & (model_gain <= _DECREASE_TOL * obj))
@@ -446,16 +460,13 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
         lam = np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX)
         x[:, better] = trial[:, better]
-        obj[better] = t_obj[better]
-        probs[:, better] = t_probs[:, better]
-        jac[:, :, better] = t_jac[:, :, better]
+        at[:, better] = t_at[:, better]
         x_out[:, cols] = x
-        obj_out[cols] = obj
+        obj_out[cols] = at[0]
         if done.any():
             converged[cols[done]] = True
             live = ~done
-            cols, x, f, w, probs, jac, obj, lam = (
-                a[..., live] for a in (cols, x, f, w, probs, jac, obj, lam))
+            cols, x, f, w, at, lam = (a[..., live] for a in (cols, x, f, w, at, lam))
     return x_out, obj_out, start_obj, converged, evals
 
 

@@ -205,17 +205,20 @@ def _fock_table(q, nbar, n_max: int):
     dp0 = -0.5 * p0 * db / big_b
     jet = _legendre_jet(c_jet, u_jet, n_max)
     raw = np.multiply(p0, jet[:, 0], out=jet[:, 0])
-    out = np.empty((n_max + 2,) + raw.shape[1:])
-    np.maximum(raw, 0.0, out=out[: n_max + 1])
-    tail = 1.0 - _bin_sum(out[: n_max + 1])
-    out[n_max + 1] = np.maximum(tail, 0.0)
+    # each bin's probability and its two derivatives side by side, so one
+    # pass of in-order adds gives the overflow bin's value and derivatives
+    table = np.empty((n_max + 2, 3) + raw.shape[1:])
+    np.maximum(raw, 0.0, out=table[: n_max + 1, 0])
     # d(p0 G_n) = dp0 G_n + p0 dG_n, with G_n = raw / p0
-    jac = np.empty((n_max + 2, 2) + raw.shape[1:])
-    np.multiply(p0, jet[:, 1:], out=jac[: n_max + 1])
-    jac[: n_max + 1] += (dp0 / p0) * raw[:, None]
-    jac[: n_max + 1] *= (raw >= 0.0)[:, None]
-    jac[n_max + 1] = np.where(tail >= 0.0, -_bin_sum(jac[: n_max + 1]), 0.0)
-    return out, jac
+    jac = table[: n_max + 1, 1:]
+    np.multiply(p0, jet[:, 1:], out=jac)
+    jac += (dp0 / p0) * raw[:, None]
+    jac *= (raw >= 0.0)[:, None]
+    sums = _bin_sum(table[: n_max + 1])
+    tail = 1.0 - sums[0]
+    table[n_max + 1, 0] = np.maximum(tail, 0.0)
+    table[n_max + 1, 1:] = np.where(tail >= 0.0, -sums[1:], 0.0)
+    return table[:, 0], table[:, 1:]
 
 
 def fock_probability(v: QuadratureVariances, n: int) -> float:

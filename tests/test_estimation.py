@@ -31,10 +31,10 @@ from fockfit.model import (
     to_variances,
 )
 from fockfit.estimation import (
-    _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points, _grid_winners,
-    _model_grid, _parameters, _refine, _rounding_floor,
+    _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points,
+    _grid_winners, _model_grid, _parameters, _refine,
 )
-from fockfit.model import _fock_table
+from fockfit.model import _bin_sum, _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 
@@ -486,6 +486,43 @@ class TestFitBatch:
         assert peak <= 3.75e6
 
 
+class TestEvaluate:
+    """_evaluate's rows come from one pass of in-order adds over every
+    bin's terms side by side, the overflow bin's last: bit for bit the
+    separate in-order sum of each term."""
+
+    @staticmethod
+    def separate_sums(x, f, w, n_max):
+        p, jac = _fock_table(x[0], x[1], n_max)
+        obj = _bin_sum(w * (p - f) ** 2)
+        n = np.arange(n_max + 2.0)[:, None]
+        model_error = 0.5 * (n + 1.0) * (n + 2.0) * p
+        model_error[n_max + 1] = _bin_sum(model_error[:n_max + 1]) + (n_max + 1.0)
+        model_term = _bin_sum(w * np.abs(p - f) * model_error)
+        rho = _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * obj + 2.0 * model_term)
+        return np.stack((obj, *_bin_sum(w[:, None] * jac * (p - f)[:, None]),
+                         *_bin_sum(w[:, None] * jac * jac[:, :1]),
+                         _bin_sum(w * jac[:, 1] * jac[:, 1]), rho))
+
+    @pytest.mark.parametrize("n_max", [1, 20, 64])
+    def test_rows_equal_the_separate_sums(self, n_max):
+        rng = np.random.default_rng(n_max)
+        # q = 0 (thermal), nbar = 0 (squeezed vacuum, parity zeros), both
+        # (vacuum), then random interior points
+        q = np.concatenate(([0.0, 0.0, 2.0, 1e-9], rng.uniform(0.0, 30.0, 36)))
+        nbar = np.concatenate(([0.0, 1.5, 0.0, 0.0], np.expm1(rng.uniform(0.0, 2.5, 36))))
+        x = np.stack((q, nbar))
+        f = rng.dirichlet(np.full(n_max + 2, 0.3), x.shape[1]).T
+        w = 10.0 ** rng.uniform(0.0, 6.0, f.shape)
+        rows = _evaluate(x, f, w, n_max)
+        assert rows.shape == (7, x.shape[1])
+        assert np.array_equal(rows, self.separate_sums(x, f, w, n_max))
+        for i in range(x.shape[1]):
+            one = (x[:, i:i + 1], f[:, i:i + 1], w[:, i:i + 1])
+            assert np.array_equal(_evaluate(*one, n_max), self.separate_sums(*one, n_max))
+            assert np.array_equal(_evaluate(*one, n_max)[:, 0], rows[:, i])
+
+
 class TestRoundingFloor:
     """The refinement's third stop, a rejected trial whose undamped
     Gauss-Newton decrease is within the objective's rounding floor rho:
@@ -518,7 +555,7 @@ class TestRoundingFloor:
         x, obj, converged, _ = _fit_points(freqs, weights, _MAX_EVALS)
         assert converged.all()
         f, w = freqs.T.copy(), weights.T.copy()
-        rho = _rounding_floor(obj, _fock_table(x[0], x[1], n_max)[0], f, w, n_max)
+        rho = _evaluate(x, f, w, n_max)[6]
         for i in range(0, len(obj), 97):
             want = self.literal_rho(obj[i], _fock_table(*x[:, i:i + 1], n_max)[0][:, 0],
                                     f[:, i], w[:, i], n_max)

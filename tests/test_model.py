@@ -295,7 +295,7 @@ class TestHighPrecision:
             assert abs(table[MAX_FOCK + 1, i] - float(overflow)) <= 1e-13, (r[i], nbar[i])
 
     def test_error_within_the_rounding_floor_model(self):
-        # estimation._rounding_floor takes the error of bin n <= n_max as
+        # estimation._evaluate's rho takes the error of bin n <= n_max as
         # (n + 1)(n + 2)/2 eps P_n, quadratic in n because at the
         # recurrence's double root (q = 0) an error made at order k grows
         # linearly up to order n, and that of the overflow bin as the sum of
