@@ -84,14 +84,16 @@ def parametric_bootstrap(
 
     Replicate i draws its histogram from stream ``seed.stream_index + i``
     and is refit with the weights ``weights_for(counts, scheme, prior)``;
-    pass the scheme the point estimate was fitted with.  Raises
-    BootstrapError if more than MAX_FAILURE_FRACTION of refits fail.
+    pass the scheme the point estimate was fitted with.  Every refit
+    starts at the point estimate, the state its histogram was drawn from,
+    without the grid stage.  Raises BootstrapError if more than
+    MAX_FAILURE_FRACTION of refits fail.
     """
     if not point.converged:
         raise ValueError("bootstrap requires a converged point estimate")
     check_int("n_b", n_b, 2)
     counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
-    reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior))
+    reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior), start=point.variances)
     if reps.n_failed > MAX_FAILURE_FRACTION * n_b:
         raise BootstrapError(
             f"{reps.n_failed} of {n_b} bootstrap refits failed to converge"

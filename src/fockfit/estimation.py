@@ -95,7 +95,8 @@ class FitResult:
     """Constrained minimizer of the weighted residuals.
 
     ``state`` is exactly from_variances(variances); ``evaluations`` counts
-    objective evaluations across both search stages.
+    objective evaluations: the grid's (unless the fit was given a start
+    state), then the refinement's.
     """
 
     variances: QuadratureVariances
@@ -109,8 +110,9 @@ class FitResult:
 class FitBatch:
     """fit_batch's result as read-only columns, one entry per row: the
     parameters (named as in PARAMETERS), objective, convergence flag and
-    evaluation count.  ``batch[i]`` is row i as a FitResult, ``batch[i:j]``
-    a FitBatch.  Failed rows are left out of sorted_values."""
+    evaluation count (the grid's included unless fit_batch was given a
+    start).  ``batch[i]`` is row i as a FitResult, ``batch[i:j]`` a
+    FitBatch.  Failed rows are left out of sorted_values."""
 
     vq: np.ndarray
     vp: np.ndarray
@@ -262,8 +264,8 @@ _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 # Rows per fit_batch block, through every stage.  The refinement is
 # elementwise and this is a multiple of _GRID_BLOCK, so a row's result does
 # not depend on it.  Wider blocks spread numpy's per-call overhead; each
-# column holds ~5 KB of temporaries at n_max = 20, so 1024 columns would
-# add ~6 MB to a 1000-replicate ci for a few ms.
+# column holds ~3 KB of temporaries at n_max = 20, so 1024 columns would
+# add ~1.2 MB to the peak RSS of a 1000-replicate ci.
 _REFINE_BLOCK = 512
 
 # Projected Levenberg-Marquardt settings: initial damping, its factor per
@@ -513,7 +515,8 @@ def _parameters(x: np.ndarray) -> np.ndarray:
 _MAX_EVALS = 10_000
 
 
-def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
+def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
+              start: QuadratureVariances | None = None) -> FitBatch:
     """Fit (vq, vp) to every row of a (B, n_max + 2) frequency matrix (bins
     0..n_max plus overflow, 1 <= n_max <= MAX_FOCK) under the matching
     matrix of positive weights.
@@ -532,14 +535,20 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
        every coordinate by at most 1e-10 relative, when an accepted step's
        actual and predicted decrease are both at most 1e-15 relative, or
        when a trial is rejected and the undamped Gauss-Newton decrease is
-       within the objective's rounding bound.
+       within the objective's rounding bound.  Each iteration solves the
+       damped 2x2 normal equations
+       (J^T W J + lambda diag(J^T W J)) step = -J^T W (P - f).
+
+    With ``start``, every row skips the grid and refines from that state
+    instead: rows known to lie near one state, such as bootstrap replicates
+    drawn from it, then need no grid search.
 
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;
     in q it does not.  A coordinate that ends within 1e-6 of zero (in r or
     nbar) is snapped onto the bound when that does not raise the objective
     beyond rounding noise.  Each row's objective is never above that of its
-    grid winner.  Rows go through both stages
+    start point, the grid winner or ``start``.  Rows go through both stages
     _REFINE_BLOCK at a time, which bounds the working memory.
     """
     freqs = np.asarray(frequencies, dtype=float)
@@ -551,28 +560,37 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitBatch:
     n_max = freqs.shape[1] - 2
     if n_max > MAX_FOCK:
         raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
-    x, objective, converged, evals = _fit_points(freqs, wts, max_evals)
+    if start is not None and not isinstance(start, QuadratureVariances):
+        raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
+    x0 = None if start is None else np.array(_fit_coords(start))[:, None]
+    x, objective, converged, evals = _fit_points(freqs, wts, max_evals, x0)
     return FitBatch(*_parameters(x), objective, converged, evals)
 
 
-def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int):
-    """fit_batch's stages on checked input: the fitted points (q, nbar) as a
+def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int, x0=None):
+    """fit_batch's stages on checked input, from the grid or, given x0, from
+    the point x0 = (q, nbar) of shape (2, 1): the fitted points as a
     (2, rows) array, with each row's objective, convergence flag and
     evaluation count."""
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
-    grid_x, operands = _model_grid(n_max)
     points = np.empty((2, rows))
     objective = np.empty(rows)
     converged = np.zeros(rows, dtype=bool)
-    # the grid, then the refinement's first evaluation, at each row's grid winner
-    evals = np.full(rows, grid_x.shape[1] + 1, dtype=np.int64)
+    # the grid, if any, then the refinement's first evaluation at each start
+    evals = np.ones(rows, dtype=np.int64)
+    if x0 is None:
+        grid_x, operands = _model_grid(n_max)
+        evals += grid_x.shape[1]
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
-        start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
         f, w = freqs[b].T.copy(), wts[b].T.copy()
-        x, obj, grid_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
+        if x0 is None:
+            start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
+        else:
+            start = np.broadcast_to(x0, (2, f.shape[1]))
+        x, obj, start_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
         converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
-        evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, grid_obj)
+        evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, start_obj)
         objective[b] = obj
         points[:, b] = x
     return points, objective, converged, evals

@@ -18,9 +18,9 @@ from fockfit.bootstrap import (
     parametric_bootstrap,
     percentile_interval,
 )
-from fockfit.estimation import FitResult, PriorShape, fit, posterior_weights
+from fockfit.estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights
 from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, sample_histogram
+from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 PRIOR = PriorShape(1.0, 1.0)
 
@@ -152,6 +152,17 @@ class TestParametricBootstrap:
         direct_std = np.std(direct, ddof=1)
         assert boot_std < 2.0 * direct_std
         assert boot_std > 0.5 * direct_std
+
+    def test_refits_start_at_the_point_estimate(self):
+        # Replicates are drawn from the point estimate and refit from it:
+        # no grid stage, so every row counts fewer than the grid's 3600
+        # evaluations.
+        point = fit_state(1.0, 0.05, 10 ** 4)
+        reps = parametric_bootstrap(point, 10 ** 4, 40, PRIOR, SeedSpec(9, 3))
+        counts = _sample_counts(fock_distribution(point.variances, 20), 10 ** 4, SeedSpec(9, 3), 40)
+        assert reps == fit_batch(counts / 10 ** 4, posterior_weights(counts, PRIOR),
+                                 start=point.variances)
+        assert reps.converged.all() and reps.evaluations.max() < 60 * 60
 
     @pytest.mark.parametrize("n_shots, n_b, name", [
         (1000.5, 10, "n_shots"), (True, 10, "n_shots"), (1000, 10.5, "n_b"), (1000, 10.0, "n_b"),

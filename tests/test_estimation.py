@@ -34,7 +34,7 @@ from fockfit.estimation import (
     _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points,
     _grid_winners, _model_grid, _parameters, _refine,
 )
-from fockfit.model import _bin_sum, _fock_table
+from fockfit.model import _bin_sum, _fit_coords, _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
 
@@ -455,25 +455,28 @@ class TestFitBatch:
     def test_row_independent_of_preceding_rows(self, n_max):
         # Rows are fitted in 32-row grid blocks and 512-row refinement
         # blocks; offsets 0..33 put the target rows at every position of a
-        # grid block, and their results must not move by a single bit.
-        # The targets include badly fitting Dirichlet rows and rows on the
-        # nbar = 0 bound; every stop test reads only its own column.
-        _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, 33, n_max, seed=3)
+        # grid block, offsets 500..515 across the first refinement block's
+        # end, and their results must not move by a single bit, from the
+        # grid or from a start state.  The targets include badly fitting
+        # Dirichlet rows and rows on the nbar = 0 bound; every stop test
+        # reads only its own column.
+        _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, 515, n_max, seed=3)
         targets = [_sampled_rows(r, nbar, 10 ** 4, 2, n_max, seed=5)
                    for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.3, 0.0))]
         targets.append(_dirichlet_rows(3, n_max, seed=41))
         target_f = np.concatenate([t[1] for t in targets])
         target_w = np.concatenate([t[2] for t in targets])
-        alone = fit_batch(target_f, target_w)
-        for offset in range(34):
-            fits = fit_batch(np.concatenate((filler_f[:offset], target_f)),
-                             np.concatenate((filler_w[:offset], target_w)))
-            assert fits[offset:] == alone
+        for start in (None, to_variances(SqueezedThermalState(1.0, 0.05))):
+            alone = fit_batch(target_f, target_w, start=start)
+            for offset in (*range(34), *range(500, 516)):
+                fits = fit_batch(np.concatenate((filler_f[:offset], target_f)),
+                                 np.concatenate((filler_w[:offset], target_w)), start=start)
+                assert fits[offset:] == alone
 
     def test_peak_memory_of_a_thousand_rows(self):
         # tracemalloc sees numpy's array buffers.  The budget is the peak
         # measured at n_max = 20 with 512-column refinement blocks
-        # (3.0 MB) plus 25%; wider blocks or new per-column temporaries
+        # (1.69 MB) plus 25%; wider blocks or new per-column temporaries
         # raise the peak RSS of every 1000-replicate bootstrap.
         _, freqs, weights = _sampled_rows(2.5, 0.01, 10 ** 4, 1000)
         fit_batch(freqs[:1], weights[:1])  # build the cached model grid
@@ -483,7 +486,65 @@ class TestFitBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.75e6
+        assert peak <= 2.11e6
+
+
+class TestWarmStart:
+    """fit_batch(start=v): every row refines from v without the grid stage,
+    as parametric_bootstrap refits replicates drawn from the point
+    estimate."""
+
+    def test_zero_budget_returns_the_start(self):
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 5)
+        v = to_variances(SqueezedThermalState(0.8, 0.2))
+        x0 = np.repeat(np.array(_fit_coords(v))[:, None], 5, axis=1)
+        x, obj, converged, evals = _fit_points(freqs, weights, 0, x0[:, :1])
+        assert np.array_equal(x, x0)
+        assert np.array_equal(obj, _evaluate(x0, freqs.T.copy(), weights.T.copy(), 20)[0])
+        assert not converged.any()
+        np.testing.assert_array_equal(evals, 1)
+        fits = fit_batch(freqs, weights, max_evals=0, start=v)
+        assert not fits.converged.any()
+        np.testing.assert_array_equal(fits.evaluations, 1)
+        np.testing.assert_allclose(fits.vq, v.vq, rtol=1e-12)
+        np.testing.assert_allclose(fits.vp, v.vp, rtol=1e-12)
+
+    def test_never_above_the_start_objective(self):
+        n_max = 20
+        sets = [_sampled_rows(0.0, 0.01, 200, 30, n_max, seed=2), _dirichlet_rows(60, n_max)]
+        freqs = np.concatenate([s[1] for s in sets])
+        weights = np.concatenate([s[2] for s in sets])
+        f, w = freqs.T.copy(), weights.T.copy()
+        for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.0), (0.0, 0.0), (3.0, 6.0)):
+            v = to_variances(SqueezedThermalState(r, nbar))
+            x0 = np.repeat(np.array(_fit_coords(v))[:, None], len(freqs), axis=1)
+            at_start = _evaluate(x0, f, w, n_max)[0]
+            fits = fit_batch(freqs, weights, start=v)
+            assert np.all(fits.objective <= at_start)
+
+    @pytest.mark.parametrize("start", [(0.5, 0.5), SqueezedThermalState(1.0, 0.05),
+                                       np.array([0.5, 0.5]), "posterior"])
+    def test_start_must_be_variances(self, start):
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 1000, 2)
+        with pytest.raises(ValueError, match="^start: expected QuadratureVariances"):
+            fit_batch(freqs, weights, start=start)
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
+    def test_agrees_with_grid_started_refits(self, n_max, scheme):
+        # Rows drawn from the start state, as bootstrap replicates are: no
+        # convergence flag changes, and no row ends more than the rounding
+        # floor rho above its grid-started fit.
+        for i, (r, nbar) in enumerate(((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.3, 0.0))):
+            v = to_variances(SqueezedThermalState(r, nbar))
+            for shots in (200, 10 ** 4):
+                counts, freqs, _ = _sampled_rows(r, nbar, shots, 40, n_max, seed=60 + i)
+                weights = weights_for(counts, scheme, PriorShape(1.0, 1.0))
+                x, grid_obj, grid_ok, _ = _fit_points(freqs, weights, _MAX_EVALS)
+                rho = _evaluate(x, freqs.T.copy(), weights.T.copy(), n_max)[6]
+                warm = fit_batch(freqs, weights, start=v)
+                np.testing.assert_array_equal(warm.converged, grid_ok)
+                assert np.all(warm.objective - grid_obj <= rho)
 
 
 class TestEvaluate:
