@@ -567,7 +567,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     return FitBatch(*_parameters(x), objective, converged, evals)
 
 
-def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int, x0=None):
+def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
+                x0: np.ndarray | None = None):
     """fit_batch's stages on checked input, from the grid or, given x0, from
     the point x0 = (q, nbar) of shape (2, 1): the fitted points as a
     (2, rows) array, with each row's objective, convergence flag and
