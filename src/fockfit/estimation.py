@@ -272,14 +272,15 @@ _REFINE_BLOCK = 512
 # rejected step, and its ceiling (far above any useful value, far below
 # overflow).
 _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
-# A row has converged when its step changes every coordinate x by at most
-# _STEP_TOL * (|x| + _STEP_FLOOR), when the step's actual and predicted
-# decrease of the objective are both at most _DECREASE_TOL relative, or when
-# the objective sits on its rounding floor rho: the trial is rejected and
-# the undamped Gauss-Newton decrease g^T H^-1 g over the free coordinates is
-# at most rho, so no step could show a gain that rounding does not hide
-# (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares
-# Problems, 2004, sec. 3.2).
+# A row stops for one of two reasons.  Its step changes every coordinate x
+# by at most _STEP_TOL * (|x| + _STEP_FLOOR); this also stops a row whose
+# damped system is not solvable (step 0).  Or the objective sits on its
+# rounding floor rho: the trial is rejected and the undamped Gauss-Newton
+# decrease g^T H^-1 g over the free coordinates is at most rho, so no step
+# could show a gain that rounding does not hide (Madsen, Nielsen &
+# Tingleff, Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+# rho is the only test of "within rounding" in the fit: the boundary snap
+# uses it too.
 #
 # rho bounds the rounding error of one evaluation of the objective
 # sum_n w_n (P_n - f_n)^2, with eps the machine epsilon (twice the unit
@@ -300,7 +301,7 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 # A gain shows only as the difference of two evaluations, the trial's and
 # the current one, each with its own error, so rho is _FLOOR_FACTOR times
 # that bound.
-_STEP_TOL, _STEP_FLOOR, _DECREASE_TOL = 1e-10, 1e-6, 1e-15
+_STEP_TOL, _STEP_FLOOR = 1e-10, 1e-6
 _FLOOR_FACTOR = 2.0
 # The upper corner of the search box in (q, nbar), at r = 14.2 and
 # nbar = 1e6: far outside any state the model resolves and small enough
@@ -310,10 +311,9 @@ _UPPER = np.array([1e12, 1e6])[:, None]
 
 # Coordinates closer to a bound than this are candidates for an exact
 # boundary solution; the statistical resolution of any realistic fit is
-# orders of magnitude coarser.  A snap is kept when it costs at most
-# _SNAP_SLACK of the objective, which is rounding noise.
+# orders of magnitude coarser.  A snap is kept when it raises the objective
+# by at most the snapped point's rho (see above _STEP_TOL).
 _BOUNDARY_SNAP = 1e-6
-_SNAP_SLACK = 1e-13
 
 
 @lru_cache(maxsize=8)
@@ -401,10 +401,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     unconverged column (a coordinate on a face whose gradient points out of
     the box is held fixed), projects the step onto the box and keeps it
     only if the objective decreases.  A column stops when its step is below
-    _STEP_TOL, when the actual and predicted decrease of an accepted step
-    are below _DECREASE_TOL, or when it sits on the objective's rounding
-    floor (a rejected trial whose undamped Gauss-Newton decrease is within
-    rho; see above _STEP_TOL).
+    _STEP_TOL or a rejected trial's undamped Gauss-Newton decrease is within
+    rho, the two rules of the comment above _STEP_TOL.
     Every test reads only its own column.  Returns the best points, their
     objectives, the objectives at the start points (from the first
     evaluation, which is not counted), per-column convergence flags and the
@@ -453,8 +451,6 @@ def _refine(x, f, w, n_max: int, max_iter: int):
         model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
                        + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
         done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
-                | (better & (obj - t_obj <= _DECREASE_TOL * obj)
-                   & (model_gain <= _DECREASE_TOL * obj))
                 | (~better & (gn_gain <= rho)))
         # Nielsen's update: the worse the linear model predicted the gain,
         # the less the damping drops; a rejected step raises it.
@@ -474,18 +470,18 @@ def _refine(x, f, w, n_max: int, max_iter: int):
 
 def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
     """Move coordinates within _BOUNDARY_SNAP of zero (in r and nbar)
-    exactly onto the bound, in place, when the objective stays within
-    rounding noise of its value and at most ``ceiling``.  Returns the
-    number of extra evaluations per column."""
+    exactly onto the bound, in place, when the objective there is at most
+    its value plus the snapped point's rounding floor rho, and at most
+    ``ceiling``.  Returns the number of extra evaluations per column."""
     r = np.arcsinh(np.sqrt(0.5 * x[0]))
     near = (x > 0.0) & (np.stack((r, x[1])) < _BOUNDARY_SNAP)
     cols = np.flatnonzero(near.any(axis=0))
     extra = np.zeros(x.shape[1], dtype=np.int64)
     if cols.size:
         snapped = np.where(near[:, cols], 0.0, x[:, cols])
-        s_obj = _evaluate(snapped, f[:, cols], w[:, cols], n_max)[0]
+        s_obj, rho = _evaluate(snapped, f[:, cols], w[:, cols], n_max)[[0, 6]]
         extra[cols] = 1
-        keep = (s_obj <= obj[cols] * (1.0 + _SNAP_SLACK)) & (s_obj <= ceiling[cols])
+        keep = (s_obj <= obj[cols] + rho) & (s_obj <= ceiling[cols])
         x[:, cols[keep]] = snapped[:, keep]
         obj[cols[keep]] = s_obj[keep]
     return extra
@@ -532,10 +528,9 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
        analytic Jacobian, at most ``max_evals`` objective evaluations after
        the one at the grid winner (``max_evals=0`` returns the grid
        winner, not converged).  A row has converged when a step moves
-       every coordinate by at most 1e-10 relative, when an accepted step's
-       actual and predicted decrease are both at most 1e-15 relative, or
-       when a trial is rejected and the undamped Gauss-Newton decrease is
-       within the objective's rounding bound.  Each iteration solves the
+       every coordinate by at most 1e-10 relative or a rejected trial's
+       undamped Gauss-Newton decrease is within the objective's rounding
+       bound rho (see above _STEP_TOL).  Each iteration solves the
        damped 2x2 normal equations
        (J^T W J + lambda diag(J^T W J)) step = -J^T W (P - f).
 
@@ -546,8 +541,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;
     in q it does not.  A coordinate that ends within 1e-6 of zero (in r or
-    nbar) is snapped onto the bound when that does not raise the objective
-    beyond rounding noise.  Each row's objective is never above that of its
+    nbar) is snapped onto the bound when that raises the objective by at
+    most rho.  Each row's objective is never above that of its
     start point, the grid winner or ``start``.  Rows go through both stages
     _REFINE_BLOCK at a time, which bounds the working memory.
     """

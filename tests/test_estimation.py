@@ -32,7 +32,7 @@ from fockfit.model import (
 )
 from fockfit.estimation import (
     _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points,
-    _grid_winners, _model_grid, _parameters, _refine,
+    _grid_winners, _model_grid, _parameters, _refine, _snap_to_bounds,
 )
 from fockfit.model import _bin_sum, _fit_coords, _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
@@ -431,6 +431,24 @@ class TestFitBatch:
         assert fits.converged.all()
         assert getattr(fits, zero)[0] == 0.0
 
+    def test_snap_kept_within_rho_of_the_objective(self):
+        # A column 1e-8 off the nbar = 0 bound that fits badly, so rho is
+        # about 1e-14 of the objective: a snap that costs rho / 2 is kept,
+        # one that costs 2 rho is not, though 2 rho is far below 1e-13 of
+        # the objective.
+        n_max = 20
+        f = exact_frequencies(SqueezedThermalState(0.3, 2.0), n_max)[:, None]
+        w = np.ones_like(f)
+        snapped = np.array([[0.5], [0.0]])
+        s_obj, rho = _evaluate(snapped, f, w, n_max)[[0, 6]]
+        assert 0.0 < 2.0 * rho[0] < 1e-13 * s_obj[0]
+        for cost, kept in ((0.5 * rho, True), (2.0 * rho, False)):
+            x, obj = np.array([[0.5], [1e-8]]), s_obj - cost
+            extra = _snap_to_bounds(x, obj, f, w, n_max, np.array([np.inf]))
+            assert extra.tolist() == [1]
+            assert np.array_equal(x, snapped) == kept
+            assert np.array_equal(obj, s_obj if kept else s_obj - cost)
+
     def test_shape_and_weight_validation(self):
         _, freqs, weights = _sampled_rows(1.0, 0.05, 1000, 2)
         with pytest.raises(ValueError):
@@ -585,7 +603,7 @@ class TestEvaluate:
 
 
 class TestRoundingFloor:
-    """The refinement's third stop, a rejected trial whose undamped
+    """The refinement's rounding-floor stop, a rejected trial whose undamped
     Gauss-Newton decrease is within the objective's rounding floor rho:
     rho bounds the objective's rounding noise at every fitted point, and a
     refinement restarted there finds no decrease beyond it."""
