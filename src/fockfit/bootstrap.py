@@ -215,8 +215,8 @@ def intervals(
 def _experiment_hits(args) -> list[bool]:
     """Whether each interval of one experiment's bootstrap, in intervals'
     order, contains the true value of its parameter."""
-    point, true_values, n_shots, n_b, alpha, methods, prior, n_max, seed = args
-    reps = parametric_bootstrap(point, n_shots, n_b, prior, seed, n_max)
+    point, true_values, n_shots, n_b, alpha, methods, prior, n_max, seed, scheme = args
+    reps = parametric_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme)
     return [ci.contains(true_values[ci.parameter])
             for ci in intervals(reps, point, alpha, methods)]
 
@@ -239,12 +239,13 @@ def coverage_probability(
     Experiment i occupies the stream block
     [stream_index + i*(n_b + 1), stream_index + (i+1)*(n_b + 1)): its
     point histogram comes from the first stream and its replicates from
-    the rest, so runs are reproducible and independent of scheduling.  All
-    point histograms are fitted with posterior weights in one fit_batch
-    call; if more than MAX_FAILURE_FRACTION of them fail, BootstrapError
-    is raised before any bootstrap runs, else the failed experiments are
-    left out of n_used.  Accepts one method name or several; all methods
-    share the same replicate sets, so their coverages are comparable.
+    the rest, so runs are reproducible and independent of scheduling.  Point
+    fits and replicate refits both use posterior weights.  All point
+    histograms are fitted in one fit_batch call; if more than
+    MAX_FAILURE_FRACTION of them fail, BootstrapError is raised before any
+    bootstrap runs, else the failed experiments are left out of n_used.
+    Accepts one method name or several; all methods share the same
+    replicate sets, so their coverages are comparable.
     Bad arguments raise ValueError before anything is sampled.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
@@ -283,7 +284,8 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     counts = np.concatenate([_sample_counts(dists[k], shots[k], SeedSpec(seed.master_seed, s), 1)
                              for k, s in experiments])
     freqs = counts / np.repeat(shots, n_experiments)[:, None]
-    points = fit_batch(freqs, weights_for(counts, "posterior", prior))
+    scheme = "posterior"  # the point fits' and the replicate refits' weights
+    points = fit_batch(freqs, weights_for(counts, scheme, prior))
     n_used = points.converged.reshape(len(cells), n_experiments).sum(axis=1)
     for n_failed in n_experiments - n_used:
         if n_failed > MAX_FAILURE_FRACTION * n_experiments:
@@ -292,7 +294,7 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
             )
     true_values = [parameter_values(truth, state) for truth, state in zip(truths, states)]
     tasks = [(points[j], true_values[k], shots[k], n_bs[k], alpha, methods, prior, n_max,
-              SeedSpec(seed.master_seed, s + 1))
+              SeedSpec(seed.master_seed, s + 1), scheme)
              for j, (k, s) in enumerate(experiments) if points.converged[j]]
     # one row of hits per used experiment, its columns in intervals' order
     hits = np.array(parallel_map(_experiment_hits, tasks))

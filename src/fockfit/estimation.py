@@ -56,7 +56,7 @@ class FockHistogram:
 
     def __post_init__(self):
         if len(self.counts) < 2:
-            raise ValueError("need at least bins 0 and 1")
+            raise ValueError("counts: need at least bins 0 and 1")
         if not all(is_int(k) for k in self.counts):
             raise ValueError(f"counts must be integers, got {self.counts!r}")
         if any(k < 0 for k in self.counts):

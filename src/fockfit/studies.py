@@ -28,7 +28,6 @@ __all__ = [
     "StudyRow",
     "StudyReport",
     "fidelity_study",
-    "bias_study",
     "weight_comparison_study",
     "coverage_study",
     "run_study",
@@ -182,6 +181,16 @@ def _spread(values: np.ndarray) -> Optional[float]:
     return float(np.std(values, ddof=1)) if values.shape[0] >= 2 else None
 
 
+def _row(state: SqueezedThermalState, shots: int, spec: SchemeSpec, cfg: StudyConfig,
+         n_failed: int, **cells) -> StudyRow:
+    """One report row: the (state, shots, scheme) columns every study
+    writes, the prior for the posterior scheme only, then the study's cells."""
+    is_posterior = spec.scheme == "posterior"
+    return StudyRow(state_r=state.r, state_nbar=state.nbar, shots=shots, scheme=spec.scheme,
+                    nu=spec.nu if is_posterior else None, eta=spec.eta if is_posterior else None,
+                    n_experiments=cfg.n_experiments, n_failed=n_failed, **cells)
+
+
 def _aggregate_point_row(state: SqueezedThermalState, shots: int, spec: SchemeSpec,
                          cfg: StudyConfig, fits: FitBatch) -> StudyRow:
     ok = fits.converged
@@ -198,16 +207,8 @@ def _aggregate_point_row(state: SqueezedThermalState, shots: int, spec: SchemeSp
             bias / std if bias is not None and std is not None and std > 0.0 else None
         )
     fid = fidelity(fits, truth)[ok]
-    is_posterior = spec.scheme == "posterior"
-    return StudyRow(
-        state_r=state.r,
-        state_nbar=state.nbar,
-        shots=shots,
-        scheme=spec.scheme,
-        nu=spec.nu if is_posterior else None,
-        eta=spec.eta if is_posterior else None,
-        n_experiments=cfg.n_experiments,
-        n_failed=fits.n_failed,
+    return _row(
+        state, shots, spec, cfg, fits.n_failed,
         mean_fidelity=float(np.mean(fid)) if fid.shape[0] else None,
         std_fidelity=_spread(fid),
         mean_infidelity=float(np.mean(1.0 - fid)) if fid.shape[0] else None,
@@ -253,9 +254,6 @@ def fidelity_study(cfg: StudyConfig) -> StudyReport:
     return StudyReport(tuple(_point_rows(cfg)))
 
 
-bias_study = fidelity_study
-
-
 def weight_comparison_study(cfg: StudyConfig) -> StudyReport:
     """fidelity_study repeated per weighting scheme on shared simulated
     data, so the resulting curves are paired."""
@@ -284,20 +282,10 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
     results = _coverage(cells, cfg.n_experiments, cfg.alpha, METHODS,
                         PriorShape(spec.nu, spec.eta), SeedSpec(cfg.master_seed, 0), cfg.n_max)
     rows = [
-        StudyRow(
-            state_r=state.r,
-            state_nbar=state.nbar,
-            shots=shots,
-            scheme="posterior",
-            nu=spec.nu,
-            eta=spec.eta,
-            n_experiments=cfg.n_experiments,
-            n_failed=result.n_experiments - result.n_used,
-            **{f"coverage_{p}": result.coverage[method][p] for p in PARAMETERS},
-            **{f"se_coverage_{p}": result.std_error[method][p] for p in PARAMETERS},
-            method=method,
-            n_b=nb,
-        )
+        _row(state, shots, spec, cfg, result.n_experiments - result.n_used,
+             **{f"coverage_{p}": result.coverage[method][p] for p in PARAMETERS},
+             **{f"se_coverage_{p}": result.std_error[method][p] for p in PARAMETERS},
+             method=method, n_b=nb)
         for (state, shots, nb), result in zip(cells, results) for method in METHODS
     ]
     return StudyReport(tuple(rows))
@@ -305,7 +293,7 @@ def coverage_study(cfg: StudyConfig) -> StudyReport:
 
 STUDY_KINDS = {
     "fidelity": fidelity_study,
-    "bias": bias_study,
+    "bias": fidelity_study,
     "weight_comparison": weight_comparison_study,
     "coverage": coverage_study,
 }

@@ -152,7 +152,7 @@ def test_criterion_6_bias_table_reduced():
         n_experiments=200,
         master_seed=11,
     )
-    rows = ff.bias_study(cfg).rows
+    rows = ff.run_study("bias", cfg).rows
     by_r = {row.state_r: row for row in rows}
     bs_nbar = by_r[2.5].bias_over_std_nbar
     bs_r0 = by_r[0.0].bias_over_std_r
@@ -179,7 +179,7 @@ def test_criterion_6_bias_table_full():
         n_experiments=1000,
         master_seed=11,
     )
-    rows = ff.bias_study(cfg).rows
+    rows = ff.run_study("bias", cfg).rows
     reference = {
         0.0: {"r": 0.69, "vp": 0.68, "vq": -0.68, "nbar": 0.069},
         0.5: {"r": -0.16, "vp": -0.19, "vq": 0.013, "nbar": -0.25},

@@ -54,11 +54,13 @@ class TestPercentileInterval:
         with pytest.raises(ValueError):
             percentile_interval(np.array([3.0, 1.0, 2.0]), 0.05)
 
-    def test_alpha_domain(self):
-        values = np.arange(1.0, 11.0)
-        for alpha in (0.0, 0.5, -0.1):
-            with pytest.raises(ValueError):
-                percentile_interval(values, alpha)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.1])
+    @pytest.mark.parametrize("interval", [
+        percentile_interval, lambda values, alpha: bc_interval(values, 5.5, alpha),
+    ], ids=["percentile", "bc"])
+    def test_alpha_domain(self, interval, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0.5\)"):
+            interval(np.arange(1.0, 11.0), alpha)
 
 
 class TestBcInterval:
@@ -341,17 +343,19 @@ def _failing_rows(monkeypatch, n_rows, failed):
 
 
 def _record_bootstraps(monkeypatch):
-    """Run the pool inline and record the first stream of every bootstrap."""
+    """Run the pool inline and record the first stream and the weighting
+    scheme of every bootstrap."""
     monkeypatch.setenv("FOCKFIT_THREADS", "1")
     real_bootstrap = bt.parametric_bootstrap
-    streams = []
+    streams, schemes = [], []
 
-    def recording_bootstrap(point, n_shots, n_b, prior, seed, n_max=20):
+    def recording_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme):
         streams.append(seed.stream_index)
-        return real_bootstrap(point, n_shots, n_b, prior, seed, n_max)
+        schemes.append(scheme)
+        return real_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme)
 
     monkeypatch.setattr(bt, "parametric_bootstrap", recording_bootstrap)
-    return streams
+    return streams, schemes
 
 
 class TestCoverageFailurePolicy:
@@ -360,15 +364,17 @@ class TestCoverageFailurePolicy:
     def test_failed_point_fit_excludes_its_experiment(self, monkeypatch):
         # 1 failure in 100 experiments is within the 1% allowance
         _failing_rows(monkeypatch, 100, [37])
-        streams = _record_bootstraps(monkeypatch)
+        streams, schemes = _record_bootstraps(monkeypatch)
         res = coverage_probability(self.STATE, 300, 100, 3, 0.25, "percentile", PRIOR,
                                    SeedSpec(2, 0))
         assert (res.n_experiments, res.n_used) == (100, 99)
         assert streams == [i * 4 + 1 for i in range(100) if i != 37]
+        # the replicates are refit under the point fits' weighting scheme
+        assert schemes == ["posterior"] * 99
 
     def test_too_many_failed_point_fits_raise_before_any_bootstrap(self, monkeypatch):
         _failing_rows(monkeypatch, 10, [4])
-        streams = _record_bootstraps(monkeypatch)
+        streams, _ = _record_bootstraps(monkeypatch)
         with pytest.raises(BootstrapError, match="1 of 10 experiments"):
             coverage_probability(self.STATE, 300, 10, 20, 0.05, METHODS, PRIOR, SeedSpec(2, 0))
         assert streams == []

@@ -68,6 +68,10 @@ class TestHistogram:
         with pytest.raises(ValueError):
             FockHistogram((5, -1), 0, 4)
 
+    def test_too_few_bins_rejected(self):
+        with pytest.raises(ValueError, match="^counts: "):
+            FockHistogram((5,), 0, 5)
+
     def test_integer_fields_checked(self):
         for counts, overflow, total, name in (
                 ((1.5, 2.5), 0, 4, "counts"), ((True, 2), 0, 3, "counts"),

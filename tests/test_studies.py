@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fockfit
 import fockfit.bootstrap as bt
 from fockfit.bootstrap import BootstrapError
 from fockfit.model import SqueezedThermalState
@@ -13,11 +14,11 @@ from fockfit.sampling import SeedSpec
 from fockfit.studies import (
     DEFAULT_SHOT_GRID,
     REPORT_COLUMNS,
+    STUDY_KINDS,
     ConfigError,
     PriorShape,
     SchemeSpec,
     StudyConfig,
-    bias_study,
     coverage_study,
     fidelity_study,
     parse_config,
@@ -167,14 +168,18 @@ class TestFidelityStudy:
 
 
 class TestBiasStudy:
+    def test_is_the_point_study_under_its_one_name(self):
+        assert STUDY_KINDS["bias"] is fidelity_study
+        assert not hasattr(fockfit, "bias_study")
+
     def test_exact_input_has_negligible_bias(self):
         cfg = small_cfg(n_experiments=1, exact_probabilities=True)
-        row = bias_study(cfg).rows[0]
+        row = run_study("bias", cfg).rows[0]
         assert abs(row.bias_r) < 1e-6
         assert abs(row.bias_nbar) < 1e-6
 
     def test_reports_all_four_parameters(self):
-        row = bias_study(small_cfg()).rows[0]
+        row = run_study("bias", small_cfg()).rows[0]
         for name in ("r", "nbar", "vq", "vp"):
             assert getattr(row, f"bias_{name}") is not None
             assert getattr(row, f"std_{name}") is not None
