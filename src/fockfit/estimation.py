@@ -263,10 +263,13 @@ _GRID_BLOCK = 32
 _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 # Rows per fit_batch block, through every stage.  The refinement is
 # elementwise and this is a multiple of _GRID_BLOCK, so a row's result does
-# not depend on it.  Wider blocks spread numpy's per-call overhead; each
-# column holds ~3 KB of temporaries at n_max = 20, so 1024 columns would
-# add ~1.2 MB to the peak RSS of a 1000-replicate ci.
-_REFINE_BLOCK = 512
+# not depend on it.  Wider blocks spread numpy's per-call overhead over
+# more columns: at 1024, a 1000-replicate ci and a 900-row study each run
+# in one lock-step pass.  Most of the working set is _evaluate's one
+# (8, n_max + 2, m) buffer, 1.4 KB per column at n_max = 20; 1000 rows
+# peak at about 1.9 MB of numpy buffers from the grid and 2.1 MB from a
+# start state (tracemalloc).
+_REFINE_BLOCK = 1024
 
 # Projected Levenberg-Marquardt settings: initial damping, its factor per
 # rejected step, and its ceiling (far above any useful value, far below
@@ -366,30 +369,95 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.nda
     h11, rho) of a (7, m) array, with J the model's Jacobian and rho the
     objective's rounding floor (see above _STEP_TOL).
 
-    Every bin's terms sit side by side, so one pass of in-order adds over
-    bins 0..n_max sums them all; the overflow bin's terms are added last,
-    once its model error (the sum of the others' plus (n_max + 1) eps) is
-    known."""
-    probs, jac = _fock_table(x[0], x[1], n_max)
-    resid = probs - f
-    terms = np.empty((n_max + 2, 8) + resid.shape[1:])
-    np.square(resid, out=terms[:, 0])
-    terms[:, 0] *= w
-    wj = np.multiply(w[:, None], jac, out=terms[:, 3:5])
-    np.multiply(wj, resid[:, None], out=terms[:, 1:3])
-    np.multiply(wj[:, 1], jac[:, 1], out=terms[:, 5])
-    wj *= jac[:, :1]
-    np.abs(resid, out=terms[:, 6])
-    terms[:, 6] *= w
+    One (8, bins, m) buffer is the whole working set: the model table
+    fills its odd slots, P on 1, dP/dq on 3 and dP/dnbar on 5 (7 is the
+    table's scratch), and those turn into the eight terms of every bin in
+    place.  Each slot is one contiguous (bins, m) block, so the
+    elementwise products run over contiguous memory.  One pass of
+    in-order adds over bins 0..n_max sums all eight terms; the overflow
+    bin's terms are added last, once its model error (the sum of the
+    others' plus (n_max + 1) eps) is known."""
+    terms = np.empty((8, n_max + 2) + x.shape[1:])
+    _fock_table(x[0], x[1], n_max, out=terms[1::2])
+    probs, resid, model_err = terms[1], terms[0], terms[7, :n_max + 1]
     # per-bin model errors (n + 1)(n + 2)/2 P_n, in units of eps
     n = np.arange(n_max + 1.0)[:, None]
-    np.multiply(0.5 * (n + 1.0) * (n + 2.0), probs[:n_max + 1], out=terms[:n_max + 1, 7])
-    terms[:n_max + 1, 6] *= terms[:n_max + 1, 7]
-    rows = _bin_sum(terms[:n_max + 1])
-    terms[n_max + 1, 6] *= rows[7] + (n_max + 1.0)
-    rows[:7] += terms[n_max + 1, :7]
+    np.multiply(0.5 * (n + 1.0) * (n + 2.0), probs[:n_max + 1], out=model_err)
+    np.subtract(probs, f, out=resid)
+    # with P spent, w dP/dnbar on slot 2 and w dP/dq on slot 1 give the
+    # J^T W J terms (h00, h01, h11 on slots 3..5), then the half gradient
+    wj0, wj1, jac0, jac1 = terms[1], terms[2], terms[3], terms[5]
+    np.multiply(w, jac1, out=wj1)
+    np.multiply(wj1, jac1, out=terms[5])
+    np.multiply(wj1, jac0, out=terms[4])
+    wj1 *= resid
+    np.multiply(w, jac0, out=wj0)
+    jac0 *= wj0
+    wj0 *= resid
+    np.abs(resid, out=terms[6])
+    terms[6] *= w
+    terms[6, :n_max + 1] *= model_err
+    np.square(resid, out=resid)
+    resid *= w
+    rows = _bin_sum(terms[:, :n_max + 1].swapaxes(0, 1))
+    terms[6, n_max + 1] *= rows[7] + (n_max + 1.0)
+    rows[:7] += terms[:7, n_max + 1]
     rows[6] = _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * rows[0] + 2.0 * rows[6])
     return rows[:7]
+
+
+def _trial_step(x, at, lam):
+    """One projected Levenberg-Marquardt trial of every column at x, from
+    _evaluate's rows ``at`` there and the damping lam: the trial point, the
+    step to it and the undamped Gauss-Newton decrease g^T H^-1 g over the
+    free coordinates.  A coordinate on a face whose gradient points out of
+    the box is held fixed.  Its temporaries are gone before _iterate
+    evaluates the trial."""
+    grad, (h00, h01, h11) = at[1:3], at[3:6]
+    fixed = ((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0))
+    # Marquardt scaling with a floor, so a vanishing column cannot make
+    # the damped system singular.
+    floor = 1e-12 * (h00 + h11)
+    u00 = np.where(fixed[0], 1.0, h00)
+    u11 = np.where(fixed[1], 1.0, h11)
+    a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
+    b0, b1 = np.where(fixed, 0.0, -grad)
+    gn_det = u00 * u11 - a01 * a01
+    gn_gain = np.where(gn_det > 0.0, (u11 * b0 * b0 - 2.0 * a01 * b0 * b1 + u00 * b1 * b1)
+                       / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
+    a00 = u00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
+    a11 = u11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
+    det = a00 * a11 - a01 * a01
+    solvable = det > 0.0
+    det = np.where(solvable, det, 1.0)
+    step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
+    trial = np.clip(x + step, 0.0, _UPPER)
+    return trial, trial - x, gn_gain
+
+
+def _iterate(x, at, lam, f, w, n_max: int) -> np.ndarray:
+    """One lock-step iteration of _refine at the points x with _evaluate's
+    rows ``at`` there and the damping lam: evaluates every column's trial
+    and, where it is better, moves x and ``at`` to it, all three updated in
+    place.  Returns the columns that stop here.  Its temporaries are gone
+    before the next iteration's evaluation."""
+    obj, grad, (h00, h01, h11), rho = at[0], at[1:3], at[3:6], at[6]
+    trial, step, gn_gain = _trial_step(x, at, lam)
+    t_at = _evaluate(trial, f, w, n_max)
+    t_obj = t_at[0]
+    better = t_obj < obj
+    model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
+                   + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
+    done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
+            | (~better & (gn_gain <= rho)))
+    # Nielsen's update: the worse the linear model predicted the gain, the
+    # less the damping drops; a rejected step raises it.
+    ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
+    shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
+    np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX, out=lam)
+    x[:, better] = trial[:, better]
+    at[:, better] = t_at[:, better]
+    return done
 
 
 def _refine(x, f, w, n_max: int, max_iter: int):
@@ -397,9 +465,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     in lock-step over the columns, from the start points x (2, m) inside
     the box [0, _UPPER].
 
-    Each iteration solves the damped 2x2 normal equations of every
-    unconverged column (a coordinate on a face whose gradient points out of
-    the box is held fixed), projects the step onto the box and keeps it
+    Each iteration (_iterate) solves the damped 2x2 normal equations of
+    every unconverged column, projects the step onto the box and keeps it
     only if the objective decreases.  A column stops when its step is below
     _STEP_TOL or a rejected trial's undamped Gauss-Newton decrease is within
     rho, the two rules of the comment above _STEP_TOL.
@@ -423,42 +490,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     for _ in range(max_iter):
         if cols.size == 0:
             break
-        obj, grad, (h00, h01, h11), rho = at[0], at[1:3], at[3:6], at[6]
-        fixed = ((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0))
-        # Marquardt scaling with a floor, so a vanishing column cannot make
-        # the damped system singular.
-        floor = 1e-12 * (h00 + h11)
-        u00 = np.where(fixed[0], 1.0, h00)
-        u11 = np.where(fixed[1], 1.0, h11)
-        a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
-        b0, b1 = np.where(fixed, 0.0, -grad)
-        # the undamped Gauss-Newton decrease g^T H^-1 g over the free coordinates
-        gn_det = u00 * u11 - a01 * a01
-        gn_gain = np.where(gn_det > 0.0, (u11 * b0 * b0 - 2.0 * a01 * b0 * b1 + u00 * b1 * b1)
-                           / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
-        a00 = u00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
-        a11 = u11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
-        det = a00 * a11 - a01 * a01
-        solvable = det > 0.0
-        det = np.where(solvable, det, 1.0)
-        step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
-        trial = np.clip(x + step, 0.0, _UPPER)
-        step = trial - x
-        t_at = _evaluate(trial, f, w, n_max)
-        t_obj = t_at[0]
+        done = _iterate(x, at, lam, f, w, n_max)
         evals[cols] += 1
-        better = t_obj < obj
-        model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
-                       + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
-        done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
-                | (~better & (gn_gain <= rho)))
-        # Nielsen's update: the worse the linear model predicted the gain,
-        # the less the damping drops; a rejected step raises it.
-        ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
-        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
-        lam = np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX)
-        x[:, better] = trial[:, better]
-        at[:, better] = t_at[:, better]
         x_out[:, cols] = x
         obj_out[cols] = at[0]
         if done.any():
@@ -544,7 +577,7 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     nbar) is snapped onto the bound when that raises the objective by at
     most rho.  Each row's objective is never above that of its
     start point, the grid winner or ``start``.  Rows go through both stages
-    _REFINE_BLOCK at a time, which bounds the working memory.
+    _REFINE_BLOCK (1024) at a time, which bounds the working memory.
     """
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.ndim != 2 or freqs.shape[1] < 3:
@@ -579,7 +612,7 @@ def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
         evals += grid_x.shape[1]
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
-        f, w = freqs[b].T.copy(), wts[b].T.copy()
+        f, w = freqs[b].T, wts[b].T
         if x0 is None:
             start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
         else:

@@ -164,12 +164,29 @@ def _legendre_args(q, nbar):
     return big_b, chat, uhat, 2.0 / np.sqrt(big_b)
 
 
-def _fock_table(q, nbar, n_max: int):
+def _argument_jets(q, nbar):
+    """The jets (value, d/dq, d/dnbar) of _fock_table's Legendre arguments
+    chat and uhat at (q, nbar), as two (3, ...) arrays, with P(0) and
+    (dP(0)/dq, dP(0)/dnbar) / P(0)."""
+    big_b, chat, uhat, p0 = _legendre_args(q, nbar)
+    two_h = 2.0 * nbar + 1.0
+    # value and d/dq, d/dnbar of B, B*chat and B*uhat
+    db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
+    c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
+    u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
+    c_jet[1:] /= big_b
+    u_jet[1:] /= big_b
+    return c_jet, u_jet, p0, -0.5 * p0 * db / big_b / p0
+
+
+def _fock_table(q, nbar, n_max: int, out=None):
     """Probabilities of all n_max + 2 measurement categories (Fock numbers
     0..n_max, then the overflow bin) for every state (q[i], nbar[i]),
     q = cosh 2r - 1, as an (n_max + 2, m) array, and their derivatives
     d/dq and d/dnbar as an (n_max + 2, 2, m) array, from one pass of the
-    recurrence.
+    recurrence.  Both are views of one (4, n_max + 2, m) array, ``out`` if
+    given (an array or view of that shape): the probabilities on [0], the
+    derivatives on [1:3], and [3] is scratch.
 
     In these coordinates the closed form is rational and free of exp:
 
@@ -191,34 +208,28 @@ def _fock_table(q, nbar, n_max: int):
     zero keeps its derivative, which is the one-sided derivative into the
     domain where it matters (odd Fock numbers at nbar = 0).
     """
-    q = np.asarray(q, dtype=float)
-    nbar = np.asarray(nbar, dtype=float)
-    big_b, chat, uhat, p0 = _legendre_args(q, nbar)
-    two_h = 2.0 * nbar + 1.0
-    # value and d/dq, d/dnbar of B, B*chat and B*uhat, then jets of
-    # chat, uhat and the derivatives of P(0)
-    db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
-    c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
-    u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
-    c_jet[1:] /= big_b
-    u_jet[1:] /= big_b
-    dp0 = -0.5 * p0 * db / big_b
-    jet = _legendre_jet(c_jet, u_jet, n_max)
-    raw = np.multiply(p0, jet[:, 0], out=jet[:, 0])
-    # each bin's probability and its two derivatives side by side, so one
-    # pass of in-order adds gives the overflow bin's value and derivatives
-    table = np.empty((n_max + 2, 3) + raw.shape[1:])
-    np.maximum(raw, 0.0, out=table[: n_max + 1, 0])
+    c_jet, u_jet, p0, dp0_ratio = _argument_jets(np.asarray(q, dtype=float),
+                                                 np.asarray(nbar, dtype=float))
+    if out is None:
+        out = np.empty((4, n_max + 2) + p0.shape)
+    # the jet of each bin, its probability and two derivatives, is a
+    # column of table, so one pass of in-order adds over the bins gives
+    # the overflow bin's value and derivatives
+    table, scratch = out[:3], out[3, : n_max + 1]
+    raw, jac = table[0, : n_max + 1], table[1:, : n_max + 1]
+    jet = _legendre_jet(c_jet, u_jet, n_max, out=table[:, : n_max + 1].swapaxes(0, 1))
+    np.multiply(p0, raw, out=raw)
     # d(p0 G_n) = dp0 G_n + p0 dG_n, with G_n = raw / p0
-    jac = table[: n_max + 1, 1:]
-    np.multiply(p0, jet[:, 1:], out=jac)
-    jac += (dp0 / p0) * raw[:, None]
-    jac *= (raw >= 0.0)[:, None]
-    sums = _bin_sum(table[: n_max + 1])
+    np.multiply(p0, jac, out=jac)
+    for d, ratio in enumerate(dp0_ratio):
+        jac[d] += np.multiply(ratio, raw, out=scratch)
+    jac *= np.greater_equal(raw, 0.0, out=scratch)
+    np.maximum(raw, 0.0, out=raw)
+    sums = _bin_sum(jet)
     tail = 1.0 - sums[0]
-    table[n_max + 1, 0] = np.maximum(tail, 0.0)
-    table[n_max + 1, 1:] = np.where(tail >= 0.0, -sums[1:], 0.0)
-    return table[:, 0], table[:, 1:]
+    table[0, n_max + 1] = np.maximum(tail, 0.0)
+    table[1:, n_max + 1] = np.where(tail >= 0.0, -sums[1:], 0.0)
+    return table[0], table[1:].swapaxes(0, 1)
 
 
 def fock_probability(v: QuadratureVariances, n: int) -> float:

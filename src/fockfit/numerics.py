@@ -37,7 +37,7 @@ def scaled_legendre(c, u, n_max: int) -> np.ndarray:
     return _legendre_jet(c_arr[None], u_arr[None], n_max)[:, 0]
 
 
-def _legendre_jet(c, u, n_max: int) -> np.ndarray:
+def _legendre_jet(c, u, n_max: int, out=None) -> np.ndarray:
     """G_n of scaled_legendre for n = 0 .. n_max together with their
     directional derivatives, from one pass of the recurrence over jets.
 
@@ -48,31 +48,34 @@ def _legendre_jet(c, u, n_max: int) -> np.ndarray:
     recurrence G_{k+1} = a_k c G_k - b_k u G_{k-1}, a_k = (2k + 1)/(k + 1)
     and b_k = k/(k + 1), carries the derivatives along with the values at
     a few array operations per step.  Returns an (n_max + 1, 1 + t, ...)
-    array: G_n on [n, 0], its derivatives on [n, 1:].
+    array: G_n on [n, 0], its derivatives on [n, 1:].  Given ``out``, an
+    array (or view) of that shape, every entry of it is written and it is
+    returned.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    out = np.zeros((n_max + 1,) + c.shape)
+    if out is None:
+        out = np.empty((n_max + 1,) + c.shape)
     out[0, 0] = 1.0
+    out[0, 1:] = 0.0
     if n_max == 0:
         return out
     out[1] = c
     # Step k combines the rows (G_{k-1}, G_k) = out[k-1:k+1] with the
-    # coefficients (-b_k u, a_k c): their values times both jets, plus
-    # their derivatives times both values.
-    k = np.arange(1.0, n_max)[(slice(None),) + (None,) * c.ndim]
-    coef = np.empty((n_max - 1, 2) + c.shape)
-    np.multiply(-k / (k + 1.0), u, out=coef[:, 0])
-    np.multiply((2.0 * k + 1.0) / (k + 1.0), c, out=coef[:, 1])
+    # coefficients (-b_k u, a_k c), formed for that step only: their
+    # values times both jets, plus their derivatives times both values.
     tangents = c.shape[0] > 1
+    coef = np.empty((2,) + c.shape)
     terms = np.empty((2,) + c.shape)
     extra = np.empty((2, c.shape[0] - 1) + c.shape[1:])
-    for step in range(n_max - 1):
-        pair, pair_coef = out[step:step + 2], coef[step]
-        np.multiply(pair_coef[:, :1], pair, out=terms)
+    for k in range(1, n_max):
+        pair = out[k - 1:k + 1]
+        np.multiply(-k / (k + 1.0), u, out=coef[0])
+        np.multiply((2.0 * k + 1.0) / (k + 1.0), c, out=coef[1])
+        np.multiply(coef[:, :1], pair, out=terms)
         if tangents:
-            terms[:, 1:] += np.multiply(pair_coef[:, 1:], pair[:, :1], out=extra)
-        np.add(terms[0], terms[1], out=out[step + 2])
+            terms[:, 1:] += np.multiply(coef[:, 1:], pair[:, :1], out=extra)
+        np.add(terms[0], terms[1], out=out[k + 1])
     return out
 
 

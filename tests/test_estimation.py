@@ -30,9 +30,10 @@ from fockfit.model import (
     from_variances,
     to_variances,
 )
+from fockfit import estimation
 from fockfit.estimation import (
-    _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _UPPER, _evaluate, _fit_points,
-    _grid_winners, _model_grid, _parameters, _refine, _snap_to_bounds,
+    _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _REFINE_BLOCK, _UPPER, _evaluate,
+    _fit_points, _grid_winners, _model_grid, _parameters, _refine, _snap_to_bounds,
 )
 from fockfit.model import _bin_sum, _fit_coords, _fock_table
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
@@ -350,6 +351,17 @@ class TestFit:
             fit_frequencies(np.array([1.0, 0.0]), np.ones(2))
 
 
+def _peak_memory(run) -> int:
+    """Peak bytes that tracemalloc (which sees numpy's array buffers)
+    traces while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _sampled_rows(r, nbar, shots, n, n_max=20, seed=17):
     dist = fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max)
     counts = _sample_counts(dist, shots, SeedSpec(seed, 0), n)
@@ -475,14 +487,15 @@ class TestFitBatch:
 
     @pytest.mark.parametrize("n_max", [20, 64])
     def test_row_independent_of_preceding_rows(self, n_max):
-        # Rows are fitted in 32-row grid blocks and 512-row refinement
-        # blocks; offsets 0..33 put the target rows at every position of a
-        # grid block, offsets 500..515 across the first refinement block's
-        # end, and their results must not move by a single bit, from the
-        # grid or from a start state.  The targets include badly fitting
-        # Dirichlet rows and rows on the nbar = 0 bound; every stop test
-        # reads only its own column.
-        _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, 515, n_max, seed=3)
+        # Rows are fitted in 32-row grid blocks and _REFINE_BLOCK-row
+        # refinement blocks; offsets 0..33 put the target rows at every
+        # position of a grid block, the 16 offsets from _REFINE_BLOCK - 12
+        # across the first refinement block's end, and their results must
+        # not move by a single bit, from the grid or from a start state.
+        # The targets include badly fitting Dirichlet rows and rows on the
+        # nbar = 0 bound; every stop test reads only its own column.
+        across = range(_REFINE_BLOCK - 12, _REFINE_BLOCK + 4)
+        _, filler_f, filler_w = _sampled_rows(0.5, 1.0, 1000, across[-1], n_max, seed=3)
         targets = [_sampled_rows(r, nbar, 10 ** 4, 2, n_max, seed=5)
                    for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.3, 0.0))]
         targets.append(_dirichlet_rows(3, n_max, seed=41))
@@ -490,25 +503,56 @@ class TestFitBatch:
         target_w = np.concatenate([t[2] for t in targets])
         for start in (None, to_variances(SqueezedThermalState(1.0, 0.05))):
             alone = fit_batch(target_f, target_w, start=start)
-            for offset in (*range(34), *range(500, 516)):
+            for offset in (*range(34), *across):
                 fits = fit_batch(np.concatenate((filler_f[:offset], target_f)),
                                  np.concatenate((filler_w[:offset], target_w)), start=start)
                 assert fits[offset:] == alone
 
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_results_independent_of_the_block_width(self, n_max, monkeypatch):
+        # The refinement is elementwise per column, so the rows per block
+        # only decide how many columns share numpy's calls: 32-, 512- and
+        # 1024-row blocks must give the same bits.  The rows mix sampled
+        # histograms, Dirichlet(0.3) ones and exact rows at q = 0 and at
+        # nbar = 0, the bounds that the snap decides.
+        sets = [_sampled_rows(r, nbar, shots, 150, n_max, seed=7)
+                for r, nbar, shots in ((1.0, 0.05, 10 ** 4), (0.0, 0.01, 10 ** 4),
+                                       (2.5, 0.0, 200), (0.5, 1.0, 200))]
+        sets.append(_dirichlet_rows(100, n_max, seed=43))
+        exact = np.array([fock_distribution(to_variances(SqueezedThermalState(r, nbar)),
+                                            n_max).all_probs
+                          for r, nbar in ((0.0, 0.5), (1.5, 0.0), (0.0, 0.0))])
+        freqs = np.concatenate([s[1] for s in sets] + [exact])
+        weights = np.concatenate([s[2] for s in sets] + [np.ones_like(exact)])
+        assert len(freqs) > 512
+        for start in (None, to_variances(SqueezedThermalState(1.0, 0.05))):
+            fits = []
+            for width in (32, 512, 1024):
+                monkeypatch.setattr(estimation, "_REFINE_BLOCK", width)
+                fits.append(fit_batch(freqs, weights, start=start))
+            assert fits[0] == fits[1] == fits[2]
+            # the exact rows end on their bounds
+            assert fits[0].r[[-3, -1]].tolist() == fits[0].nbar[-2:].tolist() == [0.0, 0.0]
+
     def test_peak_memory_of_a_thousand_rows(self):
         # tracemalloc sees numpy's array buffers.  The budget is the peak
         # measured at n_max = 20 with 512-column refinement blocks
-        # (1.69 MB) plus 25%; wider blocks or new per-column temporaries
-        # raise the peak RSS of every 1000-replicate bootstrap.
+        # (1.69 MB) plus 25%; 1024-column blocks, with _evaluate's one
+        # buffer as their working set, peak at 1.94 MB.  Wider blocks or
+        # new per-column temporaries raise the peak RSS of every
+        # 1000-replicate bootstrap.
         _, freqs, weights = _sampled_rows(2.5, 0.01, 10 ** 4, 1000)
         fit_batch(freqs[:1], weights[:1])  # build the cached model grid
-        tracemalloc.start()
-        try:
-            fit_batch(freqs, weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.11e6
+        assert _peak_memory(lambda: fit_batch(freqs, weights)) <= 2.11e6
+
+    def test_peak_memory_of_a_thousand_warm_rows(self):
+        # The refits of a 1000-replicate ci: no grid stage, but from the
+        # first compaction on, the unconverged columns' frequencies and
+        # weights are copies.  The budget is the peak measured at n_max =
+        # 20 with 1024-column blocks (2.13 MB) plus 25%.
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 1000)
+        start = to_variances(SqueezedThermalState(1.0, 0.05))
+        assert _peak_memory(lambda: fit_batch(freqs, weights, start=start)) <= 2.66e6
 
 
 class TestWarmStart:

@@ -16,8 +16,8 @@ from fockfit.model import (
     to_variances,
 )
 from fockfit.estimation import _FLOOR_FACTOR
-from fockfit.model import _bin_sum, _fock_table, _legendre_args
-from fockfit.numerics import scaled_legendre
+from fockfit.model import _argument_jets, _bin_sum, _fock_table, _legendre_args
+from fockfit.numerics import _legendre_jet, scaled_legendre
 from wigner_oracle import fock_probability_oracle
 
 VACUUM = QuadratureVariances(0.5, 0.5)
@@ -352,6 +352,50 @@ class TestHighPrecision:
             diff = (up - down) / (2.0 * step[k])
             scale = np.abs(jac[:, k]).max(axis=0)
             assert np.all(np.abs(diff - jac[:, k]) <= 1e-6 * scale)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestKernelBuffers:
+    """_fock_table(..., out=) and _legendre_jet(..., out=) work in the
+    caller's view of a larger buffer, as estimation._evaluate uses them:
+    every entry of the view is written (G_0's derivative rows and the
+    overflow bin's too), nothing outside it is, and the result is bit for
+    bit that of a fresh array.  The buffer starts as NaN, so a slot never
+    written would show.  The columns are (0, 0), a thermal state (q = 0),
+    squeezed vacuum (nbar = 0), or those and 37 random states."""
+
+    @staticmethod
+    def columns(cols):
+        rng = np.random.default_rng(8)
+        q = np.concatenate(([0.0, 0.0, 1.2], rng.uniform(0.0, 40.0, 37)))
+        nbar = np.concatenate(([0.0, 0.3, 0.0], rng.uniform(0.0, 5.0, 37)))
+        return q[cols], nbar[cols]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 64])
+    @pytest.mark.parametrize("cols", [slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 40)])
+    def test_fock_table_out_equals_a_fresh_table(self, n_max, cols):
+        q, nbar = self.columns(cols)
+        buf = np.full((8, n_max + 2, q.size), np.nan)
+        probs, jac = _fock_table(q, nbar, n_max, out=buf[1::2])
+        fresh_probs, fresh_jac = _fock_table(q, nbar, n_max)
+        assert np.shares_memory(probs, buf) and np.shares_memory(jac, buf)
+        assert np.array_equal(bits(probs), bits(fresh_probs))
+        assert np.array_equal(bits(jac), bits(fresh_jac))
+        assert np.isnan(buf[0::2]).all()
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 64])
+    @pytest.mark.parametrize("cols", [slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 40)])
+    def test_legendre_jet_out_equals_a_fresh_result(self, n_max, cols):
+        c, u, _, _ = _argument_jets(*self.columns(cols))
+        buf = np.full((8, n_max + 2, c.shape[1]), np.nan)
+        view = buf[1:7:2, :n_max + 1].swapaxes(0, 1)
+        assert _legendre_jet(c, u, n_max, out=view) is view
+        assert np.array_equal(bits(view), bits(_legendre_jet(c, u, n_max)))
+        assert np.isnan(buf[0::2]).all() and np.isnan(buf[7]).all()
+        assert np.isnan(buf[:, n_max + 1]).all()
 
 
 class TestBinSum:
