@@ -16,11 +16,14 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_int(name: str, value, low: int) -> None:
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
     """Raise ValueError, its message starting with ``name``, unless
-    ``value`` is an integer (see is_int) of at least ``low``."""
+    ``value`` is an integer (see is_int) of at least ``low`` and, given
+    ``high``, at most ``high``."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 

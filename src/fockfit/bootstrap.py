@@ -110,12 +110,15 @@ def _floor_index(x: float) -> int:
     return math.floor(x)
 
 
-def _check_sorted(values: np.ndarray) -> np.ndarray:
+def _check_sorted(values, alpha: float) -> np.ndarray:
+    """Check ``values`` (sorted, >= 2 estimates) and ``alpha`` (in (0, 0.5)); return values."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
         raise ValueError("need a 1-D vector of at least 2 estimates")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("estimates must be sorted ascending")
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
     return values
 
 
@@ -129,9 +132,7 @@ def percentile_interval(
 
     clamped into [1, n_b].
     """
-    values = _check_sorted(values)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    values = _check_sorted(values, alpha)
     n = values.shape[0]
     lo = min(max(_floor_index(n * alpha), 1), n)
     hi = min(max(_floor_index(n * (1.0 - alpha)), 1), n)
@@ -166,9 +167,7 @@ def bc_interval(
     the replicate range).  The endpoints are the order statistics at the
     corrected levels Phi(2b + z_alpha) and Phi(2b + z_{1-alpha}).
     """
-    values = _check_sorted(values)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    values = _check_sorted(values, alpha)
     n = values.shape[0]
     p_ci = int(np.searchsorted(values, point_estimate, side="right"))
     p_ci = min(max(p_ci, 1), n - 1)

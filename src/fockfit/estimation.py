@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import check_int, is_int
+from ._io import check_int
 from .model import (
     HEISENBERG_SLACK,
     MAX_FOCK,
@@ -57,10 +57,8 @@ class FockHistogram:
     def __post_init__(self):
         if len(self.counts) < 2:
             raise ValueError("counts: need at least bins 0 and 1")
-        if not all(is_int(k) for k in self.counts):
-            raise ValueError(f"counts must be integers, got {self.counts!r}")
-        if any(k < 0 for k in self.counts):
-            raise ValueError("counts must be nonnegative")
+        for k in self.counts:
+            check_int("counts", k, 0)
         check_int("overflow_count", self.overflow_count, 0)
         check_int("total", self.total, 1)
         if sum(self.counts) + self.overflow_count != self.total:
@@ -585,9 +583,7 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     if not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be finite")
     wts = _checked_weights(weights, freqs.shape)
-    n_max = freqs.shape[1] - 2
-    if n_max > MAX_FOCK:
-        raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
+    check_int("n_max", freqs.shape[1] - 2, 1, MAX_FOCK)
     if start is not None and not isinstance(start, QuadratureVariances):
         raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
     x0 = None if start is None else np.array(_fit_coords(start))[:, None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import check_int, is_int
+from ._io import check_int
 from .numerics import _legendre_jet
 
 __all__ = [
@@ -50,12 +50,12 @@ class SqueezedThermalState:
     nbar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.nbar)):
-            raise ValueError("state parameters must be finite")
-        if self.r < 0.0:
-            raise ValueError(f"squeezing r must be >= 0, got {self.r}")
-        if self.nbar < 0.0:
-            raise ValueError(f"thermal occupation nbar must be >= 0, got {self.nbar}")
+        for name, what in (("r", "squeezing"), ("nbar", "thermal occupation")):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise ValueError(f"{what} {name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,9 @@ class QuadratureVariances:
     vp: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.vq) and math.isfinite(self.vp)):
-            raise ValueError("variances must be finite")
-        if self.vq <= 0.0 or self.vp <= 0.0:
-            raise ValueError(f"variances must be positive, got ({self.vq}, {self.vp})")
+        for name, value in (("vq", self.vq), ("vp", self.vp)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.vq > self.vp:
             raise ValueError(f"require vq <= vp, got ({self.vq}, {self.vp})")
         if self.vq * self.vp < 0.25 - HEISENBERG_SLACK:
@@ -95,8 +94,9 @@ class FockDistribution:
         check_int("n_max", self.n_max, 0)
         if len(self.probs) != self.n_max + 1:
             raise ValueError("probs must have n_max + 1 entries")
-        if any(p < 0.0 or p > 1.0 for p in self.probs) or not 0.0 <= self.overflow <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
+        for name, p in [("probs", p) for p in self.probs] + [("overflow", self.overflow)]:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if abs(sum(self.probs) + self.overflow - 1.0) > 1e-12:
             raise ValueError("probabilities and overflow must sum to 1")
 
@@ -239,10 +239,7 @@ def fock_probability(v: QuadratureVariances, n: int) -> float:
     (nbar**n / (nbar+1)**(n+1)) and reproduces the parity zeros of squeezed
     vacuum.
     """
-    if not is_int(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 0 or n > MAX_FOCK:
-        raise ValueError(f"n must be in [0, {MAX_FOCK}], got {n}")
+    check_int("n", n, 0, MAX_FOCK)
     q, nbar = _fit_coords(v)
     return float(_fock_table(q, nbar, max(n, 1))[0][n])
 
@@ -250,10 +247,7 @@ def fock_probability(v: QuadratureVariances, n: int) -> float:
 def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistribution:
     """Model distribution over the n_max + 2 measurement categories
     (Fock numbers 0..n_max plus one overflow bin for everything above)."""
-    if not is_int(n_max):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if not 1 <= n_max <= MAX_FOCK:
-        raise ValueError(f"n_max must be in [1, {MAX_FOCK}], got {n_max}")
+    check_int("n_max", n_max, 1, MAX_FOCK)
     q, nbar = _fit_coords(v)
     all_probs = _fock_table(q, nbar, n_max)[0].tolist()
     return FockDistribution(n_max, tuple(all_probs[:-1]), all_probs[-1])

@@ -11,6 +11,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._io import check_int
+
 __all__ = ["scaled_legendre", "std_normal_cdf", "std_normal_quantile"]
 
 _SQRT2 = math.sqrt(2.0)
@@ -33,6 +35,7 @@ def scaled_legendre(c, u, n_max: int) -> np.ndarray:
     ``c`` and ``u`` may be scalars or broadcastable arrays; the result has
     the order n on its leading axis.
     """
+    check_int("n_max", n_max, 0)
     c_arr, u_arr = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(u, dtype=float))
     return _legendre_jet(c_arr[None], u_arr[None], n_max)[:, 0]
 
@@ -50,10 +53,8 @@ def _legendre_jet(c, u, n_max: int, out=None) -> np.ndarray:
     a few array operations per step.  Returns an (n_max + 1, 1 + t, ...)
     array: G_n on [n, 0], its derivatives on [n, 1:].  Given ``out``, an
     array (or view) of that shape, every entry of it is written and it is
-    returned.
+    returned.  Callers pass an integer ``n_max`` >= 0; it is not checked here.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if out is None:
         out = np.empty((n_max + 1,) + c.shape)
     out[0, 0] = 1.0

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import check_int, is_int
+from ._io import check_int
 from .estimation import FockHistogram
 from .model import FockDistribution
 
@@ -29,8 +29,7 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (is_int(self.master_seed) and 0 <= self.master_seed < 2 ** 64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        check_int("master_seed", self.master_seed, 0, 2 ** 64 - 1)
         check_int("stream_index", self.stream_index, 0)
 
     def generator(self) -> np.random.Generator:

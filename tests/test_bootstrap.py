@@ -53,6 +53,8 @@ class TestPercentileInterval:
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
             percentile_interval(np.array([3.0, 1.0, 2.0]), 0.05)
+        with pytest.raises(ValueError, match="^need a 1-D vector of at least 2 estimates$"):
+            percentile_interval(np.array([3.0]), 0.05)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.1])
     @pytest.mark.parametrize("interval", [
@@ -101,6 +103,11 @@ class TestBcInterval:
         assert hi.lower <= hi.upper
         assert lo.lower == 1.0
         assert hi.upper == pytest.approx(100.0, abs=1e-6)
+        # above all 1000 replicates the upper level Phi(2 b + z_0.95), with
+        # b = Phi^-1(999/1000), times 1000 rounds onto n itself: the last
+        # order statistic, not an interpolation past it
+        top = bc_interval(np.arange(1.0, 1001.0), point_estimate=2000.0, alpha=0.05)
+        assert top.upper == 1000.0
 
     def test_bias_shifts_interval_upward(self):
         # point estimate above the replicate median -> b > 0 -> both
@@ -394,6 +401,8 @@ class TestConfidenceIntervalType:
             bt.ConfidenceInterval(0.0, 0.5, 0.9, "bca", "r")
         with pytest.raises(ValueError):
             bt.ConfidenceInterval(0.0, 0.5, 0.9, "bc", "sigma")
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 1\), got 1.0$"):
+            bt.ConfidenceInterval(0.0, 0.5, 1.0, "bc", "r")
 
     def test_contains(self):
         ci = bt.ConfidenceInterval(0.0, 1.0, 0.9, "bc", "r")

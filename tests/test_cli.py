@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,14 +141,21 @@ class TestEstimate:
         assert run(["estimate", "--counts", str(tmp_path / "nope.json"),
                     "--out", str(est)]) == EXIT_IO
 
-    def test_schema_violation_detected(self, tmp_path):
+    def test_schema_violation_detected(self, tmp_path, capsys):
+        good = {"format_version": 1, "n_max": 2, "counts": [5, 3, 1], "overflow": 0, "total": 9}
+        no_total = {k: v for k, v in good.items() if k != "total"}
         counts = tmp_path / "counts.json"
-        counts.write_text(json.dumps({
-            "format_version": 1, "n_max": 2, "counts": [5, 3, 1],
-            "overflow": 0, "total": 999,
-        }))
         est = tmp_path / "estimate.json"
-        assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+        for doc, message in (
+                ({**good, "total": 999}, "counts plus overflow must sum to total"),
+                ([good], "expected a JSON object"),
+                (no_total, "missing field 'total'"),
+                ({**good, "n_max": 3}, "n_max does not match counts length"),
+                ({**good, "counts": [5, -3, 1]}, "counts must be >= 0, got -3")):
+            counts.write_text(json.dumps(doc))
+            assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"fockfit: {counts}: {message}\n"
+            assert not est.exists()
 
     def test_counts_beyond_the_model_domain_rejected(self, tmp_path, capsys):
         # 80 bins is n_max = 79, above MAX_FOCK = 64
@@ -305,10 +314,15 @@ class TestFidelityCommand:
             1.0 / math.cosh(1.0), rel=1e-10
         )
 
-    def test_invalid_state_rejected(self):
+    def test_invalid_state_rejected(self, capsys):
         assert run(["fidelity", "--state1", "r=-1,nbar=0",
                     "--state2", "r=0,nbar=0"]) == EXIT_USAGE
         assert run(["fidelity", "--state1", "q=1", "--state2", "r=0,nbar=0"]) == EXIT_USAGE
+        for state, message in (("r0.5", "expected key=value pairs, got 'r0.5'"),
+                               ("r=abc", "bad number in 'r=abc'")):
+            capsys.readouterr()
+            assert run(["fidelity", "--state1", state, "--state2", "r=0,nbar=0"]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"fockfit: --state1: {message}\n"
 
 
 class TestStudyCommand:
@@ -397,6 +411,21 @@ class TestStudyCommand:
         assert run(args) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("fockfit: --out/--json-out: ")
         assert not (tmp_path / "report.json").exists()
+
+    def test_json_out_naming_a_directory_is_an_io_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {
+            "format_version": 1,
+            "study": "fidelity",
+            "true_states": [{"r": 0.5, "nbar": 0.1}],
+            "shot_counts": [300],
+            "n_experiments": 2,
+        })
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run(["study", "--config", str(cfg), "--out", str(tmp_path / "report.csv"),
+                    "--json-out", str(taken)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("fockfit: cannot write report: ")
+        assert taken.is_dir() and list(taken.iterdir()) == []
 
     @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
     def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):
@@ -579,6 +608,46 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run(["simulate", "--r", "0", "--nbar", "0"]) == EXIT_USAGE
+
+
+class TestOneParser:
+    """main parses with one cached parser and looks its handler up by the
+    command's name on every call."""
+
+    def test_every_subcommand_has_a_handler(self):
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == ["ci", "estimate", "fidelity", "probs", "simulate", "study"]
+        for name in sub.choices:
+            assert callable(getattr(cli, f"cmd_{name}"))
+
+    def test_parser_built_once_across_calls(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["probs", "--r", "0", "--nbar", "0", "--nmax", "2"],
+                     ["fidelity", "--state1", "r=0,nbar=0", "--state2", "r=0,nbar=1"],
+                     ["frobnicate"],
+                     ["probs", "--vq", "0.5", "--vp", "0.5", "--nmax", "2"]):
+            run(argv)
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    def test_ci_then_estimate_match_the_goldens(self, tmp_path):
+        golden = Path(__file__).parent / "golden"
+        counts = str(golden / "inputs" / "counts-n20.json")
+        assert run(["ci", "--counts", counts, "--replicates", "200", "--weights", "uniform",
+                    "--method", "percentile", "--out", str(tmp_path / "ci.json")]) == EXIT_OK
+        assert run(["estimate", "--counts", counts,
+                    "--out", str(tmp_path / "estimate.json")]) == EXIT_OK
+        for got, want in (("ci.json", "ci-uniform-percentile.json"),
+                          ("estimate.json", "estimate-posterior.json")):
+            assert (tmp_path / got).read_bytes() == (golden / "outputs" / want).read_bytes()
+
+    def test_handler_looked_up_at_call_time(self, monkeypatch):
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fidelity", lambda args: calls.append(args.state1) or 7)
+        assert run(["fidelity", "--state1", "r=0,nbar=0", "--state2", "r=0,nbar=1"]) == 7
+        assert calls == ["r=0,nbar=0"]
 
 
 class TestCountsFileIntegers:

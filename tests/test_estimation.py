@@ -475,6 +475,10 @@ class TestFitBatch:
         bad[1, 3] = 0.0
         with pytest.raises(ValueError):
             fit_batch(freqs, bad)
+        nan_row = freqs.copy()
+        nan_row[0, 2] = np.nan
+        with pytest.raises(ValueError, match="^frequencies must be finite$"):
+            fit_batch(nan_row, weights)
 
     def test_bins_bounded_by_the_model_domain(self):
         # n_max = MAX_FOCK = 64 gives 66 bins; one bin more is outside the

@@ -87,12 +87,24 @@ class TestParameterizations:
             QuadratureVariances(0.6, 0.5)
         with pytest.raises(ValueError):
             QuadratureVariances(-0.5, 0.5)
+        with pytest.raises(ValueError, match="^vq must be finite and positive, got nan$"):
+            QuadratureVariances(math.nan, 1.0)
+        with pytest.raises(ValueError, match="^vp must be finite and positive, got inf$"):
+            QuadratureVariances(0.5, math.inf)
+        with pytest.raises(ValueError, match="^vq must be finite and positive, got 0.0$"):
+            QuadratureVariances(0.0, 1.0)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
             SqueezedThermalState(-0.1, 0.0)
         with pytest.raises(ValueError):
             SqueezedThermalState(0.1, -1e-3)
+        with pytest.raises(ValueError, match="^r must be finite, got nan$"):
+            SqueezedThermalState(math.nan, 0.0)
+        with pytest.raises(ValueError, match="^nbar must be finite, got inf$"):
+            SqueezedThermalState(0.0, math.inf)
+        with pytest.raises(ValueError, match="^squeezing r must be >= 0, got -0.1$"):
+            SqueezedThermalState(-0.1, 0.0)
 
 
 class TestFockProbability:
@@ -195,6 +207,14 @@ class TestFockDistribution:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             FockDistribution(1, (0.5, 0.2), 0.1)
+        with pytest.raises(ValueError, match="^probs must have n_max [+] 1 entries$"):
+            FockDistribution(2, (0.5, 0.5), 0.0)
+        with pytest.raises(ValueError, match=r"^probs must lie in \[0, 1\], got 1.5$"):
+            FockDistribution(1, (1.5, -0.5), 0.0)
+        with pytest.raises(ValueError, match=r"^probs must lie in \[0, 1\], got nan$"):
+            FockDistribution(1, (math.nan, 0.5), 0.5)
+        with pytest.raises(ValueError, match=r"^overflow must lie in \[0, 1\], got -0.25$"):
+            FockDistribution(1, (0.75, 0.5), -0.25)
         for n_max in (1.0, True):
             with pytest.raises(ValueError, match="^n_max must be an integer"):
                 FockDistribution(n_max, (0.5, 0.5), 0.0)

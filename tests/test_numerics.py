@@ -99,6 +99,12 @@ class TestScaledLegendre:
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError):
             scaled_legendre(0.0, 0.0, -1)
+        with pytest.raises(ValueError, match=r"^n_max must be an integer, got 2.5$"):
+            scaled_legendre(0.3, 0.1, 2.5)
+        with pytest.raises(ValueError, match=r"^n_max must be an integer, got True$"):
+            scaled_legendre(0.3, 0.1, True)
+        assert scaled_legendre(0.3, 0.1, 0).tolist() == [1.0]
+        assert scaled_legendre(0.3, 0.1, np.int64(1)).tolist() == [1.0, 0.3]
 
 
 class TestStdNormalCdf:

@@ -296,6 +296,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"true_states\[0\].*phase"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("changes, message", [
+        (None, "config: expected a JSON object"),
+        ({"study": None}, "config: missing required field 'study'"),
+        ({"true_states": None}, "config: missing required field 'true_states'"),
+        ({"true_states": [0.5]}, "true_states[0]: expected an object with 'r' and 'nbar'"),
+        ({"true_states": [{"r": -1, "nbar": 0.01}]},
+         "true_states[0]: squeezing r must be >= 0, got -1.0"),
+        ({"true_states": {"r": 1.0, "nbar": 0.01}}, "true_states: expected a nonempty list"),
+        ({"study": "weight_comparison", "schemes": ["posterior", "mle"]},
+         "schemes[0]: expected an object with 'scheme'"),
+        ({"prior": [1.0, 1.0]}, "prior: expected an object with 'nu' and 'eta'"),
+    ], ids=["not-an-object", "no-study", "no-true_states", "state-not-an-object", "r=-1",
+            "true_states-not-a-list", "scheme-not-an-object", "prior-not-an-object"])
+    def test_malformed_part_named_by_path(self, changes, message):
+        # changes=None wraps the document in a list; a None value drops its field
+        doc = [self.good_doc()]
+        if changes is not None:
+            doc = {k: v for k, v in {**doc[0], **changes}.items() if v is not None}
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            parse_config(doc)
+
     def test_bad_study_kind(self):
         doc = self.good_doc()
         doc["study"] = "tomography"
