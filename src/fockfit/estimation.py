@@ -18,6 +18,7 @@ from .model import (
     QuadratureVariances,
     SqueezedThermalState,
     _bin_sum,
+    _each,
     _fit_coords,
     _fock_table,
     _state_params,
@@ -521,17 +522,15 @@ def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
 def _parameters(x: np.ndarray) -> np.ndarray:
     """The (vq, vp, r, nbar) rows at the fit coordinates x = (q, nbar) of
     shape (2, m), by the model's conversions (to_variances, then
-    from_variances) on plain floats.  The coordinates and then the columns
-    are checked as a whole, as the model's state classes check each value."""
+    from_variances) on arrays: the floats that the conversions give each
+    column.  The coordinates and then the columns are checked as a whole,
+    as the model's state classes check each value."""
     message = "fit coordinates outside the physical domain"
     if not np.all(np.isfinite(x) & (x >= 0.0)):
         raise ValueError(message)
-    rows = []
-    for q, nbar in zip(*x.tolist()):
-        vq, vp = _variances(math.asinh(math.sqrt(0.5 * q)), nbar)
-        rows.append((vq, vp, *_state_params(vq, vp)))
-    params = np.array(rows).reshape(-1, len(PARAMETERS)).T
-    vq, vp, r, nbar = params
+    vq, vp = _variances(_each(math.asinh, np.sqrt(0.5 * x[0])), x[1])
+    params = np.stack((vq, vp, *_state_params(vq, vp)))
+    r, nbar = params[2:]
     if not (np.all(np.isfinite(params)) and np.all(vq > 0.0) and np.all(vq <= vp)
             and np.all(vq * vp >= 0.25 - HEISENBERG_SLACK)
             and np.all(r >= 0.0) and np.all(nbar >= 0.0)):

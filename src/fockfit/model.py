@@ -106,15 +106,25 @@ class FockDistribution:
         return np.array(self.probs + (self.overflow,))
 
 
-def _variances(r: float, nbar: float) -> tuple[float, float]:
-    """to_variances on plain floats, unchecked."""
+def _each(fn, x):
+    """The math function fn of a float, or of every entry of an array:
+    numpy's exp, log and asinh can differ from math's in the last bit, so
+    every conversion takes them from math."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(fn, x.tolist())), dtype=float).reshape(x.shape)
+    return fn(x)
+
+
+def _variances(r, nbar):
+    """to_variances on floats or arrays, unchecked."""
     half = 0.5 * (2.0 * nbar + 1.0)
-    return half * math.exp(-2.0 * r), half * math.exp(2.0 * r)
+    return half * _each(math.exp, -2.0 * r), half * _each(math.exp, 2.0 * r)
 
 
-def _state_params(vq: float, vp: float) -> tuple[float, float]:
-    """from_variances on plain floats, unchecked."""
-    return max(0.25 * math.log(vp / vq), 0.0), max(math.sqrt(vq * vp) - 0.5, 0.0)
+def _state_params(vq, vp):
+    """from_variances on floats or arrays, unchecked: numpy floats."""
+    return (np.maximum(0.25 * _each(math.log, vp / vq), 0.0),
+            np.maximum(np.sqrt(vq * vp) - 0.5, 0.0))
 
 
 def to_variances(state: SqueezedThermalState) -> QuadratureVariances:
@@ -132,7 +142,7 @@ def from_variances(v: QuadratureVariances) -> SqueezedThermalState:
     state sitting exactly on r = 0 or nbar = 0 cannot produce a negative
     parameter.
     """
-    return SqueezedThermalState(*_state_params(v.vq, v.vp))
+    return SqueezedThermalState(*map(float, _state_params(v.vq, v.vp)))
 
 
 def _fit_coords(v: QuadratureVariances) -> tuple[float, float]:

@@ -818,6 +818,17 @@ class TestParameters:
         want = np.array([self._dataclass_path(q, nbar) for q, nbar in x.T.tolist()]).T
         assert np.array_equal(got, want)
 
+    def test_random_rows_equal_the_dataclass_path(self):
+        # q = expm1(U[0, 10]) and nbar = U[0, 20], each 0 on half the rows:
+        # the same floats, sign bits included, as the row-by-row conversion.
+        rng = np.random.default_rng(5)
+        x = np.stack((np.expm1(rng.uniform(0.0, 10.0, 4000)), rng.uniform(0.0, 20.0, 4000)))
+        x[rng.random(x.shape) < 0.5] = 0.0
+        got = _parameters(x)
+        want = np.array([self._dataclass_path(q, nbar) for q, nbar in x.T.tolist()]).T
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_no_rows(self):
         assert _parameters(np.empty((2, 0))).shape == (4, 0)
 
