@@ -66,11 +66,16 @@ def _read_json(path: str) -> dict:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if the directory of an output path is missing."""
+    """Fail before any work if the directory of an output path is missing
+    or the path is a directory."""
     for flag in ("--out", "--json-out"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise _CliError(EXIT_IO, f"{flag}: cannot write {path}: no such directory")
+        if os.path.isdir(path):
+            raise _CliError(EXIT_IO, f"{flag}: cannot write {path}: is a directory")
 
 
 def _state(values: dict, where: str, expected: str) -> QuadratureVariances:

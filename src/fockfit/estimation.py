@@ -237,8 +237,10 @@ def objective(v: QuadratureVariances, h: FockHistogram, weights) -> float:
 
         Delta = sum_n w_n [P(n | vq, vp) - f_n]^2,
 
-    for one weight per bin, as a weight rule gives them for ``h``.
+    for one weight per bin, as a weight rule gives them for ``h``, whose
+    n_max must be in [1, MAX_FOCK] as for fit.
     """
+    check_int("n_max", h.n_max, 1, MAX_FOCK)
     freqs = h.frequencies
     wts = _checked_weights(weights, freqs.shape)
     point = np.array(_fit_coords(v))[:, None]

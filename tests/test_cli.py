@@ -424,8 +424,11 @@ class TestStudyCommand:
         taken.mkdir()
         assert run(["study", "--config", str(cfg), "--out", str(tmp_path / "report.csv"),
                     "--json-out", str(taken)]) == EXIT_IO
-        assert capsys.readouterr().err.startswith("fockfit: cannot write report: ")
+        assert capsys.readouterr().err.startswith(
+            f"fockfit: --json-out: cannot write {taken}: is a directory")
         assert taken.is_dir() and list(taken.iterdir()) == []
+        # rejected before the study ran: no CSV without its JSON
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
     def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):
@@ -495,6 +498,11 @@ class TestOutputDirectoryCheckedFirst:
         missing = os.path.join("missing_dir", "out.json")
         assert run([*command, flag, missing]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"fockfit: {flag}: cannot write {missing}: ")
+        assert sorted(tmp_path.iterdir()) == before
+        (tmp_path / "taken").mkdir()
+        before = sorted(tmp_path.iterdir())
+        assert run([*command, flag, "taken"]) == EXIT_IO
+        assert capsys.readouterr().err == f"fockfit: {flag}: cannot write taken: is a directory\n"
         assert sorted(tmp_path.iterdir()) == before
 
 

@@ -266,6 +266,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(QuadratureVariances(0.5, 0.5), h, np.ones(5))
 
+    def test_n_max_bounded_by_the_model_domain(self):
+        # 80 bins: n_max 79, outside the model's validated domain, as for fit
+        h = FockHistogram((50, 30) + (1,) * 78, 0, 158)
+        for call in (objective, lambda v, h, w: fit(h, w)):
+            with pytest.raises(ValueError, match=r"^n_max must be in \[1, 64\], got 79$"):
+                call(QuadratureVariances(0.5, 0.5), h, uniform_weights(h))
+
 
 def _objective_at(v, freqs, weights):
     d = fock_distribution(v, len(freqs) - 2)
