@@ -271,12 +271,31 @@ _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 # peak at about 1.9 MB of numpy buffers from the grid and 2.1 MB from a
 # start state (tracemalloc).
 _REFINE_BLOCK = 1024
+# Columns that stop stay in the lock-step arrays, frozen, until a
+# 1/_COMPACT share of them has stopped; then the live ones are compacted.
+# Compacting copies the live columns' frequencies and weights, which sit
+# next to the evaluation buffer, so compacting after the first few stops
+# would raise the peak; a few frozen columns cost less than the copies.
+_COMPACT = 8
 
 # Projected Levenberg-Marquardt settings: initial damping, its factor per
 # rejected step, and its ceiling (far above any useful value, far below
 # overflow).
 _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
-# A row stops for one of two reasons.  Its step changes every coordinate x
+# Each step solves (H + S + lambda diag H) step = -g, with g the half
+# gradient, H = J^T W J and S an estimate of the residual curvature
+# sum_n w_n (P_n - f_n) grad^2 P_n that H leaves out, so that rows converge
+# superlinearly where Gauss-Newton converges linearly.  S is the structured
+# secant update of NL2SOL (Dennis, Gay & Welsch, ACM TOMS 7 (1981) 348),
+# from the half gradients that _evaluate returns anyway.  Its safeguards:
+# S is sized down before each update by min(1, |s^T y#| / |s^T S s|) and
+# not updated unless y^T s > 0; H + S is used only where it is positive
+# definite, and only in columns where it predicted the last actual
+# decrease better than H alone did (NL2SOL's model switch); Nielsen's
+# damping ratio uses the model that made the step; and a coordinate held
+# on a face drops its entries of S, as it drops those of H.
+#
+# A row stops for one of two reasons, both read from H alone.  Its step changes every coordinate x
 # by at most _STEP_TOL * (|x| + _STEP_FLOOR); this also stops a row whose
 # damped system is not solvable (step 0).  Or the objective sits on its
 # rounding floor rho: the trial is rejected and the undamped Gauss-Newton
@@ -407,57 +426,97 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.nda
     return rows[:7]
 
 
-def _trial_step(x, at, lam):
+# A symmetric 2x2 matrix per column is three rows (m00, m01, m11); _LEFT
+# and _RIGHT give each row's two coordinates.
+_LEFT, _RIGHT = [0, 0, 1], [0, 1, 1]
+_IDENTITY = np.array([1.0, 0.0, 1.0])[:, None]
+
+
+def _trial_step(x, at, lam, sec, aug):
     """One projected Levenberg-Marquardt trial of every column at x, from
-    _evaluate's rows ``at`` there and the damping lam: the trial point, the
-    step to it and the undamped Gauss-Newton decrease g^T H^-1 g over the
-    free coordinates.  A coordinate on a face whose gradient points out of
-    the box is held fixed.  Its temporaries are gone before _iterate
-    evaluates the trial."""
-    grad, (h00, h01, h11) = at[1:3], at[3:6]
-    fixed = ((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0))
+    _evaluate's rows ``at`` there, the damping lam, the residual-curvature
+    estimate ``sec`` and the columns ``aug`` that choose the augmented
+    model: the trial point, the step to it, the undamped Gauss-Newton
+    decrease g^T H^-1 g over the free coordinates and the columns that
+    solved the augmented system.  A coordinate on a face whose gradient
+    points out of the box is held fixed and drops its entries of H and S.
+    Its temporaries are gone before _iterate evaluates the trial."""
+    grad, h = at[1:3], at[3:6]
+    free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
+    keep = free[_LEFT] & free[_RIGHT]
+    gn = np.where(keep, h, _IDENTITY)
+    b = np.where(free, -grad, 0.0)
+    gn_det = gn[0] * gn[2] - gn[1] * gn[1]
+    gn_gain = np.where(gn_det > 0.0, (gn[2] * b[0] * b[0] - 2.0 * gn[1] * b[0] * b[1]
+                                      + gn[0] * b[1] * b[1])
+                       / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
+    # H + S where the column chooses it and it is positive definite
+    mat = gn + np.where(keep, sec, 0.0)
+    use = aug & (mat[0] > 0.0) & (mat[0] * mat[2] - mat[1] * mat[1] > 0.0)
+    mat = np.where(use, mat, gn)
     # Marquardt scaling with a floor, so a vanishing column cannot make
     # the damped system singular.
-    floor = 1e-12 * (h00 + h11)
-    u00 = np.where(fixed[0], 1.0, h00)
-    u11 = np.where(fixed[1], 1.0, h11)
-    a01 = np.where(fixed[0] | fixed[1], 0.0, h01)
-    b0, b1 = np.where(fixed, 0.0, -grad)
-    gn_det = u00 * u11 - a01 * a01
-    gn_gain = np.where(gn_det > 0.0, (u11 * b0 * b0 - 2.0 * a01 * b0 * b1 + u00 * b1 * b1)
-                       / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
-    a00 = u00 + np.where(fixed[0], 0.0, lam * np.maximum(h00, floor))
-    a11 = u11 + np.where(fixed[1], 0.0, lam * np.maximum(h11, floor))
-    det = a00 * a11 - a01 * a01
+    mat[0::2] += np.where(free, lam * np.maximum(h[0::2], 1e-12 * (h[0] + h[2])), 0.0)
+    det = mat[0] * mat[2] - mat[1] * mat[1]
     solvable = det > 0.0
     det = np.where(solvable, det, 1.0)
-    step = np.where(solvable, np.stack((a11 * b0 - a01 * b1, a00 * b1 - a01 * b0)) / det, 0.0)
-    trial = np.clip(x + step, 0.0, _UPPER)
-    return trial, trial - x, gn_gain
+    step = np.where(solvable, np.stack((mat[2] * b[0] - mat[1] * b[1],
+                                        mat[0] * b[1] - mat[1] * b[0])) / det, 0.0)
+    trial = np.minimum(np.maximum(x + step, 0.0), _UPPER)
+    return trial, trial - x, gn_gain, use
 
 
-def _iterate(x, at, lam, f, w, n_max: int) -> np.ndarray:
+def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
     """One lock-step iteration of _refine at the points x with _evaluate's
-    rows ``at`` there and the damping lam: evaluates every column's trial
-    and, where it is better, moves x and ``at`` to it, all three updated in
-    place.  Returns the columns that stop here.  Its temporaries are gone
-    before the next iteration's evaluation."""
-    obj, grad, (h00, h01, h11), rho = at[0], at[1:3], at[3:6], at[6]
-    trial, step, gn_gain = _trial_step(x, at, lam)
+    rows ``at`` there, the damping lam, the curvature estimate ``sec`` and
+    the model choice ``aug``: evaluates every column's trial and, where it
+    is better and the column is ``live``, moves x and ``at`` to it and
+    updates ``sec``.  All five are updated in place.  Returns the columns
+    that stop here.  Its temporaries are gone before the next iteration's
+    evaluation."""
+    obj, grad, h, rho = at[0], at[1:3], at[3:6], at[6]
+    trial, step, gn_gain, use = _trial_step(x, at, lam, sec, aug)
     t_at = _evaluate(trial, f, w, n_max)
-    t_obj = t_at[0]
-    better = t_obj < obj
-    model_gain = -(2.0 * (grad * step).sum(axis=0) + h00 * step[0] ** 2
-                   + 2.0 * h01 * step[0] * step[1] + h11 * step[1] ** 2)
-    done = (np.all(np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR), axis=0)
-            | (~better & (gn_gain <= rho)))
-    # Nielsen's update: the worse the linear model predicted the gain, the
+    gain = obj - t_at[0]
+    better = (gain > 0.0) & live
+    small = np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR)
+    done = (small[0] & small[1]) | (~better & (gn_gain <= rho))
+    # each model's predicted decrease for the step taken, from H s and S s
+    hs = h[0:2] * step[0] + h[1:3] * step[1]
+    ss = sec[0:2] * step[0] + sec[1:3] * step[1]
+    curv = step[0] * ss[0] + step[1] * ss[1]
+    gn_model = -(2.0 * (grad[0] * step[0] + grad[1] * step[1])
+                 + step[0] * hs[0] + step[1] * hs[1])
+    aug_model = gn_model - curv
+    # Nielsen's update: the worse the step's model predicted the gain, the
     # less the damping drops; a rejected step raises it.
-    ratio = (obj - t_obj) / np.where(model_gain > 0.0, model_gain, np.inf)
-    shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(ratio, 1.0) - 1.0) ** 3)
+    model_gain = np.where(use, aug_model, gn_model)
+    ratio = 2.0 * np.minimum(gain / np.where(model_gain > 0.0, model_gain, np.inf), 1.0) - 1.0
+    shrink = np.maximum(1.0 / 3.0, 1.0 - ratio * ratio * ratio)
     np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX, out=lam)
-    x[:, better] = trial[:, better]
-    at[:, better] = t_at[:, better]
+    # the model that predicted this gain better makes the next step
+    np.less_equal(np.abs(aug_model - gain), np.abs(gn_model - gain), out=aug)
+    # The structured secant update (Dennis, Gay & Welsch 1981): S s = y#
+    # after it, with y the change of the half gradient and y# = y - H s the
+    # part of it that J^T W J does not explain.  S is first sized down by
+    # min(1, |s^T y#| / |s^T S s|); no update unless y^T s > 0.  The update
+    # is (r y^T + y r^T - (r^T s / y^T s) y y^T) / y^T s, r = y# - S s.
+    y = t_at[1:3] - grad
+    ys = y[0] * step[0] + y[1] * step[1]
+    upd = better & (ys > 0.0)
+    ysharp = y - hs
+    explained = np.abs(ysharp[0] * step[0] + ysharp[1] * step[1])
+    big = upd & (np.abs(curv) > explained)
+    size = np.where(big, explained, 1.0) / np.where(big, np.abs(curv), 1.0)
+    resid = ysharp - size * ss
+    ys = np.where(upd, ys, 1.0)
+    half = (0.5 / ys) * (resid[0] * step[0] + resid[1] * step[1])
+    u = np.where(upd, (resid - half * y) / ys, 0.0)
+    sec *= size
+    sec[0::2] += 2.0 * u * y
+    sec[1] += u[0] * y[1] + u[1] * y[0]
+    x[...] = np.where(better, trial, x)
+    at[...] = np.where(better, t_at, at)
     return done
 
 
@@ -467,8 +526,10 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     the box [0, _UPPER].
 
     Each iteration (_iterate) solves the damped 2x2 normal equations of
-    every unconverged column, projects the step onto the box and keeps it
-    only if the objective decreases.  A column stops when its step is below
+    every unconverged column, J^T W J plus the secant estimate S of the
+    residual curvature where the column's safeguards allow it, projects the
+    step onto the box and keeps it only if the objective decreases; S
+    starts at 0 in every call.  A column stops when its step is below
     _STEP_TOL or a rejected trial's undamped Gauss-Newton decrease is within
     rho, the two rules of the comment above _STEP_TOL.
     Every test reads only its own column.  Returns the best points, their
@@ -486,19 +547,24 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     start_obj = at[0].copy()
     obj_out = start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
-    # The state of the unconverged columns, compacted as columns finish.
+    sec = np.zeros((3, m))
+    aug = np.ones(m, dtype=bool)
+    # The state of the columns not yet compacted away (see _COMPACT), and
+    # which of them are still running.
     cols = np.arange(m)
+    live = np.ones(m, dtype=bool)
     for _ in range(max_iter):
         if cols.size == 0:
             break
-        done = _iterate(x, at, lam, f, w, n_max)
-        evals[cols] += 1
+        done = _iterate(x, at, lam, sec, aug, live, f, w, n_max)
+        evals[cols] += live
         x_out[:, cols] = x
         obj_out[cols] = at[0]
-        if done.any():
-            converged[cols[done]] = True
-            live = ~done
-            cols, x, f, w, at, lam = (a[..., live] for a in (cols, x, f, w, at, lam))
+        converged[cols[done]] = True
+        live &= ~done
+        if _COMPACT * np.count_nonzero(~live) >= live.size:
+            cols, x, f, w, at, lam, sec, aug, live = (
+                a[..., live] for a in (cols, x, f, w, at, lam, sec, aug, live))
     return x_out, obj_out, start_obj, converged, evals
 
 
@@ -564,7 +630,10 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
        undamped Gauss-Newton decrease is within the objective's rounding
        bound rho (see above _STEP_TOL).  Each iteration solves the
        damped 2x2 normal equations
-       (J^T W J + lambda diag(J^T W J)) step = -J^T W (P - f).
+       (J^T W J + S + lambda diag(J^T W J)) step = -J^T W (P - f),
+       with S a safeguarded structured secant estimate of the residual
+       curvature (NL2SOL's), where it is positive definite and predicted
+       the row's last decrease better than J^T W J alone, else 0.
 
     With ``start``, every row skips the grid and refines from that state
     instead: rows known to lie near one state, such as bootstrap replicates
