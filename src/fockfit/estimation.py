@@ -426,9 +426,8 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.nda
     return rows[:7]
 
 
-# A symmetric 2x2 matrix per column is three rows (m00, m01, m11); _LEFT
-# and _RIGHT give each row's two coordinates.
-_LEFT, _RIGHT = [0, 0, 1], [0, 1, 1]
+# The symmetric 2x2 matrices of the refinement (J^T W J, S) are three rows
+# per column, (m00, m01, m11); this is the identity.
 _IDENTITY = np.array([1.0, 0.0, 1.0])[:, None]
 
 
@@ -443,7 +442,7 @@ def _trial_step(x, at, lam, sec, aug):
     Its temporaries are gone before _iterate evaluates the trial."""
     grad, h = at[1:3], at[3:6]
     free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
-    keep = free[_LEFT] & free[_RIGHT]
+    keep = np.stack((free[0], free[0] & free[1], free[1]))
     gn = np.where(keep, h, _IDENTITY)
     b = np.where(free, -grad, 0.0)
     gn_det = gn[0] * gn[2] - gn[1] * gn[1]

@@ -752,8 +752,9 @@ class TestSecantTerm:
         lam = min(lam * (max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3) if better else 10.0), 1e16)
         aug = abs(aug_pred - gain) <= abs(gn_pred - gain)
         y = t_grad - grad
-        sized = skipped = False
+        sized = skipped = updated = False
         if better and y @ step > 0.0:
+            updated = True
             ysharp = y - hm @ step
             tau = min(1.0, abs(step @ ysharp) / abs(step @ sm @ step)) if step @ sm @ step else 1.0
             sized = tau < 1.0
@@ -763,12 +764,14 @@ class TestSecantTerm:
             sm = sm + (np.outer(r, y) + np.outer(y, r)) / ys - (r @ step) * np.outer(y, y) / ys ** 2
         elif better:
             skipped = True
-        return lam, aug, np.array([sm[0, 0], sm[0, 1], sm[1, 1]]), sized, skipped
+        return lam, aug, np.array([sm[0, 0], sm[0, 1], sm[1, 1]]), sized, skipped, updated
 
     def test_iterations_follow_the_literal_rules(self):
         # Rows that fit badly, from a start far from most of them, so that
         # every rule is exercised: S sized down, an update skipped for
         # y^T s <= 0, and the augmented model's ratio deciding the damping.
+        # An updated S meets the secant condition S s = y - H s, with H the
+        # J^T W J before the step.
         n_max = 20
         sets = [_sampled_rows(0.5, 1.0, 200, 40, n_max), _dirichlet_rows(120, n_max)]
         f = np.concatenate([s[1] for s in sets]).T.copy()
@@ -796,32 +799,16 @@ class TestSecantTerm:
                                            atol=1e-9 * np.abs(want[2]).max())
                 seen["sized"] += want[3]
                 seen["skipped"] += want[4]
+                if want[5]:
+                    s, hs = step[:, i], at0[3:5, i] * step[0, i] + at0[4:6, i] * step[1, i]
+                    ysharp = t_at[1:3, i] - at0[1:3, i] - hs
+                    got = sec[0:2, i] * s[0] + sec[1:3, i] * s[1]
+                    assert np.abs(got - ysharp).max() <= 1e-9 * np.abs(np.r_[ysharp, hs]).max()
                 kept = live[i] and t_at[0, i] < at0[0, i]
                 np.testing.assert_array_equal(x[:, i], trial[:, i] if kept else x0[:, i])
             seen["augmented ratio"] += np.count_nonzero(use & (x != x0).any(axis=0)
                                                         & (lam > lam0 / 3.0))
         assert all(seen.values()), seen
-
-    def test_update_meets_the_secant_condition(self):
-        # After a kept step s with y^T s > 0, S s = y - H s, with y the
-        # change of the half gradient and H the J^T W J before the step.
-        n_max = 20
-        _, freqs, weights = _sampled_rows(0.5, 1.0, 200, 40, n_max)
-        f, w = freqs.T.copy(), weights.T.copy()
-        x = np.repeat(np.array(_fit_coords(to_variances(SqueezedThermalState(1.0, 0.05))))[:, None],
-                      40, axis=1)
-        at = _evaluate(x, f, w, n_max)
-        lam, sec = np.full(40, 1e-3), np.zeros((3, 40))
-        aug, live = np.ones(40, dtype=bool), np.ones(40, dtype=bool)
-        for _ in range(3):
-            x0, at0 = x.copy(), at.copy()
-            _iterate(x, at, lam, sec, aug, live, f, w, n_max)
-            s, y, hs = x - x0, at[1:3] - at0[1:3], at0[3:5] * (x - x0)[0] + at0[4:6] * (x - x0)[1]
-            updated = np.any(s != 0.0, axis=0) & ((y * s).sum(axis=0) > 0.0)
-            assert updated.sum() >= 20
-            got = sec[0:2] * s[0] + sec[1:3] * s[1]
-            scale = np.abs(y).max(axis=0) + np.abs(hs).max(axis=0)
-            assert np.all(np.abs(got - (y - hs))[:, updated] <= 1e-9 * scale[updated])
 
     def test_ci_refits_take_fewer_evaluations(self):
         # The refits of a 1000-replicate ci, from the point estimate: 6.81
