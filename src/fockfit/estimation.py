@@ -295,13 +295,14 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 # damping ratio uses the model that made the step; and a coordinate held
 # on a face drops its entries of S, as it drops those of H.
 #
-# A row stops for one of two reasons, both read from H alone.  Its step changes every coordinate x
-# by at most _STEP_TOL * (|x| + _STEP_FLOOR); this also stops a row whose
-# damped system is not solvable (step 0).  Or the objective sits on its
-# rounding floor rho: the trial is rejected and the undamped Gauss-Newton
-# decrease g^T H^-1 g over the free coordinates is at most rho, so no step
-# could show a gain that rounding does not hide (Madsen, Nielsen &
-# Tingleff, Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2).
+# A row stops for one of two reasons.  Its step, from whichever model made
+# it, changes every coordinate x by at most _STEP_TOL * (|x| + _STEP_FLOOR);
+# this also stops a row whose damped system is not solvable (step 0).  Or
+# the objective sits on its rounding floor rho: the trial is rejected and
+# the undamped Gauss-Newton decrease g^T H^-1 g, from H alone, over the
+# free coordinates is at most rho, so no step could show a gain that
+# rounding does not hide (Madsen, Nielsen & Tingleff, Methods for
+# Non-Linear Least Squares Problems, 2004, sec. 3.2).
 # rho is the only test of "within rounding" in the fit: the boundary snap
 # uses it too.
 #

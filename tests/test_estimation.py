@@ -761,7 +761,7 @@ class TestSecantTerm:
             sm = tau * sm
             r = ysharp - sm @ step
             ys = y @ step
-            sm = sm + (np.outer(r, y) + np.outer(y, r)) / ys - (r @ step) * np.outer(y, y) / ys ** 2
+            sm = sm + (np.outer(r, y) + np.outer(y, r)) / ys - (r @ step / ys ** 2) * np.outer(y, y)
         elif better:
             skipped = True
         return lam, aug, np.array([sm[0, 0], sm[0, 1], sm[1, 1]]), sized, skipped, updated
@@ -777,8 +777,8 @@ class TestSecantTerm:
         f = np.concatenate([s[1] for s in sets]).T.copy()
         w = np.concatenate([s[2] for s in sets]).T.copy()
         m = f.shape[1]
-        x = np.repeat(np.array(_fit_coords(to_variances(SqueezedThermalState(1.0, 0.05))))[:, None],
-                      m, axis=1)
+        start = _fit_coords(to_variances(SqueezedThermalState(1.0, 0.05)))
+        x = np.repeat(np.array(start)[:, None], m, axis=1)
         at = _evaluate(x, f, w, n_max)
         lam, sec = np.full(m, 1e-3), np.zeros((3, m))
         aug, live = np.ones(m, dtype=bool), np.arange(m) % 7 != 3
