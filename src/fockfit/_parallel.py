@@ -38,6 +38,5 @@ def parallel_map(fn, items: list) -> list:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, items))

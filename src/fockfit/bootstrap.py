@@ -48,6 +48,23 @@ class BootstrapError(RuntimeError):
     """Raised when too many bootstrap refits fail to converge."""
 
 
+def _check_failures(n_failed: int, total: int, what: str) -> None:
+    """Raise BootstrapError if over MAX_FAILURE_FRACTION of ``total`` fits (``what``) failed."""
+    if n_failed > MAX_FAILURE_FRACTION * total:
+        raise BootstrapError(f"{n_failed} of {total} {what} failed to converge")
+
+
+def _check_interval_args(alpha: float, methods=METHODS, name: str = "alpha") -> None:
+    """Raise ValueError unless alpha is in (0, 0.5) and methods are one or more of METHODS."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"{name} must be in (0, 0.5), got {alpha}")
+    if not methods:
+        raise ValueError(f"method must name at least one of {METHODS}")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}")
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     lower: float
@@ -94,10 +111,7 @@ def parametric_bootstrap(
     check_int("n_b", n_b, 2)
     counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
     reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior), start=point.variances)
-    if reps.n_failed > MAX_FAILURE_FRACTION * n_b:
-        raise BootstrapError(
-            f"{reps.n_failed} of {n_b} bootstrap refits failed to converge"
-        )
+    _check_failures(reps.n_failed, n_b, "bootstrap refits")
     return reps
 
 
@@ -117,8 +131,7 @@ def _check_sorted(values, alpha: float) -> np.ndarray:
         raise ValueError("need a 1-D vector of at least 2 estimates")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("estimates must be sorted ascending")
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    _check_interval_args(alpha)
     return values
 
 
@@ -197,6 +210,7 @@ def intervals(
     """One interval per (parameter, method) from the replicates of the
     point estimate ``point``, parameters in PARAMETERS order and, within
     each, methods in the order given."""
+    _check_interval_args(alpha, methods)
     points = parameter_values(point.variances, point.state)
     out = []
     for parameter in PARAMETERS:
@@ -204,10 +218,8 @@ def intervals(
         for method in methods:
             if method == "percentile":
                 out.append(percentile_interval(values, alpha, parameter))
-            elif method == "bc":
-                out.append(bc_interval(values, points[parameter], alpha, parameter))
             else:
-                raise ValueError(f"unknown method {method!r}")
+                out.append(bc_interval(values, points[parameter], alpha, parameter))
     return out
 
 
@@ -266,13 +278,7 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     for name, values, low in (("n_shots", shots, 1), ("n_b", n_bs, 2)):
         for value in values:
             check_int(name, value, low)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
-    if not methods:
-        raise ValueError(f"method must name at least one of {METHODS}")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
+    _check_interval_args(alpha, methods)
     # (cell, first stream) of every experiment, cells in order
     experiments, stream = [], seed.stream_index
     for k, n_b in enumerate(n_bs):
@@ -287,10 +293,7 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     points = fit_batch(freqs, weights_for(counts, scheme, prior))
     n_used = points.converged.reshape(len(cells), n_experiments).sum(axis=1)
     for n_failed in n_experiments - n_used:
-        if n_failed > MAX_FAILURE_FRACTION * n_experiments:
-            raise BootstrapError(
-                f"{n_failed} of {n_experiments} experiments failed to converge"
-            )
+        _check_failures(n_failed, n_experiments, "experiments")
     true_values = [parameter_values(truth, state) for truth, state in zip(truths, states)]
     tasks = [(points[j], true_values[k], shots[k], n_bs[k], alpha, methods, prior, n_max,
               SeedSpec(seed.master_seed, s + 1), scheme)

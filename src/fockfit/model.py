@@ -166,20 +166,15 @@ def _bin_sum(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _legendre_args(q, nbar):
-    """(B, chat, uhat, P(0)) of the closed form below at (q, nbar)."""
-    big_b = 4.0 * (nbar + 1.0) ** 2 + 2.0 * (2.0 * nbar + 1.0) * q
-    chat = 4.0 * nbar * (nbar + 1.0) / big_b
-    uhat = (4.0 * nbar * nbar - 2.0 * (2.0 * nbar + 1.0) * q) / big_b
-    return big_b, chat, uhat, 2.0 / np.sqrt(big_b)
-
-
 def _argument_jets(q, nbar):
     """The jets (value, d/dq, d/dnbar) of _fock_table's Legendre arguments
     chat and uhat at (q, nbar), as two (3, ...) arrays, with P(0) and
     (dP(0)/dq, dP(0)/dnbar) / P(0)."""
-    big_b, chat, uhat, p0 = _legendre_args(q, nbar)
     two_h = 2.0 * nbar + 1.0
+    big_b = 4.0 * (nbar + 1.0) ** 2 + 2.0 * two_h * q
+    chat = 4.0 * nbar * (nbar + 1.0) / big_b
+    uhat = (4.0 * nbar * nbar - 2.0 * two_h * q) / big_b
+    p0 = 2.0 / np.sqrt(big_b)
     # value and d/dq, d/dnbar of B, B*chat and B*uhat
     db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
     c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))

@@ -16,7 +16,7 @@ from fockfit.model import (
     to_variances,
 )
 from fockfit.estimation import _FLOOR_FACTOR
-from fockfit.model import _argument_jets, _bin_sum, _fock_table, _legendre_args
+from fockfit.model import _argument_jets, _bin_sum, _fock_table
 from fockfit.numerics import _legendre_jet, scaled_legendre
 from wigner_oracle import fock_probability_oracle
 
@@ -353,8 +353,8 @@ class TestHighPrecision:
         r = np.linspace(0.0, 5.0, 101)
         nbar = np.concatenate([[0.0], np.geomspace(1e-4, 20.0, 100)])
         rg, ng = map(np.ravel, np.meshgrid(r, nbar, indexing="ij"))
-        _, chat, uhat, p0 = _legendre_args(2.0 * np.sinh(rg) ** 2, ng)
-        raw = p0 * scaled_legendre(chat, uhat, MAX_FOCK)
+        c_jet, u_jet, p0, _ = _argument_jets(2.0 * np.sinh(rg) ** 2, ng)
+        raw = p0 * scaled_legendre(c_jet[0], u_jet[0], MAX_FOCK)
         assert np.minimum(raw, 0.0).sum(axis=0).min() >= -1e-17
 
     @pytest.mark.parametrize("n_max", [20, 64])
