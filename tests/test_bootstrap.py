@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from fockfit.bootstrap import (
     parametric_bootstrap,
     percentile_interval,
 )
-from fockfit.estimation import FitResult, PriorShape, fit, fit_batch, posterior_weights
+from fockfit.estimation import FitBatch, FitResult, PriorShape, fit, fit_batch, posterior_weights
 from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
 from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
 
@@ -63,6 +63,14 @@ class TestPercentileInterval:
     def test_alpha_domain(self, interval, alpha):
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0.5\)"):
             interval(np.arange(1.0, 11.0), alpha)
+
+    @pytest.mark.parametrize("interval", [
+        percentile_interval, lambda values, alpha: bc_interval(values, 5.5, alpha),
+    ], ids=["percentile", "bc"])
+    def test_alpha_message(self, interval):
+        with pytest.raises(ValueError) as info:
+            interval(np.arange(1.0, 11.0), 0.5)
+        assert str(info.value) == "alpha must be in (0, 0.5), got 0.5"
 
 
 class TestBcInterval:
@@ -246,6 +254,32 @@ class TestIntervals:
         reps = parametric_bootstrap(point, 1000, 10, PRIOR, SeedSpec(3, 0))
         with pytest.raises(ValueError, match="bca"):
             intervals(reps, point, 0.05, ("bca",))
+
+    @pytest.mark.parametrize("alpha, methods, message", [
+        (0.5, METHODS, "alpha must be in (0, 0.5), got 0.5"),
+        (0.05, ("bca",), "unknown method 'bca'"),
+        (0.05, (), "method must name at least one of ('percentile', 'bc')"),
+    ], ids=["alpha=0.5", "bca", "no-method"])
+    def test_bad_arguments_rejected_before_sorting(self, monkeypatch, alpha, methods, message):
+        point = fit_state(0.5, 0.1, 1000)
+        reps = parametric_bootstrap(point, 1000, 10, PRIOR, SeedSpec(3, 0))
+
+        def no_sort(*args):
+            pytest.fail("a replicate column was sorted before the arguments were checked")
+
+        monkeypatch.setattr(FitBatch, "sorted_values", no_sort)
+        with pytest.raises(ValueError) as info:
+            intervals(reps, point, alpha, methods)
+        assert str(info.value) == message
+
+    def test_bad_alpha_reported_before_too_few_replicates(self):
+        point = fit_state(0.5, 0.1, 1000)
+        reps = parametric_bootstrap(point, 1000, 10, PRIOR, SeedSpec(3, 0))
+        one = replace(reps, **{f.name: getattr(reps, f.name)[:1] for f in fields(reps)})
+        with pytest.raises(ValueError, match="^need a 1-D vector of at least 2 estimates$"):
+            intervals(one, point, 0.05, METHODS)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0.5\), got 0.5$"):
+            intervals(one, point, 0.5, METHODS)
 
 
 class TestCoverage:

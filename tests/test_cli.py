@@ -279,6 +279,18 @@ class TestCi:
         assert "--alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_alpha_message(self, tmp_path, monkeypatch, capsys):
+        counts = tmp_path / "counts.json"
+        out = tmp_path / "ci.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "500", "--out", str(counts)])
+        fits = []
+        monkeypatch.setattr(cli.est, "fit", lambda *a, **kw: fits.append(a))
+        assert run(["ci", "--counts", str(counts), "--replicates", "1000",
+                    "--alpha", "0.5", "--out", str(out)]) == EXIT_USAGE
+        assert fits == []
+        assert capsys.readouterr().err == "fockfit: --alpha must be in (0, 0.5), got 0.5\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("replicates", ["1", "0", "-5"])
     def test_too_few_replicates_rejected_before_fitting(self, tmp_path, monkeypatch, capsys,
                                                         replicates):
