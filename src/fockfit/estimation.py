@@ -654,6 +654,7 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
         raise ValueError("frequencies must be finite")
     wts = _checked_weights(weights, freqs.shape)
     check_int("n_max", freqs.shape[1] - 2, 1, MAX_FOCK)
+    check_int("max_evals", max_evals, 0)
     if start is not None and not isinstance(start, QuadratureVariances):
         raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
     x0 = None if start is None else np.array(_fit_coords(start))[:, None]

@@ -487,6 +487,17 @@ class TestFitBatch:
         nan_row[0, 2] = np.nan
         with pytest.raises(ValueError, match="^frequencies must be finite$"):
             fit_batch(nan_row, weights)
+        for bad, message in ((-1, "must be >= 0, got -1"), (True, "must be an integer, got True"),
+                             (2.5, "must be an integer, got 2.5"),
+                             ("3", "must be an integer, got '3'"),
+                             (None, "must be an integer, got None")):
+            for call in (lambda: fit_batch(freqs, weights, max_evals=bad),
+                         lambda: fit_frequencies(freqs[0], weights[0], max_evals=bad)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"max_evals {message}"
+        grid = fit_batch(freqs, weights, max_evals=0)
+        assert not grid.converged.any() and grid.evaluations.tolist() == [3601, 3601]
 
     def test_bins_bounded_by_the_model_domain(self):
         # n_max = MAX_FOCK = 64 gives 66 bins; one bin more is outside the
