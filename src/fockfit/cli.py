@@ -20,8 +20,10 @@ from . import bootstrap as bt
 from . import estimation as est
 from . import studies
 from ._io import atomic_write, check_int, is_int
-from .model import QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances
-from .sampling import SeedSpec, sample_histogram
+from .model import (
+    MAX_FOCK, QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances,
+)
+from .sampling import MAX_SEED, SeedSpec, sample_histogram
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,6 +31,11 @@ EXIT_NONCONVERGED = 2
 EXIT_IO = 3
 
 FORMAT_VERSION = 1
+
+# (low, high or None) of each integer flag, checked under the flag's name
+# before any work; estimate's n_max comes from its counts file instead.
+_INT_FLAGS = {"nmax": (1, MAX_FOCK), "shots": (1, None), "seed": (0, MAX_SEED),
+              "stream": (0, None), "replicates": (2, None)}
 
 
 class _CliError(Exception):
@@ -224,7 +231,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_ci(args) -> int:
     bt._check_interval_args(args.alpha, name="--alpha")
-    check_int("--replicates", args.replicates, 2)
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
     res, scheme, prior = _fit_from_args(args, h)
     if not res.converged:
@@ -332,6 +338,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_output_dirs(args)
+        for dest, (low, high) in _INT_FLAGS.items():
+            if (value := getattr(args, dest, None)) is not None:
+                check_int(f"--{dest}", value, low, high)
         # looked up on every call, so a replaced cmd_* attribute is the one run
         return globals()[f"cmd_{args.command}"](args)
     except bt.BootstrapError as exc:

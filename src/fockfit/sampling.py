@@ -15,6 +15,8 @@ from .model import FockDistribution
 
 __all__ = ["SeedSpec", "sample_histogram"]
 
+MAX_SEED = 2 ** 64 - 1
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -29,7 +31,7 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        check_int("master_seed", self.master_seed, 0, 2 ** 64 - 1)
+        check_int("master_seed", self.master_seed, 0, MAX_SEED)
         check_int("stream_index", self.stream_index, 0)
 
     def generator(self) -> np.random.Generator:

@@ -17,7 +17,7 @@ from ._io import atomic_write, is_int, is_number
 from .bootstrap import METHODS, PARAMETERS, _coverage, parameter_values
 from .estimation import WEIGHT_SCHEMES, FitBatch, PriorShape, fit_batch, weights_for
 from .model import MAX_FOCK, SqueezedThermalState, fidelity, fock_distribution, to_variances
-from .sampling import SeedSpec, _sample_counts
+from .sampling import MAX_SEED, SeedSpec, _sample_counts
 
 __all__ = [
     "DEFAULT_SHOT_GRID",
@@ -104,7 +104,7 @@ _FIELD_RULES = (
     ("alpha", lambda a: is_number(a) and 0.0 < a < 0.5, "a number in (0, 0.5)"),
     ("schemes", _list_of(lambda s: isinstance(s, SchemeSpec)), "a nonempty list of SchemeSpec"),
     ("n_max", _ints_from(1, MAX_FOCK), f"an integer in [1, {MAX_FOCK}]"),
-    ("master_seed", _ints_from(0, 2 ** 64 - 1), "an integer in [0, 2**64)"),
+    ("master_seed", _ints_from(0, MAX_SEED), "an integer in [0, 2**64)"),
     ("exact_probabilities", lambda b: isinstance(b, bool), "a bool"),
 )
 

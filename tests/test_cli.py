@@ -518,6 +518,52 @@ class TestOutputDirectoryCheckedFirst:
         assert sorted(tmp_path.iterdir()) == before
 
 
+_PROBS = ["probs", "--r", "0.5", "--nbar", "0.1"]
+_SIMULATE = ["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100", "--out", "out.json"]
+_CI = ["ci", "--counts", "counts.json", "--replicates", "50", "--out", "out.json"]
+_SEED_RANGE = "must be in [0, 18446744073709551615]"
+
+
+class TestIntegerFlagsNamed:
+    """A bad integer flag is reported under the flag's own name, before any
+    input is read or anything is computed, simulated or fitted."""
+
+    CASES = [
+        (_PROBS, "--nmax", "65", "must be in [1, 64], got 65"),
+        (_PROBS, "--nmax", "0", "must be in [1, 64], got 0"),
+        (_SIMULATE, "--nmax", "65", "must be in [1, 64], got 65"),
+        (_SIMULATE, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
+        (_SIMULATE, "--seed", str(2 ** 64), f"{_SEED_RANGE}, got {2 ** 64}"),
+        (_SIMULATE, "--stream", "-2", "must be >= 0, got -2"),
+        (_SIMULATE, "--shots", "0", "must be >= 1, got 0"),
+        (_SIMULATE + ["--exact"], "--shots", "0", "must be >= 1, got 0"),
+        (_SIMULATE + ["--exact"], "--shots", "-5", "must be >= 1, got -5"),
+        (_CI, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
+        (_CI, "--stream", "-2", "must be >= 0, got -2"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message", CASES, ids=[
+        f"{c[0]}{'-exact' if '--exact' in c else ''}{f}={v}" for c, f, v, _ in CASES])
+    def test_bad_value_names_the_flag(self, tmp_path, monkeypatch, capsys, command, flag,
+                                      value, message):
+        monkeypatch.chdir(tmp_path)
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100",
+             "--out", "counts.json"])
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+
+        def no_work(*args, **kwargs):
+            pytest.fail("work started before the integer flags were checked")
+
+        for owner, name in ((cli, "_read_json"), (cli, "fock_distribution"),
+                            (cli, "sample_histogram"), (cli.est, "fit")):
+            monkeypatch.setattr(owner, name, no_work)
+        # the flag given last is the one argparse keeps
+        assert run([*command, flag, value]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"fockfit: {flag} {message}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def _failing_fit_batch(monkeypatch, owner, n_rows, failed):
     """Make ``owner.fit_batch`` report the rows in ``failed`` of every call
     with ``n_rows`` rows as not converged."""
