@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -129,6 +130,50 @@ def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
     return states
 
 
+def _snapped_probs(d: FockDistribution) -> np.ndarray:
+    """``d.all_probs`` as multinomial ``pvals``, with the tail snap: where
+    rounding lets a bin's probability reach the tail mass left before it,
+    the bin's entry becomes that tail exactly (and later entries 0), so its
+    conditional probability is exactly 1 and it takes every remaining shot."""
+    pvals = d.all_probs
+    tail = 1.0
+    for j, p in enumerate(d.probs):
+        if p / tail >= 1.0:
+            pvals[j] = tail
+            pvals[j + 1:] = 0.0
+            break
+        tail -= p
+    return pvals
+
+
+def _sample_blocks(blocks, seed: SeedSpec) -> np.ndarray:
+    """Draw consecutive blocks of multinomial histograms into one
+    (rows, n_max + 2) integer count matrix (overflow last).  Each block is
+    a ``(d, n_shots, n)`` triple of n histograms of n_shots measurements
+    from d; the distributions share one n_max.  Block b's rows draw from
+    the streams right after block b - 1's, so block b equals
+    ``_sample_counts(d, n_shots, SeedSpec(master, first), n)`` with
+    ``first = seed.stream_index`` plus the rows of the blocks before it.
+
+    Every stream's state comes from one _stream_states pass."""
+    for _, n_shots, n in blocks:
+        check_int("n_shots", n_shots, 1)
+        check_int("n", n, 0)
+    total = sum(int(n) for _, _, n in blocks)
+    states = iter(_stream_states(seed, total))
+    out = np.empty((total, blocks[0][0].n_max + 2), dtype=np.int64)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    row = 0
+    for d, n_shots, n in blocks:
+        pvals = _snapped_probs(d)
+        for state in islice(states, n):
+            bit_generator.state = state
+            out[row] = generator.multinomial(n_shots, pvals)
+            row += 1
+    return out
+
+
 def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) -> np.ndarray:
     """Draw ``n`` multinomial histograms of ``n_shots`` measurements from
     ``d`` into an (n, n_max + 2) integer count matrix (overflow last).
@@ -139,28 +184,10 @@ def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) ->
     which bin j receives a binomial draw of the shots still unassigned
     with success probability p_j divided by the tail mass left before it,
     and the overflow bin absorbs whatever is left, so every row sums to
-    n_shots exactly.  Where rounding lets a bin's probability reach the
-    tail mass left before it, the bin's entry becomes that tail exactly
-    (and later entries 0), so its conditional probability is exactly 1 and
-    it takes every remaining shot.
+    n_shots exactly.  The probabilities take _snapped_probs' tail snap.
+    It is the one-block case of _sample_blocks.
     """
-    check_int("n_shots", n_shots, 1)
-    check_int("n", n, 0)
-    pvals = d.all_probs
-    tail = 1.0
-    for j, p in enumerate(d.probs):
-        if p / tail >= 1.0:
-            pvals[j] = tail
-            pvals[j + 1:] = 0.0
-            break
-        tail -= p
-    out = np.empty((n, d.n_max + 2), dtype=np.int64)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for row, state in enumerate(_stream_states(seed, n)):
-        bit_generator.state = state
-        out[row] = generator.multinomial(n_shots, pvals)
-    return out
+    return _sample_blocks([(d, n_shots, n)], seed)
 
 
 def sample_histogram(d: FockDistribution, n_shots: int, seed: SeedSpec) -> FockHistogram:

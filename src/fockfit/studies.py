@@ -8,16 +8,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from ._io import atomic_write, is_int, is_number
 from .bootstrap import METHODS, PARAMETERS, _coverage, parameter_values
-from .estimation import WEIGHT_SCHEMES, FitBatch, PriorShape, fit_batch, weights_for
+from .estimation import WEIGHT_SCHEMES, PriorShape, fit_batch, weights_for
 from .model import MAX_FOCK, SqueezedThermalState, fidelity, fock_distribution, to_variances
-from .sampling import MAX_SEED, SeedSpec, _sample_counts
+from .sampling import MAX_SEED, SeedSpec, _sample_blocks
 
 __all__ = [
     "DEFAULT_SHOT_GRID",
@@ -158,13 +159,15 @@ class StudyReport:
     rows: tuple[StudyRow, ...]
 
     def to_dicts(self) -> list[dict]:
-        return [asdict(row) for row in self.rows]
+        # StudyRow fields are scalars or None, so a shallow copy is asdict's
+        # deep one
+        return [dict(vars(row)) for row in self.rows]
 
     def write_csv(self, path) -> None:
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(REPORT_COLUMNS)
-        for row in self.to_dicts():
+        for row in map(vars, self.rows):
             writer.writerow(
                 ["" if row[c] is None else repr(float(row[c]))
                  if isinstance(row[c], float) else row[c]
@@ -173,12 +176,14 @@ class StudyReport:
         atomic_write(path, buf.getvalue())
 
     def write_json(self, path) -> None:
-        atomic_write(path, json.dumps({"format_version": 1, "rows": self.to_dicts()},
-                                      indent=1) + "\n")
-
-
-def _spread(values: np.ndarray) -> Optional[float]:
-    return float(np.std(values, ddof=1)) if values.shape[0] >= 2 else None
+        """The text of ``json.dumps({"format_version": 1, "rows":
+        self.to_dicts()}, indent=1)`` plus a newline.  Each row goes through
+        json's C encoder, whose item separator carries the row's indent;
+        json.dumps takes the pure-Python encoder whenever indent is set."""
+        rows = ",\n  ".join("{\n   " + json.dumps(vars(row), separators=(",\n   ", ": "))[1:-1]
+                             + "\n  }" for row in self.rows)
+        rows = f"[\n  {rows}\n ]" if self.rows else "[]"
+        atomic_write(path, f'{{\n "format_version": 1,\n "rows": {rows}\n}}\n')
 
 
 def _row(state: SqueezedThermalState, shots: int, spec: SchemeSpec, cfg: StudyConfig,
@@ -191,58 +196,81 @@ def _row(state: SqueezedThermalState, shots: int, spec: SchemeSpec, cfg: StudyCo
                     n_experiments=cfg.n_experiments, n_failed=n_failed, **cells)
 
 
-def _aggregate_point_row(state: SqueezedThermalState, shots: int, spec: SchemeSpec,
-                         cfg: StudyConfig, fits: FitBatch) -> StudyRow:
-    ok = fits.converged
-    truth = to_variances(state)
-    true_values = parameter_values(truth, state)
-    stats: dict[str, Optional[float]] = {}
-    for name in PARAMETERS:
-        est = getattr(fits, name)[ok]
-        bias = float(np.mean(est) - true_values[name]) if est.shape[0] else None
-        std = _spread(est)
-        stats[f"bias_{name}"] = bias
-        stats[f"std_{name}"] = std
-        stats[f"bias_over_std_{name}"] = (
-            bias / std if bias is not None and std is not None and std > 0.0 else None
-        )
-    fid = fidelity(fits, truth)[ok]
-    return _row(
-        state, shots, spec, cfg, fits.n_failed,
-        mean_fidelity=float(np.mean(fid)) if fid.shape[0] else None,
-        std_fidelity=_spread(fid),
-        mean_infidelity=float(np.mean(1.0 - fid)) if fid.shape[0] else None,
-        std_infidelity=_spread(1.0 - fid),
-        **stats,
-    )
+def _cell_moments(values: np.ndarray, ok: np.ndarray):
+    """Each cell's count of converged rows, and the mean and sample
+    standard deviation of each quantity over them: ``values`` is
+    (quantity, cell, row) and ``ok`` (cell, row); the moments are
+    (quantity, cell), meaningful for cells with >= 1 and >= 2 used rows.
+
+    Cells with the same count are reduced together.  Each quantity's
+    converged entries are compressed into a C-contiguous
+    (quantity, cell, used) block, so every reduction runs along a
+    contiguous last axis and sums each cell in the order the one-cell
+    np.mean and np.std would."""
+    used = ok.sum(axis=1).tolist()
+    mean, std = np.empty(values.shape[:2]), np.empty(values.shape[:2])
+    # a set of the counts: np.unique raised the process's peak RSS
+    for m in set(used) - {0}:
+        cells = [k for k, u in enumerate(used) if u == m]
+        block = np.stack([q[cells][ok[cells]] for q in values]).reshape(-1, len(cells), m)
+        mean[:, cells] = np.mean(block, axis=-1)
+        if m >= 2:
+            std[:, cells] = np.std(block, axis=-1, ddof=1)
+    return used, mean, std
 
 
 def _point_rows(cfg: StudyConfig) -> list[StudyRow]:
-    """One report row per (state, shots, scheme).  Each (state, shots)
-    block of experiments is simulated once, from the streams starting at
-    block * n_experiments (blocks in config order, shots varying fastest),
-    so every scheme sees identical simulated data; then every block's
-    experiments under every scheme are fitted in one fit_batch call, which
-    fits a row the same whatever rows share its batch."""
-    blocks = [(state, shots) for state in cfg.true_states for shots in cfg.shot_counts]
-    n = cfg.n_experiments
-    freqs, weights = [], []
-    for b, (state, shots) in enumerate(blocks):
-        dist = fock_distribution(to_variances(state), cfg.n_max)
-        if cfg.exact_probabilities:
-            # Expected counts N*p_n stand in for observed counts.
-            f = np.tile(dist.all_probs, (n, 1))
-            counts = f * shots
-        else:
-            counts = _sample_counts(dist, shots, SeedSpec(cfg.master_seed, b * n), n)
-            f = counts / shots
-        for spec in cfg.schemes:
-            freqs.append(f)
-            weights.append(weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta)))
-    fits = fit_batch(np.concatenate(freqs), np.concatenate(weights))
-    cells = [(state, shots, spec) for state, shots in blocks for spec in cfg.schemes]
-    return [_aggregate_point_row(state, shots, spec, cfg, fits[k * n:(k + 1) * n])
-            for k, (state, shots, spec) in enumerate(cells)]
+    """One report row per (state, shots, scheme), from one columnar pass.
+
+    Each state's model distribution is computed once.  Every (state,
+    shots) block of experiments is simulated once, in one sampling pass,
+    block b from the streams starting at b * n_experiments (blocks in
+    config order, shots varying fastest), so every scheme sees identical
+    simulated data.  Each scheme's weights are computed once over all
+    blocks, and every block's experiments under every scheme are fitted in
+    one fit_batch call, which fits a row the same whatever rows share its
+    batch.  The statistics of all cells are reduced from (quantity, cell,
+    row) arrays (see _cell_moments)."""
+    n, schemes = cfg.n_experiments, cfg.schemes
+    truths = [to_variances(state) for state in cfg.true_states]
+    dists = [fock_distribution(truth, cfg.n_max) for truth in truths]
+    blocks = [(dist, shots, n) for dist in dists for shots in cfg.shot_counts]
+    totals = np.repeat(np.array([s for _, s, _ in blocks], dtype=float), n)[:, None]
+    if cfg.exact_probabilities:
+        # Expected counts N*p_n stand in for observed counts.
+        f = np.repeat([dist.all_probs for dist, _, _ in blocks], n, axis=0)
+        counts = f * totals
+    else:
+        counts = _sample_blocks(blocks, SeedSpec(cfg.master_seed, 0))
+        f = counts / totals
+    # rows in (state, shots, scheme) order, each cell's n experiments together
+    by_block = (len(blocks), n, cfg.n_max + 2)
+    weights = np.stack([weights_for(counts, spec.scheme, PriorShape(spec.nu, spec.eta))
+                        .reshape(by_block) for spec in schemes], axis=1)
+    freqs = np.stack([f.reshape(by_block)] * len(schemes), axis=1)
+    fits = fit_batch(freqs.reshape(-1, by_block[2]), weights.reshape(-1, by_block[2]))
+
+    cells = [(state, truth, shots, spec) for state, truth in zip(cfg.true_states, truths)
+             for shots in cfg.shot_counts for spec in schemes]
+    true_rows = np.repeat([(truth.vq, truth.vp) for _, truth, _, _ in cells], n, axis=0)
+    fid = fidelity(fits, SimpleNamespace(vq=true_rows[:, 0], vp=true_rows[:, 1]))
+    values = np.stack([getattr(fits, p) for p in PARAMETERS] + [fid, 1.0 - fid])
+    used, mean, std = _cell_moments(values.reshape(len(values), len(cells), n),
+                                    fits.converged.reshape(len(cells), n))
+    rows = []
+    for k, (state, truth, shots, spec) in enumerate(cells):
+        means = mean[:, k].tolist() if used[k] else [None] * len(values)
+        spreads = std[:, k].tolist() if used[k] >= 2 else [None] * len(values)
+        stats: dict[str, Optional[float]] = {}
+        for name, true_value, mu, sd in zip(PARAMETERS, parameter_values(truth, state).values(),
+                                            means, spreads):
+            bias = mu - true_value if mu is not None else None
+            stats |= {f"bias_{name}": bias, f"std_{name}": sd,
+                      f"bias_over_std_{name}": bias / sd if sd is not None and sd > 0.0 else None}
+        rows.append(_row(state, shots, spec, cfg, n - used[k], **stats,
+                         mean_fidelity=means[-2], std_fidelity=spreads[-2],
+                         mean_infidelity=means[-1], std_infidelity=spreads[-1]))
+    return rows
 
 
 def fidelity_study(cfg: StudyConfig) -> StudyReport:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, _sample_counts, _stream_states, sample_histogram
+from fockfit.sampling import (
+    MAX_SEED, SeedSpec, _sample_blocks, _sample_counts, _stream_states, sample_histogram,
+)
 
 VACUUM_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 0)), 20)
 THERMAL_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 1.0)), 10)
@@ -207,3 +209,33 @@ class TestStreamSeeding:
         want = [SeedSpec(master, first + i).generator().multinomial(n_shots, d.all_probs)
                 for i in range(n)]
         assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(n, 22))
+
+
+# At n_max 20, 0.5 + (0.5 + 1e-13) passes 1 at bin 1: the tail snap.
+SNAPPED_DIST = FockDistribution(20, (0.5, 0.5 + 1e-13) + (0.0,) * 19, 0.0)
+
+
+class TestSampleBlocks:
+    """_sample_blocks draws block after block from consecutive streams;
+    each block equals _sample_counts at its own first stream."""
+
+    BLOCKS = [(_dist(1.0, 0.05, 20), 1000, 3), (SNAPPED_DIST, 500, 4), (_dist(0.0, 3.0, 20), 7, 0),
+              (_dist(2.5, 0.01, 20), 10 ** 6, 5), (_dist(0.5, 1.0, 20), 1, 2)]
+
+    # the second block's streams straddle 2**32 (a second spawn-key word)
+    @pytest.mark.parametrize("seed", [SeedSpec(MAX_SEED, 2 ** 32 - 5), SeedSpec(MAX_SEED, 0),
+                                      SeedSpec(11, 2 ** 32 - 3), SeedSpec(0, 2 ** 64 - 9)])
+    def test_blocks_equal_per_block_draws_at_their_offsets(self, seed):
+        got = _sample_blocks(self.BLOCKS, seed)
+        want, first = [], seed.stream_index
+        for d, n_shots, n in self.BLOCKS:
+            want.append(_sample_counts(d, n_shots, SeedSpec(seed.master_seed, first), n))
+            first += n
+        assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
+        assert np.all(got[3:7, 2:] == 0)
+        assert got.sum(axis=1).tolist() == [s for _, s, n in self.BLOCKS for _ in range(n)]
+
+    def test_bad_count_in_a_later_block_named(self):
+        for bad, name in (((THERMAL_DIST, 2.5, 3), "n_shots"), ((THERMAL_DIST, 5, -1), "n")):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                _sample_blocks([(THERMAL_DIST, 5, 3), bad], SeedSpec(0, 0))

@@ -1,15 +1,24 @@
+import csv
+import io
 import json
+import math
 import re
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fockfit
 import fockfit.bootstrap as bt
+import fockfit.sampling as sampling
+import fockfit.studies as studies
 from fockfit.bootstrap import BootstrapError
-from fockfit.model import SqueezedThermalState
+from fockfit.estimation import FitBatch
+from fockfit.model import SqueezedThermalState, fidelity, to_variances
 from fockfit.sampling import SeedSpec
 from fockfit.studies import (
     DEFAULT_SHOT_GRID,
@@ -19,6 +28,8 @@ from fockfit.studies import (
     PriorShape,
     SchemeSpec,
     StudyConfig,
+    StudyReport,
+    StudyRow,
     coverage_study,
     fidelity_study,
     parse_config,
@@ -222,6 +233,100 @@ class TestWeightComparison:
         assert np.all(ratio < 10.0) and np.all(ratio > 0.1)
 
 
+THREE_SCHEMES = (SchemeSpec("posterior", 1.0, 1.0), SchemeSpec("mle"), SchemeSpec("uniform"))
+
+
+def _one_cell_stats(state, fits):
+    """A point study row's statistics for one cell's FitBatch, computed as a
+    one-cell loop would: one-dimensional np.mean and np.std(ddof=1) of each
+    compressed column, None below 1 and 2 used rows."""
+    ok = fits.converged
+    truth = to_variances(state)
+    true_values = bt.parameter_values(truth, state)
+
+    def spread(values):
+        return float(np.std(values, ddof=1)) if values.shape[0] >= 2 else None
+
+    stats = {"n_failed": fits.n_failed}
+    for name in bt.PARAMETERS:
+        est = getattr(fits, name)[ok]
+        bias = float(np.mean(est) - true_values[name]) if est.shape[0] else None
+        std = spread(est)
+        stats[f"bias_{name}"] = bias
+        stats[f"std_{name}"] = std
+        stats[f"bias_over_std_{name}"] = (
+            bias / std if bias is not None and std is not None and std > 0.0 else None)
+    fid = fidelity(fits, truth)[ok]
+    stats["mean_fidelity"] = float(np.mean(fid)) if fid.shape[0] else None
+    stats["std_fidelity"] = spread(fid)
+    stats["mean_infidelity"] = float(np.mean(1.0 - fid)) if fid.shape[0] else None
+    stats["std_infidelity"] = spread(1.0 - fid)
+    return stats
+
+
+class TestPointStudyWithFailedRows:
+    """Every statistic of a point study whose cells lose 0, 1, n - 2, n - 1
+    and n rows to failed fits equals the one-cell computation bit for bit."""
+
+    N = 12
+    CFG = small_cfg(true_states=(STATE, SqueezedThermalState(0.5, 0.1)), shot_counts=(300, 2000),
+                    n_experiments=N, schemes=THREE_SCHEMES, master_seed=5)
+    # failed rows per cell, cells in (state, shots, scheme) order
+    FAILED = (0, 1, N - 2, N - 1, N, 0, 1, N - 2, N - 1, N, 3, 0)
+
+    def test_every_field_equals_the_one_cell_reference(self, monkeypatch):
+        real_fit_batch, seen = studies.fit_batch, []
+        rng = np.random.default_rng(3)
+        failing = np.concatenate([k * self.N + rng.choice(self.N, size=n_failed, replace=False)
+                                  for k, n_failed in enumerate(self.FAILED)]).astype(int)
+
+        def fit_batch_with_failures(freqs, weights, **kw):
+            fits = real_fit_batch(freqs, weights, **kw)
+            converged = np.array(fits.converged)
+            converged[failing] = False
+            seen.append(FitBatch(fits.vq, fits.vp, fits.r, fits.nbar, fits.objective,
+                                 converged, fits.evaluations))
+            return seen[-1]
+
+        monkeypatch.setattr(studies, "fit_batch", fit_batch_with_failures)
+        rows = weight_comparison_study(self.CFG).rows
+        (fits,) = seen
+        assert len(rows) == len(self.FAILED)
+        for k, row in enumerate(rows):
+            state = SqueezedThermalState(row.state_r, row.state_nbar)
+            want = _one_cell_stats(state, fits[k * self.N:(k + 1) * self.N])
+            assert want["n_failed"] == self.FAILED[k]
+            assert {name: getattr(row, name) for name in want} == want, f"cell {k}"
+        assert rows[4].mean_fidelity is None and rows[3].std_fidelity is None
+        assert rows[3].mean_fidelity is not None and rows[2].std_fidelity is not None
+
+
+class TestPointStudyOnePass:
+    """A point study is one columnar pass: one sampling pass, one model
+    distribution per state, one weights call per scheme and one fit."""
+
+    def test_one_sampling_pass_model_per_state_weights_per_scheme_and_fit(self, monkeypatch):
+        log = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kw):
+                log.append(name)
+                return real(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+
+        count(sampling, "_stream_states")
+        for name in ("fock_distribution", "weights_for", "fit_batch"):
+            count(studies, name)
+        cfg = small_cfg(true_states=(STATE, SqueezedThermalState(0.5, 0.1)),
+                        shot_counts=(200, 500, 1000), n_experiments=4, schemes=THREE_SCHEMES)
+        rows = weight_comparison_study(cfg).rows
+        assert len(rows) == 2 * 3 * 3
+        assert Counter(log) == {"_stream_states": 1, "fock_distribution": 2, "weights_for": 3,
+                                "fit_batch": 1}
+
+
 class TestCoverageStudy:
     @pytest.mark.parametrize("schemes", [
         (SchemeSpec("uniform"),),
@@ -264,6 +369,58 @@ class TestReportSerialization:
         doc = json.loads(json_path.read_text())
         assert doc["format_version"] == 1
         assert doc["rows"][0]["mean_fidelity"] == report.rows[0].mean_fidelity
+
+
+# Report cells of every kind the writers see: None, ints, signed zeros,
+# subnormals, huge and non-finite floats, and arbitrary floats and text.
+_CELL = st.one_of(
+    st.none(), st.integers(-10 ** 20, 10 ** 20), st.floats(),
+    st.sampled_from([0, 7, 0.0, -0.0, 5e-324, -5e-324, 1e300, math.inf, -math.inf, math.nan]))
+_TEXT = st.text(st.characters(max_codepoint=127))
+_ROWS = st.lists(st.builds(
+    StudyRow, scheme=_TEXT, method=st.one_of(st.none(), _TEXT),
+    **{name: _CELL for name in REPORT_COLUMNS if name not in ("scheme", "method")}), max_size=4)
+
+
+def _reference_csv(rows) -> str:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(REPORT_COLUMNS)
+    for row in map(asdict, rows):
+        writer.writerow(["" if row[c] is None else repr(float(row[c]))
+                         if isinstance(row[c], float) else row[c] for c in REPORT_COLUMNS])
+    return buf.getvalue()
+
+
+class TestReportWriters:
+    """write_json and write_csv give, byte for byte, json.dumps(indent=1)
+    of the asdict rows and csv.writer's lines (CRLF endings included)."""
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writers")
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rows=_ROWS)
+    @example(rows=[])
+    def test_bytes_equal_the_reference_writers(self, out, rows):
+        report = StudyReport(tuple(rows))
+        report.write_json(out / "r.json")
+        report.write_csv(out / "r.csv")
+        want = json.dumps({"format_version": 1, "rows": [asdict(r) for r in rows]}, indent=1)
+        assert (out / "r.json").read_bytes() == (want + "\n").encode("ascii")
+        assert (out / "r.csv").read_bytes() == _reference_csv(rows).encode("ascii")
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(rows=_ROWS)
+    def test_to_dicts_are_fresh_asdict_copies(self, rows):
+        report = StudyReport(tuple(rows))
+        dicts = report.to_dicts()
+        assert dicts == [asdict(r) for r in rows]
+        for d in dicts:
+            d["shots"] = "changed"
+        assert report.to_dicts() == [asdict(r) for r in rows]
+        assert all(r.shots != "changed" for r in report.rows)
 
 
 class TestParseConfig:
