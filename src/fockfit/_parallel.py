@@ -1,6 +1,6 @@
 """Process pool for coverage: a coverage study starts one pool for all its
-cells.  After one batched fit of every experiment's point histogram, each
-task is one experiment's bootstrap and its intervals (point studies fit
+cells.  After one batched fit of every point histogram, each task runs the
+replicate engine over consecutive whole experiments (point studies fit
 every row in one serial batch instead).
 
 Work items are mapped in input order with per-item seeds, so results are

@@ -13,10 +13,12 @@ import numpy as np
 
 from ._io import check_int
 from ._parallel import parallel_map
-from .estimation import PARAMETERS, FitBatch, FitResult, PriorShape, fit_batch, weights_for
-from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
+from .estimation import (_MAX_EVALS, _REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorShape,
+                         _fit_points, _parameters, fit_batch, weights_for)
+from .model import (QuadratureVariances, SqueezedThermalState, _fit_coords, fock_distribution,
+                    to_variances)
 from .numerics import std_normal_cdf, std_normal_quantile
-from .sampling import SeedSpec, _sample_counts
+from .sampling import SeedSpec, _sample_blocks
 
 __all__ = [
     "PARAMETERS",
@@ -96,23 +98,43 @@ def parametric_bootstrap(
     n_max: int = 20,
     scheme: str = "posterior",
 ) -> FitBatch:
-    """Simulate ``n_b`` experiments from the fitted state and refit them
-    all in one fit_batch call, whose FitBatch is the replicate set.
+    """The replicate set: ``n_b`` experiments simulated from the fitted
+    state and refit, the one-experiment case of the replicate engine.
 
     Replicate i draws its histogram from stream ``seed.stream_index + i``
     and is refit with the weights ``weights_for(counts, scheme, prior)``;
     pass the scheme the point estimate was fitted with.  Every refit
     starts at the point estimate, the state its histogram was drawn from,
-    without the grid stage.  Raises BootstrapError if more than
-    MAX_FAILURE_FRACTION of refits fail.
+    without the grid stage, as ``fit_batch(..., start=point.variances)``
+    does.  Raises BootstrapError if over MAX_FAILURE_FRACTION of them fail.
     """
     if not point.converged:
         raise ValueError("bootstrap requires a converged point estimate")
     check_int("n_b", n_b, 2)
-    counts = _sample_counts(fock_distribution(point.variances, n_max), n_shots, seed, n_b)
-    reps = fit_batch(counts / n_shots, weights_for(counts, scheme, prior), start=point.variances)
-    _check_failures(reps.n_failed, n_b, "bootstrap refits")
-    return reps
+    task = ([(point, n_shots, n_b, seed.stream_index)], prior, seed.master_seed, n_max, scheme)
+    return _replicates(task)[0]
+
+
+def _replicates(task) -> list[FitBatch]:
+    """The replicate engine: ``task`` is ``(experiments, prior, master_seed,
+    n_max, scheme)``, and each experiment ``(point, n_shots, n_b, first)``
+    gets, in order, the replicate set parametric_bootstrap gives it at
+    ``SeedSpec(master_seed, first)``.  One _sample_blocks pass, one
+    weights_for call and one _fit_points call (each row refined from its
+    own experiment's point, _REFINE_BLOCK rows at a time) serve them all;
+    then the failure check runs per experiment, in order."""
+    experiments, prior, master_seed, n_max, scheme = task
+    points, shots, n_bs, _ = zip(*experiments)
+    counts = _sample_blocks([(fock_distribution(p.variances, n_max), n, first, n_b)
+                             for p, n, n_b, first in experiments], master_seed)
+    starts = np.repeat([_fit_coords(p.variances) for p in points], n_bs, axis=0).T
+    x, *columns = _fit_points(counts / np.repeat(shots, n_bs)[:, None],
+                              weights_for(counts, scheme, prior), _MAX_EVALS, starts)
+    reps = FitBatch(*_parameters(x), *columns)
+    sets = [reps[stop - n_b:stop] for stop, n_b in zip(np.cumsum(n_bs).tolist(), n_bs)]
+    for each in sets:
+        _check_failures(each.n_failed, len(each), "bootstrap refits")
+    return sets
 
 
 def _floor_index(x: float) -> int:
@@ -223,15 +245,6 @@ def intervals(
     return out
 
 
-def _experiment_hits(args) -> list[bool]:
-    """Whether each interval of one experiment's bootstrap, in intervals'
-    order, contains the true value of its parameter."""
-    point, true_values, n_shots, n_b, alpha, methods, prior, n_max, seed, scheme = args
-    reps = parametric_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme)
-    return [ci.contains(true_values[ci.parameter])
-            for ci in intervals(reps, point, alpha, methods)]
-
-
 def coverage_probability(
     true_state: SqueezedThermalState,
     n_shots: int,
@@ -244,20 +257,20 @@ def coverage_probability(
     n_max: int = 20,
 ) -> CoverageResult:
     """Estimate interval coverage by repeated simulate-fit-bootstrap runs:
-    the one-cell case of the coverage engine that coverage studies run
-    over all their cells at once.
+    the one-cell case of _coverage, which coverage studies run over all
+    their cells at once.
 
     Experiment i occupies the stream block
     [stream_index + i*(n_b + 1), stream_index + (i+1)*(n_b + 1)): its
     point histogram comes from the first stream and its replicates from
-    the rest, so runs are reproducible and independent of scheduling.  Point
-    fits and replicate refits both use posterior weights.  All point
-    histograms are fitted in one fit_batch call; if more than
-    MAX_FAILURE_FRACTION of them fail, BootstrapError is raised before any
-    bootstrap runs, else the failed experiments are left out of n_used.
-    Accepts one method name or several; all methods share the same
-    replicate sets, so their coverages are comparable.
-    Bad arguments raise ValueError before anything is sampled.
+    the rest, so runs are reproducible and independent of scheduling.
+    Point fits and replicate refits both use posterior weights.  All point
+    histograms are drawn in one sampling pass and fitted in one fit_batch
+    call; if over MAX_FAILURE_FRACTION of them fail, BootstrapError is
+    raised before any bootstrap runs, else the failed experiments are left
+    out of n_used and the rest refit in tasks of whole experiments.  All
+    methods (one name or several) share the replicate sets, so their
+    coverages are comparable.  Bad arguments raise ValueError before any work.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     cells = [(true_state, n_shots, n_b)]
@@ -269,10 +282,12 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
     coverage_probability describes, with cell k's stream block starting at
     seed.stream_index + sum over j < k of n_experiments * (n_b_j + 1).
 
-    Every cell's point histograms are fitted in one fit_batch call, the
-    failed-point check runs per cell (in cell order) before any bootstrap,
-    and every converged experiment's bootstrap goes through one
-    parallel_map."""
+    Every cell's point histograms are drawn in one sampling pass and
+    fitted in one fit_batch call; the failed-point check runs per cell (in
+    cell order) before any bootstrap.  One parallel_map of _replicates
+    over tasks of consecutive whole kept experiments, each of at most
+    _REFINE_BLOCK replicate rows (or one experiment), returns the replicate
+    sets whose hits are counted here."""
     states, shots, n_bs = zip(*cells)
     check_int("n_experiments", n_experiments, 1)
     for name, values, low in (("n_shots", shots, 1), ("n_b", n_bs, 2)):
@@ -286,20 +301,24 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
         stream += n_experiments * (n_b + 1)
     truths = [to_variances(state) for state in states]
     dists = [fock_distribution(truth, n_max) for truth in truths]
-    counts = np.concatenate([_sample_counts(dists[k], shots[k], SeedSpec(seed.master_seed, s), 1)
-                             for k, s in experiments])
+    counts = _sample_blocks([(dists[k], shots[k], s, 1) for k, s in experiments],
+                            seed.master_seed)
     freqs = counts / np.repeat(shots, n_experiments)[:, None]
     scheme = "posterior"  # the point fits' and the replicate refits' weights
     points = fit_batch(freqs, weights_for(counts, scheme, prior))
     n_used = points.converged.reshape(len(cells), n_experiments).sum(axis=1)
     for n_failed in n_experiments - n_used:
         _check_failures(n_failed, n_experiments, "experiments")
+    kept = [(points[j], k, s) for j, (k, s) in enumerate(experiments) if points.converged[j]]
+    size = max(1, _REFINE_BLOCK // max(n_bs))
+    tasks = [([(point, shots[k], n_bs[k], s + 1) for point, k, s in kept[i:i + size]],
+              prior, seed.master_seed, n_max, scheme) for i in range(0, len(kept), size)]
+    reps = [each for sets in parallel_map(_replicates, tasks) for each in sets]
     true_values = [parameter_values(truth, state) for truth, state in zip(truths, states)]
-    tasks = [(points[j], true_values[k], shots[k], n_bs[k], alpha, methods, prior, n_max,
-              SeedSpec(seed.master_seed, s + 1), scheme)
-             for j, (k, s) in enumerate(experiments) if points.converged[j]]
     # one row of hits per used experiment, its columns in intervals' order
-    hits = np.array(parallel_map(_experiment_hits, tasks))
+    hits = np.array([[ci.contains(true_values[k][ci.parameter])
+                      for ci in intervals(each, point, alpha, methods)]
+                     for (point, k, _), each in zip(kept, reps)])
     results = []
     for cell_hits in np.split(hits, np.cumsum(n_used)[:-1]):
         used = cell_hits.shape[0]

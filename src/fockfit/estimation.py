@@ -665,9 +665,9 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
 def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
                 x0: np.ndarray | None = None):
     """fit_batch's stages on checked input, from the grid or, given x0, from
-    the point x0 = (q, nbar) of shape (2, 1): the fitted points as a
-    (2, rows) array, with each row's objective, convergence flag and
-    evaluation count."""
+    x0 = (q, nbar), one point (2, 1) or one per row (2, rows): the fitted
+    points as a (2, rows) array, with each row's objective, convergence
+    flag and evaluation count."""
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     points = np.empty((2, rows))
     objective = np.empty(rows)
@@ -683,7 +683,7 @@ def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
         if x0 is None:
             start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
         else:
-            start = np.broadcast_to(x0, (2, f.shape[1]))
+            start = np.broadcast_to(x0, (2, rows))[:, b]
         x, obj, start_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
         converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
         evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, start_obj)

@@ -90,32 +90,32 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _stream_states(seed: SeedSpec, n: int) -> list[dict]:
-    """The PCG64 states of SeedSpec(seed.master_seed, seed.stream_index + i)
-    .generator() for i < n, as bit_generator.state dicts, derived in one
-    pass: each spawn-key word is mixed into every stream's pool by (4, n)
-    array operations, and the eight state words come from one (8, n) hash.
+def _stream_states(master_seed: int, runs) -> list[dict]:
+    """The PCG64 states of SeedSpec(master_seed, first + i).generator() for
+    i < n, run after run over the ``(first, n)`` pairs in ``runs``, as
+    bit_generator.state dicts, derived in one pass: each spawn-key word is
+    mixed into a run's pools by (4, n) array operations, and the eight
+    state words of all streams come from one (8, streams) hash.
 
-    A stream index of 2**32 or more has more than one word.  Within a run
-    of streams that share the bits above the lowest 32 only the lowest
-    word differs, so the rows are mixed one such run at a time."""
-    first = int(seed.stream_index)
+    A stream index of 2**32 or more has more than one word; a run is mixed
+    one stretch of streams sharing the bits above the lowest 32 at a time."""
     # SeedSequence(master_seed) stops at the pool before any spawn key
-    master_pool = np.random.SeedSequence(int(seed.master_seed)).pool[:, None]
-    pools = np.empty((_POOL_SIZE, n), dtype=np.uint32)
+    master_pool = np.random.SeedSequence(int(master_seed)).pool[:, None]
+    pools = np.empty((_POOL_SIZE, sum(int(n) for _, n in runs)), dtype=np.uint32)
     row = 0
-    while row < n:
-        high, low = divmod(first + row, 1 << 32)
-        size = min(n - row, (1 << 32) - low)
-        words = [np.arange(low, low + size, dtype=np.uint32)]
-        words += _words(high) if high else []
-        pool = master_pool
-        for j, word in enumerate(words):
-            # the hash constants go on from the master's 16 hashes
-            c = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1)
-            pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
-        pools[:, row:row + size] = pool
-        row += size
+    for first, n in runs:
+        first, stop = int(first), int(first) + int(n)
+        while first < stop:
+            high, low = divmod(first, 1 << 32)
+            size = min(stop - first, (1 << 32) - low)
+            words = [np.arange(low, low + size, dtype=np.uint32)] + (_words(high) if high else [])
+            pool = master_pool
+            for j, word in enumerate(words):
+                # the hash constants go on from the master's 16 hashes
+                c = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1)
+                pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
+            pools[:, row:row + size] = pool
+            first, row = first + size, row + size
     # generate_state(4, np.uint64): pool words cycled, paired little-endian
     c = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
     state_words = _hashmix(np.tile(pools, (2, 1)), c[:-1], c[1:]).astype(np.uint64)
@@ -146,31 +146,28 @@ def _snapped_probs(d: FockDistribution) -> np.ndarray:
     return pvals
 
 
-def _sample_blocks(blocks, seed: SeedSpec) -> np.ndarray:
-    """Draw consecutive blocks of multinomial histograms into one
-    (rows, n_max + 2) integer count matrix (overflow last).  Each block is
-    a ``(d, n_shots, n)`` triple of n histograms of n_shots measurements
-    from d; the distributions share one n_max.  Block b's rows draw from
-    the streams right after block b - 1's, so block b equals
-    ``_sample_counts(d, n_shots, SeedSpec(master, first), n)`` with
-    ``first = seed.stream_index`` plus the rows of the blocks before it.
+def _sample_blocks(blocks, master_seed: int) -> np.ndarray:
+    """Draw blocks of multinomial histograms into one (rows, n_max + 2)
+    integer count matrix (overflow last).  Each block is a
+    ``(d, n_shots, first, n)`` tuple of n histograms of n_shots
+    measurements from d, drawn from the streams first .. first + n - 1 of
+    ``master_seed``; the distributions share one n_max.  Block b's rows
+    follow block b - 1's and equal
+    ``_sample_counts(d, n_shots, SeedSpec(master_seed, first), n)``.
 
     Every stream's state comes from one _stream_states pass."""
-    for _, n_shots, n in blocks:
+    for _, n_shots, _, n in blocks:
         check_int("n_shots", n_shots, 1)
         check_int("n", n, 0)
-    total = sum(int(n) for _, _, n in blocks)
-    states = iter(_stream_states(seed, total))
-    out = np.empty((total, blocks[0][0].n_max + 2), dtype=np.int64)
+    states = enumerate(_stream_states(master_seed, [(first, n) for _, _, first, n in blocks]))
+    out = np.empty((sum(int(n) for *_, n in blocks), blocks[0][0].n_max + 2), dtype=np.int64)
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    row = 0
-    for d, n_shots, n in blocks:
+    for d, n_shots, _, n in blocks:
         pvals = _snapped_probs(d)
-        for state in islice(states, n):
+        for row, state in islice(states, n):
             bit_generator.state = state
             out[row] = generator.multinomial(n_shots, pvals)
-            row += 1
     return out
 
 
@@ -187,7 +184,7 @@ def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) ->
     n_shots exactly.  The probabilities take _snapped_probs' tail snap.
     It is the one-block case of _sample_blocks.
     """
-    return _sample_blocks([(d, n_shots, n)], seed)
+    return _sample_blocks([(d, n_shots, seed.stream_index, n)], seed.master_seed)
 
 
 def sample_histogram(d: FockDistribution, n_shots: int, seed: SeedSpec) -> FockHistogram:

@@ -241,7 +241,8 @@ def _point_rows(cfg: StudyConfig) -> list[StudyRow]:
         f = np.repeat([dist.all_probs for dist, _, _ in blocks], n, axis=0)
         counts = f * totals
     else:
-        counts = _sample_blocks(blocks, SeedSpec(cfg.master_seed, 0))
+        counts = _sample_blocks([(d, s, b * n, n) for b, (d, s, _) in enumerate(blocks)],
+                                cfg.master_seed)
         f = counts / totals
     # rows in (state, shots, scheme) order, each cell's n experiments together
     by_block = (len(blocks), n, cfg.n_max + 2)
@@ -297,8 +298,9 @@ def _check_paired_schemes(cfg: StudyConfig) -> None:
 def coverage_study(cfg: StudyConfig) -> StudyReport:
     """Interval coverage per (state, shots, n_b), reported for both the
     percentile and BC methods computed from the same replicate sets.  All
-    cells run in one coverage pass: one batch of point fits and one pool of
-    bootstraps, with the cells' stream blocks laid out back to back in
+    cells run in one coverage pass (one sampling pass and one batch of
+    point fits, then one pool of replicate-engine tasks of whole
+    experiments), with the cells' stream blocks laid out back to back in
     config order (n_b varying fastest).
     Coverage fits with posterior weights only, so ``cfg.schemes`` must be
     one posterior spec, whose prior it uses."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -209,25 +210,13 @@ class TestParametricBootstrap:
 
     def test_failure_policy(self, monkeypatch):
         point = fit_state(0.5, 0.1, 300)
-        real_fit_batch = bt.fit_batch
-
-        def flaky_fit_batch(freqs, weights, **kw):
-            out = real_fit_batch(freqs, weights, **kw)
-            return replace(out, converged=out.converged & (np.arange(len(out)) % 3 != 2))
-
-        monkeypatch.setattr(bt, "fit_batch", flaky_fit_batch)
-        with pytest.raises(BootstrapError):
+        _failing_refits(monkeypatch, lambda rows: np.arange(rows) % 3 == 2)
+        with pytest.raises(BootstrapError, match="^10 of 30 bootstrap refits"):
             parametric_bootstrap(point, 300, 30, PRIOR, SeedSpec(1, 0))
 
     def test_rare_failures_excluded_not_fatal(self, monkeypatch):
         point = fit_state(0.5, 0.1, 300)
-        real_fit_batch = bt.fit_batch
-
-        def once_flaky_fit_batch(freqs, weights, **kw):
-            out = real_fit_batch(freqs, weights, **kw)
-            return replace(out, converged=out.converged & (np.arange(len(out)) != 4))
-
-        monkeypatch.setattr(bt, "fit_batch", once_flaky_fit_batch)
+        _failing_refits(monkeypatch, lambda rows: np.arange(rows) == 4)
         reps = parametric_bootstrap(point, 300, 1000, PRIOR, SeedSpec(1, 0))
         assert reps.n_failed == 1
         assert reps.sorted_values("nbar").shape == (999,)
@@ -333,8 +322,9 @@ class TestCoverage:
         def recorder(label):
             return lambda *args, **kw: calls.append(label)
 
-        monkeypatch.setattr(bt, "_sample_counts", recorder("_sample_counts"))
+        monkeypatch.setattr(bt, "_sample_blocks", recorder("_sample_blocks"))
         monkeypatch.setattr(bt, "fit_batch", recorder("fit_batch"))
+        monkeypatch.setattr(bt, "_fit_points", recorder("_fit_points"))
         args = {"n_shots": 500, "n_experiments": 2, "n_b": 20, "alpha": 0.05,
                 "method": METHODS, **bad}
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -343,35 +333,113 @@ class TestCoverage:
                                  args["method"], PRIOR, SeedSpec(12, 0))
         assert calls == []
 
-    def test_equals_per_experiment_chain(self):
-        # The public single-experiment path: sample, fit, bootstrap from
-        # the experiment's stream block, intervals.
-        # Narrow intervals at a biased state, so hits vary between experiments.
-        truth = SqueezedThermalState(2.5, 0.01)
-        shots, n_exp, n_b, alpha, seed = 10 ** 4, 6, 30, 0.25, SeedSpec(11, 7)
-        true_values = parameter_values(to_variances(truth), truth)
-        dist = fock_distribution(to_variances(truth), 20)
-        hits = []
-        for i in range(n_exp):
-            start = seed.stream_index + i * (n_b + 1)
-            h = sample_histogram(dist, shots, SeedSpec(seed.master_seed, start))
-            point = fit(h, posterior_weights(h, PRIOR))
-            assert point.converged
-            reps = parametric_bootstrap(point, shots, n_b, PRIOR,
-                                        SeedSpec(seed.master_seed, start + 1))
-            hits.append({(ci.parameter, ci.method): ci.contains(true_values[ci.parameter])
-                         for ci in intervals(reps, point, alpha, METHODS)})
-        coverage = {m: {p: sum(h[(p, m)] for h in hits) / n_exp for p in PARAMETERS}
-                    for m in METHODS}
-        std_error = {m: {p: math.sqrt(c * (1.0 - c) / n_exp) for p, c in coverage[m].items()}
-                     for m in METHODS}
-        res = coverage_probability(truth, shots, n_exp, n_b, alpha, METHODS, PRIOR, seed)
-        assert res == bt.CoverageResult(coverage, std_error, n_exp, n_exp)
+    @staticmethod
+    def _check_per_experiment_chain(monkeypatch, cells, n_exp, tasks):
+        """The coverage pass over ``cells`` equals the public
+        single-experiment path: sample, fit, bootstrap from the
+        experiment's stream block, intervals.  Each experiment's replicate
+        set equals its standalone parametric_bootstrap, and the replicate
+        engine's tasks hold experiments of the n_b listed in ``tasks``."""
+        alpha, seed = 0.25, SeedSpec(11, 7)
+        want, chain_reps, start = [], [], seed.stream_index
+        for truth, shots, n_b in cells:
+            true_values = parameter_values(to_variances(truth), truth)
+            dist = fock_distribution(to_variances(truth), 20)
+            hits = []
+            for i in range(n_exp):
+                h = sample_histogram(dist, shots, SeedSpec(seed.master_seed, start))
+                point = fit(h, posterior_weights(h, PRIOR))
+                assert point.converged
+                chain_reps.append(parametric_bootstrap(point, shots, n_b, PRIOR,
+                                                       SeedSpec(seed.master_seed, start + 1)))
+                hits.append({(ci.parameter, ci.method): ci.contains(true_values[ci.parameter])
+                             for ci in intervals(chain_reps[-1], point, alpha, METHODS)})
+                start += n_b + 1
+            coverage = {m: {p: sum(h[(p, m)] for h in hits) / n_exp for p in PARAMETERS}
+                        for m in METHODS}
+            std_error = {m: {p: math.sqrt(c * (1.0 - c) / n_exp) for p, c in coverage[m].items()}
+                         for m in METHODS}
+            want.append(bt.CoverageResult(coverage, std_error, n_exp, n_exp))
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        real_replicates, engine_tasks, engine_reps = bt._replicates, [], []
+
+        def recording_replicates(task):
+            engine_tasks.append([n_b for _, _, n_b, _ in task[0]])
+            engine_reps.extend(real_replicates(task))
+            return engine_reps[-len(task[0]):]
+
+        monkeypatch.setattr(bt, "_replicates", recording_replicates)
+        got = bt._coverage(cells, n_exp, alpha, METHODS, PRIOR, seed, 20)
+        assert engine_tasks == tasks
+        assert engine_reps == chain_reps
+        assert got == want
+        if len(cells) == 1:
+            truth, shots, n_b = cells[0]
+            assert coverage_probability(truth, shots, n_exp, n_b, alpha, METHODS, PRIOR,
+                                        seed) == want[0]
+
+    def test_equals_per_experiment_chain(self, monkeypatch):
+        # Narrow intervals at a biased state, so hits vary between
+        # experiments; the six experiments share one task.
+        self._check_per_experiment_chain(
+            monkeypatch, [(SqueezedThermalState(2.5, 0.01), 10 ** 4, 30)], 6, [[30] * 6])
+
+    # Tasks hold consecutive whole experiments of at most 1024 replicate
+    # rows: cells of different n_b, with task boundaries inside both cells
+    # and a task holding experiments of both; and experiments of over 1024
+    # replicates (one task each, refit in two lock-step blocks).
+    @pytest.mark.parametrize("cells, n_exp, tasks", [
+        ([(SqueezedThermalState(2.5, 0.01), 10 ** 4, 300),
+          (SqueezedThermalState(0.5, 0.1), 500, 150)], 5,
+         [[300] * 3, [300, 300, 150], [150] * 3, [150]]),
+        ([(SqueezedThermalState(1.0, 0.05), 10 ** 4, 1100)], 2, [[1100], [1100]]),
+    ], ids=["boundaries-inside-cells", "over-1024-replicates"])
+    def test_tasks_equal_per_experiment_chain(self, monkeypatch, cells, n_exp, tasks):
+        self._check_per_experiment_chain(monkeypatch, cells, n_exp, tasks)
 
 
-def _failing_rows(monkeypatch, n_rows, failed):
-    """Make every fit_batch call of ``n_rows`` rows report the rows in
-    ``failed`` as not converged."""
+    def test_peak_memory_grows_with_the_returned_replicates(self, monkeypatch):
+        # tracemalloc sees numpy's array buffers.  At one worker, 15 more
+        # experiments of 200 replicates add 3000 rows of the replicate
+        # sets' columns, which the pass holds until it counts the hits
+        # (measured growth: 1.28 times their bytes); the tasks' working
+        # sets are bounded by the task size.  One count matrix over every
+        # experiment's replicates would add 3000 rows of 22 int64 counts
+        # (3.6 times the columns' bytes) on its own.  The slack is 1.5 times
+        # the columns' bytes.
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+
+        def peak(n_exp):
+            tracemalloc.start()
+            try:
+                coverage_probability(SqueezedThermalState(1.0, 0.05), 10 ** 4, n_exp, 200, 0.05,
+                                     METHODS, PRIOR, SeedSpec(5, 0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # build the cached interval and model constants
+        reps = parametric_bootstrap(fit_state(1.0, 0.05, 10 ** 4), 10 ** 4, 2, PRIOR,
+                                    SeedSpec(5, 0))
+        row_bytes = sum(column.itemsize for column in vars(reps).values())
+        assert peak(20) - peak(5) <= 1.5 * 15 * 200 * row_bytes
+
+
+def _failing_refits(monkeypatch, failed):
+    """Make every replicate refinement report the rows where
+    ``failed(rows)`` is true as not converged."""
+    real_fit_points = bt._fit_points
+
+    def flaky_fit_points(freqs, weights, max_evals, x0=None):
+        x, obj, converged, evals = real_fit_points(freqs, weights, max_evals, x0)
+        return x, obj, converged & ~failed(len(converged)), evals
+
+    monkeypatch.setattr(bt, "_fit_points", flaky_fit_points)
+
+
+def _failing_points(monkeypatch, n_rows, failed):
+    """Make every fit_batch call (the point fits) of ``n_rows`` rows report
+    the rows in ``failed`` as not converged."""
     real_fit_batch = bt.fit_batch
 
     def flaky_fit_batch(freqs, weights, **kw):
@@ -385,17 +453,18 @@ def _failing_rows(monkeypatch, n_rows, failed):
 
 def _record_bootstraps(monkeypatch):
     """Run the pool inline and record the first stream and the weighting
-    scheme of every bootstrap."""
+    scheme of every experiment the replicate engine bootstraps."""
     monkeypatch.setenv("FOCKFIT_THREADS", "1")
-    real_bootstrap = bt.parametric_bootstrap
+    real_replicates = bt._replicates
     streams, schemes = [], []
 
-    def recording_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme):
-        streams.append(seed.stream_index)
-        schemes.append(scheme)
-        return real_bootstrap(point, n_shots, n_b, prior, seed, n_max, scheme)
+    def recording_replicates(task):
+        experiments, _, _, _, scheme = task
+        streams.extend(first for _, _, _, first in experiments)
+        schemes.extend(scheme for _ in experiments)
+        return real_replicates(task)
 
-    monkeypatch.setattr(bt, "parametric_bootstrap", recording_bootstrap)
+    monkeypatch.setattr(bt, "_replicates", recording_replicates)
     return streams, schemes
 
 
@@ -404,7 +473,7 @@ class TestCoverageFailurePolicy:
 
     def test_failed_point_fit_excludes_its_experiment(self, monkeypatch):
         # 1 failure in 100 experiments is within the 1% allowance
-        _failing_rows(monkeypatch, 100, [37])
+        _failing_points(monkeypatch, 100, [37])
         streams, schemes = _record_bootstraps(monkeypatch)
         res = coverage_probability(self.STATE, 300, 100, 3, 0.25, "percentile", PRIOR,
                                    SeedSpec(2, 0))
@@ -414,16 +483,20 @@ class TestCoverageFailurePolicy:
         assert schemes == ["posterior"] * 99
 
     def test_too_many_failed_point_fits_raise_before_any_bootstrap(self, monkeypatch):
-        _failing_rows(monkeypatch, 10, [4])
+        _failing_points(monkeypatch, 10, [4])
         streams, _ = _record_bootstraps(monkeypatch)
         with pytest.raises(BootstrapError, match="1 of 10 experiments"):
             coverage_probability(self.STATE, 300, 10, 20, 0.05, METHODS, PRIOR, SeedSpec(2, 0))
         assert streams == []
 
     def test_too_many_failed_replicates_raise(self, monkeypatch):
-        # one experiment's bootstrap loses 1 of 30 refits, above 1%
-        _failing_rows(monkeypatch, 30, [12])
-        with pytest.raises(BootstrapError, match="1 of 30 bootstrap refits"):
+        # the three experiments' 30 replicates share one refinement; the
+        # second loses 1 of its 30 refits (above 1%), the third 2: the
+        # first failing experiment in order is reported
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        failed = [30 + 12, 60 + 3, 60 + 9]
+        _failing_refits(monkeypatch, lambda rows: np.isin(np.arange(rows), failed))
+        with pytest.raises(BootstrapError, match="^1 of 30 bootstrap refits"):
             coverage_probability(self.STATE, 300, 3, 30, 0.05, METHODS, PRIOR, SeedSpec(2, 0))
 
 

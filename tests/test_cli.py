@@ -578,6 +578,20 @@ def _failing_fit_batch(monkeypatch, owner, n_rows, failed):
     monkeypatch.setattr(owner, "fit_batch", flaky_fit_batch)
 
 
+def _failing_refits(monkeypatch, n_rows, failed):
+    """Make every replicate refinement of ``n_rows`` rows report the rows
+    in ``failed`` as not converged."""
+    real_fit_points = cli.bt._fit_points
+
+    def flaky_fit_points(freqs, weights, max_evals, x0=None):
+        x, obj, converged, evals = real_fit_points(freqs, weights, max_evals, x0)
+        if len(converged) == n_rows:
+            converged = converged & ~np.isin(np.arange(n_rows), failed)
+        return x, obj, converged, evals
+
+    monkeypatch.setattr(cli.bt, "_fit_points", flaky_fit_points)
+
+
 def _coverage_config(tmp_path, n_experiments=10):
     path = tmp_path / "coverage.json"
     path.write_text(json.dumps({
@@ -606,7 +620,7 @@ class TestConvergenceFailureExits:
 
     def test_ci_with_too_many_failed_replicate_refits(self, tmp_path, monkeypatch, capsys):
         counts, out = self.counts(tmp_path), tmp_path / "ci.json"
-        _failing_fit_batch(monkeypatch, cli.bt, 50, [7])
+        _failing_refits(monkeypatch, 50, [7])
         assert run(["ci", "--counts", str(counts), "--replicates", "50",
                     "--out", str(out)]) == EXIT_NONCONVERGED
         assert capsys.readouterr().err == "1 of 50 bootstrap refits failed to converge\n"

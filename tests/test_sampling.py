@@ -192,12 +192,39 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("master", EDGE_MASTERS)
     @pytest.mark.parametrize("first", EDGE_FIRSTS)
     def test_states_match_generator(self, master, first):
-        got = _stream_states(SeedSpec(master, first), 6)
+        got = _stream_states(master, [(first, 6)])
         assert got == [SeedSpec(master, first + i).generator().bit_generator.state
                        for i in range(6)]
 
     def test_no_streams(self):
-        assert _stream_states(SeedSpec(3, 2 ** 32 - 1), 0) == []
+        assert _stream_states(3, [(2 ** 32 - 1, 0)]) == []
+
+    # Scattered one-stream runs (one of them repeated inside a later run),
+    # empty runs, runs straddling 2**32 (a second spawn-key word), 2**64 (a
+    # third) and 2**70, out of order.
+    RUNS = [(5, 1), (2 ** 32 - 2, 4), (0, 0), (17, 1), (2 ** 64 + 3, 3), (2 ** 32 - 2, 0),
+            (2 ** 70 - 1, 2), (1, 1), (2 ** 64 - 1, 2), (4, 3)]
+
+    @pytest.mark.parametrize("master", [0, 12_345, 2 ** 32, MAX_SEED])
+    def test_runs_match_generator(self, master):
+        got = _stream_states(master, self.RUNS)
+        assert got == [SeedSpec(master, first + i).generator().bit_generator.state
+                       for first, n in self.RUNS for i in range(n)]
+
+    def test_only_empty_runs(self):
+        assert _stream_states(MAX_SEED, []) == []
+        assert _stream_states(MAX_SEED, [(0, 0), (2 ** 64, 0), (7, 0)]) == []
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(master=st.integers(0, MAX_SEED),
+           runs=st.lists(st.tuples(st.one_of(st.integers(0, 2 ** 40),
+                                             st.integers(2 ** 32 - 6, 2 ** 32 + 2),
+                                             st.integers(2 ** 64 - 6, 2 ** 66)),
+                                   st.integers(0, 5)), max_size=6))
+    def test_any_runs_match_generator(self, master, runs):
+        assert _stream_states(master, runs) == [
+            SeedSpec(master, first + i).generator().bit_generator.state
+            for first, n in runs for i in range(n)]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(master=st.integers(0, 2 ** 64 - 1),
@@ -216,8 +243,8 @@ SNAPPED_DIST = FockDistribution(20, (0.5, 0.5 + 1e-13) + (0.0,) * 19, 0.0)
 
 
 class TestSampleBlocks:
-    """_sample_blocks draws block after block from consecutive streams;
-    each block equals _sample_counts at its own first stream."""
+    """_sample_blocks draws each block from the streams it names; each
+    block equals _sample_counts at its own first stream."""
 
     BLOCKS = [(_dist(1.0, 0.05, 20), 1000, 3), (SNAPPED_DIST, 500, 4), (_dist(0.0, 3.0, 20), 7, 0),
               (_dist(2.5, 0.01, 20), 10 ** 6, 5), (_dist(0.5, 1.0, 20), 1, 2)]
@@ -226,16 +253,28 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("seed", [SeedSpec(MAX_SEED, 2 ** 32 - 5), SeedSpec(MAX_SEED, 0),
                                       SeedSpec(11, 2 ** 32 - 3), SeedSpec(0, 2 ** 64 - 9)])
     def test_blocks_equal_per_block_draws_at_their_offsets(self, seed):
-        got = _sample_blocks(self.BLOCKS, seed)
-        want, first = [], seed.stream_index
+        blocks, first = [], seed.stream_index
         for d, n_shots, n in self.BLOCKS:
-            want.append(_sample_counts(d, n_shots, SeedSpec(seed.master_seed, first), n))
+            blocks.append((d, n_shots, first, n))
             first += n
+        got = _sample_blocks(blocks, seed.master_seed)
+        want = [_sample_counts(d, n_shots, SeedSpec(seed.master_seed, first), n)
+                for d, n_shots, first, n in blocks]
         assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
         assert np.all(got[3:7, 2:] == 0)
         assert got.sum(axis=1).tolist() == [s for _, s, n in self.BLOCKS for _ in range(n)]
 
+    def test_blocks_with_gaps_equal_per_block_draws(self):
+        # gaps between blocks, a block before the one drawn ahead of it, an
+        # empty block, and blocks straddling 2**32 and past 2**64
+        firsts = [40, 2 ** 32 - 2, 9, 3, 2 ** 64 + 5]
+        blocks = [(d, n_shots, first, n) for (d, n_shots, n), first in zip(self.BLOCKS, firsts)]
+        got = _sample_blocks(blocks, MAX_SEED)
+        want = [_sample_counts(d, n_shots, SeedSpec(MAX_SEED, first), n)
+                for d, n_shots, first, n in blocks]
+        assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
+
     def test_bad_count_in_a_later_block_named(self):
-        for bad, name in (((THERMAL_DIST, 2.5, 3), "n_shots"), ((THERMAL_DIST, 5, -1), "n")):
+        for bad, name in (((THERMAL_DIST, 2.5, 3, 3), "n_shots"), ((THERMAL_DIST, 5, 3, -1), "n")):
             with pytest.raises(ValueError, match=f"^{name} must be"):
-                _sample_blocks([(THERMAL_DIST, 5, 3), bad], SeedSpec(0, 0))
+                _sample_blocks([(THERMAL_DIST, 5, 0, 3), bad], 0)

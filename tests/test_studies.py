@@ -17,7 +17,7 @@ import fockfit.bootstrap as bt
 import fockfit.sampling as sampling
 import fockfit.studies as studies
 from fockfit.bootstrap import BootstrapError
-from fockfit.estimation import FitBatch
+from fockfit.estimation import _REFINE_BLOCK, FitBatch
 from fockfit.model import SqueezedThermalState, fidelity, to_variances
 from fockfit.sampling import SeedSpec
 from fockfit.studies import (
@@ -524,6 +524,24 @@ class TestThreadCountInvariance:
         parallel = study(cfg)
         assert serial == parallel
 
+    def test_coverage_tasks_identical_serial_vs_parallel(self, monkeypatch):
+        # Two experiments of 400 replicates fill a task, so the six
+        # experiments run as three tasks, on the pool at two workers.
+        cfg = small_cfg(n_experiments=3, shot_counts=(500, 800), n_b=(400,))
+        real_parallel_map, items = bt.parallel_map, []
+
+        def counted_parallel_map(fn, tasks):
+            items.append(len(tasks))
+            return real_parallel_map(fn, tasks)
+
+        monkeypatch.setattr(bt, "parallel_map", counted_parallel_map)
+        monkeypatch.setenv("FOCKFIT_THREADS", "1")
+        serial = coverage_study(cfg)
+        monkeypatch.setenv("FOCKFIT_THREADS", "2")
+        parallel = coverage_study(cfg)
+        assert items == [3, 3]
+        assert serial == parallel
+
 
 class TestBooleansRejected:
     """JSON booleans parse as bool, a subclass of int; integer fields must
@@ -611,18 +629,21 @@ class TestFieldsTheStudyIgnores:
 
 class TestCoverageStudyOnePass:
     """A coverage study is one coverage pass: one point fit_batch over every
-    cell and one parallel_map over every cell's bootstraps."""
+    cell, then one parallel_map of the replicate engine over tasks of whole
+    experiments, each task refined in one call."""
 
     CFG = small_cfg(true_states=(STATE, SqueezedThermalState(0.5, 0.1)), n_experiments=3,
                     n_b=(20, 30, 25), master_seed=7)
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """Run the pool inline and log every fit_batch and parallel_map call
-        (fit_batch with its row count); bootstrap refits log too."""
+        """Run the pool inline and log every fit_batch call, parallel_map
+        call and replicate refinement, each with its row or item count;
+        parallel_map's tasks are kept in ``tasks``."""
         monkeypatch.setenv("FOCKFIT_THREADS", "1")
-        log = []
+        log, tasks = [], []
         real_fit_batch, real_parallel_map = bt.fit_batch, bt.parallel_map
+        real_fit_points = bt._fit_points
 
         def counted_fit_batch(freqs, weights, **kw):
             log.append(("fit_batch", len(freqs)))
@@ -630,21 +651,50 @@ class TestCoverageStudyOnePass:
 
         def counted_parallel_map(fn, items):
             log.append(("parallel_map", len(items)))
+            tasks.extend(items)
             return real_parallel_map(fn, items)
+
+        def counted_fit_points(freqs, weights, max_evals, x0=None):
+            log.append(("refine", len(freqs)))
+            return real_fit_points(freqs, weights, max_evals, x0)
 
         monkeypatch.setattr(bt, "fit_batch", counted_fit_batch)
         monkeypatch.setattr(bt, "parallel_map", counted_parallel_map)
-        return log
+        monkeypatch.setattr(bt, "_fit_points", counted_fit_points)
+        return log, tasks
 
     def test_one_point_batch_and_one_pool(self, monkeypatch):
-        log = self._count_calls(monkeypatch)
-        coverage_study(self.CFG)
-        n_cells = 6
-        # the point batch, then the one map, inside which each of the 18
-        # experiments refits its replicates
-        assert log[:2] == [("fit_batch", 3 * n_cells), ("parallel_map", 3 * n_cells)]
-        assert sorted(set(log[2:])) == [("fit_batch", 20), ("fit_batch", 25), ("fit_batch", 30)]
-        assert len(log[2:]) == 3 * n_cells
+        # the 18 experiments' 450 replicate rows are one task
+        assert self._check_one_pass(monkeypatch, self.CFG.n_b) == 1
+
+    @pytest.mark.parametrize("n_b, n_tasks", [((300, 450, 400), 9), ((1100, 20), 12)],
+                             ids=["two-experiments-a-task", "over-1024"])
+    def test_tasks_of_whole_experiments(self, monkeypatch, n_b, n_tasks):
+        assert self._check_one_pass(monkeypatch, n_b) == n_tasks
+
+    def _check_one_pass(self, monkeypatch, n_b) -> int:
+        """Run CFG with ``n_b``, check its calls and return its task count."""
+        log, tasks = self._count_calls(monkeypatch)
+        cfg = replace(self.CFG, n_b=n_b)
+        coverage_study(cfg)
+        n_cells = 2 * len(n_b)
+        # every experiment's (n_b, first replicate stream), in stream order
+        experiments, stream = [], 0
+        for _ in cfg.true_states:
+            for nb in n_b:
+                experiments += [(nb, stream + i * (nb + 1) + 1) for i in range(3)]
+                stream += 3 * (nb + 1)
+        per_task = max(1, _REFINE_BLOCK // max(n_b))
+        # the point batch, then the one map, whose tasks hold consecutive
+        # whole experiments (at most _REFINE_BLOCK rows, or one experiment)
+        # and refine their rows in one call each
+        assert log == [("fit_batch", 3 * n_cells), ("parallel_map", len(tasks))] + [
+            ("refine", sum(nb for _, _, nb, _ in task[0])) for task in tasks]
+        assert [len(task[0]) for task in tasks[:-1]] == [per_task] * (len(tasks) - 1)
+        assert [(nb, first) for task in tasks for _, _, nb, first in task[0]] == experiments
+        assert all(sum(nb for _, _, nb, _ in task[0]) <= max(_REFINE_BLOCK, max(n_b))
+                   for task in tasks)
+        return len(tasks)
 
     def test_rows_equal_per_cell_calls_at_their_offsets(self, monkeypatch):
         monkeypatch.setenv("FOCKFIT_THREADS", "1")
@@ -668,7 +718,7 @@ class TestCoverageStudyOnePass:
         assert rows == expected
 
     def test_failed_point_in_second_cell_raises_before_any_bootstrap(self, monkeypatch):
-        log = self._count_calls(monkeypatch)
+        log, _ = self._count_calls(monkeypatch)
         counted_fit_batch = bt.fit_batch
         n_rows = 3 * 6
 
