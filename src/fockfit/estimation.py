@@ -129,6 +129,9 @@ class FitBatch:
             column.flags.writeable = False
             object.__setattr__(self, field.name, column)
 
+    def __reduce__(self):
+        return FitBatch, tuple(vars(self).values())
+
     def __len__(self) -> int:
         return self.converged.shape[0]
 

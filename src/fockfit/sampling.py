@@ -5,7 +5,6 @@ drawn from a model distribution with reproducible, independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -45,28 +44,22 @@ class SeedSpec:
 # SeedSequence (the public algorithm of numpy.random.bit_generator, fixed by
 # numpy's stream-compatibility policy, NEP 19) hashes the entropy words into
 # a pool of four uint32 words, mixes the spawn key's words into it and
-# hashes the pool into eight state words, and PCG64 takes them as its
-# 128-bit seed and stream.  The master's pool comes from numpy; the rest is
-# written out here, over every stream at once.  Values are Python ints or
-# uint32 arrays; both wrap mod 2**32 through _MASK32.
+# hashes the pool into four uint64 state words, and PCG64 takes them as its
+# 128-bit seed and stream.  numpy builds the master's pool and the PCG64s;
+# the steps between are written out here, over every stream at once.
+# Values are Python ints or uint32 arrays; both wrap mod 2**32 via _MASK32.
 _MASK32 = 0xFFFF_FFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
-_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_MASK128 = (1 << 128) - 1
 
 
-@lru_cache(maxsize=16)
 def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
     """Constants first .. first + count - 1 of one of SeedSequence's hash
-    sequences, init * mult**k mod 2**32, as a read-only (count, 1) uint32
-    column."""
-    c = np.array([init * pow(mult, k, 1 << 32) & _MASK32
-                  for k in range(first, first + count)], dtype=np.uint32)[:, None]
-    c.flags.writeable = False
-    return c
+    sequences, init * mult**k mod 2**32, as a (count, 1) uint32 column."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(first, first + count)], dtype=np.uint32)[:, None]
 
 
 def _hashmix(value, xor, mul):
@@ -90,12 +83,25 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _stream_states(master_seed: int, runs) -> list[dict]:
-    """The PCG64 states of SeedSpec(master_seed, first + i).generator() for
-    i < n, run after run over the ``(first, n)`` pairs in ``runs``, as
-    bit_generator.state dicts, derived in one pass: each spawn-key word is
-    mixed into a run's pools by (4, n) array operations, and the eight
-    state words of all streams come from one (8, streams) hash.
+@dataclass(frozen=True)
+class _StateWords:
+    """One stream's four uint64 state words as the minimal ISeedSequence
+    PCG64 seeds from; any request but generate_state(4, np.uint64) raises."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"the state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+        return self.words
+
+
+def _stream_generators(master_seed: int, runs):
+    """Generators equal to SeedSpec(master_seed, s).generator() for the
+    streams s = first .. first + n - 1 of each ``(first, n)`` in ``runs``,
+    in order, made one at a time from state words derived in one pass:
+    each spawn-key word is mixed into a run's pools by (4, n) array
+    operations, and one (8, streams) hash gives every stream's words.
 
     A stream index of 2**32 or more has more than one word; a run is mixed
     one stretch of streams sharing the bits above the lowest 32 at a time."""
@@ -116,18 +122,13 @@ def _stream_states(master_seed: int, runs) -> list[dict]:
                 pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
             pools[:, row:row + size] = pool
             first, row = first + size, row + size
-    # generate_state(4, np.uint64): pool words cycled, paired little-endian
+    # generate_state(4, np.uint64): pool words cycled, paired little-endian,
+    # one C-contiguous row per stream (PCG64 reads the words' memory)
     c = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
     state_words = _hashmix(np.tile(pools, (2, 1)), c[:-1], c[1:]).astype(np.uint64)
-    seeds = (state_words[0::2] | state_words[1::2] << 32).tolist()
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        # pcg64_set_seed: setseq seeding from initstate and initseq
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    seeds = np.ascontiguousarray((state_words[0::2] | state_words[1::2] << 32).T)
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    return (np.random.Generator(np.random.PCG64(_StateWords(words))) for words in seeds)
 
 
 def _snapped_probs(d: FockDistribution) -> np.ndarray:
@@ -151,44 +152,30 @@ def _sample_blocks(blocks, master_seed: int) -> np.ndarray:
     integer count matrix (overflow last).  Each block is a
     ``(d, n_shots, first, n)`` tuple of n histograms of n_shots
     measurements from d, drawn from the streams first .. first + n - 1 of
-    ``master_seed``; the distributions share one n_max.  Block b's rows
-    follow block b - 1's and equal
-    ``_sample_counts(d, n_shots, SeedSpec(master_seed, first), n)``.
+    ``master_seed``; the distributions share one n_max, and block b's rows
+    follow block b - 1's.
 
-    Every stream's state comes from one _stream_states pass."""
+    A row is one ``Generator.multinomial`` draw from its stream: the
+    conditional-binomial decomposition, in which bin j receives a binomial
+    draw of the shots still unassigned with success probability p_j over
+    the tail mass left before it, and the overflow bin takes the rest, so
+    each row sums to n_shots.  pvals take _snapped_probs' tail snap."""
     for _, n_shots, _, n in blocks:
         check_int("n_shots", n_shots, 1)
         check_int("n", n, 0)
-    states = enumerate(_stream_states(master_seed, [(first, n) for _, _, first, n in blocks]))
+    # the words' hash temporaries are freed before the count matrix exists
+    generators = _stream_generators(master_seed, [(first, n) for _, _, first, n in blocks])
     out = np.empty((sum(int(n) for *_, n in blocks), blocks[0][0].n_max + 2), dtype=np.int64)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    rows = zip(out, generators)
     for d, n_shots, _, n in blocks:
         pvals = _snapped_probs(d)
-        for row, state in islice(states, n):
-            bit_generator.state = state
-            out[row] = generator.multinomial(n_shots, pvals)
+        for row, generator in islice(rows, n):
+            row[:] = generator.multinomial(n_shots, pvals)
     return out
-
-
-def _sample_counts(d: FockDistribution, n_shots: int, seed: SeedSpec, n: int) -> np.ndarray:
-    """Draw ``n`` multinomial histograms of ``n_shots`` measurements from
-    ``d`` into an (n, n_max + 2) integer count matrix (overflow last).
-
-    Row i is one ``Generator.multinomial`` draw from the stream
-    ``seed.stream_index + i``, whose state _stream_states derives exactly
-    as SeedSpec.generator() would: the conditional-binomial decomposition, in
-    which bin j receives a binomial draw of the shots still unassigned
-    with success probability p_j divided by the tail mass left before it,
-    and the overflow bin absorbs whatever is left, so every row sums to
-    n_shots exactly.  The probabilities take _snapped_probs' tail snap.
-    It is the one-block case of _sample_blocks.
-    """
-    return _sample_blocks([(d, n_shots, seed.stream_index, n)], seed.master_seed)
 
 
 def sample_histogram(d: FockDistribution, n_shots: int, seed: SeedSpec) -> FockHistogram:
     """Draw one multinomial histogram of ``n_shots`` measurements from ``d``
-    from the stream ``seed``, as _sample_counts does for each of its rows."""
-    counts = _sample_counts(d, n_shots, seed, 1)[0].tolist()
+    from the stream ``seed``: the one-block case of _sample_blocks."""
+    counts = _sample_blocks([(d, n_shots, seed.stream_index, 1)], seed.master_seed)[0].tolist()
     return FockHistogram(tuple(counts[:-1]), counts[-1], n_shots)

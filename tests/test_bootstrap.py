@@ -21,7 +21,7 @@ from fockfit.bootstrap import (
 )
 from fockfit.estimation import FitBatch, FitResult, PriorShape, fit, fit_batch, posterior_weights
 from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
+from fockfit.sampling import SeedSpec, _sample_blocks, sample_histogram
 
 PRIOR = PriorShape(1.0, 1.0)
 
@@ -177,7 +177,7 @@ class TestParametricBootstrap:
         # evaluations.
         point = fit_state(1.0, 0.05, 10 ** 4)
         reps = parametric_bootstrap(point, 10 ** 4, 40, PRIOR, SeedSpec(9, 3))
-        counts = _sample_counts(fock_distribution(point.variances, 20), 10 ** 4, SeedSpec(9, 3), 40)
+        counts = _sample_blocks([(fock_distribution(point.variances, 20), 10 ** 4, 3, 40)], 9)
         assert reps == fit_batch(counts / 10 ** 4, posterior_weights(counts, PRIOR),
                                  start=point.variances)
         assert reps.converged.all() and reps.evaluations.max() < 60 * 60
@@ -190,7 +190,7 @@ class TestParametricBootstrap:
         # not end above the same statistic on its counts.
         point = fit_state(2.0, 5.0, 100, seed=23)
         reps = parametric_bootstrap(point, 100, 1000, PRIOR, SeedSpec(42, 0))
-        counts = _sample_counts(fock_distribution(point.variances, 20), 100, SeedSpec(42, 0), 1000)
+        counts = _sample_blocks([(fock_distribution(point.variances, 20), 100, 0, 1000)], 42)
         grid = fit_batch(counts / 100, posterior_weights(counts, PRIOR))
         assert np.all(reps.objective <= grid.objective * (1.0 + 1e-12))
 
@@ -397,6 +397,16 @@ class TestCoverage:
     def test_tasks_equal_per_experiment_chain(self, monkeypatch, cells, n_exp, tasks):
         self._check_per_experiment_chain(monkeypatch, cells, n_exp, tasks)
 
+
+    def test_pooled_replicate_sets_keep_columns_read_only(self, monkeypatch):
+        # At two workers the replicate sets come back pickled from the pool.
+        monkeypatch.setenv("FOCKFIT_THREADS", "2")
+        point = fit_state(1.0, 0.05, 10 ** 4)
+        tasks = [([(point, 10 ** 4, 20, 100 * i)], PRIOR, 5, 20, "posterior") for i in range(2)]
+        sets = [each for batches in bt.parallel_map(bt._replicates, tasks) for each in batches]
+        assert sets == [parametric_bootstrap(point, 10 ** 4, 20, PRIOR, SeedSpec(5, 100 * i))
+                        for i in range(2)]
+        assert not any(column.flags.writeable for each in sets for column in vars(each).values())
 
     def test_peak_memory_grows_with_the_returned_replicates(self, monkeypatch):
         # tracemalloc sees numpy's array buffers.  At one worker, 15 more

@@ -481,6 +481,14 @@ def test_cli_import_does_not_load_numpy_polynomial():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_import_does_not_load_numpy_random():
+    # Only sampling and the studies use numpy's generators, at call time;
+    # estimate and probs never pay for importing them.
+    proc = _fresh_python("import sys, fockfit, fockfit.cli; print('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestOutputDirectoryCheckedFirst:
     """Every output path's directory is checked before any input is read or
     anything is simulated or fitted."""

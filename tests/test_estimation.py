@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -37,7 +38,7 @@ from fockfit.estimation import (
     _trial_step,
 )
 from fockfit.model import _bin_sum, _fit_coords, _fock_table
-from fockfit.sampling import SeedSpec, _sample_counts, sample_histogram
+from fockfit.sampling import SeedSpec, _sample_blocks, sample_histogram
 
 
 def histogram_from_counts(counts, n_max=20):
@@ -372,7 +373,7 @@ def _peak_memory(run) -> int:
 
 def _sampled_rows(r, nbar, shots, n, n_max=20, seed=17):
     dist = fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max)
-    counts = _sample_counts(dist, shots, SeedSpec(seed, 0), n)
+    counts = _sample_blocks([(dist, shots, 0, n)], seed)
     return counts, counts / shots, posterior_weights(counts)
 
 
@@ -920,6 +921,13 @@ class TestFitBatchColumns:
             replace(self.batch(), converged=[True])
         with pytest.raises(ValueError, match="1-D"):
             replace(self.batch(), vq=[[0.5, 0.2, 0.4]])
+
+    def test_pickle_round_trip_keeps_columns_read_only(self):
+        # Replicate sets cross the process pool pickled.
+        batch = self.batch()
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy == batch and len(vars(copy)) == 7
+        assert not any(column.flags.writeable for column in vars(copy).values())
 
 
 class TestParameters:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.stats import chi2
 
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
 from fockfit.sampling import (
-    MAX_SEED, SeedSpec, _sample_blocks, _sample_counts, _stream_states, sample_histogram,
+    MAX_SEED, SeedSpec, _sample_blocks, _StateWords, _stream_generators, sample_histogram,
 )
 
 VACUUM_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 0)), 20)
@@ -131,8 +133,8 @@ def _dist(r, nbar, n_max):
 
 
 class TestSampleCounts:
-    """_sample_counts draws exactly what the Python conditional-binomial
-    loop draws, stream by stream."""
+    """One _sample_blocks block draws exactly what the Python
+    conditional-binomial loop draws, stream by stream."""
 
     @pytest.mark.parametrize("dist, n_shots, seed, n", [
         (_dist(0.0, 0.0, 20), 10_000, SeedSpec(3, 0), 50),
@@ -146,7 +148,7 @@ class TestSampleCounts:
     ], ids=["vacuum", "squeezed-vacuum", "nmax64", "thermal", "one-shot", "1e6-shots",
             "stream-offset", "no-rows"])
     def test_matches_reference_loop(self, dist, n_shots, seed, n):
-        got = _sample_counts(dist, n_shots, seed, n)
+        got = _sample_blocks([(dist, n_shots, seed.stream_index, n)], seed.master_seed)
         assert got.shape == (n, dist.n_max + 2) and got.dtype == np.int64
         assert np.array_equal(got, _reference_counts(dist, n_shots, seed, n))
         assert np.all(got.sum(axis=1) == n_shots)
@@ -156,7 +158,7 @@ class TestSampleCounts:
         # conditional probability above 1 that the loop clamps to 1.
         d = FockDistribution(1, (0.5, 0.5 + 1e-13), 0.0)
         assert d.probs[1] / (1.0 - d.probs[0]) > 1.0
-        got = _sample_counts(d, 1000, SeedSpec(10, 0), 40)
+        got = _sample_blocks([(d, 1000, 0, 40)], 10)
         assert np.array_equal(got, _reference_counts(d, 1000, SeedSpec(10, 0), 40))
         assert np.all(got[:, 2] == 0) and np.all(got.sum(axis=1) == 1000)
 
@@ -165,16 +167,16 @@ class TestSampleCounts:
         for n_shots, n, name in ((1000.5, 3, "n_shots"), (True, 3, "n_shots"),
                                  (500, 3.0, "n"), (500, True, "n")):
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                _sample_counts(THERMAL_DIST, n_shots, SeedSpec(0, 0), n)
-        got = _sample_counts(THERMAL_DIST, np.int64(500), SeedSpec(3, 0), np.int32(4))
-        assert np.array_equal(got, _sample_counts(THERMAL_DIST, 500, SeedSpec(3, 0), 4))
+                _sample_blocks([(THERMAL_DIST, n_shots, 0, n)], 0)
+        got = _sample_blocks([(THERMAL_DIST, np.int64(500), 0, np.int32(4))], 3)
+        assert np.array_equal(got, _sample_blocks([(THERMAL_DIST, 500, 0, 4)], 3))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(r=st.floats(0.0, 3.0), nbar=st.floats(0.0, 5.0), n_max=st.sampled_from((1, 20, 64)),
            n_shots=st.integers(1, 10 ** 7), seed=st.integers(0, 2 ** 64 - 1),
            n=st.integers(1, 4))
     def test_rows_nonnegative_with_exact_totals(self, r, nbar, n_max, n_shots, seed, n):
-        got = _sample_counts(_dist(r, nbar, n_max), n_shots, SeedSpec(seed, 0), n)
+        got = _sample_blocks([(_dist(r, nbar, n_max), n_shots, 0, n)], seed)
         assert got.shape == (n, n_max + 2)
         assert np.all(got >= 0) and np.all(got.sum(axis=1) == n_shots)
 
@@ -186,18 +188,18 @@ EDGE_FIRSTS = [0, 7, 2 ** 32 - 5, 2 ** 32 - 3, 2 ** 40, 2 ** 63, 2 ** 64 - 3]
 
 
 class TestStreamSeeding:
-    """_sample_counts derives every stream's PCG64 state in one pass; the
-    states and the draws are those of SeedSpec.generator()."""
+    """_stream_generators derives every stream's PCG64 state in one pass;
+    the states and the draws are those of SeedSpec.generator()."""
 
     @pytest.mark.parametrize("master", EDGE_MASTERS)
     @pytest.mark.parametrize("first", EDGE_FIRSTS)
     def test_states_match_generator(self, master, first):
-        got = _stream_states(master, [(first, 6)])
+        got = [g.bit_generator.state for g in _stream_generators(master, [(first, 6)])]
         assert got == [SeedSpec(master, first + i).generator().bit_generator.state
                        for i in range(6)]
 
     def test_no_streams(self):
-        assert _stream_states(3, [(2 ** 32 - 1, 0)]) == []
+        assert [g.bit_generator.state for g in _stream_generators(3, [(2 ** 32 - 1, 0)])] == []
 
     # Scattered one-stream runs (one of them repeated inside a later run),
     # empty runs, runs straddling 2**32 (a second spawn-key word), 2**64 (a
@@ -207,13 +209,14 @@ class TestStreamSeeding:
 
     @pytest.mark.parametrize("master", [0, 12_345, 2 ** 32, MAX_SEED])
     def test_runs_match_generator(self, master):
-        got = _stream_states(master, self.RUNS)
+        got = [g.bit_generator.state for g in _stream_generators(master, self.RUNS)]
         assert got == [SeedSpec(master, first + i).generator().bit_generator.state
                        for first, n in self.RUNS for i in range(n)]
 
     def test_only_empty_runs(self):
-        assert _stream_states(MAX_SEED, []) == []
-        assert _stream_states(MAX_SEED, [(0, 0), (2 ** 64, 0), (7, 0)]) == []
+        assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, [])] == []
+        runs = [(0, 0), (2 ** 64, 0), (7, 0)]
+        assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, runs)] == []
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(master=st.integers(0, MAX_SEED),
@@ -222,9 +225,17 @@ class TestStreamSeeding:
                                              st.integers(2 ** 64 - 6, 2 ** 66)),
                                    st.integers(0, 5)), max_size=6))
     def test_any_runs_match_generator(self, master, runs):
-        assert _stream_states(master, runs) == [
+        assert [g.bit_generator.state for g in _stream_generators(master, runs)] == [
             SeedSpec(master, first + i).generator().bit_generator.state
             for first, n in runs for i in range(n)]
+
+    def test_state_words_serve_only_four_uint64_words(self):
+        words = _StateWords(np.arange(4, dtype=np.uint64))
+        assert words.generate_state(4, np.uint64) is words.words
+        for args in ((4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64),
+                     (4, np.int64), (4, np.float64)):
+            with pytest.raises(ValueError, match="^the state words are 4 uint64"):
+                words.generate_state(*args)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(master=st.integers(0, 2 ** 64 - 1),
@@ -232,7 +243,7 @@ class TestStreamSeeding:
            n=st.integers(0, 40), n_shots=st.integers(1, 10 ** 6))
     def test_draws_match_generator(self, master, first, n, n_shots):
         d = _dist(1.0, 0.05, 20)
-        got = _sample_counts(d, n_shots, SeedSpec(master, first), n)
+        got = _sample_blocks([(d, n_shots, first, n)], master)
         want = [SeedSpec(master, first + i).generator().multinomial(n_shots, d.all_probs)
                 for i in range(n)]
         assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(n, 22))
@@ -244,7 +255,7 @@ SNAPPED_DIST = FockDistribution(20, (0.5, 0.5 + 1e-13) + (0.0,) * 19, 0.0)
 
 class TestSampleBlocks:
     """_sample_blocks draws each block from the streams it names; each
-    block equals _sample_counts at its own first stream."""
+    block equals a one-block _sample_blocks at its own first stream."""
 
     BLOCKS = [(_dist(1.0, 0.05, 20), 1000, 3), (SNAPPED_DIST, 500, 4), (_dist(0.0, 3.0, 20), 7, 0),
               (_dist(2.5, 0.01, 20), 10 ** 6, 5), (_dist(0.5, 1.0, 20), 1, 2)]
@@ -258,7 +269,7 @@ class TestSampleBlocks:
             blocks.append((d, n_shots, first, n))
             first += n
         got = _sample_blocks(blocks, seed.master_seed)
-        want = [_sample_counts(d, n_shots, SeedSpec(seed.master_seed, first), n)
+        want = [_sample_blocks([(d, n_shots, first, n)], seed.master_seed)
                 for d, n_shots, first, n in blocks]
         assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
         assert np.all(got[3:7, 2:] == 0)
@@ -270,9 +281,25 @@ class TestSampleBlocks:
         firsts = [40, 2 ** 32 - 2, 9, 3, 2 ** 64 + 5]
         blocks = [(d, n_shots, first, n) for (d, n_shots, n), first in zip(self.BLOCKS, firsts)]
         got = _sample_blocks(blocks, MAX_SEED)
-        want = [_sample_counts(d, n_shots, SeedSpec(MAX_SEED, first), n)
+        want = [_sample_blocks([(d, n_shots, first, n)], MAX_SEED)
                 for d, n_shots, first, n in blocks]
         assert got.dtype == np.int64 and np.array_equal(got, np.concatenate(want))
+
+    def test_peak_memory_of_twenty_thousand_rows(self):
+        # tracemalloc sees numpy's array buffers.  The (20000, 22) count
+        # matrix is 3.52 MB; the peak, measured at 4.16 MB, adds the
+        # streams' 32-byte state words.  The budget is that plus 25%.
+        # Python-int states or a dict per stream held across the pass
+        # (about 0.55 kB each) would cost 11 MB more.
+        d = _dist(1.0, 0.05, 20)
+        _sample_blocks([(d, 10 ** 4, 0, 10)], 7)
+        tracemalloc.start()
+        try:
+            _sample_blocks([(d, 10 ** 4, 0, 20_000)], 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.2e6
 
     def test_bad_count_in_a_later_block_named(self):
         for bad, name in (((THERMAL_DIST, 2.5, 3, 3), "n_shots"), ((THERMAL_DIST, 5, 3, -1), "n")):

@@ -316,15 +316,15 @@ class TestPointStudyOnePass:
                 return real(*args, **kw)
             monkeypatch.setattr(module, name, counted)
 
-        count(sampling, "_stream_states")
+        count(sampling, "_stream_generators")
         for name in ("fock_distribution", "weights_for", "fit_batch"):
             count(studies, name)
         cfg = small_cfg(true_states=(STATE, SqueezedThermalState(0.5, 0.1)),
                         shot_counts=(200, 500, 1000), n_experiments=4, schemes=THREE_SCHEMES)
         rows = weight_comparison_study(cfg).rows
         assert len(rows) == 2 * 3 * 3
-        assert Counter(log) == {"_stream_states": 1, "fock_distribution": 2, "weights_for": 3,
-                                "fit_batch": 1}
+        assert Counter(log) == {"_stream_generators": 1, "fock_distribution": 2,
+                                "weights_for": 3, "fit_batch": 1}
 
 
 class TestCoverageStudy:
