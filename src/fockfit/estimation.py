@@ -94,8 +94,8 @@ class FitResult:
     """Constrained minimizer of the weighted residuals.
 
     ``state`` is exactly from_variances(variances); ``evaluations`` counts
-    objective evaluations: the grid's (unless the fit was given a start
-    state), then the refinement's.
+    objective evaluations: the grid's 3600 points (unless the fit was given
+    a start state), skipped ones included, then the refinement's.
     """
 
     variances: QuadratureVariances
@@ -109,9 +109,10 @@ class FitResult:
 class FitBatch:
     """fit_batch's result as read-only columns, one entry per row: the
     parameters (named as in PARAMETERS), objective, convergence flag and
-    evaluation count (the grid's included unless fit_batch was given a
-    start).  ``batch[i]`` is row i as a FitResult, ``batch[i:j]`` a
-    FitBatch.  Failed rows are left out of sorted_values."""
+    evaluation count (the grid's 3600 points, skipped ones included,
+    unless fit_batch was given a start).  ``batch[i]`` is row i as a
+    FitResult, ``batch[i:j]`` a FitBatch.  Failed rows are left out of
+    sorted_values."""
 
     vq: np.ndarray
     vp: np.ndarray
@@ -250,9 +251,45 @@ def objective(v: QuadratureVariances, h: FockHistogram, weights) -> float:
     return float(_evaluate(point, freqs[:, None], wts[:, None], h.n_max)[0][0])
 
 
-# The grid stage: _GRID_SIZE points linear in r over [0, _GRID_R_MAX] by
-# _GRID_SIZE points log-spaced in (1 + nbar) over [1, 1 + _GRID_NBAR_MAX].
-_GRID_R_MAX, _GRID_NBAR_MAX, _GRID_SIZE = 3.5, 7.0, 60
+# The grid stage: 60 points linear in r over [0, 3.5], as q = 2 sinh(r)^2,
+# by 60 points log-spaced in (1 + nbar) over [1, 8], nbar = expm1(t).  The
+# coordinates are exact literals, so the grid, and every start it gives, is
+# the same on every CPU: numpy's SIMD sinh and expm1 differ from libm's in
+# the last bits of 15 q-values and 7 nbar-values where numpy runs AVX512
+# code.  These are the AVX512 values (numpy 2.4), which the golden outputs
+# record; each is within 2 ulps of the exact value.
+_GRID_Q = (
+    0.0, 0.007046467347089941, 0.028285174792506976, 0.06401543805326816, 0.11474080139611326,
+    0.18117613405397148, 0.26425770483137623, 0.36515637687958336, 0.48529410859449756,
+    0.6263639931834842, 0.7903541193173712, 0.9795755891342542, 1.1966950884509984,
+    1.444772468192309, 1.7273038666699818, 2.04827098043182, 2.4121971780510463,
+    2.8242112476642114, 3.290119676647457, 3.816488482063912, 4.41073574511336, 5.081236153666158,
+    5.837439026192459, 6.690001480390328, 7.65093862324948, 8.73379287916945, 9.953824842462227,
+    11.328228343911308, 12.876372762306067, 14.620075995832108, 16.58391194028554,
+    18.79555680738161, 21.28617916379905, 24.0908791877547, 27.249183333522925, 30.805601375174433,
+    34.81025367991536, 39.31957755114936, 44.39712259570865, 50.1144463243129, 56.55212260689485,
+    63.800877194887256, 71.96286631331273, 81.15311634179189, 91.50114487379936,
+    103.15278599965009, 116.27224553681087, 131.04441517176164, 147.67747812645922,
+    166.4058430708885, 187.49344762913978, 211.2374780351093, 237.9725573586853,
+    268.07546132681813, 301.97042819923627, 340.13513753053405, 383.10744207693955,
+    431.4929477200837, 485.97354823114085, 547.317035155212,
+)
+_GRID_NBAR = (
+    0.0, 0.03587323042226645, 0.07303334950546193, 0.11152652210304774, 0.15140056915091082,
+    0.19270502707639015, 0.23549120933849707, 0.27981227017578164, 0.32572327064104134,
+    0.3732812470049081, 0.4225452816132926, 0.4735765762867142, 0.526438528352702,
+    0.5811968094057237, 0.6379194468924879, 0.6966769086239732, 0.7575421903191798,
+    0.8205909062893546, 0.8859013833753555, 0.9535547582548506, 1.023635078240242,
+    1.0962294056925355, 1.1714279261808744, 1.2493240605221052, 1.3300145808395625,
+    1.4135997307852608, 1.5001833500748407, 1.5898730034899895, 1.6827801145085934,
+    1.7790201037286344, 1.8787125322578027, 1.981981250246953, 2.08895455075194, 2.199765329114973,
+    2.3145512480634935, 2.4334549087316857, 2.5566240278170795, 2.684211621092331,
+    2.816376193500168, 2.9532819360676514, 3.09509892988439, 3.24200335739811, 3.3941777212900806,
+    3.551811071202309, 3.715099238598173, 3.8842450800482586, 4.059458729243651, 4.240957858049756,
+    4.4289679469249625, 4.6237225650401, 4.825463660446683, 5.034441860654427, 5.250916783991453,
+    5.4751573621339915, 5.707442174206259, 5.948059792865588, 6.197309142802742, 6.455499872102789,
+    6.72295273692791, 6.999999999999998,
+)
 
 # Rows per grid-stage GEMM.  Every row block has exactly this many rows
 # (the last one is zero-padded), so a row's grid objectives do not depend
@@ -271,8 +308,8 @@ _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 # more columns: at 1024, a 1000-replicate ci and a 900-row study each run
 # in one lock-step pass.  Most of the working set is _evaluate's one
 # (8, n_max + 2, m) buffer, 1.4 KB per column at n_max = 20; 1000 rows
-# peak at about 1.9 MB of numpy buffers from the grid and 2.1 MB from a
-# start state (tracemalloc).
+# peak at about 1.97 MB of numpy buffers from the grid, whose own stage
+# peaks at 1.5-1.8 MB, and 1.95 MB from a start state (tracemalloc).
 _REFINE_BLOCK = 1024
 # Columns that stop stay in the lock-step arrays, frozen, until a
 # 1/_COMPACT share of them has stopped; then the live ones are compacted.
@@ -336,53 +373,124 @@ _FLOOR_FACTOR = 2.0
 # is reported as not converged.
 _UPPER = np.array([1e12, 1e6])[:, None]
 
-# Coordinates closer to a bound than this are candidates for an exact
-# boundary solution; the statistical resolution of any realistic fit is
-# orders of magnitude coarser.  A snap is kept when it raises the objective
-# by at most the snapped point's rho (see above _STEP_TOL).
-_BOUNDARY_SNAP = 1e-6
+# Coordinates within 1e-6 of a bound, in r and in nbar, are candidates for
+# an exact boundary solution; the statistical resolution of any realistic
+# fit is orders of magnitude coarser.  In q = 2 sinh(r)^2 the limit is
+# 2 sinh(1e-6)^2, rounded.  A snap is kept when it raises the objective by
+# at most the snapped point's rho (see above _STEP_TOL).
+_BOUNDARY_SNAP = np.array([2.0000000000006668e-12, 1e-6])[:, None]
 
 
 @lru_cache(maxsize=8)
 def _model_grid(n_max: int):
-    """The grid stage's points (q, nbar), a read-only (2, points) array,
-    and its GEMM operands: a tuple of read-only, C-contiguous [P^2; P]
-    blocks of the model probabilities P at consecutive points, each
-    (2 (n_max + 2), width) with width the most points a GEMM of _GRID_BLOCK
-    rows takes within _GRID_GEMM_SIZE multiply-adds (the last block may be
-    narrower).  The table is built one block at a time."""
-    r_vals = np.linspace(0.0, _GRID_R_MAX, _GRID_SIZE)
-    nbar_vals = np.expm1(np.linspace(0.0, math.log1p(_GRID_NBAR_MAX), _GRID_SIZE))
-    rg, ng = map(np.ravel, np.meshgrid(r_vals, nbar_vals, indexing="ij"))
-    points = np.stack((2.0 * np.sinh(rg) ** 2, ng))
-    points.flags.writeable = False
+    """The grid stage's tables, built one GEMM block of points at a time:
+
+    - the points (q, nbar), a read-only (2, points) array;
+    - the GEMM operands, a tuple of read-only, C-contiguous [P^2; P] blocks
+      of the model probabilities P at consecutive points, each
+      (2 (n_max + 2), width) with width the most points a GEMM of
+      _GRID_BLOCK rows takes within _GRID_GEMM_SIZE multiply-adds (the last
+      block may be narrower);
+    - for _grid_winners' bound, the bins it reads (0, 1, 2 and the
+      overflow bin), a read-only (2, bins read, operands, 1) array of the
+      least and greatest P of those bins over each operand's points, and
+      the greatest P^2 of every bin over all points, a read-only
+      (n_max + 2,) array."""
+    q, nbar = map(np.ravel, np.meshgrid(_GRID_Q, _GRID_NBAR, indexing="ij"))
+    points = np.stack((q, nbar))
     width = _GRID_GEMM_SIZE // (_GRID_BLOCK * 2 * (n_max + 2))
-    operands = []
+    bound_bins = sorted({0, 1, 2, n_max + 1})
+    operands, ranges = [], []
     for first in range(0, points.shape[1], width):
         probs, _ = _fock_table(*points[:, first:first + width], n_max)
         operands.append(np.concatenate((probs * probs, probs)))
-        operands[-1].flags.writeable = False
-    return points, tuple(operands)
+        ranges.append((probs[bound_bins].min(axis=1), probs[bound_bins].max(axis=1)))
+    ranges = np.array(ranges).transpose(1, 2, 0)[..., None]
+    peaks = np.max([block[:n_max + 2].max(axis=1) for block in operands], axis=0)
+    for table in (points, ranges, peaks, *operands):
+        table.flags.writeable = False
+    return points, tuple(operands), bound_bins, ranges, peaks
 
 
-def _grid_winners(freqs: np.ndarray, wts: np.ndarray, operands: tuple) -> np.ndarray:
-    """Index of the best grid point for every row (the first one on ties).
+def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Index of the best point of _model_grid for every row (the first one
+    on ties).
 
     The objectives are sum w P^2 - 2 sum (w f) P (+ sum w f^2, the same for
-    every point): for each block of rows [w, -2 w f], one GEMM with each
-    operand of _model_grid into one row of values per row, then one argmin."""
-    rows, n_bins = freqs.shape
+    every point): for a block of rows [w, -2 w f], the GEMM with an operand
+    of _model_grid gives the rows' values at that operand's points.  A block
+    runs only the GEMMs that can hold one of its rows' winners.
+
+    The bound.  Every stored P_n of an operand lies in [lo_n, hi_n], the
+    least and greatest of them, so at each of its points a row's objective
+    is at least L = sum_n w_n dist(f_n, [lo_n, hi_n])^2 over any subset of
+    the bins, as the terms left out are >= 0; L reads bins 0, 1, 2 and the
+    overflow bin, where P varies most over the grid.  A point's computed
+    value is then at least L - Q - E, with Q = sum w f^2 and E the GEMM's
+    rounding error.  With u the unit roundoff, the 2 bins products and the
+    roundings of -2 w f and of P^2 give |E| <= (2 bins + 2) u G for any
+    summation order, with or without FMA (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1), where G = sum w (P^2 + 2 |f| P)
+    <= Q + 2 W and W = sum w Pmax^2, with Pmax^2 each bin's greatest P^2
+    over the grid.  L and Q themselves are computed to within
+    (bins + 3) u (L + Q).  The margin M = 4 (bins + 2) eps (2 Q + 2 W + L),
+    eps = 2 u, covers all of this and the rounding of L - Q - M with room
+    to spare, barring underflow.  A row whose Q + 2 W or -2 w f overflows,
+    as the GEMM's terms can only then, gets an infinite M or Q, and a limit
+    that skips nothing.  So where a row's limit L - Q - M exceeds one of
+    its computed values b, every computed value at the operand's points
+    exceeds b, and none of them is the row's argmin, not even on a tie.
+
+    Each block runs the GEMM of the operand whose limits sum lowest over
+    the block's rows first, then every other operand where some real row
+    (not a zero padding row) has a limit no higher than its least value
+    from that GEMM; the argmin over the computed values, in grid order, is
+    the argmin over all points.  The GEMMs keep their shapes, so each
+    computed value keeps its bits."""
+    rows, bins = freqs.shape
+    _, operands, bound_bins, ranges, peaks = _model_grid(bins - 2)
     padded = -(-rows // _GRID_BLOCK) * _GRID_BLOCK
-    lhs = np.zeros((padded, 2 * n_bins))
-    lhs[:rows, :n_bins] = wts
-    lhs[:rows, n_bins:] = -2.0 * wts * freqs
-    values = np.empty((_GRID_BLOCK, sum(block.shape[1] for block in operands)))
-    outs = np.split(values, np.cumsum([block.shape[1] for block in operands[:-1]]), axis=1)
+    lhs = np.zeros((padded, 2 * bins))
+    lhs[:rows, :bins] = wts
+    lhs[:rows, bins:] = -2.0 * wts * freqs
+    # the limits L - Q - M, one row per operand and one column per row
+    f = np.ascontiguousarray(freqs[:, bound_bins].T)[:, None]
+    gap = np.minimum(f, ranges[1])
+    np.maximum(gap, ranges[0], out=gap)
+    np.subtract(f, gap, out=gap)
+    bound = np.einsum("kor,kor,rk->or", gap, gap, wts[:, bound_bins])
+    del gap
+    q = -0.5 * np.einsum("ij,ij->i", lhs[:rows, bins:], freqs)
+    margin = 4.0 * (bins + 2) * np.finfo(float).eps * (2.0 * (q + wts @ peaks) + bound)
+    limits = bound - q - margin
+    # each operand's columns of the values
+    edges = np.cumsum([0] + [block.shape[1] for block in operands]).tolist()
+    values = np.empty((_GRID_BLOCK, edges[-1]))
+    outs = np.split(values, edges[1:-1], axis=1)
+    firsts = np.argmin(np.add.reduceat(limits, range(0, rows, _GRID_BLOCK), axis=1), axis=0)
     best = np.empty(padded, dtype=np.intp)
-    for row in range(0, padded, _GRID_BLOCK):
-        for block, out in zip(operands, outs):
-            np.matmul(lhs[row:row + _GRID_BLOCK], block, out=out)
-        best[row:row + _GRID_BLOCK] = np.argmin(values, axis=1)
+    for row, first in zip(range(0, padded, _GRID_BLOCK), firsts.tolist()):
+        block, limit = lhs[row:row + _GRID_BLOCK], limits[:, row:row + _GRID_BLOCK]
+        np.matmul(block, operands[first], out=outs[first])
+        low = np.minimum.reduce(outs[first][:limit.shape[1]], axis=1)
+        skip = np.logical_and.reduce(limit > low, axis=1).tolist()
+        kept = [k for k, skipped in enumerate(skip) if not skipped]
+        for k in kept:
+            if k != first:
+                np.matmul(block, operands[k], out=outs[k])
+        # One argmin over the kept operands' span, with +inf in the skipped
+        # columns: a skip leaves every real row a finite least value, so +inf
+        # is never a row's argmin.  A span of half the grid or more is
+        # widened to the whole buffer, whose argmin runs on contiguous memory.
+        span = range(kept[0], kept[-1] + 1)
+        if 2 * (edges[span.stop] - edges[span.start]) >= edges[-1]:
+            span = range(len(operands))
+        for k in span:
+            if skip[k]:
+                outs[k].fill(np.inf)
+        start = edges[span.start]
+        np.add(values[:, start:edges[span.stop]].argmin(axis=1), start,
+               out=best[row:row + _GRID_BLOCK])
     return best[:rows]
 
 
@@ -572,12 +680,11 @@ def _refine(x, f, w, n_max: int, max_iter: int):
 
 
 def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
-    """Move coordinates within _BOUNDARY_SNAP of zero (in r and nbar)
-    exactly onto the bound, in place, when the objective there is at most
-    its value plus the snapped point's rounding floor rho, and at most
+    """Move coordinates below _BOUNDARY_SNAP (within 1e-6 of zero in r and
+    nbar) exactly onto the bound, in place, when the objective there is at
+    most its value plus the snapped point's rounding floor rho, and at most
     ``ceiling``.  Returns the number of extra evaluations per column."""
-    r = np.arcsinh(np.sqrt(0.5 * x[0]))
-    near = (x > 0.0) & (np.stack((r, x[1])) < _BOUNDARY_SNAP)
+    near = (x > 0.0) & (x < _BOUNDARY_SNAP)
     cols = np.flatnonzero(near.any(axis=0))
     extra = np.zeros(x.shape[1], dtype=np.int64)
     if cols.size:
@@ -624,7 +731,12 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
 
     1. a grid, 60 points linear in r over [0, 3.5] by 60 points
        log-spaced in (1 + nbar) over [1, 8], whose model probabilities are
-       computed once per n_max and reused;
+       computed once per n_max and reused.  Each row takes the grid point
+       of least objective (the first one on ties).  Grid points are scored
+       in blocks of consecutive points; a lower bound of the objective over
+       a block, from bins 0, 1, 2 and the overflow bin alone, skips the
+       blocks that provably cannot hold the winner, which is the full
+       grid's;
     2. projected Levenberg-Marquardt from the best grid point with the
        analytic Jacobian, at most ``max_evals`` objective evaluations after
        the one at the grid winner (``max_evals=0`` returns the grid
@@ -678,13 +790,13 @@ def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
     # the grid, if any, then the refinement's first evaluation at each start
     evals = np.ones(rows, dtype=np.int64)
     if x0 is None:
-        grid_x, operands = _model_grid(n_max)
+        grid_x = _model_grid(n_max)[0]
         evals += grid_x.shape[1]
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
         f, w = freqs[b].T, wts[b].T
         if x0 is None:
-            start = grid_x[:, _grid_winners(freqs[b], wts[b], operands)]
+            start = grid_x[:, _grid_winners(freqs[b], wts[b])]
         else:
             start = np.broadcast_to(x0, (2, rows))[:, b]
         x, obj, start_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)

@@ -108,6 +108,9 @@ def _stream_generators(master_seed: int, runs):
     # SeedSequence(master_seed) stops at the pool before any spawn key
     master_pool = np.random.SeedSequence(int(master_seed)).pool[:, None]
     pools = np.empty((_POOL_SIZE, sum(int(n) for _, n in runs)), dtype=np.uint32)
+    # the hash constants of spawn-key word j go on from the master's 16
+    # hashes; each word position's are computed once per pass
+    constants = []
     row = 0
     for first, n in runs:
         first, stop = int(first), int(first) + int(n)
@@ -117,8 +120,10 @@ def _stream_generators(master_seed: int, runs):
             words = [np.arange(low, low + size, dtype=np.uint32)] + (_words(high) if high else [])
             pool = master_pool
             for j, word in enumerate(words):
-                # the hash constants go on from the master's 16 hashes
-                c = _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1)
+                if j == len(constants):
+                    constants.append(
+                        _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1))
+                c = constants[j]
                 pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
             pools[:, row:row + size] = pool
             first, row = first + size, row + size

@@ -3,6 +3,7 @@ import pickle
 import tracemalloc
 from dataclasses import astuple, replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -846,13 +847,62 @@ class TestSecantTerm:
             assert np.all(fits.evaluations - grid < _MAX_EVALS)
 
 
+def _full_grid_winners(freqs, wts):
+    """The grid stage with no operand skipped, as the reference: every
+    operand's GEMM on every zero-padded 32-row block, then one argmin."""
+    operands = _model_grid(freqs.shape[1] - 2)[1]
+    rows, n_bins = freqs.shape
+    padded = -(-rows // _GRID_BLOCK) * _GRID_BLOCK
+    lhs = np.zeros((padded, 2 * n_bins))
+    lhs[:rows, :n_bins] = wts
+    lhs[:rows, n_bins:] = -2.0 * wts * freqs
+    values = np.empty((_GRID_BLOCK, sum(block.shape[1] for block in operands)))
+    outs = np.split(values, np.cumsum([block.shape[1] for block in operands[:-1]]), axis=1)
+    best = np.empty(padded, dtype=np.intp)
+    for row in range(0, padded, _GRID_BLOCK):
+        for block, out in zip(operands, outs):
+            np.matmul(lhs[row:row + _GRID_BLOCK], block, out=out)
+        best[row:row + _GRID_BLOCK] = np.argmin(values, axis=1)
+    return best[:rows]
+
+
+def _adversarial_rows(n_max, scheme, rows, seed):
+    """``rows`` rows of frequencies and ``scheme`` weights, each one of:
+    sampled from a random state at 200, 1e4 or 1e5 shots; Dirichlet(0.3)
+    histograms of 200 shots; or the stored P of a grid point, where that
+    point's objective and its operand's bound are 0 (on average half of
+    these points are in the first or last column of an operand)."""
+    rng = np.random.default_rng(seed)
+    points, operands, *_ = _model_grid(n_max)
+    table = np.concatenate(operands, axis=1)[n_max + 2:]
+    edges = np.cumsum([0] + [block.shape[1] for block in operands])
+    ends = np.concatenate((edges[:-1], edges[1:] - 1))
+    states = [fock_distribution(to_variances(SqueezedThermalState(r, nbar)), n_max).all_probs
+              for r, nbar in rng.uniform([0.0, 0.0], [3.0, 4.0], (4, 2))]
+    counts, freqs = np.empty((2, rows, n_max + 2))
+    for i, kind in enumerate(rng.integers(0, 3, rows)):
+        if kind == 0:
+            counts[i] = rng.multinomial(rng.choice([200, 10 ** 4, 10 ** 5]),
+                                        states[rng.integers(len(states))])
+            freqs[i] = counts[i] / counts[i].sum()
+        elif kind == 1:
+            counts[i] = rng.multinomial(200, rng.dirichlet(np.full(n_max + 2, 0.3)))
+            freqs[i] = counts[i] / 200
+        else:
+            point = rng.choice(ends) if rng.random() < 0.5 else rng.integers(points.shape[1])
+            freqs[i] = table[:, point]
+            counts[i] = freqs[i] * 10 ** 5
+    return freqs, weights_for(counts, scheme, PriorShape(1, 1))
+
+
 class TestGridStage:
-    """The cached GEMM operands of the grid stage, its one argmin per row
-    block, and the grid-only fit of a zero budget."""
+    """The cached GEMM operands of the grid stage, the bound that skips the
+    operands that cannot hold a row's winner, and the grid-only fit of a
+    zero budget."""
 
     @pytest.mark.parametrize("n_max", [1, 20, 64])
     def test_operands_are_bounded_read_only_blocks(self, n_max):
-        points, operands = _model_grid(n_max)
+        points, operands, *_ = _model_grid(n_max)
         assert not points.flags.writeable
         assert sum(block.shape[1] for block in operands) == points.shape[1] == 60 * 60
         for block in operands:
@@ -862,11 +912,39 @@ class TestGridStage:
 
     @pytest.mark.parametrize("n_max", [1, 20, 64])
     def test_operands_hold_the_model_table_and_its_square(self, n_max):
-        points, operands = _model_grid(n_max)
+        points, operands, *_ = _model_grid(n_max)
         table = np.concatenate(operands, axis=1)
         probs, _ = _fock_table(points[0], points[1], n_max)
         np.testing.assert_array_equal(table[n_max + 2:], probs)
         np.testing.assert_array_equal(table[:n_max + 2], probs * probs)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 64])
+    def test_bound_tables_hold_each_operands_range(self, n_max):
+        _, operands, bound_bins, ranges, peaks = _model_grid(n_max)
+        assert bound_bins == sorted({0, 1, 2, n_max + 1})
+        assert ranges.shape == (2, len(bound_bins), len(operands), 1)
+        for k, block in enumerate(operands):
+            probs = block[n_max + 2:][bound_bins]
+            np.testing.assert_array_equal(ranges[0, :, k, 0], probs.min(axis=1))
+            np.testing.assert_array_equal(ranges[1, :, k, 0], probs.max(axis=1))
+        squares = np.concatenate(operands, axis=1)[:n_max + 2]
+        np.testing.assert_array_equal(peaks, squares.max(axis=1))
+        assert not ranges.flags.writeable and not peaks.flags.writeable
+
+    def test_grid_coordinates_are_the_documented_grid(self):
+        # The literals are numpy's AVX512 values of 2 sinh(r)^2 and
+        # expm1(t), each within 2 ulps of the correctly rounded value.
+        points = _model_grid(20)[0].reshape(2, 60, 60)
+        q, nbar = points[0, :, 0], points[1, 0]
+        assert np.all(points[0] == q[:, None]) and np.all(points[1] == nbar[None])
+        r_vals = np.linspace(0.0, 3.5, 60)
+        t_vals = np.linspace(0.0, math.log1p(7.0), 60)
+        with mp.workdps(40):
+            exact_q = np.array([float(2 * mp.sinh(r) ** 2) for r in r_vals.tolist()])
+            exact_nbar = np.array([float(mp.expm1(t)) for t in t_vals.tolist()])
+        for got, want in ((q, exact_q), (nbar, exact_nbar)):
+            assert got[0] == want[0] == 0.0
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
 
     @pytest.mark.parametrize("n_max", [20, 64])
     def test_winners_minimise_the_objective_over_the_grid(self, n_max):
@@ -875,11 +953,38 @@ class TestGridStage:
                 for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.01), (0.5, 1.0))]
         freqs = np.concatenate([row[1] for row in rows])
         weights = np.concatenate([row[2] for row in rows])
-        points, operands = _model_grid(n_max)
-        winners = _grid_winners(freqs, weights, operands)
+        points = _model_grid(n_max)[0]
+        winners = _grid_winners(freqs, weights)
         for f, w, best in zip(freqs, weights, winners):
             direct = _evaluate(points, f[:, None], w[:, None], n_max)[0]
             assert direct[best] <= direct.min() + 1e-9 * np.sum(w * f * f)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(n_max=st.sampled_from((1, 2, 7, 20, 33, 64)), scheme=st.sampled_from(WEIGHT_SCHEMES),
+           rows=st.sampled_from((1, 31, 33, 1000)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_winners_equal_the_full_grids(self, n_max, scheme, rows, seed):
+        # Skipping an operand must never change a winner, ties included:
+        # rows on a grid point (bound 0), at an operand's first or last
+        # column, badly fitting Dirichlet rows and mle weights at 1e5 shots.
+        freqs, weights = _adversarial_rows(n_max, scheme, rows, seed)
+        assert np.array_equal(_grid_winners(freqs, weights), _full_grid_winners(freqs, weights))
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_operands_are_skipped_for_ci_rows(self, n_max, rows, monkeypatch):
+        # Replicates of a ci: most operands are skipped, with the same
+        # winners.  One row sits in a block of 31 zero padding rows, which
+        # must not stop a skip.
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, rows, n_max)
+        want = _full_grid_winners(freqs, weights)
+        gemms = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: gemms.append(a) or matmul(*a, **k))
+        got = _grid_winners(freqs, weights)
+        monkeypatch.undo()
+        blocks = -(-rows // _GRID_BLOCK)
+        assert np.array_equal(got, want)
+        assert len(gemms) <= 0.5 * blocks * len(_model_grid(n_max)[1])
 
     @pytest.mark.parametrize("n_max", [20, 64])
     def test_zero_budget_counts_the_grid_and_the_winner(self, n_max):

@@ -3,9 +3,14 @@ and two worker threads (see tests/golden/regenerate.py)."""
 
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import fockfit
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
@@ -21,6 +26,32 @@ def test_every_output_is_committed():
 def test_outputs_match_the_golden_files(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("FOCKFIT_THREADS", threads)
     golden.write_outputs(tmp_path)
+    mismatches = [golden.first_difference(name, (golden.OUTPUTS / name).read_bytes(),
+                                          (tmp_path / name).read_bytes())
+                  for name in golden.output_names()]
+    assert [m for m in mismatches if m] == []
+
+
+def test_outputs_match_the_golden_files_on_numpys_baseline_code(tmp_path):
+    # numpy runs CPU-specific SIMD code for some functions, such as sinh and
+    # expm1.  With every dispatched feature this CPU has switched off, numpy
+    # runs its baseline code, and the outputs must still be the golden
+    # bytes.  On a CPU with none of them, this is the default path.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    off = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    src = os.path.dirname(os.path.dirname(fockfit.__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import importlib.util, sys; from pathlib import Path; "
+            "from numpy._core._multiarray_umath import __cpu_features__ as cpu; "
+            "assert not any(cpu[name] for name in sys.argv[3:]); "
+            "spec = importlib.util.spec_from_file_location('golden_regenerate', sys.argv[1]); "
+            "golden = importlib.util.module_from_spec(spec); spec.loader.exec_module(golden); "
+            "golden.write_outputs(Path(sys.argv[2]))")
+    proc = subprocess.run([sys.executable, "-c", code, _spec.origin, str(tmp_path), *off],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
     mismatches = [golden.first_difference(name, (golden.OUTPUTS / name).read_bytes(),
                                           (tmp_path / name).read_bytes())
                   for name in golden.output_names()]

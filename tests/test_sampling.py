@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from fockfit import sampling
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
 from fockfit.sampling import (
     MAX_SEED, SeedSpec, _sample_blocks, _StateWords, _stream_generators, sample_histogram,
@@ -217,6 +218,25 @@ class TestStreamSeeding:
         assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, [])] == []
         runs = [(0, 0), (2 ** 64, 0), (7, 0)]
         assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, runs)] == []
+
+    def test_hash_constants_once_per_word_position(self, monkeypatch):
+        # Coverage draws its point histograms as one-stream runs: a pass
+        # computes each spawn-key word position's hash constants once, and
+        # the final hash's once, however many runs it has.
+        calls = []
+        hash_constants = sampling._hash_constants
+
+        def counted(*args):
+            calls.append(args)
+            return hash_constants(*args)
+
+        monkeypatch.setattr(sampling, "_hash_constants", counted)
+        for runs, positions in (([(i, 1) for i in range(1000)], 1), ([(7, 1)], 1),
+                                (self.RUNS * 50, 3)):
+            calls.clear()
+            streams = sum(1 for _ in _stream_generators(12_345, runs))
+            assert streams == sum(n for _, n in runs)
+            assert len(calls) == positions + 1
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(master=st.integers(0, MAX_SEED),
