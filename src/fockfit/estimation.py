@@ -309,8 +309,12 @@ _GRID_GEMM_SIZE = _GRID_BLOCK * 44 * 512
 # in one lock-step pass.  Most of the working set is _evaluate's one
 # (8, n_max + 2, m) buffer, 1.4 KB per column at n_max = 20; 1000 rows
 # peak at about 1.97 MB of numpy buffers from the grid, whose own stage
-# peaks at 1.5-1.8 MB, and 1.95 MB from a start state (tracemalloc).
+# peaks at 1.39 MB, and 1.96 MB from a start state (tracemalloc).
 _REFINE_BLOCK = 1024
+# Rows per chunk of _grid_winners' bound, whose temporary is
+# (4, operands, rows): 64 KB at n_max = 20 and 176 KB at 64.  The limits,
+# one per operand and row, take as much for 1000 rows.
+_BOUND_CHUNK = 256
 # Columns that stop stay in the lock-step arrays, frozen, until a
 # 1/_COMPACT share of them has stopped; then the live ones are compacted.
 # Compacting copies the live columns' frequencies and weights, which sit
@@ -433,19 +437,24 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     of Numerical Algorithms, sec. 3.1), where G = sum w (P^2 + 2 |f| P)
     <= Q + 2 W and W = sum w Pmax^2, with Pmax^2 each bin's greatest P^2
     over the grid.  L and Q themselves are computed to within
-    (bins + 3) u (L + Q).  The margin M = 4 (bins + 2) eps (2 Q + 2 W + L),
-    eps = 2 u, covers all of this and the rounding of L - Q - M with room
-    to spare, barring underflow.  A row whose Q + 2 W or -2 w f overflows,
-    as the GEMM's terms can only then, gets an infinite M or Q, and a limit
-    that skips nothing.  So where a row's limit L - Q - M exceeds one of
-    its computed values b, every computed value at the operand's points
-    exceeds b, and none of them is the row's argmin, not even on a tie.
+    (bins + 3) u (L + Q), and the limit L - Q - M adds a few u (L + Q + M).
+    The margin M = 4 (bins + 2) (eps (2 Q + 2 W + L) + s), eps = 2 u,
+    covers all of this with room to spare.  s is the least subnormal: below
+    the normal range a rounding errs by up to s / 2 whatever the size of
+    its result, and the GEMM, L, Q and the limit round at most about
+    5 bins + 15 times.  A row whose L, Q + 2 W or -2 w f overflows, as the
+    GEMM's terms can only then, gets a limit of -inf or NaN, which skips
+    nothing.  So where a row's limit exceeds one of its computed values b,
+    every computed value at the operand's points exceeds b, and none of
+    them is the row's argmin, not even on a tie.
 
-    Each block runs the GEMM of the operand whose limits sum lowest over
-    the block's rows first, then every other operand where some real row
-    (not a zero padding row) has a limit no higher than its least value
-    from that GEMM; the argmin over the computed values, in grid order, is
-    the argmin over all points.  The GEMMs keep their shapes, so each
+    The limits are computed up front, _BOUND_CHUNK rows at a time.  Each
+    block runs the GEMM of the operand whose limits sum lowest over the
+    block's rows first, then every other operand where some real row (not
+    a zero padding row) has a limit no higher than its least value from
+    that GEMM.  The skipped operands' columns hold +inf, so the one argmin
+    over all columns is the argmin over the computed values, in grid
+    order, and so over all points.  The GEMMs keep their shapes, so each
     computed value keeps its bits."""
     rows, bins = freqs.shape
     _, operands, bound_bins, ranges, peaks = _model_grid(bins - 2)
@@ -454,43 +463,47 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     lhs[:rows, :bins] = wts
     lhs[:rows, bins:] = -2.0 * wts * freqs
     # the limits L - Q - M, one row per operand and one column per row
-    f = np.ascontiguousarray(freqs[:, bound_bins].T)[:, None]
-    gap = np.minimum(f, ranges[1])
-    np.maximum(gap, ranges[0], out=gap)
-    np.subtract(f, gap, out=gap)
-    bound = np.einsum("kor,kor,rk->or", gap, gap, wts[:, bound_bins])
-    del gap
+    floats = np.finfo(float)
+    scale = 4.0 * (bins + 2) * floats.eps
     q = -0.5 * np.einsum("ij,ij->i", lhs[:rows, bins:], freqs)
-    margin = 4.0 * (bins + 2) * np.finfo(float).eps * (2.0 * (q + wts @ peaks) + bound)
-    limits = bound - q - margin
+    offsets = q + scale * 2.0 * (q + wts @ peaks) + 4.0 * (bins + 2) * floats.smallest_subnormal
+    limits = np.empty((len(operands), rows))
+    for row in range(0, rows, _BOUND_CHUNK):
+        chunk = slice(row, row + _BOUND_CHUNK)
+        f = freqs[chunk, bound_bins].T[:, None]
+        gap = np.minimum(f, ranges[1])
+        np.maximum(gap, ranges[0], out=gap)
+        np.subtract(f, gap, out=gap)
+        np.square(gap, out=gap)
+        gap *= wts[chunk, bound_bins].T[:, None]
+        bound = gap.sum(axis=0)
+        np.subtract(bound, scale * bound + offsets[chunk], out=limits[:, chunk])
+        del gap, bound
     # each operand's columns of the values
     edges = np.cumsum([0] + [block.shape[1] for block in operands]).tolist()
     values = np.empty((_GRID_BLOCK, edges[-1]))
     outs = np.split(values, edges[1:-1], axis=1)
-    firsts = np.argmin(np.add.reduceat(limits, range(0, rows, _GRID_BLOCK), axis=1), axis=0)
+    starts = range(0, rows, _GRID_BLOCK)
+    firsts = np.add.reduceat(limits, starts, axis=1).argmin(axis=0).tolist()
+    filled = [False] * len(operands)
     best = np.empty(padded, dtype=np.intp)
-    for row, first in zip(range(0, padded, _GRID_BLOCK), firsts.tolist()):
+    for row, first in zip(starts, firsts):
         block, limit = lhs[row:row + _GRID_BLOCK], limits[:, row:row + _GRID_BLOCK]
         np.matmul(block, operands[first], out=outs[first])
         low = np.minimum.reduce(outs[first][:limit.shape[1]], axis=1)
         skip = np.logical_and.reduce(limit > low, axis=1).tolist()
-        kept = [k for k, skipped in enumerate(skip) if not skipped]
-        for k in kept:
-            if k != first:
-                np.matmul(block, operands[k], out=outs[k])
-        # One argmin over the kept operands' span, with +inf in the skipped
-        # columns: a skip leaves every real row a finite least value, so +inf
-        # is never a row's argmin.  A span of half the grid or more is
-        # widened to the whole buffer, whose argmin runs on contiguous memory.
-        span = range(kept[0], kept[-1] + 1)
-        if 2 * (edges[span.stop] - edges[span.start]) >= edges[-1]:
-            span = range(len(operands))
-        for k in span:
-            if skip[k]:
-                outs[k].fill(np.inf)
-        start = edges[span.start]
-        np.add(values[:, start:edges[span.stop]].argmin(axis=1), start,
-               out=best[row:row + _GRID_BLOCK])
+        # A skip leaves every real row a finite least value, so +inf is
+        # never a row's argmin.  The argmin runs over the whole buffer, which
+        # is contiguous (numpy copies a column span first), and columns that
+        # hold +inf from the block before are not filled again.
+        for k, (operand, out) in enumerate(zip(operands, outs)):
+            if not skip[k]:
+                if k != first:
+                    np.matmul(block, operand, out=out)
+            elif not filled[k]:
+                out.fill(np.inf)
+        filled = skip
+        values.argmin(axis=1, out=best[row:row + _GRID_BLOCK])
     return best[:rows]
 
 

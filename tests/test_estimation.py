@@ -969,6 +969,20 @@ class TestGridStage:
         freqs, weights = _adversarial_rows(n_max, scheme, rows, seed)
         assert np.array_equal(_grid_winners(freqs, weights), _full_grid_winners(freqs, weights))
 
+    @pytest.mark.parametrize("n_max", [2, 20, 64])
+    def test_winners_equal_the_full_grids_at_subnormal_weights(self, n_max):
+        # Weights so small that the values are subnormal, where a rounding
+        # errs by up to half the least subnormal whatever the size of its
+        # result: every 25th grid point's stored P as a row, under uniform
+        # and 1/P weights.  A margin without its absolute term skipped every
+        # operand of some blocks here.  (Subnormal GEMMs are slow.)
+        table = np.concatenate(_model_grid(n_max)[1], axis=1)[n_max + 2:]
+        freqs = np.ascontiguousarray(table.T[::25])
+        for weights in (np.ones_like(freqs), 1.0 / np.maximum(freqs, 1e-5)):
+            for scale in (1e-320, 1e-322):
+                assert np.array_equal(_grid_winners(freqs, scale * weights),
+                                      _full_grid_winners(freqs, scale * weights))
+
     @pytest.mark.parametrize("n_max", [20, 64])
     @pytest.mark.parametrize("rows", [1, 1000])
     def test_operands_are_skipped_for_ci_rows(self, n_max, rows, monkeypatch):
