@@ -13,10 +13,9 @@ import numpy as np
 
 from ._io import check_int
 from ._parallel import parallel_map
-from .estimation import (_MAX_EVALS, _REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorShape,
-                         _fit_points, _parameters, fit_batch, weights_for)
-from .model import (QuadratureVariances, SqueezedThermalState, _fit_coords, fock_distribution,
-                    to_variances)
+from .estimation import (_REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorShape, _fit_points,
+                         fit_batch, weights_for)
+from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
 from .sampling import SeedSpec, _sample_blocks
 
@@ -120,17 +119,16 @@ def _replicates(task) -> list[FitBatch]:
     n_max, scheme)``, and each experiment ``(point, n_shots, n_b, first)``
     gets, in order, the replicate set parametric_bootstrap gives it at
     ``SeedSpec(master_seed, first)``.  One _sample_blocks pass, one
-    weights_for call and one _fit_points call (each row refined from its
-    own experiment's point, _REFINE_BLOCK rows at a time) serve them all;
-    then the failure check runs per experiment, in order."""
+    weights_for call and one _fit_points call, each row started at its own
+    experiment's point, serve them all; the fit's FitBatch is cut into the
+    sets, and the failure check runs per experiment, in order."""
     experiments, prior, master_seed, n_max, scheme = task
     points, shots, n_bs, _ = zip(*experiments)
     counts = _sample_blocks([(fock_distribution(p.variances, n_max), n, first, n_b)
                              for p, n, n_b, first in experiments], master_seed)
-    starts = np.repeat([_fit_coords(p.variances) for p in points], n_bs, axis=0).T
-    x, *columns = _fit_points(counts / np.repeat(shots, n_bs)[:, None],
-                              weights_for(counts, scheme, prior), _MAX_EVALS, starts)
-    reps = FitBatch(*_parameters(x), *columns)
+    starts = np.repeat([(p.variances.vq, p.variances.vp) for p in points], n_bs, axis=0).T
+    _, reps = _fit_points(counts / np.repeat(shots, n_bs)[:, None],
+                          weights_for(counts, scheme, prior), start=starts)
     sets = [reps[stop - n_b:stop] for stop, n_b in zip(np.cumsum(n_bs).tolist(), n_bs)]
     for each in sets:
         _check_failures(each.n_failed, len(each), "bootstrap refits")

@@ -73,8 +73,11 @@ def _read_json(path: str) -> dict:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if the directory of an output path is missing
-    or the path is a directory."""
+    """Fail before any work if the directory of an output path is missing,
+    the path is a directory, or study's two reports (--json-out defaults to
+    --out with .json) share a path."""
+    if args.command == "study" and args.json_out is None:
+        args.json_out = os.path.splitext(args.out)[0] + ".json"
     for flag in ("--out", "--json-out"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if path is None:
@@ -83,6 +86,9 @@ def _check_output_dirs(args) -> None:
             raise _CliError(EXIT_IO, f"{flag}: cannot write {path}: no such directory")
         if os.path.isdir(path):
             raise _CliError(EXIT_IO, f"{flag}: cannot write {path}: is a directory")
+    if args.command == "study" and os.path.realpath(args.json_out) == os.path.realpath(args.out):
+        raise _CliError(EXIT_USAGE, f"--out/--json-out: both reports would be written to "
+                                    f"{args.out}; give --json-out a different path")
 
 
 def _state(values: dict, where: str, expected: str) -> QuadratureVariances:
@@ -253,15 +259,11 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_study(args) -> int:
-    json_out = args.json_out or os.path.splitext(args.out)[0] + ".json"
-    if os.path.realpath(json_out) == os.path.realpath(args.out):
-        raise _CliError(EXIT_USAGE, f"--out/--json-out: both reports would be written to "
-                                    f"{args.out}; give --json-out a different path")
     kind, cfg = studies.parse_config(_read_json(args.config))
     report = studies.run_study(kind, cfg)
     try:
         report.write_csv(args.out)
-        report.write_json(json_out)
+        report.write_json(args.json_out)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot write report: {exc}") from exc
     return EXIT_OK

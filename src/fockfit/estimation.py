@@ -107,12 +107,12 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitBatch:
-    """fit_batch's result as read-only columns, one entry per row: the
-    parameters (named as in PARAMETERS), objective, convergence flag and
-    evaluation count (the grid's 3600 points, skipped ones included,
-    unless fit_batch was given a start).  ``batch[i]`` is row i as a
-    FitResult, ``batch[i:j]`` a FitBatch.  Failed rows are left out of
-    sorted_values."""
+    """A batch fit's result (fit_batch's, or a replicate set's) as
+    read-only columns, one entry per row: the parameters (named as in
+    PARAMETERS), objective, convergence flag and evaluation count (the
+    grid's 3600 points, skipped ones included, unless the fit was given a
+    start).  ``batch[i]`` is row i as a FitResult, ``batch[i:j]`` a
+    FitBatch.  Failed rows are left out of sorted_values."""
 
     vq: np.ndarray
     vp: np.ndarray
@@ -247,7 +247,7 @@ def objective(v: QuadratureVariances, h: FockHistogram, weights) -> float:
     check_int("n_max", h.n_max, 1, MAX_FOCK)
     freqs = h.frequencies
     wts = _checked_weights(weights, freqs.shape)
-    point = np.array(_fit_coords(v))[:, None]
+    point = np.array(_fit_coords(v.vq, v.vp))[:, None]
     return float(_evaluate(point, freqs[:, None], wts[:, None], h.n_max)[0][0])
 
 
@@ -785,39 +785,35 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     check_int("max_evals", max_evals, 0)
     if start is not None and not isinstance(start, QuadratureVariances):
         raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
-    x0 = None if start is None else np.array(_fit_coords(start))[:, None]
-    x, objective, converged, evals = _fit_points(freqs, wts, max_evals, x0)
-    return FitBatch(*_parameters(x), objective, converged, evals)
+    return _fit_points(freqs, wts, max_evals, None if start is None else (start.vq, start.vp))[1]
 
 
-def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int,
-                x0: np.ndarray | None = None):
-    """fit_batch's stages on checked input, from the grid or, given x0, from
-    x0 = (q, nbar), one point (2, 1) or one per row (2, rows): the fitted
-    points as a (2, rows) array, with each row's objective, convergence
-    flag and evaluation count."""
+def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int = _MAX_EVALS, start=None):
+    """The fit of fit_batch and the replicate engine, on checked input: from
+    the grid or, given ``start`` = (vq, vp), from floats (one state for all
+    rows) or arrays (one per row).  Returns the fitted (q, nbar), (2, rows),
+    which the columns do not give back bit for bit, and their FitBatch."""
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     points = np.empty((2, rows))
     objective = np.empty(rows)
     converged = np.zeros(rows, dtype=bool)
     # the grid, if any, then the refinement's first evaluation at each start
     evals = np.ones(rows, dtype=np.int64)
-    if x0 is None:
+    if start is None:
         grid_x = _model_grid(n_max)[0]
         evals += grid_x.shape[1]
+    else:
+        x0 = np.broadcast_to(np.array(_fit_coords(*start)).reshape(2, -1), (2, rows))
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
         f, w = freqs[b].T, wts[b].T
-        if x0 is None:
-            start = grid_x[:, _grid_winners(freqs[b], wts[b])]
-        else:
-            start = np.broadcast_to(x0, (2, rows))[:, b]
-        x, obj, start_obj, ok, refine_evals = _refine(start, f, w, n_max, max_evals)
+        x = grid_x[:, _grid_winners(freqs[b], wts[b])] if start is None else x0[:, b]
+        x, obj, start_obj, ok, refine_evals = _refine(x, f, w, n_max, max_evals)
         converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
         evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, start_obj)
         objective[b] = obj
         points[:, b] = x
-    return points, objective, converged, evals
+    return points, FitBatch(*_parameters(points), objective, converged, evals)
 
 
 def fit_frequencies(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> FitResult:

@@ -145,12 +145,12 @@ def from_variances(v: QuadratureVariances) -> SqueezedThermalState:
     return SqueezedThermalState(*map(float, _state_params(v.vq, v.vp)))
 
 
-def _fit_coords(v: QuadratureVariances) -> tuple[float, float]:
-    """The fit's coordinates (q, nbar) of a state, with q = cosh 2r - 1:
-    q = (vq + vp) / (2 sqrt(vq vp)) - 1 and nbar = sqrt(vq vp) - 1/2,
+def _fit_coords(vq, vp):
+    """The fit's coordinates (q, nbar), q = cosh 2r - 1, of floats or arrays
+    vq, vp: q = (vq + vp) / (2 sqrt(vq vp)) - 1 and nbar = sqrt(vq vp) - 1/2,
     clamped at the physical boundary like from_variances."""
-    h = math.sqrt(v.vq * v.vp)
-    return max((v.vq + v.vp) / (2.0 * h) - 1.0, 0.0), max(h - 0.5, 0.0)
+    h = np.sqrt(vq * vp)
+    return np.maximum((vq + vp) / (2.0 * h) - 1.0, 0.0), np.maximum(h - 0.5, 0.0)
 
 
 def _bin_sum(a: np.ndarray) -> np.ndarray:
@@ -245,7 +245,7 @@ def fock_probability(v: QuadratureVariances, n: int) -> float:
     vacuum.
     """
     check_int("n", n, 0, MAX_FOCK)
-    q, nbar = _fit_coords(v)
+    q, nbar = _fit_coords(v.vq, v.vp)
     return float(_fock_table(q, nbar, max(n, 1))[0][n])
 
 
@@ -253,7 +253,7 @@ def fock_distribution(v: QuadratureVariances, n_max: int = 20) -> FockDistributi
     """Model distribution over the n_max + 2 measurement categories
     (Fock numbers 0..n_max plus one overflow bin for everything above)."""
     check_int("n_max", n_max, 1, MAX_FOCK)
-    q, nbar = _fit_coords(v)
+    q, nbar = _fit_coords(v.vq, v.vp)
     all_probs = _fock_table(q, nbar, n_max)[0].tolist()
     return FockDistribution(n_max, tuple(all_probs[:-1]), all_probs[-1])
 

@@ -440,9 +440,9 @@ def _failing_refits(monkeypatch, failed):
     ``failed(rows)`` is true as not converged."""
     real_fit_points = bt._fit_points
 
-    def flaky_fit_points(freqs, weights, max_evals, x0=None):
-        x, obj, converged, evals = real_fit_points(freqs, weights, max_evals, x0)
-        return x, obj, converged & ~failed(len(converged)), evals
+    def flaky_fit_points(*args, **kw):
+        x, reps = real_fit_points(*args, **kw)
+        return x, replace(reps, converged=reps.converged & ~failed(len(reps)))
 
     monkeypatch.setattr(bt, "_fit_points", flaky_fit_points)
 

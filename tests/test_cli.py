@@ -432,15 +432,17 @@ class TestStudyCommand:
             "shot_counts": [300],
             "n_experiments": 2,
         })
-        taken = tmp_path / "taken"
-        taken.mkdir()
-        assert run(["study", "--config", str(cfg), "--out", str(tmp_path / "report.csv"),
-                    "--json-out", str(taken)]) == EXIT_IO
-        assert capsys.readouterr().err.startswith(
-            f"fockfit: --json-out: cannot write {taken}: is a directory")
-        assert taken.is_dir() and list(taken.iterdir()) == []
-        # rejected before the study ran: no CSV without its JSON
-        assert not (tmp_path / "report.csv").exists()
+        # a --json-out given, and the default, the CSV path with .json
+        for taken, flags in ((tmp_path / "taken", ["--json-out", str(tmp_path / "taken")]),
+                             (tmp_path / "report.json", [])):
+            taken.mkdir()
+            assert run(["study", "--config", str(cfg), "--out", str(tmp_path / "report.csv"),
+                        *flags]) == EXIT_IO
+            assert capsys.readouterr().err.startswith(
+                f"fockfit: --json-out: cannot write {taken}: is a directory")
+            assert taken.is_dir() and list(taken.iterdir()) == []
+            # rejected before the study ran: no CSV without its JSON
+            assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
     def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):
@@ -591,11 +593,11 @@ def _failing_refits(monkeypatch, n_rows, failed):
     in ``failed`` as not converged."""
     real_fit_points = cli.bt._fit_points
 
-    def flaky_fit_points(freqs, weights, max_evals, x0=None):
-        x, obj, converged, evals = real_fit_points(freqs, weights, max_evals, x0)
-        if len(converged) == n_rows:
-            converged = converged & ~np.isin(np.arange(n_rows), failed)
-        return x, obj, converged, evals
+    def flaky_fit_points(*args, **kw):
+        x, reps = real_fit_points(*args, **kw)
+        if len(reps) == n_rows:
+            reps = replace(reps, converged=reps.converged & ~np.isin(np.arange(n_rows), failed))
+        return x, reps
 
     monkeypatch.setattr(cli.bt, "_fit_points", flaky_fit_points)
 

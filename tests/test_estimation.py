@@ -588,17 +588,35 @@ class TestWarmStart:
     def test_zero_budget_returns_the_start(self):
         _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 5)
         v = to_variances(SqueezedThermalState(0.8, 0.2))
-        x0 = np.repeat(np.array(_fit_coords(v))[:, None], 5, axis=1)
-        x, obj, converged, evals = _fit_points(freqs, weights, 0, x0[:, :1])
+        x0 = np.repeat(np.array(_fit_coords(v.vq, v.vp))[:, None], 5, axis=1)
+        x, fits = _fit_points(freqs, weights, 0, (v.vq, v.vp))
         assert np.array_equal(x, x0)
-        assert np.array_equal(obj, _evaluate(x0, freqs.T.copy(), weights.T.copy(), 20)[0])
-        assert not converged.any()
-        np.testing.assert_array_equal(evals, 1)
+        assert np.array_equal(fits.objective,
+                              _evaluate(x0, freqs.T.copy(), weights.T.copy(), 20)[0])
+        assert not fits.converged.any()
+        np.testing.assert_array_equal(fits.evaluations, 1)
         fits = fit_batch(freqs, weights, max_evals=0, start=v)
         assert not fits.converged.any()
         np.testing.assert_array_equal(fits.evaluations, 1)
         np.testing.assert_allclose(fits.vq, v.vq, rtol=1e-12)
         np.testing.assert_allclose(fits.vp, v.vp, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_one_start_equals_it_repeated_per_row(self, n_max):
+        # The fit's start as one state for every row, and as arrays of one
+        # state per row: the same fit, and per-row starts refine each row
+        # from its own state, as fit_batch does.
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 40, n_max)
+        v, u = (to_variances(SqueezedThermalState(*s)) for s in ((0.8, 0.2), (1.0, 0.05)))
+        x, fits = _fit_points(freqs, weights, start=(v.vq, v.vp))
+        per_row = np.repeat([[v.vq], [v.vp]], len(freqs), axis=1)
+        assert np.array_equal(_fit_points(freqs, weights, start=per_row)[0], x)
+        assert _fit_points(freqs, weights, start=per_row)[1] == fits
+        assert fits == fit_batch(freqs, weights, start=v)
+        per_row[:, 25:] = [[u.vq], [u.vp]]
+        mixed = _fit_points(freqs, weights, start=per_row)[1]
+        assert mixed[:25] == fits[:25]
+        assert mixed[25:] == fit_batch(freqs[25:], weights[25:], start=u)
 
     def test_never_above_the_start_objective(self):
         n_max = 20
@@ -608,7 +626,7 @@ class TestWarmStart:
         f, w = freqs.T.copy(), weights.T.copy()
         for r, nbar in ((1.0, 0.05), (0.0, 0.01), (2.5, 0.0), (0.0, 0.0), (3.0, 6.0)):
             v = to_variances(SqueezedThermalState(r, nbar))
-            x0 = np.repeat(np.array(_fit_coords(v))[:, None], len(freqs), axis=1)
+            x0 = np.repeat(np.array(_fit_coords(v.vq, v.vp))[:, None], len(freqs), axis=1)
             at_start = _evaluate(x0, f, w, n_max)[0]
             fits = fit_batch(freqs, weights, start=v)
             assert np.all(fits.objective <= at_start)
@@ -631,11 +649,11 @@ class TestWarmStart:
             for shots in (200, 10 ** 4):
                 counts, freqs, _ = _sampled_rows(r, nbar, shots, 40, n_max, seed=60 + i)
                 weights = weights_for(counts, scheme, PriorShape(1.0, 1.0))
-                x, grid_obj, grid_ok, _ = _fit_points(freqs, weights, _MAX_EVALS)
+                x, grid = _fit_points(freqs, weights, _MAX_EVALS)
                 rho = _evaluate(x, freqs.T.copy(), weights.T.copy(), n_max)[6]
                 warm = fit_batch(freqs, weights, start=v)
-                np.testing.assert_array_equal(warm.converged, grid_ok)
-                assert np.all(warm.objective - grid_obj <= rho)
+                np.testing.assert_array_equal(warm.converged, grid.converged)
+                assert np.all(warm.objective - grid.objective <= rho)
 
 
 class TestEvaluate:
@@ -704,8 +722,9 @@ class TestRoundingFloor:
     @pytest.mark.parametrize("n_max", [20, 64])
     def test_rho_bounds_the_noise_at_every_fitted_point(self, n_max):
         freqs, weights = self.rows(n_max)
-        x, obj, converged, _ = _fit_points(freqs, weights, _MAX_EVALS)
-        assert converged.all()
+        x, fits = _fit_points(freqs, weights, _MAX_EVALS)
+        obj = fits.objective
+        assert fits.converged.all()
         f, w = freqs.T.copy(), weights.T.copy()
         rho = _evaluate(x, f, w, n_max)[6]
         for i in range(0, len(obj), 97):
@@ -790,7 +809,8 @@ class TestSecantTerm:
         f = np.concatenate([s[1] for s in sets]).T.copy()
         w = np.concatenate([s[2] for s in sets]).T.copy()
         m = f.shape[1]
-        start = _fit_coords(to_variances(SqueezedThermalState(1.0, 0.05)))
+        v = to_variances(SqueezedThermalState(1.0, 0.05))
+        start = _fit_coords(v.vq, v.vp)
         x = np.repeat(np.array(start)[:, None], m, axis=1)
         at = _evaluate(x, f, w, n_max)
         lam, sec = np.full(m, 1e-3), np.zeros((3, m))
@@ -982,6 +1002,35 @@ class TestGridStage:
             for scale in (1e-320, 1e-322):
                 assert np.array_equal(_grid_winners(freqs, scale * weights),
                                       _full_grid_winners(freqs, scale * weights))
+
+    # Rows at n_max 2, where every bin is a bound bin and the grid is two
+    # operands.  Each is grid point 2759's stored P (the first operand's
+    # least P_0 and greatest overflow P) but for one heavy bin, bin 0 or the
+    # overflow bin, set within a few ulps of halfway to the nearest P of the
+    # second operand: 3560's P_0 or 3445's overflow P.  The other bins
+    # weigh 1e-30 of the heavy one; the overflow or bin 2 makes the row sum
+    # to 1.  Point 2759 meets its operand's bound with equality, its
+    # computed value ties with the other point's to the last bit, and the
+    # second operand's GEMM runs first.  A margin without its relative part
+    # skips the first operand, and with it each row's winner.
+    EQUALITY_ROWS = [
+        ([0.03454800989780552, 0.002309922080207572, 0.015176958823542669, 0.9479651091984442],
+         [1.0, 1e-30, 1e-30, 1e-30]),
+        ([0.03454800989780597, 0.002309922080207572, 0.015176958823542669, 0.9479651091984438],
+         [0.001, 1e-33, 1e-33, 1e-33]),
+        ([0.034551727647315573, 0.002309922080207572, 0.01515658135737541, 0.9479817689151014],
+         [1e-27, 1e-27, 1e-27, 1000.0]),
+        ([0.034551727647315573, 0.002309922080207572, 0.015156581357369303, 0.9479817689151075],
+         [2e-30, 2e-30, 2e-30, 2.0]),
+    ]
+
+    @pytest.mark.parametrize("freqs, weights", EQUALITY_ROWS)
+    def test_winners_where_a_bound_is_met_with_equality(self, freqs, weights):
+        # One row per call: an operand is skipped only where every row of
+        # its block allows it.
+        freqs, weights = np.array([freqs]), np.array([weights])
+        want = _full_grid_winners(freqs, weights)
+        assert _grid_winners(freqs, weights).tolist() == want.tolist() == [2759]
 
     @pytest.mark.parametrize("n_max", [20, 64])
     @pytest.mark.parametrize("rows", [1, 1000])

@@ -16,7 +16,7 @@ from fockfit.model import (
     to_variances,
 )
 from fockfit.estimation import _FLOOR_FACTOR
-from fockfit.model import _argument_jets, _bin_sum, _fock_table
+from fockfit.model import _argument_jets, _bin_sum, _fit_coords, _fock_table
 from fockfit.numerics import _legendre_jet, scaled_legendre
 from wigner_oracle import fock_probability_oracle
 
@@ -62,6 +62,21 @@ class TestParameterizations:
         for r, nbar in [(0.0, 0.0), (1.3, 0.2), (2.5, 2.0)]:
             v = to_variances(SqueezedThermalState(r, nbar))
             assert v.vq * v.vp == pytest.approx((2 * nbar + 1) ** 2 / 4, rel=1e-14)
+
+    def test_fit_coords_on_arrays_equal_the_float_path(self):
+        # Bit for bit, one state at a time and as arrays, and equal to the
+        # formula in math.sqrt and max: r = 0, nbar = 0, r = 3.5, then
+        # random states.
+        rng = np.random.default_rng(8)
+        r = np.concatenate(([0.0, 0.0, 3.5, 3.5, 1.0, 0.0], rng.uniform(0.0, 3.5, 300)))
+        nbar = np.concatenate(([0.0, 2.0, 0.0, 7.0, 0.0, 50.0],
+                               np.expm1(rng.uniform(0.0, 4.0, 300))))
+        states = [to_variances(SqueezedThermalState(*s)) for s in zip(r.tolist(), nbar.tolist())]
+        q, nb = _fit_coords(*np.array([(v.vq, v.vp) for v in states]).T)
+        for v, coords in zip(states, zip(q.tolist(), nb.tolist())):
+            h = math.sqrt(v.vq * v.vp)
+            want = (max((v.vq + v.vp) / (2.0 * h) - 1.0, 0.0), max(h - 0.5, 0.0))
+            assert _fit_coords(v.vq, v.vp) == coords == want
 
     def test_from_variances_trivial(self):
         s = from_variances(QuadratureVariances(0.5, 0.5))

@@ -654,9 +654,9 @@ class TestCoverageStudyOnePass:
             tasks.extend(items)
             return real_parallel_map(fn, items)
 
-        def counted_fit_points(freqs, weights, max_evals, x0=None):
+        def counted_fit_points(freqs, *args, **kw):
             log.append(("refine", len(freqs)))
-            return real_fit_points(freqs, weights, max_evals, x0)
+            return real_fit_points(freqs, *args, **kw)
 
         monkeypatch.setattr(bt, "fit_batch", counted_fit_batch)
         monkeypatch.setattr(bt, "parallel_map", counted_parallel_map)
