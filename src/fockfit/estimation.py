@@ -645,9 +645,9 @@ def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
 
 
 def _refine(x, f, w, n_max: int, max_iter: int):
-    """Projected Levenberg-Marquardt on the residuals sqrt(w) (P - f), run
-    in lock-step over the columns, from the start points x (2, m) inside
-    the box [0, _UPPER].
+    """The refinement stage of one row block: projected Levenberg-Marquardt
+    on the residuals sqrt(w) (P - f), run in lock-step over the columns,
+    from the start points x (2, m) inside the box [0, _UPPER].
 
     Each iteration (_iterate) solves the damped 2x2 normal equations of
     every unconverged column, J^T W J plus the secant estimate S of the
@@ -655,16 +655,20 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     step onto the box and keeps it only if the objective decreases; S
     starts at 0 in every call.  A column stops when its step is below
     _STEP_TOL or a rejected trial's undamped Gauss-Newton decrease is within
-    rho, the two rules of the comment above _STEP_TOL.
-    Every test reads only its own column.  Returns the best points, their
-    objectives, the objectives at the start points (from the first
-    evaluation, which is not counted), per-column convergence flags and the
-    number of trial evaluations.
+    rho, the two rules of the comment above _STEP_TOL.  At most max_iter
+    trials are made per column.  Every test reads only its own column.
+    The best points are then snapped onto the bounds (_snap_to_bounds,
+    never above the start objective).
+
+    Returns the final points, their objectives, per-column convergence
+    flags (false for a point on the upper face, where the box, not the
+    fit, stopped the column) and each column's evaluations: the one at its
+    start point, its trials and the snap's.
     """
     m = x.shape[1]
     x = x.copy()
     x_out = x.copy()
-    evals = np.zeros(m, dtype=np.int64)
+    evals = np.ones(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
     # _evaluate's rows at each column's current point
     at = _evaluate(x, f, w, n_max)
@@ -675,21 +679,23 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     aug = np.ones(m, dtype=bool)
     # The state of the columns not yet compacted away (see _COMPACT), and
     # which of them are still running.
-    cols = np.arange(m)
+    cols, f_live, w_live = np.arange(m), f, w
     live = np.ones(m, dtype=bool)
     for _ in range(max_iter):
         if cols.size == 0:
             break
-        done = _iterate(x, at, lam, sec, aug, live, f, w, n_max)
+        done = _iterate(x, at, lam, sec, aug, live, f_live, w_live, n_max)
         evals[cols] += live
         x_out[:, cols] = x
         obj_out[cols] = at[0]
         converged[cols[done]] = True
         live &= ~done
         if _COMPACT * np.count_nonzero(~live) >= live.size:
-            cols, x, f, w, at, lam, sec, aug, live = (
-                a[..., live] for a in (cols, x, f, w, at, lam, sec, aug, live))
-    return x_out, obj_out, start_obj, converged, evals
+            cols, x, f_live, w_live, at, lam, sec, aug, live = (
+                a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live))
+    converged &= ~np.any(x_out >= _UPPER, axis=0)
+    evals += _snap_to_bounds(x_out, obj_out, f, w, n_max, start_obj)
+    return x_out, obj_out, converged, evals
 
 
 def _snap_to_bounds(x, obj, f, w, n_max: int, ceiling) -> np.ndarray:
@@ -765,7 +771,8 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
 
     With ``start``, every row skips the grid and refines from that state
     instead: rows known to lie near one state, such as bootstrap replicates
-    drawn from it, then need no grid search.
+    drawn from it, then need no grid search.  The start must lie in the
+    search box (q <= 1e12, that is r <= 14.16, and nbar <= 1e6).
 
     The model depends on r only through cosh 2r, so its gradient in r
     vanishes at r = 0 and a gradient method in r would stall on that bound;
@@ -783,36 +790,40 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     wts = _checked_weights(weights, freqs.shape)
     check_int("n_max", freqs.shape[1] - 2, 1, MAX_FOCK)
     check_int("max_evals", max_evals, 0)
-    if start is not None and not isinstance(start, QuadratureVariances):
-        raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
+    if start is not None:
+        if not isinstance(start, QuadratureVariances):
+            raise ValueError(f"start: expected QuadratureVariances or None, got {start!r}")
+        q, nbar = _fit_coords(start.vq, start.vp)
+        if not (q <= _UPPER[0, 0] and nbar <= _UPPER[1, 0]):
+            raise ValueError(f"start: {start!r} is outside the search box: its (q, nbar) = "
+                             f"({q:g}, {nbar:g}) must be at most ({_UPPER[0, 0]:g}, "
+                             f"{_UPPER[1, 0]:g})")
     return _fit_points(freqs, wts, max_evals, None if start is None else (start.vq, start.vp))[1]
 
 
 def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int = _MAX_EVALS, start=None):
-    """The fit of fit_batch and the replicate engine, on checked input: from
-    the grid or, given ``start`` = (vq, vp), from floats (one state for all
-    rows) or arrays (one per row).  Returns the fitted (q, nbar), (2, rows),
-    which the columns do not give back bit for bit, and their FitBatch."""
+    """The fit of fit_batch and the replicate engine, on checked input.
+    Each _REFINE_BLOCK of rows is refined (_refine) from its starts: the
+    grid winners or, given ``start`` = (vq, vp), floats (one state for all
+    rows) or arrays (one per row).  The grid's evaluations are added to
+    each row's count.  Returns the fitted (q, nbar), (2, rows), which the
+    columns do not give back bit for bit, and their FitBatch."""
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     points = np.empty((2, rows))
     objective = np.empty(rows)
-    converged = np.zeros(rows, dtype=bool)
-    # the grid, if any, then the refinement's first evaluation at each start
-    evals = np.ones(rows, dtype=np.int64)
+    converged = np.empty(rows, dtype=bool)
+    evals = np.empty(rows, dtype=np.int64)
     if start is None:
         grid_x = _model_grid(n_max)[0]
-        evals += grid_x.shape[1]
     else:
         x0 = np.broadcast_to(np.array(_fit_coords(*start)).reshape(2, -1), (2, rows))
     for first in range(0, rows, _REFINE_BLOCK):
         b = slice(first, first + _REFINE_BLOCK)
-        f, w = freqs[b].T, wts[b].T
         x = grid_x[:, _grid_winners(freqs[b], wts[b])] if start is None else x0[:, b]
-        x, obj, start_obj, ok, refine_evals = _refine(x, f, w, n_max, max_evals)
-        converged[b] = ok & ~np.any(x >= _UPPER, axis=0)
-        evals[b] += refine_evals + _snap_to_bounds(x, obj, f, w, n_max, start_obj)
-        objective[b] = obj
-        points[:, b] = x
+        points[:, b], objective[b], converged[b], evals[b] = _refine(
+            x, freqs[b].T, wts[b].T, n_max, max_evals)
+    if start is None:
+        evals += grid_x.shape[1]
     return points, FitBatch(*_parameters(points), objective, converged, evals)
 
 

@@ -151,6 +151,7 @@ class TestEstimate:
                 ([good], "expected a JSON object"),
                 (no_total, "missing field 'total'"),
                 ({**good, "n_max": 3}, "n_max does not match counts length"),
+                ({**good, "counts": {"0": 5, "1": 3, "2": 1}}, "counts must be a list"),
                 ({**good, "counts": [5, -3, 1]}, "counts must be >= 0, got -3")):
             counts.write_text(json.dumps(doc))
             assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
@@ -443,6 +444,26 @@ class TestStudyCommand:
             assert taken.is_dir() and list(taken.iterdir()) == []
             # rejected before the study ran: no CSV without its JSON
             assert not (tmp_path / "report.csv").exists()
+
+    def test_failed_report_write_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        # An OSError the checks before the study cannot foresee, such as a
+        # full disk; forced here, since file permissions do not bind root.
+        cfg = self.write_config(tmp_path, {
+            "format_version": 1,
+            "study": "fidelity",
+            "true_states": [{"r": 0.5, "nbar": 0.1}],
+            "shot_counts": [300],
+            "n_experiments": 2,
+        })
+
+        def broken_write(self, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.studies.StudyReport, "write_json", broken_write)
+        assert run(["study", "--config", str(cfg), "--out", str(tmp_path / "report.csv")]) \
+            == EXIT_IO
+        assert capsys.readouterr().err == (
+            "fockfit: cannot write report: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("kind", [["bias"], {"kind": "bias"}])
     def test_non_string_study_kind_is_a_usage_error(self, tmp_path, kind):

@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockfit.estimation import (
@@ -181,6 +181,10 @@ class TestWeightArrays:
             posterior_weights(np.array([3.0, -1.0, 2.0]))
         with pytest.raises(ValueError):
             mle_weights(np.array([3, 1]))
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="^unknown weight scheme 'bogus'$"):
+            weights_for(np.array([3, 1, 2]), "bogus", PriorShape(1.0, 1.0))
 
     CALLS = {
         "fit": lambda h, w: fit(h, w),
@@ -638,6 +642,26 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="^start: expected QuadratureVariances"):
             fit_batch(freqs, weights, start=start)
 
+    @pytest.mark.parametrize("vq, vp, max_evals", [
+        (1e200, 1e200, _MAX_EVALS),  # vq vp overflows: nbar is inf
+        (1e-300, 1e300, 0),  # q = 5e299, returned as it is at a zero budget
+        (0.25 / 1.7e308, 1.7e308, _MAX_EVALS),  # q = 1.7e308
+        (2e6, 2e6, _MAX_EVALS),  # nbar = 2e6 - 1/2
+    ])
+    def test_start_must_lie_in_the_search_box(self, vq, vp, max_evals):
+        # Rejected before any fit work, with no RuntimeWarning on the way
+        # (the test configuration makes warnings errors).
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 2)
+        with pytest.raises(ValueError, match="^start: .* outside the search box"):
+            fit_batch(freqs, weights, start=QuadratureVariances(vq, vp), max_evals=max_evals)
+
+    @pytest.mark.parametrize("r, nbar", [(14.0, 0.0), (0.0, 9e5)])
+    def test_start_just_inside_the_search_box_fits(self, r, nbar):
+        _, freqs, weights = _sampled_rows(1.0, 0.05, 10 ** 4, 2)
+        fits = fit_batch(freqs, weights, start=to_variances(SqueezedThermalState(r, nbar)))
+        assert fits.converged.all()
+        assert np.all(fits.objective <= fit_batch(freqs, weights).objective + 1e-12)
+
     @pytest.mark.parametrize("n_max", [20, 64])
     @pytest.mark.parametrize("scheme", WEIGHT_SCHEMES)
     def test_agrees_with_grid_started_refits(self, n_max, scheme):
@@ -747,8 +771,8 @@ class TestRoundingFloor:
         assert np.all(high - low <= rho)
         # a fresh refinement from the fitted point; its first evaluation
         # gives the fitted objective bit for bit
-        _, restarted, start, _, _ = _refine(x, f, w, n_max, _MAX_EVALS)
-        assert np.array_equal(start, obj)
+        _, restarted, _, _ = _refine(x, f, w, n_max, _MAX_EVALS)
+        assert np.array_equal(_evaluate(x, f, w, n_max)[0], obj)
         assert np.all(obj - restarted <= rho)
 
     def test_rows_in_their_minimum_stop_early(self):
@@ -982,6 +1006,9 @@ class TestGridStage:
     @settings(max_examples=30, deadline=None, database=None)
     @given(n_max=st.sampled_from((1, 2, 7, 20, 33, 64)), scheme=st.sampled_from(WEIGHT_SCHEMES),
            rows=st.sampled_from((1, 31, 33, 1000)), seed=st.integers(0, 2 ** 32 - 1))
+    # Row 32, alone in its block, takes a wrong winner under every scheme
+    # when _grid_winners' margin is dropped (scale = 0).
+    @example(n_max=1, scheme="posterior", rows=33, seed=205)
     def test_winners_equal_the_full_grids(self, n_max, scheme, rows, seed):
         # Skipping an operand must never change a winner, ties included:
         # rows on a grid point (bound 0), at an operand's first or last
