@@ -507,37 +507,61 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return best[:rows]
 
 
-def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _error_factors(n_max: int) -> np.ndarray:
+    """The per-bin model error factors (n + 1)(n + 2)/2 of bins 0..n_max
+    (see above _STEP_TOL), a read-only (n_max + 1, 1) array."""
+    n = np.arange(n_max + 1.0)[:, None]
+    factors = 0.5 * (n + 1.0) * (n + 2.0)
+    factors.flags.writeable = False
+    return factors
+
+
+_FLOOR_EPS = _FLOOR_FACTOR * np.finfo(float).eps
+
+
+def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
+              columns=None) -> np.ndarray:
     """What the refinement needs of the model at points x = (q, nbar) of
     shape (2, m), for the frequency and weight columns f, w of shape
     (bins, m): the rows (objective, half gradient, J^T W J as h00, h01,
     h11, rho) of a (7, m) array, with J the model's Jacobian and rho the
-    objective's rounding floor (see above _STEP_TOL).
+    objective's rounding floor (see above _STEP_TOL).  Given ``columns``,
+    x holds k <= m points instead and column j is at x[:, columns[j]].
 
     One (8, bins, m) buffer is the whole working set: the model table
-    fills its odd slots, P on 1, dP/dq on 3 and dP/dnbar on 5 (7 is the
+    fills slots 1..4, P on 1, dP/dq on 2 and dP/dnbar on 3 (4 is the
     table's scratch), and those turn into the eight terms of every bin in
-    place.  Each slot is one contiguous (bins, m) block, so the
-    elementwise products run over contiguous memory.  One pass of
-    in-order adds over bins 0..n_max sums all eight terms; the overflow
-    bin's terms are added last, once its model error (the sum of the
-    others' plus (n_max + 1) eps) is known."""
-    terms = np.empty((8, n_max + 2) + x.shape[1:])
-    _fock_table(x[0], x[1], n_max, out=terms[1::2])
+    place, each on the slot of its row.  Each slot is one contiguous
+    (bins, m) block, so the elementwise products run over contiguous
+    memory.  One pass of in-order adds over bins 0..n_max sums all eight
+    terms; the overflow bin's terms are added last, once its model error
+    (the sum of the others' plus (n_max + 1) eps) is known.  With
+    ``columns``, the table of the k <= m points is computed in slots 4..7
+    and copied to each column, so a point that many columns share, such
+    as a replicate set's start, is evaluated once."""
+    m = x.shape[1] if columns is None else columns.size
+    terms = np.empty((8, n_max + 2, m))
+    if columns is None:
+        _fock_table(x[0], x[1], n_max, out=terms[1:5])
+    else:
+        table = terms[4:].reshape(-1)[:4 * (n_max + 2) * x.shape[1]].reshape(4, n_max + 2, -1)
+        _fock_table(x[0], x[1], n_max, out=table)
+        np.take(table[:3], columns, axis=2, out=terms[1:4], mode="clip")
     probs, resid, model_err = terms[1], terms[0], terms[7, :n_max + 1]
     # per-bin model errors (n + 1)(n + 2)/2 P_n, in units of eps
-    n = np.arange(n_max + 1.0)[:, None]
-    np.multiply(0.5 * (n + 1.0) * (n + 2.0), probs[:n_max + 1], out=model_err)
+    np.multiply(_error_factors(n_max), probs[:n_max + 1], out=model_err)
     np.subtract(probs, f, out=resid)
-    # with P spent, w dP/dnbar on slot 2 and w dP/dq on slot 1 give the
-    # J^T W J terms (h00, h01, h11 on slots 3..5), then the half gradient
-    wj0, wj1, jac0, jac1 = terms[1], terms[2], terms[3], terms[5]
+    # with P spent, w dP/dnbar (on slot 6) and w dP/dq (on slot 1) give
+    # the J^T W J terms (h00, h01, h11 on slots 3..5), then the half
+    # gradient (slots 1 and 2)
+    wj0, jac0, jac1, wj1 = terms[1], terms[2], terms[3], terms[6]
     np.multiply(w, jac1, out=wj1)
     np.multiply(wj1, jac1, out=terms[5])
     np.multiply(wj1, jac0, out=terms[4])
-    wj1 *= resid
     np.multiply(w, jac0, out=wj0)
-    jac0 *= wj0
+    np.multiply(jac0, wj0, out=terms[3])
+    np.multiply(wj1, resid, out=terms[2])
     wj0 *= resid
     np.abs(resid, out=terms[6])
     terms[6] *= w
@@ -547,9 +571,12 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.nda
     rows = _bin_sum(terms[:, :n_max + 1].swapaxes(0, 1))
     terms[6, n_max + 1] *= rows[7] + (n_max + 1.0)
     rows[:7] += terms[:7, n_max + 1]
-    rows[6] = _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * rows[0] + 2.0 * rows[6])
+    rows[6] = _FLOOR_EPS * ((n_max + 2) * rows[0] + 2.0 * rows[6])
     return rows[:7]
 
+
+# A column of points (q, nbar) as one value, compared bit for bit.
+_POINT = np.dtype((np.void, 16))
 
 # The symmetric 2x2 matrices of the refinement (J^T W J, S) are three rows
 # per column, (m00, m01, m11); this is the identity.
@@ -567,13 +594,18 @@ def _trial_step(x, at, lam, sec, aug):
     Its temporaries are gone before _iterate evaluates the trial."""
     grad, h = at[1:3], at[3:6]
     free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
-    keep = np.stack((free[0], free[0] & free[1], free[1]))
+    keep = np.empty(h.shape, dtype=bool)
+    keep[0::2] = free
+    np.logical_and(free[0], free[1], out=keep[1])
     gn = np.where(keep, h, _IDENTITY)
     b = np.where(free, -grad, 0.0)
+    # Products that share an operation are formed as pairs: gn[::-2] * b
+    # is (h11 b0, h00 b1), mat[1] * b[::-1] is (h01 b1, h01 b0).
     gn_det = gn[0] * gn[2] - gn[1] * gn[1]
-    gn_gain = np.where(gn_det > 0.0, (gn[2] * b[0] * b[0] - 2.0 * gn[1] * b[0] * b[1]
-                                      + gn[0] * b[1] * b[1])
-                       / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
+    posdef = gn_det > 0.0
+    outer = gn[::-2] * b * b
+    gn_gain = np.where(posdef, (outer[0] - 2.0 * gn[1] * b[0] * b[1] + outer[1])
+                       / np.where(posdef, gn_det, 1.0), np.inf)
     # H + S where the column chooses it and it is positive definite
     mat = gn + np.where(keep, sec, 0.0)
     use = aug & (mat[0] > 0.0) & (mat[0] * mat[2] - mat[1] * mat[1] > 0.0)
@@ -584,8 +616,7 @@ def _trial_step(x, at, lam, sec, aug):
     det = mat[0] * mat[2] - mat[1] * mat[1]
     solvable = det > 0.0
     det = np.where(solvable, det, 1.0)
-    step = np.where(solvable, np.stack((mat[2] * b[0] - mat[1] * b[1],
-                                        mat[0] * b[1] - mat[1] * b[0])) / det, 0.0)
+    step = np.where(solvable, (mat[::-2] * b - mat[1] * b[::-1]) / det, 0.0)
     trial = np.minimum(np.maximum(x + step, 0.0), _UPPER)
     return trial, trial - x, gn_gain, use
 
@@ -608,39 +639,53 @@ def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
     # each model's predicted decrease for the step taken, from H s and S s
     hs = h[0:2] * step[0] + h[1:3] * step[1]
     ss = sec[0:2] * step[0] + sec[1:3] * step[1]
-    curv = step[0] * ss[0] + step[1] * ss[1]
-    gn_model = -(2.0 * (grad[0] * step[0] + grad[1] * step[1])
-                 + step[0] * hs[0] + step[1] * hs[1])
-    aug_model = gn_model - curv
+    terms = step * ss
+    curv = terms[0] + terms[1]
+    # the models' gains (augmented, Gauss-Newton), side by side
+    models = np.empty((2,) + gain.shape)
+    terms = grad * step
+    np.multiply(2.0, terms[0] + terms[1], out=models[1])
+    terms = step * hs
+    models[1] += terms[0]
+    models[1] += terms[1]
+    np.negative(models[1], out=models[1])
+    np.subtract(models[1], curv, out=models[0])
     # Nielsen's update: the worse the step's model predicted the gain, the
     # less the damping drops; a rejected step raises it.
-    model_gain = np.where(use, aug_model, gn_model)
+    model_gain = np.where(use, models[0], models[1])
     ratio = 2.0 * np.minimum(gain / np.where(model_gain > 0.0, model_gain, np.inf), 1.0) - 1.0
     shrink = np.maximum(1.0 / 3.0, 1.0 - ratio * ratio * ratio)
     np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX, out=lam)
     # the model that predicted this gain better makes the next step
-    np.less_equal(np.abs(aug_model - gain), np.abs(gn_model - gain), out=aug)
+    errors = np.abs(models - gain)
+    np.less_equal(errors[0], errors[1], out=aug)
     # The structured secant update (Dennis, Gay & Welsch 1981): S s = y#
     # after it, with y the change of the half gradient and y# = y - H s the
     # part of it that J^T W J does not explain.  S is first sized down by
     # min(1, |s^T y#| / |s^T S s|); no update unless y^T s > 0.  The update
     # is (r y^T + y r^T - (r^T s / y^T s) y y^T) / y^T s, r = y# - S s.
-    y = t_at[1:3] - grad
-    ys = y[0] * step[0] + y[1] * step[1]
-    upd = better & (ys > 0.0)
-    ysharp = y - hs
-    explained = np.abs(ysharp[0] * step[0] + ysharp[1] * step[1])
-    big = upd & (np.abs(curv) > explained)
-    size = np.where(big, explained, 1.0) / np.where(big, np.abs(curv), 1.0)
+    ys = np.empty((2,) + step.shape)
+    y, ysharp = ys
+    np.subtract(t_at[1:3], grad, out=y)
+    np.subtract(y, hs, out=ysharp)
+    terms = ys * step
+    dots = terms[:, 0] + terms[:, 1]
+    upd = better & (dots[0] > 0.0)
+    explained = np.abs(dots[1])
+    abs_curv = np.abs(curv)
+    big = upd & (abs_curv > explained)
+    size = np.where(big, explained, 1.0) / np.where(big, abs_curv, 1.0)
     resid = ysharp - size * ss
-    ys = np.where(upd, ys, 1.0)
-    half = (0.5 / ys) * (resid[0] * step[0] + resid[1] * step[1])
-    u = np.where(upd, (resid - half * y) / ys, 0.0)
+    y_s = np.where(upd, dots[0], 1.0)
+    terms = resid * step
+    half = (0.5 / y_s) * (terms[0] + terms[1])
+    u = np.where(upd, (resid - half * y) / y_s, 0.0)
     sec *= size
     sec[0::2] += 2.0 * u * y
-    sec[1] += u[0] * y[1] + u[1] * y[0]
-    x[...] = np.where(better, trial, x)
-    at[...] = np.where(better, t_at, at)
+    terms = u * y[::-1]
+    sec[1] += terms[0] + terms[1]
+    np.copyto(x, trial, where=better)
+    np.copyto(at, t_at, where=better)
     return done
 
 
@@ -667,32 +712,43 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     """
     m = x.shape[1]
     x = x.copy()
-    x_out = x.copy()
-    evals = np.ones(m, dtype=np.int64)
-    converged = np.zeros(m, dtype=bool)
-    # _evaluate's rows at each column's current point
-    at = _evaluate(x, f, w, n_max)
+    x_out, obj_out = np.empty((2, m)), np.empty(m)
+    evals = np.empty(m, dtype=np.int64)
+    converged = np.empty(m, dtype=bool)
+    # _evaluate's rows at each column's current point, from one model
+    # table per distinct start point
+    points, columns = np.unique(np.ascontiguousarray(x.T).view(_POINT)[:, 0], return_inverse=True)
+    at = _evaluate(points.view(float).reshape(-1, 2).T, f, w, n_max, columns)
     start_obj = at[0].copy()
-    obj_out = start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
     sec = np.zeros((3, m))
     aug = np.ones(m, dtype=bool)
-    # The state of the columns not yet compacted away (see _COMPACT), and
-    # which of them are still running.
+    # The state of the columns not yet compacted away (see _COMPACT), which
+    # of them are still running and their evaluations so far.  A column
+    # stops only by _iterate's rules, so the stopped ones have converged.
+    # Their outcomes are written out when they are compacted away and at
+    # the end.
     cols, f_live, w_live = np.arange(m), f, w
     live = np.ones(m, dtype=bool)
+    count = np.ones(m, dtype=np.int64)
+
+    def write_out():
+        x_out[:, cols] = x
+        obj_out[cols] = at[0]
+        converged[cols] = ~live
+        evals[cols] = count
+
     for _ in range(max_iter):
         if cols.size == 0:
             break
         done = _iterate(x, at, lam, sec, aug, live, f_live, w_live, n_max)
-        evals[cols] += live
-        x_out[:, cols] = x
-        obj_out[cols] = at[0]
-        converged[cols[done]] = True
+        count += live
         live &= ~done
         if _COMPACT * np.count_nonzero(~live) >= live.size:
-            cols, x, f_live, w_live, at, lam, sec, aug, live = (
-                a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live))
+            write_out()
+            cols, x, f_live, w_live, at, lam, sec, aug, live, count = (
+                a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live, count))
+    write_out()
     converged &= ~np.any(x_out >= _UPPER, axis=0)
     evals += _snap_to_bounds(x_out, obj_out, f, w, n_max, start_obj)
     return x_out, obj_out, converged, evals

@@ -153,35 +153,49 @@ def _fit_coords(vq, vp):
     return np.maximum((vq + vp) / (2.0 * h) - 1.0, 0.0), np.maximum(h - 0.5, 0.0)
 
 
+# Rows of at most this many entries are summed by np.add.accumulate.
+_ACCUMULATE_ROW = 128
+
+
 def _bin_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the leading (bin) axis, adding the bins in order, one row
-    add at a time.  numpy's sum switches to pairwise summation when that
-    axis is contiguous (a single column), so its rounding would depend on
-    how many columns share the array; adding the rows in order never does.
-    These are the adds of np.add.accumulate(a, axis=0)[-1], without
-    writing out the partial sums."""
-    acc = a[0].copy()
-    for row in a[1:]:
-        acc += row
-    return acc
+    """Sum over the leading (bin) axis, adding the bins in order: the adds
+    of np.add.accumulate(a, axis=0)[-1], in one call.  numpy's reductions
+    switch to pairwise summation along their inner loop, so np.sum of a
+    single column would round otherwise, and how a row's bins are added
+    would depend on how many columns share the array.  Rows of at most
+    _ACCUMULATE_ROW entries take the accumulation itself.  Wider rows whose
+    last axis is contiguous are reduced from -0.0 (x + -0.0 is x, bit for
+    bit): that axis, not the bins, is then numpy's inner loop, so each
+    entry's bins are added in order, and no partial sums are written."""
+    if a[0].size <= _ACCUMULATE_ROW or a.strides[-1] != a.itemsize:
+        return np.add.accumulate(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0, initial=-0.0)
 
 
 def _argument_jets(q, nbar):
     """The jets (value, d/dq, d/dnbar) of _fock_table's Legendre arguments
     chat and uhat at (q, nbar), as two (3, ...) arrays, with P(0) and
     (dP(0)/dq, dP(0)/dnbar) / P(0)."""
-    two_h = 2.0 * nbar + 1.0
-    big_b = 4.0 * (nbar + 1.0) ** 2 + 2.0 * two_h * q
-    chat = 4.0 * nbar * (nbar + 1.0) / big_b
-    uhat = (4.0 * nbar * nbar - 2.0 * two_h * q) / big_b
+    two_h, nbar_1 = 2.0 * nbar + 1.0, nbar + 1.0
+    two_h2, four_nbar, four_q = 2.0 * two_h, 4.0 * nbar, 4.0 * q
+    two_h2_q = two_h2 * q
+    big_b = 4.0 * nbar_1 ** 2 + two_h2_q
     p0 = 2.0 / np.sqrt(big_b)
-    # value and d/dq, d/dnbar of B, B*chat and B*uhat
-    db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
-    c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
-    u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
-    c_jet[1:] /= big_b
-    u_jet[1:] /= big_b
-    return c_jet, u_jet, p0, -0.5 * p0 * db / big_b / p0
+    # value and d/dq, d/dnbar of B, and those of B*chat and B*uhat less
+    # the (chat, uhat) dB terms, which come from one product
+    db = np.empty((2,) + big_b.shape)
+    db[0] = two_h2
+    db[1] = 8.0 * nbar_1 + four_q
+    jets = np.empty((2, 3) + big_b.shape)
+    jets[0, 0] = four_nbar * nbar_1 / big_b
+    jets[1, 0] = (four_nbar * nbar - two_h2_q) / big_b
+    dterms = jets[:, :1] * db
+    jets[0, 1] = -dterms[0, 0]
+    jets[0, 2] = 4.0 * two_h - dterms[0, 1]
+    jets[1, 1] = -two_h2 - dterms[1, 0]
+    jets[1, 2] = 8.0 * nbar - four_q - dterms[1, 1]
+    jets[:, 1:] /= big_b
+    return jets[0], jets[1], p0, -0.5 * p0 * db / big_b / p0
 
 
 def _fock_table(q, nbar, n_max: int, out=None):
@@ -190,8 +204,9 @@ def _fock_table(q, nbar, n_max: int, out=None):
     q = cosh 2r - 1, as an (n_max + 2, m) array, and their derivatives
     d/dq and d/dnbar as an (n_max + 2, 2, m) array, from one pass of the
     recurrence.  Both are views of one (4, n_max + 2, m) array, ``out`` if
-    given (an array or view of that shape): the probabilities on [0], the
-    derivatives on [1:3], and [3] is scratch.
+    given (an array or view of that shape): the probabilities on [0] and
+    the derivatives on [1:3], adjacent, so that one call scales them all;
+    [3] is scratch.
 
     In these coordinates the closed form is rational and free of exp:
 
@@ -221,11 +236,10 @@ def _fock_table(q, nbar, n_max: int, out=None):
     # column of table, so one pass of in-order adds over the bins gives
     # the overflow bin's value and derivatives
     table, scratch = out[:3], out[3, : n_max + 1]
-    raw, jac = table[0, : n_max + 1], table[1:, : n_max + 1]
     jet = _legendre_jet(c_jet, u_jet, n_max, out=table[:, : n_max + 1].swapaxes(0, 1))
-    np.multiply(p0, raw, out=raw)
+    raw, jac = table[0, : n_max + 1], table[1:, : n_max + 1]
+    np.multiply(p0, table[:, : n_max + 1], out=table[:, : n_max + 1])
     # d(p0 G_n) = dp0 G_n + p0 dG_n, with G_n = raw / p0
-    np.multiply(p0, jac, out=jac)
     for d, ratio in enumerate(dp0_ratio):
         jac[d] += np.multiply(ratio, raw, out=scratch)
     jac *= np.greater_equal(raw, 0.0, out=scratch)

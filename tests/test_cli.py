@@ -337,6 +337,13 @@ class TestFidelityCommand:
             assert run(["fidelity", "--state1", state, "--state2", "r=0,nbar=0"]) == EXIT_USAGE
             assert capsys.readouterr().err == f"fockfit: --state1: {message}\n"
 
+    def test_repeated_key_rejected(self, capsys):
+        assert run(["fidelity", "--state1", "r=1,r=2,nbar=0",
+                    "--state2", "r=2,nbar=0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "fockfit: --state1: key 'r' given twice\n"
+        assert captured.out == ""
+
 
 class TestStudyCommand:
     def write_config(self, tmp_path, doc):
@@ -778,6 +785,40 @@ class TestCountsFileIntegers:
         assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
         assert field in capsys.readouterr().err
         assert not est.exists()
+
+
+class TestDuplicateJsonKeys:
+    """A key repeated in any object of a JSON input, at any depth, is an
+    error naming the file and the key; json.load alone keeps the last."""
+
+    COUNTS = '{"format_version": 1, "n_max": 2, "counts": [6, 3, 1], "overflow": 0, ' \
+             '"total": 999, "total": 10}'
+    STUDY = '{"format_version": 1, "study": "fidelity", "true_states": [%s], ' \
+            '"shot_counts": [300], "n_experiments": %s, "master_seed": 1}'
+
+    def check(self, capsys, path, key, argv):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"fockfit: {path}: duplicate key '{key}'\n"
+
+    def test_counts_file(self, tmp_path, capsys):
+        counts = tmp_path / "counts.json"
+        counts.write_text(self.COUNTS)
+        out = tmp_path / "estimate.json"
+        self.check(capsys, counts, "total",
+                   ["estimate", "--counts", str(counts), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("state, n_experiments, key", [
+        ('{"r": 1.0, "nbar": 0.1, "r": 0.2}', "2", "r"),
+        ('{"r": 0.5, "nbar": 0.1}', '2, "n_experiments": 3', "n_experiments"),
+    ])
+    def test_study_config(self, tmp_path, monkeypatch, capsys, state, n_experiments, key):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(self.STUDY % (state, n_experiments))
+        monkeypatch.setattr(cli.studies, "run_study", lambda *a: pytest.fail("study ran"))
+        out = tmp_path / "report.csv"
+        self.check(capsys, cfg, key, ["study", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
 
 
 class TestAtomicWrite:

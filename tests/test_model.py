@@ -414,22 +414,22 @@ class TestKernelBuffers:
     def test_fock_table_out_equals_a_fresh_table(self, n_max, cols):
         q, nbar = self.columns(cols)
         buf = np.full((8, n_max + 2, q.size), np.nan)
-        probs, jac = _fock_table(q, nbar, n_max, out=buf[1::2])
+        probs, jac = _fock_table(q, nbar, n_max, out=buf[1:5])
         fresh_probs, fresh_jac = _fock_table(q, nbar, n_max)
         assert np.shares_memory(probs, buf) and np.shares_memory(jac, buf)
         assert np.array_equal(bits(probs), bits(fresh_probs))
         assert np.array_equal(bits(jac), bits(fresh_jac))
-        assert np.isnan(buf[0::2]).all()
+        assert np.isnan(buf[[0, 5, 6, 7]]).all()
 
     @pytest.mark.parametrize("n_max", [1, 2, 20, 64])
     @pytest.mark.parametrize("cols", [slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 40)])
     def test_legendre_jet_out_equals_a_fresh_result(self, n_max, cols):
         c, u, _, _ = _argument_jets(*self.columns(cols))
         buf = np.full((8, n_max + 2, c.shape[1]), np.nan)
-        view = buf[1:7:2, :n_max + 1].swapaxes(0, 1)
+        view = buf[1:4, :n_max + 1].swapaxes(0, 1)
         assert _legendre_jet(c, u, n_max, out=view) is view
         assert np.array_equal(bits(view), bits(_legendre_jet(c, u, n_max)))
-        assert np.isnan(buf[0::2]).all() and np.isnan(buf[7]).all()
+        assert np.isnan(buf[[0, 4, 5, 6, 7]]).all()
         assert np.isnan(buf[:, n_max + 1]).all()
 
 
