@@ -575,12 +575,27 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
     return rows[:7]
 
 
-# A column of points (q, nbar) as one value, compared bit for bit.
-_POINT = np.dtype((np.void, 16))
-
 # The symmetric 2x2 matrices of the refinement (J^T W J, S) are three rows
 # per column, (m00, m01, m11); this is the identity.
 _IDENTITY = np.array([1.0, 0.0, 1.0])[:, None]
+
+
+def _dot(a, b):
+    """a[0] b[0] + a[1] b[1], of two (2, ...) arrays, by one product."""
+    products = a * b
+    return products[0] + products[1]
+
+
+# A point (q, nbar) as one value, compared bit for bit.
+_POINT = np.dtype((np.void, 16))
+
+
+def _distinct(x):
+    """The distinct columns of the points x (2, m), bit for bit, as a
+    (2, k) array, and the index of each column among them."""
+    points, columns = np.unique(np.ascontiguousarray(x.T).view(_POINT)[:, 0],
+                                return_inverse=True)
+    return points.view(float).reshape(-1, 2).T, columns
 
 
 def _trial_step(x, at, lam, sec, aug):
@@ -639,51 +654,38 @@ def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
     # each model's predicted decrease for the step taken, from H s and S s
     hs = h[0:2] * step[0] + h[1:3] * step[1]
     ss = sec[0:2] * step[0] + sec[1:3] * step[1]
-    terms = step * ss
-    curv = terms[0] + terms[1]
-    # the models' gains (augmented, Gauss-Newton), side by side
-    models = np.empty((2,) + gain.shape)
-    terms = grad * step
-    np.multiply(2.0, terms[0] + terms[1], out=models[1])
-    terms = step * hs
-    models[1] += terms[0]
-    models[1] += terms[1]
-    np.negative(models[1], out=models[1])
-    np.subtract(models[1], curv, out=models[0])
+    curv = _dot(step, ss)
+    step_hs = step * hs
+    gn_model = -(2.0 * _dot(grad, step) + step_hs[0] + step_hs[1])
+    aug_model = gn_model - curv
     # Nielsen's update: the worse the step's model predicted the gain, the
     # less the damping drops; a rejected step raises it.
-    model_gain = np.where(use, models[0], models[1])
+    model_gain = np.where(use, aug_model, gn_model)
     ratio = 2.0 * np.minimum(gain / np.where(model_gain > 0.0, model_gain, np.inf), 1.0) - 1.0
     shrink = np.maximum(1.0 / 3.0, 1.0 - ratio * ratio * ratio)
     np.minimum(np.where(better, shrink, _LM_FACTOR) * lam, _LM_LAMBDA_MAX, out=lam)
     # the model that predicted this gain better makes the next step
-    errors = np.abs(models - gain)
-    np.less_equal(errors[0], errors[1], out=aug)
+    np.less_equal(np.abs(aug_model - gain), np.abs(gn_model - gain), out=aug)
     # The structured secant update (Dennis, Gay & Welsch 1981): S s = y#
     # after it, with y the change of the half gradient and y# = y - H s the
     # part of it that J^T W J does not explain.  S is first sized down by
     # min(1, |s^T y#| / |s^T S s|); no update unless y^T s > 0.  The update
     # is (r y^T + y r^T - (r^T s / y^T s) y y^T) / y^T s, r = y# - S s.
-    ys = np.empty((2,) + step.shape)
-    y, ysharp = ys
-    np.subtract(t_at[1:3], grad, out=y)
-    np.subtract(y, hs, out=ysharp)
-    terms = ys * step
-    dots = terms[:, 0] + terms[:, 1]
-    upd = better & (dots[0] > 0.0)
-    explained = np.abs(dots[1])
+    y = t_at[1:3] - grad
+    ys = _dot(y, step)
+    upd = better & (ys > 0.0)
+    ysharp = y - hs
+    explained = np.abs(_dot(ysharp, step))
     abs_curv = np.abs(curv)
     big = upd & (abs_curv > explained)
     size = np.where(big, explained, 1.0) / np.where(big, abs_curv, 1.0)
     resid = ysharp - size * ss
-    y_s = np.where(upd, dots[0], 1.0)
-    terms = resid * step
-    half = (0.5 / y_s) * (terms[0] + terms[1])
-    u = np.where(upd, (resid - half * y) / y_s, 0.0)
+    ys = np.where(upd, ys, 1.0)
+    half = (0.5 / ys) * _dot(resid, step)
+    u = np.where(upd, (resid - half * y) / ys, 0.0)
     sec *= size
     sec[0::2] += 2.0 * u * y
-    terms = u * y[::-1]
-    sec[1] += terms[0] + terms[1]
+    sec[1] += _dot(u, y[::-1])
     np.copyto(x, trial, where=better)
     np.copyto(at, t_at, where=better)
     return done
@@ -717,8 +719,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     converged = np.empty(m, dtype=bool)
     # _evaluate's rows at each column's current point, from one model
     # table per distinct start point
-    points, columns = np.unique(np.ascontiguousarray(x.T).view(_POINT)[:, 0], return_inverse=True)
-    at = _evaluate(points.view(float).reshape(-1, 2).T, f, w, n_max, columns)
+    points, columns = _distinct(x)
+    at = _evaluate(points, f, w, n_max, columns)
     start_obj = at[0].copy()
     lam = np.full(m, _LM_LAMBDA0)
     sec = np.zeros((3, m))

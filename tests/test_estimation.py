@@ -563,6 +563,24 @@ class TestFitBatch:
             # the exact rows end on their bounds
             assert fits[0].r[[-3, -1]].tolist() == fits[0].nbar[-2:].tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_compaction_leaves_every_column(self, monkeypatch, n_max):
+        # Stopped columns are written out when they are compacted away and
+        # at the end: compacting once every column has stopped (1), at the
+        # default share (8) or at the first stop (10**9) gives the same
+        # batch, from the grid and from a start.
+        sets = [_dirichlet_rows(200, n_max), _sampled_rows(0.5, 1.0, 200, 100, n_max),
+                _sampled_rows(2.5, 0.01, 10 ** 4, 100, n_max),
+                _sampled_rows(0.0, 0.01, 200, 100, n_max)]
+        freqs = np.concatenate([s[1] for s in sets])
+        weights = np.concatenate([s[2] for s in sets])
+        for start in (None, to_variances(SqueezedThermalState(1.0, 0.05))):
+            fits = []
+            for compact in (1, 8, 10 ** 9):
+                monkeypatch.setattr(estimation, "_COMPACT", compact)
+                fits.append(fit_batch(freqs, weights, start=start))
+            assert fits[0] == fits[1] == fits[2]
+
     def test_peak_memory_of_a_thousand_rows(self):
         # tracemalloc sees numpy's array buffers.  The budget is the peak
         # measured at n_max = 20 with 512-column refinement blocks
@@ -715,6 +733,27 @@ class TestEvaluate:
             one = (x[:, i:i + 1], f[:, i:i + 1], w[:, i:i + 1])
             assert np.array_equal(_evaluate(*one, n_max), self.separate_sums(*one, n_max))
             assert np.array_equal(_evaluate(*one, n_max)[:, 0], rows[:, i])
+
+
+    @pytest.mark.parametrize("n_max", [1, 20, 64])
+    def test_shared_points_equal_column_by_column_calls(self, n_max):
+        # Given each column's index into a few points, the table of each
+        # point is computed once and copied to its columns: every column at
+        # one point (a replicate set's start) and every column but the
+        # last.  Each column equals a call on it alone, as do the rows at
+        # the columns' points given in full.
+        rng = np.random.default_rng(n_max + 1)
+        m = 50
+        f = rng.dirichlet(np.full(n_max + 2, 0.3), m).T.copy()
+        w = 10.0 ** rng.uniform(0.0, 6.0, f.shape)
+        points = np.array([[1.2, 0.0], [0.3, 0.0]])
+        for columns in (np.zeros(m, dtype=np.intp), np.arange(m) // (m - 1)):
+            x = points[:, columns]
+            want = np.stack([_evaluate(x[:, i:i + 1], f[:, i:i + 1], w[:, i:i + 1], n_max)[:, 0]
+                             for i in range(m)], axis=1)
+            for got in (_evaluate(points[:, :columns.max() + 1], f, w, n_max, columns),
+                        _evaluate(x, f, w, n_max)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRoundingFloor:

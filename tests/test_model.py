@@ -447,6 +447,20 @@ class TestBinSum:
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
+    @pytest.mark.parametrize("n_max, width", [(20, 900), (64, 7), (64, 1024), (2, 60)])
+    def test_views_of_an_evaluation_buffer(self, n_max, width):
+        # the layouts estimation._evaluate sums: every slot of an (8, bins,
+        # m) buffer, and the three slots of the model table, bins leading;
+        # wide rows take np.add.reduce, which must not sum them pairwise.
+        # Zeros of either sign are summed as the in-order adds sum them.
+        rng = np.random.default_rng(n_max + width)
+        buf = rng.standard_normal((8, n_max + 2, width)) * 10.0 ** rng.integers(-12, 12, width)
+        buf[:, :, 0] = -0.0
+        buf[1, 1:, 0] = 0.0
+        for view in (buf[:, :n_max + 1].swapaxes(0, 1), buf[1:4, :n_max + 1].swapaxes(0, 1)):
+            want = np.add.accumulate(view, axis=0)[-1]
+            assert np.array_equal(_bin_sum(view).view(np.uint64), want.view(np.uint64))
+
     def test_input_untouched(self):
         a = np.arange(12.0).reshape(4, 3)
         _bin_sum(a)

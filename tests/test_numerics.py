@@ -5,7 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from fockfit.numerics import scaled_legendre, std_normal_cdf, std_normal_quantile
+from fockfit.model import _argument_jets
+from fockfit.numerics import (
+    _COEF_BYTES, _legendre_jet, scaled_legendre, std_normal_cdf, std_normal_quantile,
+)
 
 
 def legendre_direct(n, x):
@@ -41,6 +44,48 @@ def normal_cdf_oracle(z):
         t = (0.5 * k) / (x + t)
     tail = math.exp(-x * x) / math.sqrt(math.pi) / (x + t)
     return 1.0 - 0.5 * tail if z >= 0 else 0.5 * tail
+
+
+def reference_jet(c, u, n_max):
+    """_legendre_jet's recurrence one step at a time, as literally as it
+    reads: the coefficient jets (-b_k u, a_k c), their values times both
+    jets plus their derivatives times both values, then the two added."""
+    out = np.empty((n_max + 1,) + c.shape)
+    out[0, 0], out[0, 1:] = 1.0, 0.0
+    if n_max > 0:
+        out[1] = c
+    for k in range(1, n_max):
+        coef = np.stack((-k / (k + 1.0) * u, (2.0 * k + 1.0) / (k + 1.0) * c))
+        terms = coef[:, :1] * out[k - 1:k + 1]
+        terms[:, 1:] += coef[:, 1:] * out[k - 1:k + 1, :1]
+        out[k + 1] = terms[0] + terms[1]
+    return out
+
+
+class TestLegendreJet:
+    """_legendre_jet forms the coefficient jets of several steps per call
+    where they fit _COEF_BYTES, and of one step per call (by floats) where
+    they do not; either way every entry is the literal recurrence's, bit
+    for bit.  Widths 1, 2 and 33 take several steps per call (33 in
+    chunks that end part way), 1024 one; the two widths either side of
+    the switch are taken from _COEF_BYTES."""
+
+    @pytest.mark.parametrize("width", [1, 2, 33, _COEF_BYTES // 96, _COEF_BYTES // 96 + 1, 1024])
+    def test_equals_the_literal_recurrence(self, width):
+        rng = np.random.default_rng(width)
+        q = np.concatenate(([0.0, 1.2], rng.uniform(0.0, 40.0, width)))[:width]
+        nbar = np.concatenate(([0.3, 0.0], rng.uniform(0.0, 5.0, width)))[:width]
+        c, u, _, _ = _argument_jets(q, nbar)
+        for n_max in range(65):
+            got, want = _legendre_jet(c, u, n_max), reference_jet(c, u, n_max)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n_max
+
+    def test_values_only(self):
+        # one row per jet (no tangents), as scaled_legendre passes them
+        c, u = np.array([[0.3, -0.9]]), np.array([[0.5, -2.0]])
+        for n_max in range(65):
+            got, want = _legendre_jet(c, u, n_max), reference_jet(c, u, n_max)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n_max
 
 
 class TestScaledLegendre:
