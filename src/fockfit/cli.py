@@ -59,23 +59,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise _CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
-def _unique_keys(path: str):
-    """json.load's object_pairs_hook for ``path``: a dict of the pairs, or
-    an error naming the first key that an object repeats."""
-    def build(pairs):
+def _read_json(path: str) -> dict:
+    def unique_keys(pairs):
+        # json.load keeps the last of a repeated key; reject it instead
         doc = {}
         for key, value in pairs:
             if key in doc:
                 raise _CliError(EXIT_USAGE, f"{path}: duplicate key {key!r}")
             doc[key] = value
         return doc
-    return build
 
-
-def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys(path))
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -126,12 +122,13 @@ def _parse_state_string(text: str, flag: str) -> QuadratureVariances:
     pairs = {}
     for chunk in text.split(","):
         key, sep, value = chunk.partition("=")
+        key = key.strip()
         if not sep:
             raise _CliError(EXIT_USAGE, f"{flag}: expected key=value pairs, got {chunk!r}")
-        if key.strip() in pairs:
-            raise _CliError(EXIT_USAGE, f"{flag}: key {key.strip()!r} given twice")
+        if key in pairs:
+            raise _CliError(EXIT_USAGE, f"{flag}: key {key!r} given twice")
         try:
-            pairs[key.strip()] = float(value)
+            pairs[key] = float(value)
         except ValueError as exc:
             raise _CliError(EXIT_USAGE, f"{flag}: bad number in {chunk!r}") from exc
     return _state(pairs, flag, "r=..,nbar=.. or vq=..,vp=..")

@@ -507,19 +507,6 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return best[:rows]
 
 
-@lru_cache(maxsize=None)
-def _error_factors(n_max: int) -> np.ndarray:
-    """The per-bin model error factors (n + 1)(n + 2)/2 of bins 0..n_max
-    (see above _STEP_TOL), a read-only (n_max + 1, 1) array."""
-    n = np.arange(n_max + 1.0)[:, None]
-    factors = 0.5 * (n + 1.0) * (n + 2.0)
-    factors.flags.writeable = False
-    return factors
-
-
-_FLOOR_EPS = _FLOOR_FACTOR * np.finfo(float).eps
-
-
 def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
               columns=None) -> np.ndarray:
     """What the refinement needs of the model at points x = (q, nbar) of
@@ -550,7 +537,8 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
         np.take(table[:3], columns, axis=2, out=terms[1:4], mode="clip")
     probs, resid, model_err = terms[1], terms[0], terms[7, :n_max + 1]
     # per-bin model errors (n + 1)(n + 2)/2 P_n, in units of eps
-    np.multiply(_error_factors(n_max), probs[:n_max + 1], out=model_err)
+    n = np.arange(n_max + 1.0)[:, None]
+    np.multiply(0.5 * (n + 1.0) * (n + 2.0), probs[:n_max + 1], out=model_err)
     np.subtract(probs, f, out=resid)
     # with P spent, w dP/dnbar (on slot 6) and w dP/dq (on slot 1) give
     # the J^T W J terms (h00, h01, h11 on slots 3..5), then the half
@@ -571,7 +559,7 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
     rows = _bin_sum(terms[:, :n_max + 1].swapaxes(0, 1))
     terms[6, n_max + 1] *= rows[7] + (n_max + 1.0)
     rows[:7] += terms[:7, n_max + 1]
-    rows[6] = _FLOOR_EPS * ((n_max + 2) * rows[0] + 2.0 * rows[6])
+    rows[6] = _FLOOR_FACTOR * np.finfo(float).eps * ((n_max + 2) * rows[0] + 2.0 * rows[6])
     return rows[:7]
 
 
