@@ -23,7 +23,7 @@ from ._io import atomic_write, check_int, is_int
 from .model import (
     MAX_FOCK, QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances,
 )
-from .sampling import MAX_SEED, SeedSpec, sample_histogram
+from .sampling import MAX_SEED, MAX_SHOTS, SeedSpec, sample_histogram
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,7 +34,7 @@ FORMAT_VERSION = 1
 
 # (low, high or None) of each integer flag, checked under the flag's name
 # before any work; estimate's n_max comes from its counts file instead.
-_INT_FLAGS = {"nmax": (1, MAX_FOCK), "shots": (1, None), "seed": (0, MAX_SEED),
+_INT_FLAGS = {"nmax": (1, MAX_FOCK), "shots": (1, MAX_SHOTS), "seed": (0, MAX_SEED),
               "stream": (0, None), "replicates": (2, None)}
 
 
@@ -166,10 +166,15 @@ def _write_counts(path: str, h: est.FockHistogram) -> None:
 
 
 def _expected_counts(probs: list[float], shots: int) -> list[int]:
-    """Largest-remainder apportionment of shots across bins."""
+    """Largest-remainder apportionment of shots across bins.  Raises a
+    --shots error where the float products p * shots leave more shots over,
+    or fewer, than there are bins, so no rounding sums to shots."""
     scaled = [p * shots for p in probs]
     base = [math.floor(x) for x in scaled]
     leftover = shots - sum(base)
+    if not 0 <= leftover <= len(probs):
+        raise _CliError(EXIT_USAGE, f"--shots: {shots} shots are too many to round to "
+                                    f"expected counts in float arithmetic")
     order = sorted(range(len(probs)), key=lambda i: (base[i] - scaled[i], i))
     for i in order[:leftover]:
         base[i] += 1
@@ -250,6 +255,7 @@ def cmd_estimate(args) -> int:
 def cmd_ci(args) -> int:
     bt._check_interval_args(args.alpha, name="--alpha")
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
+    check_int(f"{args.counts}: total", h.total, 1, MAX_SHOTS)  # each replicate's shots
     res, scheme, prior = _fit_from_args(args, h)
     if not res.converged:
         print("fit did not converge; no intervals computed", file=sys.stderr)

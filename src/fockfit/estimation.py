@@ -507,14 +507,12 @@ def _grid_winners(freqs: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return best[:rows]
 
 
-def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
-              columns=None) -> np.ndarray:
+def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
     """What the refinement needs of the model at points x = (q, nbar) of
     shape (2, m), for the frequency and weight columns f, w of shape
     (bins, m): the rows (objective, half gradient, J^T W J as h00, h01,
     h11, rho) of a (7, m) array, with J the model's Jacobian and rho the
-    objective's rounding floor (see above _STEP_TOL).  Given ``columns``,
-    x holds k <= m points instead and column j is at x[:, columns[j]].
+    objective's rounding floor (see above _STEP_TOL).
 
     One (8, bins, m) buffer is the whole working set: the model table
     fills slots 1..4, P on 1, dP/dq on 2 and dP/dnbar on 3 (4 is the
@@ -523,18 +521,9 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int,
     (bins, m) block, so the elementwise products run over contiguous
     memory.  One pass of in-order adds over bins 0..n_max sums all eight
     terms; the overflow bin's terms are added last, once its model error
-    (the sum of the others' plus (n_max + 1) eps) is known.  With
-    ``columns``, the table of the k <= m points is computed in slots 4..7
-    and copied to each column, so a point that many columns share, such
-    as a replicate set's start, is evaluated once."""
-    m = x.shape[1] if columns is None else columns.size
-    terms = np.empty((8, n_max + 2, m))
-    if columns is None:
-        _fock_table(x[0], x[1], n_max, out=terms[1:5])
-    else:
-        table = terms[4:].reshape(-1)[:4 * (n_max + 2) * x.shape[1]].reshape(4, n_max + 2, -1)
-        _fock_table(x[0], x[1], n_max, out=table)
-        np.take(table[:3], columns, axis=2, out=terms[1:4], mode="clip")
+    (the sum of the others' plus (n_max + 1) eps) is known."""
+    terms = np.empty((8, n_max + 2, x.shape[1]))
+    _fock_table(x[0], x[1], n_max, out=terms[1:5])
     probs, resid, model_err = terms[1], terms[0], terms[7, :n_max + 1]
     # per-bin model errors (n + 1)(n + 2)/2 P_n, in units of eps
     n = np.arange(n_max + 1.0)[:, None]
@@ -572,18 +561,6 @@ def _dot(a, b):
     """a[0] b[0] + a[1] b[1], of two (2, ...) arrays, by one product."""
     products = a * b
     return products[0] + products[1]
-
-
-# A point (q, nbar) as one value, compared bit for bit.
-_POINT = np.dtype((np.void, 16))
-
-
-def _distinct(x):
-    """The distinct columns of the points x (2, m), bit for bit, as a
-    (2, k) array, and the index of each column among them."""
-    points, columns = np.unique(np.ascontiguousarray(x.T).view(_POINT)[:, 0],
-                                return_inverse=True)
-    return points.view(float).reshape(-1, 2).T, columns
 
 
 def _trial_step(x, at, lam, sec, aug):
@@ -705,10 +682,8 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     x_out, obj_out = np.empty((2, m)), np.empty(m)
     evals = np.empty(m, dtype=np.int64)
     converged = np.empty(m, dtype=bool)
-    # _evaluate's rows at each column's current point, from one model
-    # table per distinct start point
-    points, columns = _distinct(x)
-    at = _evaluate(points, f, w, n_max, columns)
+    # _evaluate's rows at each column's current point
+    at = _evaluate(x, f, w, n_max)
     start_obj = at[0].copy()
     lam = np.full(m, _LM_LAMBDA0)
     sec = np.zeros((3, m))

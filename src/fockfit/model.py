@@ -131,8 +131,13 @@ def to_variances(state: SqueezedThermalState) -> QuadratureVariances:
     """Quadrature variances of a squeezed thermal state:
 
     vq = (2 nbar + 1) exp(-2r) / 2,   vp = (2 nbar + 1) exp(+2r) / 2.
+
+    Raises ValueError naming r where exp(2r) overflows a float (r > 354.89).
     """
-    return QuadratureVariances(*_variances(state.r, state.nbar))
+    try:
+        return QuadratureVariances(*_variances(state.r, state.nbar))
+    except OverflowError:
+        raise ValueError(f"r = {state.r} is too large: exp(2r) overflows a float") from None
 
 
 def from_variances(v: QuadratureVariances) -> SqueezedThermalState:

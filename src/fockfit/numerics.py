@@ -7,7 +7,6 @@ CDF and quantile.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -41,48 +40,6 @@ def scaled_legendre(c, u, n_max: int) -> np.ndarray:
     return _legendre_jet(c_arr[None], u_arr[None], n_max)[:, 0]
 
 
-# Bytes of coefficient jets formed per call: where they fit, the jets of
-# several steps are formed by one call each for u and c, which saves calls
-# at a few columns; wider blocks form each step's on its own, by a multiply
-# with a float, which numpy runs faster than one with a broadcast array.
-_COEF_BYTES = 1 << 13
-
-
-@lru_cache(maxsize=None)
-def _step_factors(n_max: int):
-    """The recurrence's factors (-b_k, a_k) = (-k / (k + 1), (2k + 1) / (k + 1))
-    of steps k = 1 .. n_max - 1: a tuple of float pairs and the read-only
-    (2, n_max - 1) array of the same floats."""
-    pairs = tuple((-k / (k + 1.0), (2.0 * k + 1.0) / (k + 1.0)) for k in range(1, n_max))
-    table = np.array(pairs).reshape(-1, 2).T
-    table.flags.writeable = False
-    return pairs, table
-
-
-def _coefficient_jets(c, u, n_max: int):
-    """Yield, for steps k = 1 .. n_max - 1 of _legendre_jet's recurrence,
-    the coefficient jets (-b_k u, a_k c) as the views (values, tangents) of
-    one (2, 1 + t, ...) array: (2, 1, ...) and (2, t, ...).  Each is valid
-    until the next is yielded."""
-    pairs, table = _step_factors(n_max)
-    per_call = min(n_max - 1, _COEF_BYTES // (2 * c.nbytes))
-    if per_call <= 1:
-        coef = np.empty((2,) + c.shape)
-        views = coef[:, :1], coef[:, 1:]
-        for b, a in pairs:
-            np.multiply(b, u, out=coef[0])
-            np.multiply(a, c, out=coef[1])
-            yield views
-        return
-    coefs = np.empty((per_call, 2) + c.shape)
-    table = table.reshape((2, -1) + (1,) * c.ndim)
-    for first in range(0, n_max - 1, per_call):
-        chunk = coefs[:n_max - 1 - first]
-        np.multiply(table[0, first:first + per_call], u, out=chunk[:, 0])
-        np.multiply(table[1, first:first + per_call], c, out=chunk[:, 1])
-        yield from zip(chunk[:, :, :1], chunk[:, :, 1:])
-
-
 def _legendre_jet(c, u, n_max: int, out=None) -> np.ndarray:
     """G_n of scaled_legendre for n = 0 .. n_max together with their
     directional derivatives, from one pass of the recurrence over jets.
@@ -93,10 +50,11 @@ def _legendre_jet(c, u, n_max: int, out=None) -> np.ndarray:
     (x * y)[0] = x[0] y[0] and (x * y)[i] = x[0] y[i] + x[i] y[0], so the
     recurrence G_{k+1} = a_k c G_k - b_k u G_{k-1}, a_k = (2k + 1)/(k + 1)
     and b_k = k/(k + 1), carries the derivatives along with the values at
-    a few array operations per step.  Returns an (n_max + 1, 1 + t, ...)
-    array: G_n on [n, 0], its derivatives on [n, 1:].  Given ``out``, an
-    array (or view) of that shape, every entry of it is written and it is
-    returned.  Callers pass an integer ``n_max`` >= 0; it is not checked here.
+    four array operations per step (six with tangents).  Returns an
+    (n_max + 1, 1 + t, ...) array: G_n on [n, 0], its derivatives on
+    [n, 1:].  Given ``out``, an array (or view) of that shape, every entry
+    of it is written and it is returned.  Callers pass an integer
+    ``n_max`` >= 0; it is not checked here.
     """
     if out is None:
         out = np.empty((n_max + 1,) + c.shape)
@@ -106,14 +64,19 @@ def _legendre_jet(c, u, n_max: int, out=None) -> np.ndarray:
         return out
     out[1] = c
     # Step k combines the rows (G_{k-1}, G_k) = out[k-1:k+1] with the
-    # coefficients (-b_k u, a_k c): their values times both jets, plus
-    # their derivatives times both values.
+    # coefficients (-b_k u, a_k c), formed for that step only by a multiply
+    # with a float each: their values times both jets, plus their
+    # derivatives times both values.
+    coef = np.empty((2,) + c.shape)
+    coef_values, coef_tangents = coef[:, :1], coef[:, 1:]
     terms = np.empty((2,) + c.shape)
     first_terms, second_terms, tangent_terms = terms[0], terms[1], terms[:, 1:]
     extra = np.empty(tangent_terms.shape) if c.shape[0] > 1 else None
     values = out[:, :1]
-    for k, (coef, coef_tangents) in enumerate(_coefficient_jets(c, u, n_max), 1):
-        np.multiply(coef, out[k - 1:k + 1], out=terms)
+    for k in range(1, n_max):
+        np.multiply(-k / (k + 1.0), u, out=coef[0])
+        np.multiply((2.0 * k + 1.0) / (k + 1.0), c, out=coef[1])
+        np.multiply(coef_values, out[k - 1:k + 1], out=terms)
         if extra is not None:
             tangent_terms += np.multiply(coef_tangents, values[k - 1:k + 1], out=extra)
         np.add(first_terms, second_terms, out=out[k + 1])

@@ -16,6 +16,8 @@ from .model import FockDistribution
 __all__ = ["SeedSpec", "sample_histogram"]
 
 MAX_SEED = 2 ** 64 - 1
+# The most shots one histogram may hold: Generator.multinomial counts in int64.
+MAX_SHOTS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def _sample_blocks(blocks, master_seed: int) -> np.ndarray:
     the tail mass left before it, and the overflow bin takes the rest, so
     each row sums to n_shots.  pvals take _snapped_probs' tail snap."""
     for _, n_shots, _, n in blocks:
-        check_int("n_shots", n_shots, 1)
+        check_int("n_shots", n_shots, 1, MAX_SHOTS)
         check_int("n", n, 0)
     # the words' hash temporaries are freed before the count matrix exists
     generators = _stream_generators(master_seed, [(first, n) for _, _, first, n in blocks])

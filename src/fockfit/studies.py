@@ -18,7 +18,7 @@ from ._io import atomic_write, is_int, is_number
 from .bootstrap import METHODS, PARAMETERS, _coverage, parameter_values
 from .estimation import WEIGHT_SCHEMES, PriorShape, fit_batch, weights_for
 from .model import MAX_FOCK, SqueezedThermalState, fidelity, fock_distribution, to_variances
-from .sampling import MAX_SEED, SeedSpec, _sample_blocks
+from .sampling import MAX_SEED, MAX_SHOTS, SeedSpec, _sample_blocks
 
 __all__ = [
     "DEFAULT_SHOT_GRID",
@@ -99,7 +99,8 @@ class StudyConfig:
 _FIELD_RULES = (
     ("true_states", _list_of(lambda s: isinstance(s, SqueezedThermalState)),
      "a nonempty list of SqueezedThermalState"),
-    ("shot_counts", _list_of(_ints_from(1)), "a nonempty list of integers >= 1"),
+    ("shot_counts", _list_of(_ints_from(1, MAX_SHOTS)),
+     "a nonempty list of integers in [1, 2**63 - 1]"),
     ("n_experiments", _ints_from(1), "an integer >= 1"),
     ("n_b", _list_of(_ints_from(2)), "a nonempty list of integers >= 2"),
     ("alpha", lambda a: is_number(a) and 0.0 < a < 0.5, "a number in (0, 0.5)"),
@@ -363,9 +364,11 @@ def _parse_state(entry, where: str) -> SqueezedThermalState:
     _reject_unknown(entry, {"r", "nbar"}, where)
     r, nbar = (_number(_require(entry, key, where), f"{where}.{key}") for key in ("r", "nbar"))
     try:
-        return SqueezedThermalState(r, nbar)
+        state = SqueezedThermalState(r, nbar)
+        to_variances(state)  # its variances must be finite floats
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return state
 
 
 def _each(raw, field: str, parse) -> tuple:

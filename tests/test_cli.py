@@ -67,6 +67,18 @@ class TestStateFlags:
         assert run(["probs", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"fockfit: {where}")
 
+    @pytest.mark.parametrize("command", [
+        ["probs", "--r", "400", "--nbar", "0"],
+        ["simulate", "--r", "400", "--nbar", "0", "--shots", "10", "--out", "out.json"],
+    ])
+    def test_squeezing_beyond_float_range_named(self, tmp_path, monkeypatch, capsys, command):
+        # exp(2r) overflows a float above r = 354.89: a usage error, not a traceback
+        monkeypatch.chdir(tmp_path)
+        assert run(command) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "fockfit: --r/--nbar: r = 400.0 is too large: exp(2r) overflows a float\n")
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestSimulate:
     def test_vacuum_counts(self, tmp_path):
@@ -101,6 +113,23 @@ class TestSimulate:
         # thermal nbar=1: P(n) = 2^-(n+1), so expected counts halve each bin
         assert doc["counts"][:5] == [512, 256, 128, 64, 32]
         assert sum(doc["counts"]) + doc["overflow"] == 1024
+
+    def test_exact_counts_that_cannot_sum_to_the_shots_rejected(self, tmp_path, capsys):
+        # p * shots in floats leaves far more than one shot per bin over
+        # at 2**62 shots, so no largest-remainder rounding sums to them
+        out = tmp_path / "exact.json"
+        assert run(["simulate", "--r", "1", "--nbar", "0.1", "--shots", str(2 ** 62),
+                    "--exact", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"fockfit: --shots: {2 ** 62} shots ")
+        assert not out.exists()
+
+    def test_most_shots_sampled(self, tmp_path):
+        # MAX_SHOTS, the largest count Generator.multinomial takes, draws
+        out = tmp_path / "counts.json"
+        assert run(["simulate", "--r", "1", "--nbar", "0.1", "--shots", str(2 ** 63 - 1),
+                    "--out", str(out)]) == EXIT_OK
+        doc = read_json(out)
+        assert sum(doc["counts"]) + doc["overflow"] == doc["total"] == 2 ** 63 - 1
 
 
 class TestEstimate:
@@ -203,6 +232,22 @@ class TestCi:
             assert entry["method"] == "bc"
             assert entry["level"] == pytest.approx(0.9)
             assert entry["lower"] <= entry["upper"]
+
+    def test_total_beyond_the_most_shots_rejected_before_the_point_fit(
+            self, tmp_path, monkeypatch, capsys):
+        # replicates of 1.11e20 shots cannot be drawn; the counts file's
+        # total is named before any fit work
+        counts, out = tmp_path / "counts.json", tmp_path / "ci.json"
+        total = 111 * 10 ** 18
+        counts.write_text(json.dumps({"format_version": 1, "n_max": 2,
+                                      "counts": [total - 10, 7, 3], "overflow": 0,
+                                      "total": total}))
+        monkeypatch.setattr(cli.est, "fit", lambda *a: pytest.fail("point fit started"))
+        assert run(["ci", "--counts", str(counts), "--replicates", "10",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"fockfit: {counts}: total {_SHOTS_RANGE}, got {total}\n")
+        assert not out.exists()
 
     def test_reproducible(self, tmp_path):
         counts = tmp_path / "counts.json"
@@ -337,6 +382,12 @@ class TestFidelityCommand:
             assert run(["fidelity", "--state1", state, "--state2", "r=0,nbar=0"]) == EXIT_USAGE
             assert capsys.readouterr().err == f"fockfit: --state1: {message}\n"
 
+    def test_squeezing_beyond_float_range_named(self, capsys):
+        command = ["fidelity", "--state1", "r=400,nbar=0", "--state2", "r=0,nbar=0"]
+        assert run(command) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "fockfit: --state1: r = 400.0 is too large: exp(2r) overflows a float\n")
+
     def test_repeated_key_rejected(self, capsys):
         assert run(["fidelity", "--state1", "r=1,r=2,nbar=0",
                     "--state2", "r=2,nbar=0"]) == EXIT_USAGE
@@ -366,6 +417,23 @@ class TestStudyCommand:
         assert (tmp_path / "report.json").exists()
         header = out.read_text().splitlines()[0]
         assert header.startswith("state_r,state_nbar,shots,scheme")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("shot_counts", [10 ** 20], "shot_counts: expected a nonempty list of integers in "
+                                    "[1, 2**63 - 1], got (100000000000000000000,)"),
+        ("true_states", [{"r": 0.5, "nbar": 0.1}, {"r": 400, "nbar": 0}],
+         "true_states[1]: r = 400.0 is too large: exp(2r) overflows a float"),
+    ])
+    def test_bias_config_beyond_float_or_int64_range_named(self, tmp_path, capsys, field,
+                                                           value, message):
+        cfg = self.write_config(tmp_path, {
+            "format_version": 1, "study": "bias", "true_states": [{"r": 0.5, "nbar": 0.1}],
+            "shot_counts": [300], "n_experiments": 2, "master_seed": 1, field: value,
+        })
+        out = tmp_path / "report.csv"
+        assert run(["study", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"fockfit: {message}\n"
+        assert not out.exists()
 
     def test_unknown_field_reported(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, {
@@ -560,6 +628,7 @@ _PROBS = ["probs", "--r", "0.5", "--nbar", "0.1"]
 _SIMULATE = ["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100", "--out", "out.json"]
 _CI = ["ci", "--counts", "counts.json", "--replicates", "50", "--out", "out.json"]
 _SEED_RANGE = "must be in [0, 18446744073709551615]"
+_SHOTS_RANGE = "must be in [1, 9223372036854775807]"
 
 
 class TestIntegerFlagsNamed:
@@ -573,9 +642,11 @@ class TestIntegerFlagsNamed:
         (_SIMULATE, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
         (_SIMULATE, "--seed", str(2 ** 64), f"{_SEED_RANGE}, got {2 ** 64}"),
         (_SIMULATE, "--stream", "-2", "must be >= 0, got -2"),
-        (_SIMULATE, "--shots", "0", "must be >= 1, got 0"),
-        (_SIMULATE + ["--exact"], "--shots", "0", "must be >= 1, got 0"),
-        (_SIMULATE + ["--exact"], "--shots", "-5", "must be >= 1, got -5"),
+        (_SIMULATE, "--shots", "0", f"{_SHOTS_RANGE}, got 0"),
+        (_SIMULATE + ["--exact"], "--shots", "0", f"{_SHOTS_RANGE}, got 0"),
+        (_SIMULATE + ["--exact"], "--shots", "-5", f"{_SHOTS_RANGE}, got -5"),
+        (_SIMULATE, "--shots", str(10 ** 20), f"{_SHOTS_RANGE}, got {10 ** 20}"),
+        (_SIMULATE + ["--exact"], "--shots", str(2 ** 63), f"{_SHOTS_RANGE}, got {2 ** 63}"),
         (_CI, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
         (_CI, "--stream", "-2", "must be >= 0, got -2"),
     ]

@@ -640,6 +640,22 @@ class TestWarmStart:
         assert mixed[:25] == fits[:25]
         assert mixed[25:] == fit_batch(freqs[25:], weights[25:], start=u)
 
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_each_row_equals_it_fitted_alone(self, n_max):
+        # Every row of a warm-started batch starts at the same point; its
+        # fit, evaluations included, is the one it gets in a batch of its
+        # own.  The rows mix sampled histograms, Dirichlet(0.3) ones and
+        # rows that end on the nbar = 0 bound.
+        sets = [_sampled_rows(r, nbar, shots, 12, n_max, seed=17)
+                for r, nbar, shots in ((1.0, 0.05, 10 ** 4), (0.0, 0.01, 200), (0.3, 0.0, 10 ** 4))]
+        sets.append(_dirichlet_rows(12, n_max, seed=19))
+        freqs = np.concatenate([s[1] for s in sets])
+        weights = np.concatenate([s[2] for s in sets])
+        v = to_variances(SqueezedThermalState(1.0, 0.05))
+        fits = fit_batch(freqs, weights, start=v)
+        for i in range(len(freqs)):
+            assert fits[i:i + 1] == fit_batch(freqs[i:i + 1], weights[i:i + 1], start=v), i
+
     def test_never_above_the_start_objective(self):
         n_max = 20
         sets = [_sampled_rows(0.0, 0.01, 200, 30, n_max, seed=2), _dirichlet_rows(60, n_max)]
@@ -737,11 +753,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_max", [1, 20, 64])
     def test_shared_points_equal_column_by_column_calls(self, n_max):
-        # Given each column's index into a few points, the table of each
-        # point is computed once and copied to its columns: every column at
-        # one point (a replicate set's start) and every column but the
-        # last.  Each column equals a call on it alone, as do the rows at
-        # the columns' points given in full.
+        # Columns that share a few points: every column at one point (a
+        # replicate set's start) and every column but the last.  Each
+        # column of the rows at the columns' points given in full equals a
+        # call on it alone.
         rng = np.random.default_rng(n_max + 1)
         m = 50
         f = rng.dirichlet(np.full(n_max + 2, 0.3), m).T.copy()
@@ -751,9 +766,8 @@ class TestEvaluate:
             x = points[:, columns]
             want = np.stack([_evaluate(x[:, i:i + 1], f[:, i:i + 1], w[:, i:i + 1], n_max)[:, 0]
                              for i in range(m)], axis=1)
-            for got in (_evaluate(points[:, :columns.max() + 1], f, w, n_max, columns),
-                        _evaluate(x, f, w, n_max)):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = _evaluate(x, f, w, n_max)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestRoundingFloor:

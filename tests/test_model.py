@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -57,6 +58,14 @@ class TestParameterizations:
         assert v.vp == pytest.approx(0.51 * math.exp(2.0), rel=1e-15)
         # reference value for this state's vp, quoted to 3 digits
         assert v.vp == pytest.approx(3.77, abs=5e-3)
+
+    def test_squeezing_beyond_float_range_named(self):
+        # exp(2r) is a float up to r = 354.89; above it, a ValueError names r
+        assert math.isfinite(to_variances(SqueezedThermalState(354.8, 0.0)).vp)
+        for r in (354.9, 400.0, 1e300):
+            message = re.escape(f"r = {r} is too large: exp(2r) overflows a float")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                to_variances(SqueezedThermalState(r, 0.0))
 
     def test_uncertainty_product(self):
         for r, nbar in [(0.0, 0.0), (1.3, 0.2), (2.5, 2.0)]:

@@ -7,7 +7,7 @@ import pytest
 
 from fockfit.model import _argument_jets
 from fockfit.numerics import (
-    _COEF_BYTES, _legendre_jet, scaled_legendre, std_normal_cdf, std_normal_quantile,
+    _legendre_jet, scaled_legendre, std_normal_cdf, std_normal_quantile,
 )
 
 
@@ -63,14 +63,13 @@ def reference_jet(c, u, n_max):
 
 
 class TestLegendreJet:
-    """_legendre_jet forms the coefficient jets of several steps per call
-    where they fit _COEF_BYTES, and of one step per call (by floats) where
-    they do not; either way every entry is the literal recurrence's, bit
-    for bit.  Widths 1, 2 and 33 take several steps per call (33 in
-    chunks that end part way), 1024 one; the two widths either side of
-    the switch are taken from _COEF_BYTES."""
+    """_legendre_jet runs one loop at every width, each step's coefficient
+    jets formed for that step only; every entry is the literal
+    recurrence's, bit for bit.  The widths span one column to a full
+    refinement block, 85 and 86 either side of where an earlier kernel
+    switched between two loops."""
 
-    @pytest.mark.parametrize("width", [1, 2, 33, _COEF_BYTES // 96, _COEF_BYTES // 96 + 1, 1024])
+    @pytest.mark.parametrize("width", [1, 2, 33, 85, 86, 1024])
     def test_equals_the_literal_recurrence(self, width):
         rng = np.random.default_rng(width)
         q = np.concatenate(([0.0, 1.2], rng.uniform(0.0, 40.0, width)))[:width]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from fockfit import sampling
 from fockfit.model import FockDistribution, SqueezedThermalState, fock_distribution, to_variances
 from fockfit.sampling import (
-    MAX_SEED, SeedSpec, _sample_blocks, _StateWords, _stream_generators, sample_histogram,
+    MAX_SEED, MAX_SHOTS, SeedSpec, _sample_blocks, _StateWords, _stream_generators,
+    sample_histogram,
 )
 
 VACUUM_DIST = fock_distribution(to_variances(SqueezedThermalState(0, 0)), 20)
@@ -72,6 +73,16 @@ class TestSampleHistogram:
         for n_shots in (1000.5, 1000.0, True):
             with pytest.raises(ValueError, match="^n_shots must be an integer"):
                 sample_histogram(THERMAL_DIST, n_shots, SeedSpec(0, 0))
+
+    def test_shots_up_to_the_int64_bound(self):
+        # Generator.multinomial counts in int64: MAX_SHOTS draws, one more
+        # is named before any stream is made
+        assert MAX_SHOTS == 2 ** 63 - 1
+        h = sample_histogram(THERMAL_DIST, MAX_SHOTS, SeedSpec(0, 0))
+        assert sum(h.counts) + h.overflow_count == h.total == MAX_SHOTS
+        for n_shots in (MAX_SHOTS + 1, 10 ** 20):
+            with pytest.raises(ValueError, match=rf"^n_shots must be in \[1, {MAX_SHOTS}\]"):
+                _sample_blocks([(THERMAL_DIST, n_shots, 0, 1)], 0)
 
 
 class TestMarginals:

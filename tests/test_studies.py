@@ -88,6 +88,7 @@ class TestStudyConfigRules:
         ("alpha", "0.05"),
         ("true_states", ((1.0, 0.01),)),
         ("exact_probabilities", "yes"),
+        ("shot_counts", (2 ** 63,)),
     ])
     def test_bad_field_named(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -460,11 +461,18 @@ class TestParseConfig:
         ({"true_states": [0.5]}, "true_states[0]: expected an object with 'r' and 'nbar'"),
         ({"true_states": [{"r": -1, "nbar": 0.01}]},
          "true_states[0]: squeezing r must be >= 0, got -1.0"),
+        ({"true_states": [{"r": 1.0, "nbar": 0.01}, {"r": 400, "nbar": 0}]},
+         "true_states[1]: r = 400.0 is too large: exp(2r) overflows a float"),
+        ({"true_states": [{"r": 0.0, "nbar": 1e308}]},
+         "true_states[0]: vq must be finite and positive, got inf"),
+        ({"shot_counts": [500, 2 ** 63]},
+         "shot_counts: expected a nonempty list of integers in [1, 2**63 - 1]"),
         ({"true_states": {"r": 1.0, "nbar": 0.01}}, "true_states: expected a nonempty list"),
         ({"study": "weight_comparison", "schemes": ["posterior", "mle"]},
          "schemes[0]: expected an object with 'scheme'"),
         ({"prior": [1.0, 1.0]}, "prior: expected an object with 'nu' and 'eta'"),
     ], ids=["not-an-object", "no-study", "no-true_states", "state-not-an-object", "r=-1",
+            "r=400", "nbar=1e308", "shots=2**63",
             "true_states-not-a-list", "scheme-not-an-object", "prior-not-an-object"])
     def test_malformed_part_named_by_path(self, changes, message):
         # changes=None wraps the document in a list; a None value drops its field
