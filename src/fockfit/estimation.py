@@ -574,18 +574,13 @@ def _trial_step(x, at, lam, sec, aug):
     Its temporaries are gone before _iterate evaluates the trial."""
     grad, h = at[1:3], at[3:6]
     free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
-    keep = np.empty(h.shape, dtype=bool)
-    keep[0::2] = free
-    np.logical_and(free[0], free[1], out=keep[1])
+    keep = np.stack((free[0], free[0] & free[1], free[1]))
     gn = np.where(keep, h, _IDENTITY)
     b = np.where(free, -grad, 0.0)
-    # Products that share an operation are formed as pairs: gn[::-2] * b
-    # is (h11 b0, h00 b1), mat[1] * b[::-1] is (h01 b1, h01 b0).
     gn_det = gn[0] * gn[2] - gn[1] * gn[1]
-    posdef = gn_det > 0.0
-    outer = gn[::-2] * b * b
-    gn_gain = np.where(posdef, (outer[0] - 2.0 * gn[1] * b[0] * b[1] + outer[1])
-                       / np.where(posdef, gn_det, 1.0), np.inf)
+    gn_gain = np.where(gn_det > 0.0, (gn[2] * b[0] * b[0] - 2.0 * gn[1] * b[0] * b[1]
+                                      + gn[0] * b[1] * b[1])
+                       / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
     # H + S where the column chooses it and it is positive definite
     mat = gn + np.where(keep, sec, 0.0)
     use = aug & (mat[0] > 0.0) & (mat[0] * mat[2] - mat[1] * mat[1] > 0.0)
@@ -596,7 +591,8 @@ def _trial_step(x, at, lam, sec, aug):
     det = mat[0] * mat[2] - mat[1] * mat[1]
     solvable = det > 0.0
     det = np.where(solvable, det, 1.0)
-    step = np.where(solvable, (mat[::-2] * b - mat[1] * b[::-1]) / det, 0.0)
+    step = np.where(solvable, np.stack((mat[2] * b[0] - mat[1] * b[1],
+                                        mat[0] * b[1] - mat[1] * b[0])) / det, 0.0)
     trial = np.minimum(np.maximum(x + step, 0.0), _UPPER)
     return trial, trial - x, gn_gain, use
 
@@ -679,41 +675,32 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     """
     m = x.shape[1]
     x = x.copy()
-    x_out, obj_out = np.empty((2, m)), np.empty(m)
-    evals = np.empty(m, dtype=np.int64)
-    converged = np.empty(m, dtype=bool)
+    x_out = x.copy()
+    evals = np.ones(m, dtype=np.int64)
+    converged = np.zeros(m, dtype=bool)
     # _evaluate's rows at each column's current point
     at = _evaluate(x, f, w, n_max)
     start_obj = at[0].copy()
+    obj_out = start_obj.copy()
     lam = np.full(m, _LM_LAMBDA0)
     sec = np.zeros((3, m))
     aug = np.ones(m, dtype=bool)
-    # The state of the columns not yet compacted away (see _COMPACT), which
-    # of them are still running and their evaluations so far.  A column
-    # stops only by _iterate's rules, so the stopped ones have converged.
-    # Their outcomes are written out when they are compacted away and at
-    # the end.
+    # The state of the columns not yet compacted away (see _COMPACT), and
+    # which of them are still running.
     cols, f_live, w_live = np.arange(m), f, w
     live = np.ones(m, dtype=bool)
-    count = np.ones(m, dtype=np.int64)
-
-    def write_out():
-        x_out[:, cols] = x
-        obj_out[cols] = at[0]
-        converged[cols] = ~live
-        evals[cols] = count
-
     for _ in range(max_iter):
         if cols.size == 0:
             break
         done = _iterate(x, at, lam, sec, aug, live, f_live, w_live, n_max)
-        count += live
+        evals[cols] += live
+        x_out[:, cols] = x
+        obj_out[cols] = at[0]
+        converged[cols[done & live]] = True
         live &= ~done
         if _COMPACT * np.count_nonzero(~live) >= live.size:
-            write_out()
-            cols, x, f_live, w_live, at, lam, sec, aug, live, count = (
-                a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live, count))
-    write_out()
+            cols, x, f_live, w_live, at, lam, sec, aug, live = (
+                a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live))
     converged &= ~np.any(x_out >= _UPPER, axis=0)
     evals += _snap_to_bounds(x_out, obj_out, f, w, n_max, start_obj)
     return x_out, obj_out, converged, evals

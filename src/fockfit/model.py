@@ -181,26 +181,18 @@ def _argument_jets(q, nbar):
     """The jets (value, d/dq, d/dnbar) of _fock_table's Legendre arguments
     chat and uhat at (q, nbar), as two (3, ...) arrays, with P(0) and
     (dP(0)/dq, dP(0)/dnbar) / P(0)."""
-    two_h, nbar_1 = 2.0 * nbar + 1.0, nbar + 1.0
-    two_h2, four_nbar, four_q = 2.0 * two_h, 4.0 * nbar, 4.0 * q
-    two_h2_q = two_h2 * q
-    big_b = 4.0 * nbar_1 ** 2 + two_h2_q
+    two_h = 2.0 * nbar + 1.0
+    big_b = 4.0 * (nbar + 1.0) ** 2 + 2.0 * two_h * q
+    chat = 4.0 * nbar * (nbar + 1.0) / big_b
+    uhat = (4.0 * nbar * nbar - 2.0 * two_h * q) / big_b
     p0 = 2.0 / np.sqrt(big_b)
-    # value and d/dq, d/dnbar of B, and those of B*chat and B*uhat less
-    # the (chat, uhat) dB terms, which come from one product
-    db = np.empty((2,) + big_b.shape)
-    db[0] = two_h2
-    db[1] = 8.0 * nbar_1 + four_q
-    jets = np.empty((2, 3) + big_b.shape)
-    jets[0, 0] = four_nbar * nbar_1 / big_b
-    jets[1, 0] = (four_nbar * nbar - two_h2_q) / big_b
-    dterms = jets[:, :1] * db
-    jets[0, 1] = -dterms[0, 0]
-    jets[0, 2] = 4.0 * two_h - dterms[0, 1]
-    jets[1, 1] = -two_h2 - dterms[1, 0]
-    jets[1, 2] = 8.0 * nbar - four_q - dterms[1, 1]
-    jets[:, 1:] /= big_b
-    return jets[0], jets[1], p0, -0.5 * p0 * db / big_b / p0
+    # value and d/dq, d/dnbar of B, B*chat and B*uhat
+    db = np.stack((2.0 * two_h, 8.0 * (nbar + 1.0) + 4.0 * q))
+    c_jet = np.stack((chat, -chat * db[0], 4.0 * two_h - chat * db[1]))
+    u_jet = np.stack((uhat, -2.0 * two_h - uhat * db[0], 8.0 * nbar - 4.0 * q - uhat * db[1]))
+    c_jet[1:] /= big_b
+    u_jet[1:] /= big_b
+    return c_jet, u_jet, p0, -0.5 * p0 * db / big_b / p0
 
 
 def _fock_table(q, nbar, n_max: int, out=None):
