@@ -134,10 +134,16 @@ def _parse_state_string(text: str, flag: str) -> QuadratureVariances:
     return _state(pairs, flag, "r=..,nbar=.. or vq=..,vp=..")
 
 
+_COUNTS_FIELDS = ("format_version", "n_max", "counts", "overflow", "total")
+
+
 def _counts_to_histogram(doc: dict, path: str) -> est.FockHistogram:
-    for key in ("format_version", "n_max", "counts", "overflow", "total"):
+    for key in _COUNTS_FIELDS:
         if key not in doc:
             raise _CliError(EXIT_USAGE, f"{path}: missing field '{key}'")
+    for key in doc:
+        if key not in _COUNTS_FIELDS:
+            raise _CliError(EXIT_USAGE, f"{path}: unknown field '{key}'")
     if not is_int(doc["format_version"]) or doc["format_version"] != FORMAT_VERSION:
         raise _CliError(EXIT_USAGE, f"{path}: unsupported format_version")
     counts = doc["counts"]

@@ -158,17 +158,30 @@ class FitBatch:
         return np.sort(getattr(self, parameter)[self.converged])
 
 
-def _count_matrix(counts) -> np.ndarray:
+def _count_matrix(counts):
     """Counts for every bin (overflow included) as floats, bins on the last
-    axis; a FockHistogram gives one row."""
+    axis, with the total N and each bin's remainder N - k_n; a
+    FockHistogram gives one row.  The remainders of integer counts are
+    formed exactly (in Python ints for a FockHistogram) and only then made
+    floats, so a bin that holds all but a few of a huge total keeps its
+    small remainder."""
     if isinstance(counts, FockHistogram):
-        return np.array(counts.counts + (counts.overflow_count,), dtype=float)
-    k = np.asarray(counts, dtype=float)
+        k = counts.counts + (counts.overflow_count,)
+        return (np.array(k, dtype=float), np.array([counts.total], dtype=float),
+                np.array([counts.total - n for n in k], dtype=float))
+    k = np.asarray(counts)
     if k.ndim < 1 or k.shape[-1] < 3:
         raise ValueError("count arrays need bins 0, 1 and overflow on the last axis")
-    if not np.all(np.isfinite(k) & (k >= 0.0)):
+    exact = np.issubdtype(k.dtype, np.integer)
+    if not exact:
+        k = k.astype(float)
+    if not np.all(np.isfinite(k) & (k >= 0)):
         raise ValueError("counts must be finite and nonnegative")
-    return k
+    # an integer row total at or above 2**63 would wrap around
+    if exact and not np.all(k.sum(axis=-1, dtype=float) < 2.0 ** 63):
+        raise ValueError("integer counts must total less than 2**63 per row")
+    total = k.sum(axis=-1, keepdims=True)
+    return k.astype(float), total.astype(float), (total - k).astype(float)
 
 
 def posterior_weights(counts, prior: PriorShape = PriorShape(1.0, 1.0)):
@@ -181,10 +194,9 @@ def posterior_weights(counts, prior: PriorShape = PriorShape(1.0, 1.0)):
     integer or float counts with the bins on its last axis and N the sum
     over them; the weights are a float array of the counts' shape.
     """
-    k = _count_matrix(counts)
-    total = k.sum(axis=-1, keepdims=True)
+    k, total, rest = _count_matrix(counts)
     s = prior.nu + total + prior.eta
-    var = (k + prior.nu) * (total + prior.eta - k) / (s * s * (s + 1.0))
+    var = (k + prior.nu) * (rest + prior.eta) / (s * s * (s + 1.0))
     return 1.0 / var
 
 
@@ -199,17 +211,16 @@ def mle_weights(counts):
     applied whenever k_n is 0 or N.  Kept for comparison studies; the
     posterior weights are the estimator of record.  ``counts`` is taken as
     by posterior_weights."""
-    k = _count_matrix(counts)
-    total = k.sum(axis=-1, keepdims=True)
+    k, total, rest = _count_matrix(counts)
     num = np.maximum(k, _MLE_FALLBACK_COUNT)
-    rem = np.maximum(total - k, _MLE_FALLBACK_COUNT)
+    rem = np.maximum(rest, _MLE_FALLBACK_COUNT)
     return total ** 3 / (num * rem)
 
 
 def uniform_weights(counts):
     """Unit weight for every bin (the unweighted baseline); ``counts`` is
     taken as by posterior_weights."""
-    return np.ones_like(_count_matrix(counts))
+    return np.ones_like(_count_matrix(counts)[0])
 
 
 def weights_for(counts, scheme: str, prior: PriorShape):

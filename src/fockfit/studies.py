@@ -391,7 +391,7 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
 
 # The fields each study kind reads; parse_config rejects the others by
 # name.  weight_scheme and prior give the other kinds their one scheme; a
-# weight comparison accepts a prior, which existing configs set, but ignores it.
+# weight comparison accepts only the default prior, which existing configs set.
 _POINT_FIELDS = {"format_version", "study", "true_states", "shot_counts", "n_experiments",
                  "prior", "n_max", "master_seed", "exact_probabilities"}
 _KIND_FIELDS = {
@@ -438,6 +438,9 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     for key in ("nu", "eta"):
         _require(prior, key, "prior")
     kwargs["schemes"] = (_parse_scheme({**prior, "scheme": scheme}, "prior"),)
+    if kind == "weight_comparison" and (prior["nu"], prior["eta"]) != (1, 1):
+        raise ConfigError("prior: a weight comparison takes each scheme's nu and eta "
+                          "from 'schemes'; prior may only be {\"nu\": 1, \"eta\": 1}")
     if "schemes" in doc:
         kwargs["schemes"] = _each(doc["schemes"], "schemes", _parse_scheme)
     cfg = StudyConfig(**kwargs)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -186,6 +187,27 @@ class TestEstimate:
             assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
             assert capsys.readouterr().err == f"fockfit: {counts}: {message}\n"
             assert not est.exists()
+
+    def test_unknown_counts_field_rejected(self, tmp_path, capsys):
+        counts, est = tmp_path / "counts.json", tmp_path / "estimate.json"
+        counts.write_text(json.dumps({"format_version": 1, "n_max": 2, "counts": [5, 3, 1],
+                                      "overflow": 0, "total": 9, "bogus": 1}))
+        assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"fockfit: {counts}: unknown field 'bogus'\n"
+        assert not est.exists()
+
+    def test_huge_total_fits_without_warning(self, tmp_path, capsys):
+        # as floats, 2**62 - 10 is 2**62, so bin 0's weight needs N - k_0
+        # formed exactly
+        counts, est = tmp_path / "counts.json", tmp_path / "estimate.json"
+        counts.write_text(json.dumps({"format_version": 1, "n_max": 1,
+                                      "counts": [2 ** 62 - 10, 7], "overflow": 3,
+                                      "total": 2 ** 62}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_json(est)["converged"] is True
 
     def test_counts_beyond_the_model_domain_rejected(self, tmp_path, capsys):
         # 80 bins is n_max = 79, above MAX_FOCK = 64

@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -175,6 +176,30 @@ class TestWeightArrays:
                 assert np.array_equal(row, rule(h))
             # float counts, e.g. expected counts N p_n, take the same path
             np.testing.assert_array_equal(rule(counts.astype(float)), matrix)
+
+    def test_huge_totals_match_exact_arithmetic(self):
+        # A bin holding all but 10 of 2**62 shots: as floats, N and k_0 are
+        # both 2**62, so N + eta - k_0 and N - k_0 would be 0.
+        h = FockHistogram((2 ** 62 - 10, 7), 3, 2 ** 62)
+        k = h.counts + (h.overflow_count,)
+        total, half = Fraction(h.total), Fraction(1, 2)
+
+        def posterior(nu, eta):
+            s = nu + total + eta
+            return [s * s * (s + 1) / ((n + nu) * (total + eta - n)) for n in k]
+
+        rules = [
+            (posterior_weights, posterior(1, 1)),
+            (lambda c: posterior_weights(c, PriorShape(0.5, 2.0)), posterior(half, 2)),
+            (mle_weights, [total ** 3 / (max(n, half) * max(total - n, half)) for n in k]),
+        ]
+        for rule, exact in rules:
+            for counts in (h, np.array(k), np.array([k, k], dtype=np.uint64)):
+                for row in np.reshape(rule(counts), (-1, 3)):
+                    assert row.tolist() == pytest.approx([float(x) for x in exact], rel=1e-15)
+        assert uniform_weights(np.array(k)).dtype == float
+        with pytest.raises(ValueError, match=r"^integer counts must total less than 2\*\*63"):
+            posterior_weights(np.array([2 ** 62, 2 ** 62, 0]))
 
     def test_bad_count_arrays_rejected(self):
         with pytest.raises(ValueError):

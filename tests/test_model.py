@@ -296,14 +296,14 @@ class TestFidelity:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def _convolution_oracle(q, nbar, n_max):
-    """P(0..n_max) at 50 significant digits from an independent form of the
+def _convolution_oracle(q, nbar, n_max, digits=50):
+    """P(0..n_max) at ``digits`` significant digits from an independent form of the
     closed form: the generating function sum_n P(n) z^n equals
     P(0) (1 - alpha z)^(-1/2) (1 - beta z)^(-1/2) with
     alpha = (2vq-1)/(2vq+1) and beta = (2vp-1)/(2vp+1), so P(n) is the
     convolution of two binomial series.  The double inputs (q, nbar) are
     taken exactly."""
-    with mp.workdps(50):
+    with mp.workdps(digits):
         q, nbar = mp.mpf(q), mp.mpf(nbar)
         h = nbar + mp.mpf(1) / 2
         e2r = 1 + q + mp.sqrt(q * (q + 2))
@@ -344,22 +344,27 @@ class TestHighPrecision:
         # recurrence's double root (q = 0) an error made at order k grows
         # linearly up to order n, and that of the overflow bin as the sum of
         # those plus (n_max + 1) eps; the floor is _FLOOR_FACTOR times this.
-        # Thermal and near-thermal states up to nbar = 50 and random states;
-        # the parity zeros at nbar = 0 and P_n below 1e-280, where a
-        # relative error means nothing, are skipped.
+        # Thermal and near-thermal states up to nbar = 50, random states and
+        # strong squeezing out to the search box's corners (r <= 14, that is
+        # q <= 1e12, and nbar <= 1e6), against a 120-digit oracle; the
+        # parity zeros at nbar = 0 and P_n below 1e-280, where a relative
+        # error means nothing, are skipped.
         nbars = (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 33.1, 50.0)
         r = [0.0, 1e-4, 1e-2, 0.1] * len(nbars)
         nbar = [x for x in nbars for _ in range(4)]
         rng = np.random.default_rng(64)
-        r = np.concatenate((r, rng.uniform(0.0, 3.5, 60)))
-        nbar = np.concatenate((nbar, np.expm1(rng.uniform(0.0, math.log1p(50.0), 60))))
+        box_r, box_nbar = np.meshgrid((3.5, 5.0, 7.0, 10.0, 14.0),
+                                      (0.0, 0.01, 1.0, 50.0, 1e3, 1e4, 1e6), indexing="ij")
+        r = np.concatenate((r, rng.uniform(0.0, 3.5, 60), box_r.ravel()))
+        nbar = np.concatenate((nbar, np.expm1(rng.uniform(0.0, math.log1p(50.0), 60)),
+                               box_nbar.ravel()))
         q = 2.0 * np.sinh(r) ** 2
         table, _ = _fock_table(q, nbar, MAX_FOCK)
         n = np.arange(MAX_FOCK + 1)
         per_bin = _FLOOR_FACTOR * 0.5 * (n + 1.0) * (n + 2.0) * np.finfo(float).eps
-        with mp.workdps(50):
+        with mp.workdps(120):
             for i in range(q.shape[0]):
-                probs, overflow = _convolution_oracle(q[i], nbar[i], MAX_FOCK)
+                probs, overflow = _convolution_oracle(q[i], nbar[i], MAX_FOCK, digits=120)
                 for k in range(MAX_FOCK + 1):
                     if (nbar[i] == 0.0 and k % 2) or probs[k] < mp.mpf("1e-280"):
                         continue

@@ -617,6 +617,19 @@ class TestFieldsTheStudyIgnores:
         with pytest.raises(ConfigError, match="schemes"):
             parse_config(doc)
 
+    def test_weight_comparison_rejects_a_prior_it_would_ignore(self):
+        # each scheme carries its own nu and eta; only the default prior,
+        # which existing configs send, is accepted
+        doc = TestParseConfig().good_doc()
+        doc["study"] = "weight_comparison"
+        doc["schemes"] = [{"scheme": "uniform"}, {"scheme": "posterior"}]
+        doc["prior"] = {"nu": 1, "eta": 1.0}
+        parse_config(doc)
+        for prior in ({"nu": 0.5, "eta": 0.5}, {"nu": 1.0, "eta": 2.0}):
+            doc["prior"] = prior
+            with pytest.raises(ConfigError, match="^prior: a weight comparison takes"):
+                parse_config(doc)
+
     @pytest.mark.parametrize("kind, field, value", [
         ("coverage", "exact_probabilities", True),
         *((kind, field, value) for kind in ("fidelity", "bias", "weight_comparison")
