@@ -1,8 +1,8 @@
 import math
 import pickle
-from fractions import Fraction
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np

@@ -297,8 +297,8 @@ class TestFidelity:
 
 
 def _convolution_oracle(q, nbar, n_max, digits=50):
-    """P(0..n_max) at ``digits`` significant digits from an independent form of the
-    closed form: the generating function sum_n P(n) z^n equals
+    """P(0..n_max) at ``digits`` significant digits from an independent form
+    of the closed form: the generating function sum_n P(n) z^n equals
     P(0) (1 - alpha z)^(-1/2) (1 - beta z)^(-1/2) with
     alpha = (2vq-1)/(2vq+1) and beta = (2vp-1)/(2vp+1), so P(n) is the
     convolution of two binomial series.  The double inputs (q, nbar) are
