@@ -17,7 +17,7 @@ from .estimation import (_REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorSh
                          fit_batch, weights_for)
 from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
 from .numerics import std_normal_cdf, std_normal_quantile
-from .sampling import SeedSpec, _sample_blocks
+from .sampling import SeedSpec, _check_streams, _sample_blocks
 
 __all__ = [
     "PARAMETERS",
@@ -292,6 +292,7 @@ def _coverage(cells, n_experiments, alpha, methods, prior, seed, n_max) -> list[
         for value in values:
             check_int(name, value, low)
     _check_interval_args(alpha, methods)
+    _check_streams("stream_index", seed.stream_index, n_experiments * (sum(n_bs) + len(n_bs)))
     # (cell, first stream) of every experiment, cells in order
     experiments, stream = [], seed.stream_index
     for k, n_b in enumerate(n_bs):

@@ -23,7 +23,7 @@ from ._io import atomic_write, check_int, is_int
 from .model import (
     MAX_FOCK, QuadratureVariances, SqueezedThermalState, fidelity, fock_distribution, to_variances,
 )
-from .sampling import MAX_SEED, MAX_SHOTS, SeedSpec, sample_histogram
+from .sampling import MAX_SEED, MAX_SHOTS, SeedSpec, _check_streams, sample_histogram
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +35,7 @@ FORMAT_VERSION = 1
 # (low, high or None) of each integer flag, checked under the flag's name
 # before any work; estimate's n_max comes from its counts file instead.
 _INT_FLAGS = {"nmax": (1, MAX_FOCK), "shots": (1, MAX_SHOTS), "seed": (0, MAX_SEED),
-              "stream": (0, None), "replicates": (2, None)}
+              "stream": (0, MAX_SEED), "replicates": (2, None)}
 
 
 class _CliError(Exception):
@@ -240,8 +240,12 @@ def _fit_from_args(args, h: est.FockHistogram):
     scheme = args.weights
     if scheme is None:
         scheme = "uniform" if getattr(args, "from_exact", False) else "posterior"
+    for flag in ("nu", "eta"):
+        if getattr(args, flag) is not None and scheme != "posterior":
+            raise _CliError(EXIT_USAGE, f"--{flag}: {scheme} weights take no prior; only "
+                                        f"posterior weights use --nu and --eta")
     try:
-        prior = est.PriorShape(args.nu, args.eta)
+        prior = est.PriorShape(*(1.0 if v is None else v for v in (args.nu, args.eta)))
     except ValueError as exc:
         # PriorShape's message starts with the field, which is also the flag's name
         raise _CliError(EXIT_USAGE, f"--{exc}") from exc
@@ -260,6 +264,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_ci(args) -> int:
     bt._check_interval_args(args.alpha, name="--alpha")
+    _check_streams("--stream", args.stream, args.replicates)  # the replicates' streams
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
     check_int(f"{args.counts}: total", h.total, 1, MAX_SHOTS)  # each replicate's shots
     res, scheme, prior = _fit_from_args(args, h)
@@ -304,8 +309,10 @@ def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", choices=est.WEIGHT_SCHEMES, default=None,
                    help="weighting scheme of the fit and of ci's replicate refits "
                         "(default: posterior)")
-    p.add_argument("--nu", type=float, default=1.0, help="Beta prior shape nu")
-    p.add_argument("--eta", type=float, default=1.0, help="Beta prior shape eta")
+    p.add_argument("--nu", type=float, help="Beta prior shape nu of posterior weights "
+                                            "(default: 1)")
+    p.add_argument("--eta", type=float, help="Beta prior shape eta of posterior weights "
+                                             "(default: 1)")
 
 
 @functools.cache

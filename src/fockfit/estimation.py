@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import check_int
+from ._io import check_int, is_int, is_number
 from .model import (
     HEISENBERG_SLACK,
     MAX_FOCK,
@@ -85,7 +85,7 @@ class PriorShape:
     def __post_init__(self):
         for name in ("nu", "eta"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (is_number(value) and math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
 
 
@@ -158,28 +158,43 @@ class FitBatch:
         return np.sort(getattr(self, parameter)[self.converged])
 
 
-def _count_matrix(counts):
-    """Counts for every bin (overflow included) as floats, bins on the last
-    axis, with the total N and each bin's remainder N - k_n; a
-    FockHistogram gives one row.  The remainders of integer counts are
-    formed exactly (in Python ints for a FockHistogram) and only then made
-    floats, so a bin that holds all but a few of a huge total keeps its
-    small remainder."""
+def _numeric(values, name: str) -> np.ndarray:
+    """``values`` as an array of integers or floats: numpy's integer and
+    float dtypes, or an object array of numbers (Python ints past int64).
+    Booleans, strings and other dtypes raise ValueError naming ``name``."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf" and not (a.dtype == object and all(map(is_number, a.flat))):
+        raise ValueError(f"{name} must be integers or floats, got {a.dtype} entries")
+    return a
+
+
+def _checked_counts(counts) -> np.ndarray:
+    """Counts for every bin (overflow included), bins on the last axis: a
+    FockHistogram as one row of Python ints, integer arrays as they are
+    (an object array of ints keeps its Python ints) and other numeric
+    arrays as floats, checked finite and nonnegative."""
     if isinstance(counts, FockHistogram):
-        k = counts.counts + (counts.overflow_count,)
-        return (np.array(k, dtype=float), np.array([counts.total], dtype=float),
-                np.array([counts.total - n for n in k], dtype=float))
-    k = np.asarray(counts)
+        return np.array(counts.counts + (counts.overflow_count,), dtype=object)
+    k = _numeric(counts, "counts")
     if k.ndim < 1 or k.shape[-1] < 3:
         raise ValueError("count arrays need bins 0, 1 and overflow on the last axis")
-    exact = np.issubdtype(k.dtype, np.integer)
-    if not exact:
+    if k.dtype.kind not in "iu" and not (k.dtype == object and all(map(is_int, k.flat))):
         k = k.astype(float)
-    if not np.all(np.isfinite(k) & (k >= 0)):
+    if not (np.all(k >= 0) and (k.dtype != float or np.all(np.isfinite(k)))):
         raise ValueError("counts must be finite and nonnegative")
-    # an integer row total at or above 2**63 would wrap around
-    if exact and not np.all(k.sum(axis=-1, dtype=float) < 2.0 ** 63):
+    # an int64 row total at or above 2**63 would wrap around
+    if k.dtype.kind in "iu" and not np.all(k.sum(axis=-1, dtype=float) < 2.0 ** 63):
         raise ValueError("integer counts must total less than 2**63 per row")
+    return k
+
+
+def _count_matrix(counts):
+    """_checked_counts' counts as floats, with the total N and each bin's
+    remainder N - k_n.  The totals and remainders of integer counts are
+    formed exactly (Python ints stay Python ints) and only then made
+    floats, so a bin that holds all but a few of a huge total keeps its
+    small remainder."""
+    k = _checked_counts(counts)
     total = k.sum(axis=-1, keepdims=True)
     return k.astype(float), total.astype(float), (total - k).astype(float)
 
@@ -220,7 +235,7 @@ def mle_weights(counts):
 def uniform_weights(counts):
     """Unit weight for every bin (the unweighted baseline); ``counts`` is
     taken as by posterior_weights."""
-    return np.ones_like(_count_matrix(counts)[0])
+    return np.ones(_checked_counts(counts).shape)
 
 
 def weights_for(counts, scheme: str, prior: PriorShape):
@@ -237,9 +252,9 @@ def weights_for(counts, scheme: str, prior: PriorShape):
 
 
 def _checked_weights(weights, shape: tuple) -> np.ndarray:
-    """The weights as a float array, which must have the frequencies' shape
-    and only finite, positive entries."""
-    w = np.asarray(weights, dtype=float)
+    """The weights as a float array, which must be numeric (see _numeric),
+    have the frequencies' shape and only finite, positive entries."""
+    w = _numeric(weights, "weights").astype(float, copy=False)
     if w.shape != shape:
         raise ValueError(f"expected weights of shape {shape}, got {w.shape}")
     if not np.all(np.isfinite(w) & (w > 0.0)):
@@ -801,7 +816,7 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     start point, the grid winner or ``start``.  Rows go through both stages
     _REFINE_BLOCK (1024) at a time, which bounds the working memory.
     """
-    freqs = np.asarray(frequencies, dtype=float)
+    freqs = _numeric(frequencies, "frequencies").astype(float, copy=False)
     if freqs.ndim != 2 or freqs.shape[1] < 3:
         raise ValueError("frequencies must be a (rows, bins) matrix with >= 3 bins")
     if not np.all(np.isfinite(freqs)):
@@ -851,7 +866,7 @@ def fit_frequencies(frequencies, weights, *, max_evals: int = _MAX_EVALS) -> Fit
     under one weight per bin: fit_batch on a batch of one.  The returned
     point is never worse than the best grid point, and non-convergence is
     reported through FitResult.converged."""
-    freqs = np.asarray(frequencies, dtype=float)
+    freqs = _numeric(frequencies, "frequencies").astype(float, copy=False)
     if freqs.ndim != 1 or freqs.shape[0] < 3:
         raise ValueError("frequencies must be a 1-D vector with >= 3 bins")
     wts = _checked_weights(weights, freqs.shape)

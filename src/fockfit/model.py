@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import check_int
+from ._io import check_int, is_number
 from .numerics import _legendre_jet
 
 __all__ = [
@@ -52,6 +52,8 @@ class SqueezedThermalState:
     def __post_init__(self):
         for name, what in (("r", "squeezing"), ("nbar", "thermal occupation")):
             value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             if value < 0.0:
@@ -71,6 +73,8 @@ class QuadratureVariances:
 
     def __post_init__(self):
         for name, value in (("vq", self.vq), ("vp", self.vp)):
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.vq > self.vp:

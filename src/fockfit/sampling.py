@@ -15,9 +15,16 @@ from .model import FockDistribution
 
 __all__ = ["SeedSpec", "sample_histogram"]
 
-MAX_SEED = 2 ** 64 - 1
+MAX_SEED = 2 ** 64 - 1  # the largest master seed and the largest stream index
 # The most shots one histogram may hold: Generator.multinomial counts in int64.
 MAX_SHOTS = 2 ** 63 - 1
+
+
+def _check_streams(name: str, first, n: int) -> None:
+    """Raise ValueError naming ``name`` unless first .. first + n - 1 are in [0, MAX_SEED]."""
+    check_int(name, first, 0, MAX_SEED)
+    if first + n - 1 > MAX_SEED:
+        raise ValueError(f"{name}: the {n} streams from {first} run past stream {MAX_SEED}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class SeedSpec:
 
     def __post_init__(self):
         check_int("master_seed", self.master_seed, 0, MAX_SEED)
-        check_int("stream_index", self.stream_index, 0)
+        check_int("stream_index", self.stream_index, 0, MAX_SEED)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -77,14 +84,6 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _words(value: int) -> list[int]:
-    """SeedSequence's uint32 words of a nonnegative int, least significant first."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 @dataclass(frozen=True)
 class _StateWords:
     """One stream's four uint64 state words as the minimal ISeedSequence
@@ -101,34 +100,23 @@ class _StateWords:
 def _stream_generators(master_seed: int, runs):
     """Generators equal to SeedSpec(master_seed, s).generator() for the
     streams s = first .. first + n - 1 of each ``(first, n)`` in ``runs``,
-    in order, made one at a time from state words derived in one pass:
-    each spawn-key word is mixed into a run's pools by (4, n) array
-    operations, and one (8, streams) hash gives every stream's words.
-
-    A stream index of 2**32 or more has more than one word; a run is mixed
-    one stretch of streams sharing the bits above the lowest 32 at a time."""
+    in order, made one at a time from state words derived in one pass over
+    every stream (all in [0, MAX_SEED]): each spawn-key word is mixed into
+    the pools by (4, streams) array operations, and one (8, streams) hash
+    gives every stream's words."""
     # SeedSequence(master_seed) stops at the pool before any spawn key
     master_pool = np.random.SeedSequence(int(master_seed)).pool[:, None]
-    pools = np.empty((_POOL_SIZE, sum(int(n) for _, n in runs)), dtype=np.uint32)
-    # the hash constants of spawn-key word j go on from the master's 16
-    # hashes; each word position's are computed once per pass
-    constants = []
-    row = 0
-    for first, n in runs:
-        first, stop = int(first), int(first) + int(n)
-        while first < stop:
-            high, low = divmod(first, 1 << 32)
-            size = min(stop - first, (1 << 32) - low)
-            words = [np.arange(low, low + size, dtype=np.uint32)] + (_words(high) if high else [])
-            pool = master_pool
-            for j, word in enumerate(words):
-                if j == len(constants):
-                    constants.append(
-                        _hash_constants(_INIT_A, _MULT_A, 16 + _POOL_SIZE * j, _POOL_SIZE + 1))
-                c = constants[j]
-                pool = _mix(pool, _hashmix(word, c[:-1], c[1:]))
-            pools[:, row:row + size] = pool
-            first, row = first + size, row + size
+    # each stream's index, a uint64: its run's first plus its place in the run
+    firsts = np.array([first for first, _ in runs], dtype=np.uint64)
+    sizes = np.array([n for _, n in runs], dtype=np.intp)
+    places = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    streams = np.repeat(firsts, sizes) + places.astype(np.uint64)
+    # a spawn key's words are the index's low 32 bits and, from 2**32 on,
+    # its high 32; their hash constants go on from the master's 16 hashes
+    low, high = (streams & _MASK32).astype(np.uint32), (streams >> 32).astype(np.uint32)
+    c = _hash_constants(_INIT_A, _MULT_A, 16, 2 * _POOL_SIZE + 1)
+    pools = _mix(master_pool, _hashmix(low, c[:4], c[1:5]))
+    pools = np.where(high, _mix(pools, _hashmix(high, c[4:8], c[5:])), pools)
     # generate_state(4, np.uint64): pool words cycled, paired little-endian,
     # one C-contiguous row per stream (PCG64 reads the words' memory)
     c = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
@@ -159,17 +147,18 @@ def _sample_blocks(blocks, master_seed: int) -> np.ndarray:
     integer count matrix (overflow last).  Each block is a
     ``(d, n_shots, first, n)`` tuple of n histograms of n_shots
     measurements from d, drawn from the streams first .. first + n - 1 of
-    ``master_seed``; the distributions share one n_max, and block b's rows
-    follow block b - 1's.
+    ``master_seed``, which must lie in [0, MAX_SEED]; the distributions
+    share one n_max, and block b's rows follow block b - 1's.
 
     A row is one ``Generator.multinomial`` draw from its stream: the
     conditional-binomial decomposition, in which bin j receives a binomial
     draw of the shots still unassigned with success probability p_j over
     the tail mass left before it, and the overflow bin takes the rest, so
     each row sums to n_shots.  pvals take _snapped_probs' tail snap."""
-    for _, n_shots, _, n in blocks:
+    for _, n_shots, first, n in blocks:
         check_int("n_shots", n_shots, 1, MAX_SHOTS)
         check_int("n", n, 0)
+        _check_streams("first", first, n)
     # the words' hash temporaries are freed before the count matrix exists
     generators = _stream_generators(master_seed, [(first, n) for _, _, first, n in blocks])
     out = np.empty((sum(int(n) for *_, n in blocks), blocks[0][0].n_max + 2), dtype=np.int64)

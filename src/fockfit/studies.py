@@ -47,7 +47,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SchemeSpec:
     """One weighting rule to run: the scheme name plus, for the posterior
-    scheme, the Beta prior shape."""
+    scheme, the Beta prior shape; the other schemes take no prior, so their
+    nu and eta must stay 1."""
 
     scheme: str
     nu: float = 1.0
@@ -57,6 +58,10 @@ class SchemeSpec:
         if self.scheme not in WEIGHT_SCHEMES:
             raise ValueError(f"unknown weight scheme {self.scheme!r}")
         PriorShape(self.nu, self.eta)
+        for name in ("nu", "eta"):
+            if self.scheme != "posterior" and getattr(self, name) != 1:
+                raise ValueError(f"{name}: {self.scheme} weights take no prior; only posterior "
+                                 f"weights use nu and eta")
 
 
 def _ints_from(lo: int, hi: float = float("inf")):
@@ -382,6 +387,10 @@ def _parse_scheme(entry, where: str) -> SchemeSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object with 'scheme'")
     _reject_unknown(entry, {"scheme", "nu", "eta"}, where)
+    for key in ("nu", "eta"):
+        if key in entry and entry.get("scheme") in ("mle", "uniform"):
+            raise ConfigError(f"{where}.{key}: {entry['scheme']} weights take no prior; only "
+                              f"posterior weights use nu and eta")
     nu, eta = (_number(entry.get(key, 1.0), f"{where}.{key}") for key in ("nu", "eta"))
     try:
         return SchemeSpec(_require(entry, "scheme", where), nu, eta)
@@ -437,7 +446,7 @@ def parse_config(doc: dict) -> tuple[str, StudyConfig]:
     _reject_unknown(prior, {"nu", "eta"}, "prior")
     for key in ("nu", "eta"):
         _require(prior, key, "prior")
-    kwargs["schemes"] = (_parse_scheme({**prior, "scheme": scheme}, "prior"),)
+    kwargs["schemes"] = (_parse_scheme({**doc.get("prior", {}), "scheme": scheme}, "prior"),)
     if kind == "weight_comparison" and (prior["nu"], prior["eta"]) != (1, 1):
         raise ConfigError("prior: a weight comparison takes each scheme's nu and eta "
                           "from 'schemes'; prior may only be {\"nu\": 1, \"eta\": 1}")

@@ -34,6 +34,8 @@ COMMANDS = (
     "--out {outputs}/simulate-n64.json",
     "simulate --r 0.5 --nbar 0.1 --shots 5000 --seed 18446744073709551615 --stream 4294967295 "
     "--out {outputs}/simulate-seed-max.json",
+    "simulate --r 0.5 --nbar 0.1 --shots 5000 --seed 7 --stream 18446744073709551615 "
+    "--out {outputs}/simulate-stream-max.json",
     "simulate --r 0.8 --nbar 0.2 --shots 123457 --exact --out {outputs}/simulate-exact.json",
     "estimate --counts {inputs}/counts-n20.json --out {outputs}/estimate-posterior.json",
     "estimate --counts {inputs}/counts-n20.json --weights mle --out {outputs}/estimate-mle.json",

@@ -21,7 +21,7 @@ from fockfit.bootstrap import (
 )
 from fockfit.estimation import FitBatch, FitResult, PriorShape, fit, fit_batch, posterior_weights
 from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
-from fockfit.sampling import SeedSpec, _sample_blocks, sample_histogram
+from fockfit.sampling import MAX_SEED, SeedSpec, _sample_blocks, sample_histogram
 
 PRIOR = PriorShape(1.0, 1.0)
 
@@ -331,6 +331,32 @@ class TestCoverage:
             coverage_probability(SqueezedThermalState(0.5, 0.1), args["n_shots"],
                                  args["n_experiments"], args["n_b"], args["alpha"],
                                  args["method"], PRIOR, SeedSpec(12, 0))
+        assert calls == []
+
+    def test_layout_past_the_last_stream_rejected_before_sampling(self, monkeypatch):
+        # two experiments of 1 + 20 streams, then two of 1 + 30: 104 streams
+        # from stream_index, which must end at or below 2**64 - 1
+        state = SqueezedThermalState(0.5, 0.1)
+        cells = [(state, 500, 20), (state, 500, 30)]
+        top = bt._coverage(cells, 2, 0.05, METHODS, PRIOR, SeedSpec(12, MAX_SEED - 103), 20)
+        assert [res.n_experiments for res in top] == [2, 2]
+        calls = []
+
+        def recorder(label):
+            return lambda *args, **kw: calls.append(label)
+
+        for name in ("_sample_blocks", "fit_batch", "_fit_points"):
+            monkeypatch.setattr(bt, name, recorder(name))
+        # the last layout is checked before its experiments are listed
+        for first, n_exp, run in ((MAX_SEED - 102, 2, cells), (MAX_SEED, 2, cells[:1]),
+                                  (0, 10 ** 18, cells)):
+            n = n_exp * sum(n_b + 1 for _, _, n_b in run)
+            with pytest.raises(ValueError, match=f"^stream_index: the {n} streams from {first} "
+                                                 f"run past stream {MAX_SEED}$"):
+                bt._coverage(run, n_exp, 0.05, METHODS, PRIOR, SeedSpec(12, first), 20)
+        with pytest.raises(ValueError, match="^stream_index: the 42 streams from "):
+            coverage_probability(state, 500, 2, 20, 0.05, METHODS, PRIOR,
+                                 SeedSpec(12, MAX_SEED - 40))
         assert calls == []
 
     @staticmethod

@@ -656,14 +656,16 @@ class TestIntegerFlagsNamed:
         (_SIMULATE, "--nmax", "65", "must be in [1, 64], got 65"),
         (_SIMULATE, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
         (_SIMULATE, "--seed", str(2 ** 64), f"{_SEED_RANGE}, got {2 ** 64}"),
-        (_SIMULATE, "--stream", "-2", "must be >= 0, got -2"),
+        (_SIMULATE, "--stream", "-2", f"{_SEED_RANGE}, got -2"),
+        (_SIMULATE, "--stream", str(2 ** 64), f"{_SEED_RANGE}, got {2 ** 64}"),
         (_SIMULATE, "--shots", "0", f"{_SHOTS_RANGE}, got 0"),
         (_SIMULATE + ["--exact"], "--shots", "0", f"{_SHOTS_RANGE}, got 0"),
         (_SIMULATE + ["--exact"], "--shots", "-5", f"{_SHOTS_RANGE}, got -5"),
         (_SIMULATE, "--shots", str(10 ** 20), f"{_SHOTS_RANGE}, got {10 ** 20}"),
         (_SIMULATE + ["--exact"], "--shots", str(2 ** 63), f"{_SHOTS_RANGE}, got {2 ** 63}"),
         (_CI, "--seed", "-1", f"{_SEED_RANGE}, got -1"),
-        (_CI, "--stream", "-2", "must be >= 0, got -2"),
+        (_CI, "--stream", "-2", f"{_SEED_RANGE}, got -2"),
+        (_CI, "--stream", str(2 ** 64), f"{_SEED_RANGE}, got {2 ** 64}"),
     ]
 
     @pytest.mark.parametrize("command, flag, value, message", CASES, ids=[
@@ -686,6 +688,28 @@ class TestIntegerFlagsNamed:
         assert run([*command, flag, value]) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"fockfit: {flag} {message}\n")
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_ci_replicate_streams_past_the_last_index_named_before_any_fit(tmp_path, monkeypatch,
+                                                                       capsys):
+    # the replicates take streams --stream .. --stream + --replicates - 1
+    monkeypatch.chdir(tmp_path)
+    run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "100", "--out", "counts.json"])
+    top = str(2 ** 64 - 50)
+    assert run([*_CI, "--stream", top]) == EXIT_OK
+    capsys.readouterr()
+    before = sorted(tmp_path.iterdir())
+
+    def no_work(*args, **kwargs):
+        pytest.fail("work started before the replicates' streams were checked")
+
+    for owner, name in ((cli, "_read_json"), (cli.est, "fit"), (cli.bt, "parametric_bootstrap")):
+        monkeypatch.setattr(owner, name, no_work)
+    for stream in (str(2 ** 64 - 49), "18446744073709551610"):
+        assert run([*_CI, "--stream", stream]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"fockfit: --stream: the 50 streams from {stream} run "
+                                           f"past stream {2 ** 64 - 1}\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _failing_fit_batch(monkeypatch, owner, n_rows, failed):
@@ -787,6 +811,28 @@ class TestNonFinitePriorShape:
         assert capsys.readouterr().err.startswith(
             f"fockfit: --{field}: expected a finite number > 0, got ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, prior, scheme", [
+        ("estimate", ["--weights", "mle"], ["--nu", "0.3", "--eta", "7"], "mle"),
+        ("estimate", ["--from-exact"], ["--nu", "0.3"], "uniform"),
+        ("estimate", ["--weights", "uniform"], ["--eta", "1"], "uniform"),
+        ("ci", ["--weights", "mle", "--replicates", "50"], ["--eta", "2"], "mle"),
+    ])
+    def test_prior_flags_rejected_without_posterior_weights(self, tmp_path, monkeypatch, capsys,
+                                                            command, args, prior, scheme):
+        # the echo would report a prior that the fit never used
+        counts, out = tmp_path / "counts.json", tmp_path / "out.json"
+        run(["simulate", "--r", "0.5", "--nbar", "0.1", "--shots", "300", "--out", str(counts)])
+        monkeypatch.setattr(cli.est, "fit_batch", lambda *a, **kw: pytest.fail("fit ran"))
+        argv = [command, "--counts", str(counts), *args, "--out", str(out)]
+        assert run(argv + prior) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"fockfit: {prior[0]}: {scheme} weights take no "
+                                           f"prior; only posterior weights use --nu and --eta\n")
+        assert not out.exists()
+        # without the flags, the default prior is echoed as before
+        monkeypatch.undo()
+        assert run(argv) == EXIT_OK
+        assert read_json(out)["prior"] == {"nu": 1.0, "eta": 1.0}
 
     def test_message_names_the_flag(self, tmp_path, capsys):
         counts, out = tmp_path / "counts.json", tmp_path / "out.json"

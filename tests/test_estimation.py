@@ -201,6 +201,45 @@ class TestWeightArrays:
         with pytest.raises(ValueError, match=r"^integer counts must total less than 2\*\*63"):
             posterior_weights(np.array([2 ** 62, 2 ** 62, 0]))
 
+    def test_python_ints_past_int64_are_exact(self):
+        # a list of Python ints beyond int64 is an object array; its totals
+        # and remainders are formed exactly, as a FockHistogram's are
+        big = 2 ** 70
+        h = FockHistogram((big - 10, 7), 3, big)
+        k, total, half = (big - 10, 7, 3), Fraction(big), Fraction(1, 2)
+        s = total + 2
+        exact = {
+            posterior_weights: [s * s * (s + 1) / ((n + 1) * (total + 1 - n)) for n in k],
+            mle_weights: [total ** 3 / (max(n, half) * max(total - n, half)) for n in k],
+        }
+        for rule, want in exact.items():
+            got = rule([list(k), list(k)])
+            assert got.dtype == float and np.array_equal(got, [rule(h)] * 2)
+            assert got[0].tolist() == pytest.approx([float(x) for x in want], rel=1e-15)
+        assert np.array_equal(uniform_weights([list(k)]), np.ones((1, 3)))
+        # a float among them makes every count a float, as in a float array
+        np.testing.assert_array_equal(posterior_weights([[float(big), 7, 3]]),
+                                      posterior_weights(np.array([[float(big), 7.0, 3.0]])))
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            posterior_weights([[big, -1, 3]])
+
+    @pytest.mark.parametrize("counts, dtype", [
+        ([["5", "3", "2"]], "<U1"), ([[True, False, True]], "bool"), ([[5, 3, "2"]], "<U21"),
+        ([[2 ** 70, 3, True]], "object"), ([[5 + 0j, 3, 2]], "complex128"),
+    ])
+    def test_non_numeric_counts_named(self, counts, dtype):
+        for rule in (posterior_weights, mle_weights, uniform_weights,
+                     lambda c: weights_for(c, "mle", PriorShape(1, 1))):
+            with pytest.raises(ValueError, match=f"^counts must be integers or floats, got "
+                                                 f"{dtype} entries$"):
+                rule(counts)
+
+    def test_uniform_weights_build_no_totals(self):
+        # the (900, 22) ones are 158,400 B; N and N - k_n would add 490 kB
+        counts = np.random.default_rng(3).integers(0, 1000, size=(900, 22))
+        uniform_weights(counts)
+        assert _peak_memory(lambda: uniform_weights(counts)) <= 1.1 * 900 * 22 * 8
+
     def test_bad_count_arrays_rejected(self):
         with pytest.raises(ValueError):
             posterior_weights(np.array([3.0, -1.0, 2.0]))
@@ -231,6 +270,20 @@ class TestWeightArrays:
         assert str(exc.value) == "expected weights of shape (22,), got (5,)"
 
     @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("bad", [["1"] * 22, [True] * 22, [1] * 21 + ["1"]])
+    def test_non_numeric_weights_named(self, call, bad):
+        with pytest.raises(ValueError, match="^weights must be integers or floats, got "):
+            self.CALLS[call](vacuum_histogram(100), bad)
+
+    @pytest.mark.parametrize("call", ["fit_frequencies", "fit_batch"])
+    @pytest.mark.parametrize("bad", [["0.5", "0.3", "0.2"], [True, False, False]])
+    def test_non_numeric_frequencies_named(self, call, bad):
+        fits = {"fit_frequencies": lambda: fit_frequencies(bad, [1, 1, 1]),
+                "fit_batch": lambda: fit_batch([bad], [[1, 1, 1]])}
+        with pytest.raises(ValueError, match="^frequencies must be integers or floats, got "):
+            fits[call]()
+
+    @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_nonpositive_or_nonfinite_entry_rejected(self, call, bad):
         w = np.ones(22)
@@ -247,6 +300,16 @@ class TestPriorShape:
     def test_nonpositive_or_nonfinite_shape_named(self, nu, eta, field):
         with pytest.raises(ValueError, match=f"^{field}: expected a finite number > 0, got "):
             PriorShape(nu, eta)
+
+    @pytest.mark.parametrize("nu, eta, field, shown", [
+        (True, 1.0, "nu", "True"), ("1", 1.0, "nu", "'1'"), (1.0, True, "eta", "True"),
+        (1.0, None, "eta", "None"),
+    ])
+    def test_non_number_shape_named(self, nu, eta, field, shown):
+        with pytest.raises(ValueError, match=f"^{field}: expected a finite number > 0, "
+                                             f"got {shown}$"):
+            PriorShape(nu, eta)
+        assert PriorShape(np.float32(2.0), 1) == PriorShape(2.0, 1.0)
 
 
 class TestObjective:

@@ -130,6 +130,20 @@ class TestParameterizations:
         with pytest.raises(ValueError, match="^squeezing r must be >= 0, got -0.1$"):
             SqueezedThermalState(-0.1, 0.0)
 
+    @pytest.mark.parametrize("make, args, field, shown", [
+        (SqueezedThermalState, (True, 0.0), "r", "True"),
+        (SqueezedThermalState, (0.5, False), "nbar", "False"),
+        (SqueezedThermalState, ("0.5", 0.0), "r", "'0.5'"),
+        (QuadratureVariances, (True, 1.0), "vq", "True"),
+        (QuadratureVariances, (0.5, "1"), "vp", "'1'"),
+        (QuadratureVariances, (0.5, None), "vp", "None"),
+    ])
+    def test_non_number_named(self, make, args, field, shown):
+        # bools are ints to Python; neither they nor strings are numbers here
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {shown}$"):
+            make(*args)
+        assert make(*(np.float64(1) for _ in args)) == make(1.0, 1.0)
+
 
 class TestFockProbability:
     def test_vacuum(self):

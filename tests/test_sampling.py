@@ -33,6 +33,15 @@ class TestSeedSpec:
         assert SeedSpec(np.uint64(2 ** 64 - 1), np.int64(3)).generator().integers(2 ** 62) == (
             SeedSpec(2 ** 64 - 1, 3).generator().integers(2 ** 62))
 
+    def test_stream_index_bound(self):
+        # stream indices are capped at 2**64 - 1, as master seeds are
+        for stream in (2 ** 64, 2 ** 70):
+            with pytest.raises(ValueError, match=rf"^stream_index must be in \[0, {MAX_SEED}\], "
+                                                 rf"got {stream}$"):
+                SeedSpec(0, stream)
+        want = SeedSpec(3, MAX_SEED).generator().multinomial(100, THERMAL_DIST.all_probs)
+        assert np.array_equal(_sample_blocks([(THERMAL_DIST, 100, MAX_SEED, 1)], 3)[0], want)
+
     def test_streams_differ(self):
         a = SeedSpec(123, 0).generator().random(4)
         b = SeedSpec(123, 1).generator().random(4)
@@ -202,7 +211,7 @@ class TestSampleCounts:
 
 
 # Masters of one and two words, and first streams whose runs cross 2**32
-# (a second spawn-key word) or 2**64 (a third).
+# (a second spawn-key word) or end at the last stream index, 2**64 - 1.
 EDGE_MASTERS = [0, 1, 7, 12_345, 2 ** 32, 120_000_000_000_000, 2 ** 64 - 1]
 EDGE_FIRSTS = [0, 7, 2 ** 32 - 5, 2 ** 32 - 3, 2 ** 40, 2 ** 63, 2 ** 64 - 3]
 
@@ -214,18 +223,20 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("master", EDGE_MASTERS)
     @pytest.mark.parametrize("first", EDGE_FIRSTS)
     def test_states_match_generator(self, master, first):
-        got = [g.bit_generator.state for g in _stream_generators(master, [(first, 6)])]
+        n = min(6, MAX_SEED + 1 - first)  # the run from 2**64 - 3 ends at the last stream
+        got = [g.bit_generator.state for g in _stream_generators(master, [(first, n)])]
         assert got == [SeedSpec(master, first + i).generator().bit_generator.state
-                       for i in range(6)]
+                       for i in range(n)]
 
     def test_no_streams(self):
         assert [g.bit_generator.state for g in _stream_generators(3, [(2 ** 32 - 1, 0)])] == []
 
     # Scattered one-stream runs (one of them repeated inside a later run),
-    # empty runs, runs straddling 2**32 (a second spawn-key word), 2**64 (a
-    # third) and 2**70, out of order.
-    RUNS = [(5, 1), (2 ** 32 - 2, 4), (0, 0), (17, 1), (2 ** 64 + 3, 3), (2 ** 32 - 2, 0),
-            (2 ** 70 - 1, 2), (1, 1), (2 ** 64 - 1, 2), (4, 3)]
+    # empty runs, runs straddling 2**32 (a second spawn-key word) and 2**63
+    # (the high word's top bit), and runs ending at the last stream index,
+    # 2**64 - 1, out of order.
+    RUNS = [(5, 1), (2 ** 32 - 2, 4), (0, 0), (17, 1), (2 ** 64 - 6, 3), (2 ** 32 - 2, 0),
+            (2 ** 63 - 1, 2), (1, 1), (2 ** 64 - 3, 3), (4, 3), (MAX_SEED, 1), (MAX_SEED, 0)]
 
     @pytest.mark.parametrize("master", [0, 12_345, 2 ** 32, MAX_SEED])
     def test_runs_match_generator(self, master):
@@ -235,13 +246,14 @@ class TestStreamSeeding:
 
     def test_only_empty_runs(self):
         assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, [])] == []
-        runs = [(0, 0), (2 ** 64, 0), (7, 0)]
+        runs = [(0, 0), (MAX_SEED, 0), (7, 0)]
         assert [g.bit_generator.state for g in _stream_generators(MAX_SEED, runs)] == []
 
     def test_hash_constants_once_per_word_position(self, monkeypatch):
         # Coverage draws its point histograms as one-stream runs: a pass
-        # computes each spawn-key word position's hash constants once, and
-        # the final hash's once, however many runs it has.
+        # computes both spawn-key word positions' hash constants in one
+        # call, and the final hash's in another, however many runs it has
+        # and whether or not any stream has a second word.
         calls = []
         hash_constants = sampling._hash_constants
 
@@ -250,19 +262,23 @@ class TestStreamSeeding:
             return hash_constants(*args)
 
         monkeypatch.setattr(sampling, "_hash_constants", counted)
-        for runs, positions in (([(i, 1) for i in range(1000)], 1), ([(7, 1)], 1),
-                                (self.RUNS * 50, 3)):
+        for runs in ([(i, 1) for i in range(1000)], [(7, 1)], self.RUNS * 50):
             calls.clear()
             streams = sum(1 for _ in _stream_generators(12_345, runs))
             assert streams == sum(n for _, n in runs)
-            assert len(calls) == positions + 1
+            assert len(calls) == 2
 
+    # runs anywhere in [0, 2**64 - 1], near 2**32 and near its top, cut
+    # where they would run past it
     @settings(max_examples=40, deadline=None, database=None)
     @given(master=st.integers(0, MAX_SEED),
            runs=st.lists(st.tuples(st.one_of(st.integers(0, 2 ** 40),
                                              st.integers(2 ** 32 - 6, 2 ** 32 + 2),
-                                             st.integers(2 ** 64 - 6, 2 ** 66)),
-                                   st.integers(0, 5)), max_size=6))
+                                             st.integers(2 ** 64 - 6, MAX_SEED),
+                                             st.integers(0, MAX_SEED)),
+                                   st.integers(0, 5)).map(
+                                       lambda run: (run[0], min(run[1], MAX_SEED + 1 - run[0]))),
+                         max_size=6))
     def test_any_runs_match_generator(self, master, runs):
         assert [g.bit_generator.state for g in _stream_generators(master, runs)] == [
             SeedSpec(master, first + i).generator().bit_generator.state
@@ -299,9 +315,10 @@ class TestSampleBlocks:
     BLOCKS = [(_dist(1.0, 0.05, 20), 1000, 3), (SNAPPED_DIST, 500, 4), (_dist(0.0, 3.0, 20), 7, 0),
               (_dist(2.5, 0.01, 20), 10 ** 6, 5), (_dist(0.5, 1.0, 20), 1, 2)]
 
-    # the second block's streams straddle 2**32 (a second spawn-key word)
+    # the second block's streams straddle 2**32 (a second spawn-key word);
+    # the 14 streams from 2**64 - 14 end at the last stream index
     @pytest.mark.parametrize("seed", [SeedSpec(MAX_SEED, 2 ** 32 - 5), SeedSpec(MAX_SEED, 0),
-                                      SeedSpec(11, 2 ** 32 - 3), SeedSpec(0, 2 ** 64 - 9)])
+                                      SeedSpec(11, 2 ** 32 - 3), SeedSpec(0, 2 ** 64 - 14)])
     def test_blocks_equal_per_block_draws_at_their_offsets(self, seed):
         blocks, first = [], seed.stream_index
         for d, n_shots, n in self.BLOCKS:
@@ -316,8 +333,9 @@ class TestSampleBlocks:
 
     def test_blocks_with_gaps_equal_per_block_draws(self):
         # gaps between blocks, a block before the one drawn ahead of it, an
-        # empty block, and blocks straddling 2**32 and past 2**64
-        firsts = [40, 2 ** 32 - 2, 9, 3, 2 ** 64 + 5]
+        # empty block, a block straddling 2**32 and one ending at the last
+        # stream index, 2**64 - 1
+        firsts = [40, 2 ** 32 - 2, 9, 3, 2 ** 64 - 2]
         blocks = [(d, n_shots, first, n) for (d, n_shots, n), first in zip(self.BLOCKS, firsts)]
         got = _sample_blocks(blocks, MAX_SEED)
         want = [_sample_blocks([(d, n_shots, first, n)], MAX_SEED)
@@ -344,3 +362,23 @@ class TestSampleBlocks:
         for bad, name in (((THERMAL_DIST, 2.5, 3, 3), "n_shots"), ((THERMAL_DIST, 5, 3, -1), "n")):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 _sample_blocks([(THERMAL_DIST, 5, 0, 3), bad], 0)
+
+    def test_streams_past_the_last_index_named_before_any_stream(self, monkeypatch):
+        # a block is checked whole: its last stream must be at most 2**64 - 1
+        def no_streams(*args):
+            pytest.fail("streams were made before the blocks were checked")
+
+        monkeypatch.setattr(sampling, "_stream_generators", no_streams)
+        for blocks, message in (
+                ([(THERMAL_DIST, 5, MAX_SEED - 1, 3)],
+                 f"first: the 3 streams from {MAX_SEED - 1} run past stream {MAX_SEED}"),
+                ([(THERMAL_DIST, 5, 0, 3), (THERMAL_DIST, 5, 2 ** 64, 0)],
+                 rf"first must be in \[0, {MAX_SEED}\], got {2 ** 64}"),
+                ([(THERMAL_DIST, 5, -1, 0)], rf"first must be in \[0, {MAX_SEED}\], got -1"),
+                ([(THERMAL_DIST, 5, 1.0, 1)], r"first must be an integer, got 1\.0")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _sample_blocks(blocks, 0)
+        monkeypatch.undo()
+        # a block ending at the last stream, and an empty one there, are drawn
+        top = [(THERMAL_DIST, 5, MAX_SEED - 2, 3), (THERMAL_DIST, 5, MAX_SEED, 0)]
+        assert _sample_blocks(top, 0).shape == (3, 12)

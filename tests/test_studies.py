@@ -141,6 +141,49 @@ class TestNonFinitePriorShape:
             parse_config(doc)
 
 
+class TestPriorOnlyForPosteriorWeights:
+    """mle and uniform weights use no prior: a nu or eta that they would
+    ignore is rejected, by field or by path, instead of reported as null."""
+
+    @pytest.mark.parametrize("scheme", ["mle", "uniform"])
+    def test_scheme_spec_rejects_an_ignored_prior(self, scheme):
+        for kwargs, field in (({"nu": 0.5}, "nu"), ({"eta": 9}, "eta"),
+                              ({"nu": 0.2, "eta": 9}, "nu")):
+            with pytest.raises(ValueError, match=f"^{field}: {scheme} weights take no prior"):
+                SchemeSpec(scheme, **kwargs)
+        assert SchemeSpec(scheme, 1, 1.0) == SchemeSpec(scheme)
+        assert SchemeSpec("posterior", 0.5, 9).nu == 0.5
+
+    def test_scheme_spec_rejects_a_bool_prior(self):
+        # a bool would reach the reports as "nu": true and True
+        for nu, eta in ((True, 1.0), (1.0, False)):
+            with pytest.raises(ValueError, match="expected a finite number > 0, got "):
+                SchemeSpec("posterior", nu, eta)
+
+    @pytest.mark.parametrize("entry, where", [
+        ({"scheme": "mle", "nu": 0.2, "eta": 9}, "schemes[0].nu"),
+        ({"scheme": "uniform", "eta": 1}, "schemes[0].eta"),
+        ({"scheme": "mle", "nu": 1.0}, "schemes[0].nu"),
+    ])
+    def test_config_entry_rejects_the_key_by_path(self, entry, where):
+        doc = TestParseConfig().good_doc()
+        doc["study"] = "weight_comparison"
+        doc["schemes"] = [entry, {"scheme": "posterior", "nu": 0.5, "eta": 2}]
+        with pytest.raises(ConfigError, match="^" + re.escape(where) + f": {entry['scheme']} "
+                                              "weights take no prior"):
+            parse_config(doc)
+        doc["schemes"][0] = {"scheme": entry["scheme"]}
+        assert parse_config(doc)[1].schemes[1] == SchemeSpec("posterior", 0.5, 2)
+
+    @pytest.mark.parametrize("scheme", ["mle", "uniform"])
+    def test_top_level_prior_rejected_with_a_non_posterior_scheme(self, scheme):
+        doc = {**TestParseConfig().good_doc(), "study": "bias", "weight_scheme": scheme}
+        assert parse_config(doc)[1].schemes == (SchemeSpec(scheme),)
+        doc["prior"] = {"nu": 0.3, "eta": 7}
+        with pytest.raises(ConfigError, match=rf"^prior\.nu: {scheme} weights take no prior"):
+            parse_config(doc)
+
+
 class TestFidelityStudy:
     def test_runs_the_configured_scheme(self):
         cfg = small_cfg(n_experiments=3, schemes=(SchemeSpec("uniform"),))
