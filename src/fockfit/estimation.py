@@ -171,14 +171,17 @@ def _numeric(values, name: str) -> np.ndarray:
 def _checked_counts(counts) -> np.ndarray:
     """Counts for every bin (overflow included), bins on the last axis: a
     FockHistogram as one row of Python ints, integer arrays as they are
-    (an object array of ints keeps its Python ints) and other numeric
-    arrays as floats, checked finite and nonnegative."""
+    (an object array of ints, such as a list with ints past int64, as
+    Python ints) and other numeric arrays as floats, checked finite and
+    nonnegative."""
     if isinstance(counts, FockHistogram):
         return np.array(counts.counts + (counts.overflow_count,), dtype=object)
     k = _numeric(counts, "counts")
     if k.ndim < 1 or k.shape[-1] < 3:
         raise ValueError("count arrays need bins 0, 1 and overflow on the last axis")
-    if k.dtype.kind not in "iu" and not (k.dtype == object and all(map(is_int, k.flat))):
+    if k.dtype == object and all(map(is_int, k.flat)):
+        k = np.frompyfunc(int, 1, 1)(k)  # numpy ints among them would wrap or overflow
+    elif k.dtype.kind not in "iu":
         k = k.astype(float)
     if not (np.all(k >= 0) and (k.dtype != float or np.all(np.isfinite(k)))):
         raise ValueError("counts must be finite and nonnegative")

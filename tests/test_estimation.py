@@ -217,6 +217,10 @@ class TestWeightArrays:
             assert got.dtype == float and np.array_equal(got, [rule(h)] * 2)
             assert got[0].tolist() == pytest.approx([float(x) for x in want], rel=1e-15)
         assert np.array_equal(uniform_weights([list(k)]), np.ones((1, 3)))
+        # numpy ints among them are summed as Python ints too
+        mixed = FockHistogram((2 ** 62, 2 ** 64), 1, 2 ** 64 + 2 ** 62 + 1)
+        assert np.array_equal(posterior_weights([[np.int64(2 ** 62), 2 ** 64, np.uint8(1)]]),
+                              [posterior_weights(mixed)])
         # a float among them makes every count a float, as in a float array
         np.testing.assert_array_equal(posterior_weights([[float(big), 7, 3]]),
                                       posterior_weights(np.array([[float(big), 7.0, 3.0]])))
