@@ -75,8 +75,8 @@ class ConfidenceInterval:
     parameter: str
 
     def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower > upper in {self}")
+        if not -math.inf < self.lower <= self.upper < math.inf:
+            raise ValueError(f"need finite lower <= upper in {self}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
         if self.method not in METHODS:
@@ -145,10 +145,12 @@ def _floor_index(x: float) -> int:
 
 
 def _check_sorted(values, alpha: float) -> np.ndarray:
-    """Check ``values`` (sorted, >= 2 estimates) and ``alpha`` (in (0, 0.5)); return values."""
+    """Check ``values`` (sorted, >= 2 finite estimates) and ``alpha``; return values."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
         raise ValueError("need a 1-D vector of at least 2 estimates")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("estimates must be finite")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("estimates must be sorted ascending")
     _check_interval_args(alpha)
@@ -201,6 +203,8 @@ def bc_interval(
     corrected levels Phi(2b + z_alpha) and Phi(2b + z_{1-alpha}).
     """
     values = _check_sorted(values, alpha)
+    if not math.isfinite(point_estimate):
+        raise ValueError(f"point_estimate must be finite, got {point_estimate}")
     n = values.shape[0]
     p_ci = int(np.searchsorted(values, point_estimate, side="right"))
     p_ci = min(max(p_ci, 1), n - 1)

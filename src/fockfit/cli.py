@@ -161,14 +161,8 @@ def _counts_to_histogram(doc: dict, path: str) -> est.FockHistogram:
 
 
 def _write_counts(path: str, h: est.FockHistogram) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n_max": h.n_max,
-        "counts": list(h.counts),
-        "overflow": h.overflow_count,
-        "total": h.total,
-    }
-    _atomic_write(path, json.dumps(doc) + "\n")
+    values = (FORMAT_VERSION, h.n_max, list(h.counts), h.overflow_count, h.total)
+    _atomic_write(path, json.dumps(dict(zip(_COUNTS_FIELDS, values))) + "\n")
 
 
 def _expected_counts(probs: list[float], shots: int) -> list[int]:
@@ -189,28 +183,12 @@ def _expected_counts(probs: list[float], shots: int) -> list[int]:
 
 def _estimate_doc(res: est.FitResult, scheme: str, prior: est.PriorShape,
                   intervals: list | None = None) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "vq": res.variances.vq,
-        "vp": res.variances.vp,
-        "r": res.state.r,
-        "nbar": res.state.nbar,
-        "objective": res.objective,
-        "converged": res.converged,
-        "weight_scheme": scheme,
-        "prior": {"nu": prior.nu, "eta": prior.eta},
-    }
+    doc = {"format_version": FORMAT_VERSION, **bt.parameter_values(res.variances, res.state),
+           "objective": res.objective, "converged": res.converged, "weight_scheme": scheme,
+           "prior": {"nu": prior.nu, "eta": prior.eta}}
     if intervals is not None:
-        doc["intervals"] = [
-            {
-                "parameter": ci.parameter,
-                "method": ci.method,
-                "level": ci.level,
-                "lower": ci.lower,
-                "upper": ci.upper,
-            }
-            for ci in intervals
-        ]
+        keys = ("parameter", "method", "level", "lower", "upper")
+        doc["intervals"] = [{key: getattr(ci, key) for key in keys} for ci in intervals]
     return doc
 
 
@@ -266,7 +244,6 @@ def cmd_ci(args) -> int:
     bt._check_interval_args(args.alpha, name="--alpha")
     _check_streams("--stream", args.stream, args.replicates)  # the replicates' streams
     h = _counts_to_histogram(_read_json(args.counts), args.counts)
-    check_int(f"{args.counts}: total", h.total, 1, MAX_SHOTS)  # each replicate's shots
     res, scheme, prior = _fit_from_args(args, h)
     if not res.converged:
         print("fit did not converge; no intervals computed", file=sys.stderr)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._io import check_int, is_int, is_number
+from ._io import check_int, is_number
 from .model import (
     HEISENBERG_SLACK,
     MAX_FOCK,
@@ -44,12 +44,15 @@ __all__ = [
 
 PARAMETERS = ("vq", "vp", "r", "nbar")
 WEIGHT_SCHEMES = ("posterior", "mle", "uniform")
+# The most shots one histogram may hold: every row of counts, with its
+# total, is then an int64 row (Generator.multinomial also counts in int64).
+MAX_SHOTS = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
 class FockHistogram:
     """Observed counts k_0..k_{n_max}, an overflow count for events above
-    n_max, and the total number of measurements."""
+    n_max, and the total number of measurements, at most MAX_SHOTS."""
 
     counts: tuple[int, ...]
     overflow_count: int
@@ -61,8 +64,8 @@ class FockHistogram:
         for k in self.counts:
             check_int("counts", k, 0)
         check_int("overflow_count", self.overflow_count, 0)
-        check_int("total", self.total, 1)
-        if sum(self.counts) + self.overflow_count != self.total:
+        check_int("total", self.total, 1, MAX_SHOTS)
+        if sum(map(int, self.counts)) + int(self.overflow_count) != self.total:
             raise ValueError("counts plus overflow must sum to total")
 
     @property
@@ -159,44 +162,42 @@ class FitBatch:
 
 
 def _numeric(values, name: str) -> np.ndarray:
-    """``values`` as an array of integers or floats: numpy's integer and
-    float dtypes, or an object array of numbers (Python ints past int64).
-    Booleans, strings and other dtypes raise ValueError naming ``name``."""
+    """``values`` as an array of numpy's integer or float dtypes.  Booleans,
+    strings, objects and other dtypes raise ValueError naming ``name``."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf" and not (a.dtype == object and all(map(is_number, a.flat))):
+    if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be integers or floats, got {a.dtype} entries")
     return a
 
 
 def _checked_counts(counts) -> np.ndarray:
     """Counts for every bin (overflow included), bins on the last axis: a
-    FockHistogram as one row of Python ints, integer arrays as they are
-    (an object array of ints, such as a list with ints past int64, as
-    Python ints) and other numeric arrays as floats, checked finite and
-    nonnegative."""
+    FockHistogram as its int64 row, integer arrays as they are, each row
+    totalling at most MAX_SHOTS, and other numeric arrays as floats,
+    checked finite and nonnegative."""
     if isinstance(counts, FockHistogram):
-        return np.array(counts.counts + (counts.overflow_count,), dtype=object)
+        counts = np.array(counts.counts + (counts.overflow_count,), dtype=np.int64)
     k = _numeric(counts, "counts")
     if k.ndim < 1 or k.shape[-1] < 3:
         raise ValueError("count arrays need bins 0, 1 and overflow on the last axis")
-    if k.dtype == object and all(map(is_int, k.flat)):
-        k = np.frompyfunc(int, 1, 1)(k)  # numpy ints among them would wrap or overflow
-    elif k.dtype.kind not in "iu":
+    if k.dtype.kind not in "iu":
         k = k.astype(float)
     if not (np.all(k >= 0) and (k.dtype != float or np.all(np.isfinite(k)))):
         raise ValueError("counts must be finite and nonnegative")
-    # an int64 row total at or above 2**63 would wrap around
-    if k.dtype.kind in "iu" and not np.all(k.sum(axis=-1, dtype=float) < 2.0 ** 63):
-        raise ValueError("integer counts must total less than 2**63 per row")
+    # A row total past MAX_SHOTS would wrap.  Only rows whose float sum
+    # reaches 2**62 can pass it; those are summed exactly.
+    if k.dtype.kind in "iu":
+        near = k[k.sum(axis=-1, dtype=float) >= 2.0 ** 62]
+        if max(map(sum, near.tolist()), default=0) > MAX_SHOTS:
+            raise ValueError("integer counts must total less than 2**63 per row")
     return k
 
 
 def _count_matrix(counts):
     """_checked_counts' counts as floats, with the total N and each bin's
     remainder N - k_n.  The totals and remainders of integer counts are
-    formed exactly (Python ints stay Python ints) and only then made
-    floats, so a bin that holds all but a few of a huge total keeps its
-    small remainder."""
+    formed exactly and only then made floats, so a bin that holds all but
+    a few of a huge total keeps its small remainder."""
     k = _checked_counts(counts)
     total = k.sum(axis=-1, keepdims=True)
     return k.astype(float), total.astype(float), (total - k).astype(float)

@@ -65,7 +65,9 @@ class QuadratureVariances:
     """Diagonal of the covariance matrix: (vq, vp) with vq <= vp.
 
     These are the fit's native coordinates.  Valid instances satisfy the
-    Heisenberg bound vq * vp >= 1/4 (up to HEISENBERG_SLACK).
+    Heisenberg bound vq * vp >= 1/4 (up to HEISENBERG_SLACK) and lie in the
+    model's float range, B = (2vq + 1)(2vp + 1) <= 2**1022: _fock_table's
+    derivative terms reach about 2B.
     """
 
     vq: float
@@ -83,6 +85,10 @@ class QuadratureVariances:
             raise ValueError(
                 f"Heisenberg bound violated: vq*vp = {self.vq * self.vp} < 0.25"
             )
+        big_b = (2.0 * self.vq + 1.0) * (2.0 * self.vp + 1.0)
+        if not big_b <= 2.0 ** 1022:
+            raise ValueError(f"state beyond the model's float range: (2vq + 1)(2vp + 1) = "
+                             f"{big_b:g} > 2**1022")
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,8 @@ def to_variances(state: SqueezedThermalState) -> QuadratureVariances:
 
     vq = (2 nbar + 1) exp(-2r) / 2,   vp = (2 nbar + 1) exp(+2r) / 2.
 
-    Raises ValueError naming r where exp(2r) overflows a float (r > 354.89).
+    Raises ValueError naming r where exp(2r) overflows a float (r > 354.89);
+    QuadratureVariances rejects states from r = 354.2 (at nbar = 0) on.
     """
     try:
         return QuadratureVariances(*_variances(state.r, state.nbar))
@@ -284,12 +291,19 @@ def fidelity(a: QuadratureVariances, b: QuadratureVariances) -> float:
             = (sqrt(Xi + Lam) + sqrt(Lam)) / Xi,
 
     where the rationalized last form is branch- and cancellation-free.
+    Where Xi or Lam overflows a float, F = hypot(g, t) + t instead, with
+    g = Xi**-1/2 and t = sqrt(Lam) / Xi formed without overflow.
     Returns a value in (0, 1], exactly 1 for identical states; an ``a``
     with vq, vp columns (a FitBatch) gives one per row.
     """
-    xi = (a.vq + b.vq) * (a.vp + b.vp)
+    sum_q, sum_p = a.vq + b.vq, a.vp + b.vp
     det_a = np.maximum(a.vq * a.vp - 0.25, 0.0)
     det_b = np.maximum(b.vq * b.vp - 0.25, 0.0)
-    lam = 4.0 * det_a * det_b
-    f = np.minimum((np.sqrt(xi + lam) + np.sqrt(lam)) / xi, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi, lam = sum_q * sum_p, 4.0 * det_a * det_b
+        f = (np.sqrt(xi + lam) + np.sqrt(lam)) / xi
+    g = 1.0 / (np.sqrt(sum_q) * np.sqrt(sum_p))
+    t = 2.0 * (np.sqrt(det_a) * g) * (np.sqrt(det_b) * g)
+    f = np.minimum(np.where(np.isfinite(xi + lam), f, np.hypot(g, t) + t), 1.0)
+    f = np.where((a.vq == b.vq) & (a.vp == b.vp), 1.0, f)  # not 1 - 1 ulp
     return f if f.ndim else float(f)

@@ -10,14 +10,12 @@ from itertools import islice
 import numpy as np
 
 from ._io import check_int
-from .estimation import FockHistogram
+from .estimation import MAX_SHOTS, FockHistogram
 from .model import FockDistribution
 
 __all__ = ["SeedSpec", "sample_histogram"]
 
 MAX_SEED = 2 ** 64 - 1  # the largest master seed and the largest stream index
-# The most shots one histogram may hold: Generator.multinomial counts in int64.
-MAX_SHOTS = 2 ** 63 - 1
 
 
 def _check_streams(name: str, first, n: int) -> None:

@@ -57,6 +57,16 @@ class TestPercentileInterval:
         with pytest.raises(ValueError, match="^need a 1-D vector of at least 2 estimates$"):
             percentile_interval(np.array([3.0]), 0.05)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("interval", [
+        percentile_interval, lambda values, alpha: bc_interval(values, 0.2, alpha),
+    ], ids=["percentile", "bc"])
+    def test_non_finite_estimates_rejected(self, interval, bad):
+        # NaN is not caught by the sort check: it compares false both ways
+        for values in ([0.1, bad, 0.3], sorted([0.1, 0.2, bad])):
+            with pytest.raises(ValueError, match="^estimates must be finite$"):
+                interval(values, 0.4)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.1])
     @pytest.mark.parametrize("interval", [
         percentile_interval, lambda values, alpha: bc_interval(values, 5.5, alpha),
@@ -98,6 +108,11 @@ class TestBcInterval:
         ref = percentile_interval(values, alpha)
         tol = 1e-12 * (values[-1] - values[0])
         assert abs(ci.lower - ref.lower) <= tol and abs(ci.upper - ref.upper) <= tol
+
+    @pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_estimate_rejected(self, point):
+        with pytest.raises(ValueError, match=f"^point_estimate must be finite, got {point}$"):
+            bc_interval([0.1, 0.2, 0.3, 0.4], point, 0.1)
 
     def test_degenerate_replicates_collapse(self):
         values = np.full(50, 1.5)
@@ -546,6 +561,10 @@ class TestConfidenceIntervalType:
             bt.ConfidenceInterval(0.0, 0.5, 0.9, "bc", "sigma")
         with pytest.raises(ValueError, match=r"^level must be in \(0, 1\), got 1.0$"):
             bt.ConfidenceInterval(0.0, 0.5, 1.0, "bc", "r")
+        for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                             (0.0, math.inf), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="^need finite lower <= upper in "):
+                bt.ConfidenceInterval(lower, upper, 0.9, "bc", "r")
 
     def test_contains(self):
         ci = bt.ConfidenceInterval(0.0, 1.0, 0.9, "bc", "r")

@@ -80,6 +80,19 @@ class TestStateFlags:
             "fockfit: --r/--nbar: r = 400.0 is too large: exp(2r) overflows a float\n")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["probs", "--r", "0", "--nbar", "1e160"],
+        ["simulate", "--r", "0", "--nbar", "1e160", "--shots", "10", "--out", "out.json"],
+    ])
+    def test_state_beyond_the_models_float_range_named(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        monkeypatch.chdir(tmp_path)
+        assert run(command) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "fockfit: --r/--nbar: state beyond the model's float range: "
+            "(2vq + 1)(2vp + 1) = inf > 2**1022\n")
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestSimulate:
     def test_vacuum_counts(self, tmp_path):
@@ -202,6 +215,17 @@ class TestEstimate:
         assert capsys.readouterr().err == ""
         assert read_json(est)["converged"] is True
 
+    def test_counts_past_the_most_shots_rejected(self, tmp_path, capsys):
+        # every count file's total is checked where the file is read
+        counts, est = tmp_path / "counts.json", tmp_path / "estimate.json"
+        for bins, total in (([10 ** 400, 7], 10 ** 400 + 7), ([2 ** 63, 0], 2 ** 63)):
+            counts.write_text(json.dumps({"format_version": 1, "n_max": 1, "counts": bins,
+                                          "overflow": 0, "total": total}))
+            assert run(["estimate", "--counts", str(counts), "--out", str(est)]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"fockfit: {counts}: total {_SHOTS_RANGE}, got {total}\n")
+            assert not est.exists()
+
     def test_counts_beyond_the_model_domain_rejected(self, tmp_path, capsys):
         # 80 bins is n_max = 79, above MAX_FOCK = 64
         counts = tmp_path / "counts.json"
@@ -263,6 +287,18 @@ class TestCi:
         assert capsys.readouterr().err == (
             f"fockfit: {counts}: total {_SHOTS_RANGE}, got {total}\n")
         assert not out.exists()
+
+    def test_most_shots_histogram_takes_intervals(self, tmp_path, capsys):
+        # MAX_SHOTS shots: the point weights and each replicate's row total
+        # 2**63 - 1 exactly, though their float sums round to 2**63
+        counts, out = tmp_path / "counts.json", tmp_path / "ci.json"
+        assert run(["simulate", "--r", "1", "--nbar", "0.05", "--shots", str(2 ** 63 - 1),
+                    "--out", str(counts)]) == EXIT_OK
+        assert run(["ci", "--counts", str(counts), "--replicates", "20",
+                    "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = read_json(out)
+        assert doc["converged"] is True and len(doc["intervals"]) == 4
 
     def test_reproducible(self, tmp_path):
         counts = tmp_path / "counts.json"
@@ -396,6 +432,18 @@ class TestFidelityCommand:
             capsys.readouterr()
             assert run(["fidelity", "--state1", state, "--state2", "r=0,nbar=0"]) == EXIT_USAGE
             assert capsys.readouterr().err == f"fockfit: --state1: {message}\n"
+
+    def test_state_beyond_the_models_float_range_named(self, capsys):
+        state = "r=0,nbar=1e160"
+        assert run(["fidelity", "--state1", state, "--state2", state]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "fockfit: --state1: state beyond the model's float "
+                                           "range: (2vq + 1)(2vp + 1) = inf > 2**1022\n")
+
+    def test_overflowing_closed_form_gives_the_true_value(self, capsys):
+        # Xi = (vq1 + vq2)(vp1 + vp2) overflows a float here
+        assert run(["fidelity", "--state1", "r=300,nbar=0",
+                    "--state2", "r=0,nbar=1e50"]) == EXIT_OK
+        assert capsys.readouterr() == ("7.28065457635e-156\n", "")
 
     def test_squeezing_beyond_float_range_named(self, capsys):
         command = ["fidelity", "--state1", "r=400,nbar=0", "--state2", "r=0,nbar=0"]

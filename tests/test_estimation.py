@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockfit.estimation import (
+    MAX_SHOTS,
     WEIGHT_SCHEMES,
     FitBatch,
     FitResult,
@@ -87,6 +88,21 @@ class TestHistogram:
                 FockHistogram(counts, overflow, total)
         h = FockHistogram((np.int64(1), np.uint32(2)), np.int16(0), np.int64(3))
         assert np.array_equal(h.frequencies, FockHistogram((1, 2), 0, 3).frequencies)
+
+    def test_numpy_counts_cannot_wrap(self):
+        # summed in int64, 2 (2**63 - 1) + 3 wraps around to 1
+        with pytest.raises(ValueError, match="^counts plus overflow must sum to total$"):
+            FockHistogram((np.int64(MAX_SHOTS),) * 2, np.int64(3), 1)
+        with pytest.raises(ValueError, match="^counts plus overflow must sum to total$"):
+            FockHistogram((np.uint64(2 ** 64 - 1), np.uint64(2)), 0, 1)
+
+    def test_total_bounded_by_the_most_shots(self):
+        h = FockHistogram((MAX_SHOTS - 1, np.int64(1)), 0, np.uint64(MAX_SHOTS))
+        assert h.total == MAX_SHOTS
+        for total in (MAX_SHOTS + 1, 10 ** 400):
+            with pytest.raises(ValueError, match=rf"^total must be in \[1, {MAX_SHOTS}\], "
+                                                 rf"got {total}$"):
+                FockHistogram((total - 7, 7), 0, total)
 
 
 class TestPosteriorWeights:
@@ -178,54 +194,61 @@ class TestWeightArrays:
             np.testing.assert_array_equal(rule(counts.astype(float)), matrix)
 
     def test_huge_totals_match_exact_arithmetic(self):
-        # A bin holding all but 10 of 2**62 shots: as floats, N and k_0 are
-        # both 2**62, so N + eta - k_0 and N - k_0 would be 0.
-        h = FockHistogram((2 ** 62 - 10, 7), 3, 2 ** 62)
-        k = h.counts + (h.overflow_count,)
-        total, half = Fraction(h.total), Fraction(1, 2)
+        # A bin holding all but 10 of 2**62 or of MAX_SHOTS = 2**63 - 1
+        # shots: as floats, N and k_0 are equal, so N + eta - k_0 and N - k_0
+        # would be 0.  The histogram, its int64 and uint64 rows and the list
+        # of its counts give the same weights, bit for bit.
+        for total in (2 ** 62, MAX_SHOTS):
+            h = FockHistogram((total - 10, 7), 3, total)
+            k = h.counts + (h.overflow_count,)
+            exact_total, half = Fraction(total), Fraction(1, 2)
 
-        def posterior(nu, eta):
-            s = nu + total + eta
-            return [s * s * (s + 1) / ((n + nu) * (total + eta - n)) for n in k]
+            def posterior(nu, eta):
+                s = nu + exact_total + eta
+                return [s * s * (s + 1) / ((n + nu) * (exact_total + eta - n)) for n in k]
 
-        rules = [
-            (posterior_weights, posterior(1, 1)),
-            (lambda c: posterior_weights(c, PriorShape(0.5, 2.0)), posterior(half, 2)),
-            (mle_weights, [total ** 3 / (max(n, half) * max(total - n, half)) for n in k]),
-        ]
-        for rule, exact in rules:
-            for counts in (h, np.array(k), np.array([k, k], dtype=np.uint64)):
-                for row in np.reshape(rule(counts), (-1, 3)):
-                    assert row.tolist() == pytest.approx([float(x) for x in exact], rel=1e-15)
-        assert uniform_weights(np.array(k)).dtype == float
-        with pytest.raises(ValueError, match=r"^integer counts must total less than 2\*\*63"):
-            posterior_weights(np.array([2 ** 62, 2 ** 62, 0]))
+            rules = [
+                (posterior_weights, posterior(1, 1)),
+                (lambda c: posterior_weights(c, PriorShape(0.5, 2.0)), posterior(half, 2)),
+                (mle_weights, [exact_total ** 3 / (max(n, half) * max(exact_total - n, half))
+                               for n in k]),
+                (uniform_weights, [1, 1, 1]),
+            ]
+            for rule, exact in rules:
+                want = rule(h)
+                assert want.tolist() == pytest.approx([float(x) for x in exact], rel=1e-15)
+                for counts in (np.array(k), np.array([k, k], dtype=np.uint64), [list(k)]):
+                    got = rule(counts)
+                    assert got.dtype == float
+                    assert np.array_equal(got, np.broadcast_to(want, got.shape))
 
-    def test_python_ints_past_int64_are_exact(self):
-        # a list of Python ints beyond int64 is an object array; its totals
-        # and remainders are formed exactly, as a FockHistogram's are
+    def test_totals_past_the_most_shots_rejected(self):
+        # Summed in int64 these rows would wrap.  Rows whose float sum is
+        # 2**63 but whose total is at most MAX_SHOTS pass.
+        for counts in (np.array([2 ** 62, 2 ** 62, 0]), np.array([[MAX_SHOTS, 1, 0]] * 2),
+                       np.array([2 ** 63, 0, 0], dtype=np.uint64),
+                       np.array([[5, 1, 1], [2 ** 64 - 1, 1, 0]], dtype=np.uint64),
+                       np.array([MAX_SHOTS - 2, 1, 1, 1])):
+            for rule in (posterior_weights, mle_weights, uniform_weights):
+                with pytest.raises(ValueError, match=r"^integer counts must total less than "
+                                                     r"2\*\*63 per row$"):
+                    rule(counts)
+        assert posterior_weights(np.array([MAX_SHOTS - 2, 1, 1])).shape == (3,)
+
+    def test_python_ints_past_int64_rejected(self):
+        # numpy makes a list holding ints past uint64 an object array, which
+        # is rejected by name; one holding an int in [2**63, 2**64) a float
+        # array, whose entries are then float counts, as numpy rounds them
         big = 2 ** 70
-        h = FockHistogram((big - 10, 7), 3, big)
-        k, total, half = (big - 10, 7, 3), Fraction(big), Fraction(1, 2)
-        s = total + 2
-        exact = {
-            posterior_weights: [s * s * (s + 1) / ((n + 1) * (total + 1 - n)) for n in k],
-            mle_weights: [total ** 3 / (max(n, half) * max(total - n, half)) for n in k],
-        }
-        for rule, want in exact.items():
-            got = rule([list(k), list(k)])
-            assert got.dtype == float and np.array_equal(got, [rule(h)] * 2)
-            assert got[0].tolist() == pytest.approx([float(x) for x in want], rel=1e-15)
-        assert np.array_equal(uniform_weights([list(k)]), np.ones((1, 3)))
-        # numpy ints among them are summed as Python ints too
-        mixed = FockHistogram((2 ** 62, 2 ** 64), 1, 2 ** 64 + 2 ** 62 + 1)
-        assert np.array_equal(posterior_weights([[np.int64(2 ** 62), 2 ** 64, np.uint8(1)]]),
-                              [posterior_weights(mixed)])
-        # a float among them makes every count a float, as in a float array
-        np.testing.assert_array_equal(posterior_weights([[float(big), 7, 3]]),
-                                      posterior_weights(np.array([[float(big), 7.0, 3.0]])))
+        for rule in (posterior_weights, mle_weights, uniform_weights):
+            for counts in ([[big - 10, 7, 3]], [[np.int64(2 ** 62), 2 ** 64, np.uint8(1)]]):
+                with pytest.raises(ValueError, match="^counts must be integers or floats, "
+                                                     "got object entries$"):
+                    rule(counts)
+            np.testing.assert_array_equal(rule([[2 ** 63, 7, 3]]),
+                                          rule(np.array([[2.0 ** 63, 7.0, 3.0]])))
         with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
-            posterior_weights([[big, -1, 3]])
+            posterior_weights([[2 ** 63, -1, 3]])
 
     @pytest.mark.parametrize("counts, dtype", [
         ([["5", "3", "2"]], "<U1"), ([[True, False, True]], "bool"), ([[5, 3, "2"]], "<U21"),
@@ -274,13 +297,15 @@ class TestWeightArrays:
         assert str(exc.value) == "expected weights of shape (22,), got (5,)"
 
     @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("bad", [["1"] * 22, [True] * 22, [1] * 21 + ["1"]])
+    @pytest.mark.parametrize("bad", [["1"] * 22, [True] * 22, [1] * 21 + ["1"],
+                                     [Fraction(1)] * 22])
     def test_non_numeric_weights_named(self, call, bad):
         with pytest.raises(ValueError, match="^weights must be integers or floats, got "):
             self.CALLS[call](vacuum_histogram(100), bad)
 
     @pytest.mark.parametrize("call", ["fit_frequencies", "fit_batch"])
-    @pytest.mark.parametrize("bad", [["0.5", "0.3", "0.2"], [True, False, False]])
+    @pytest.mark.parametrize("bad", [["0.5", "0.3", "0.2"], [True, False, False],
+                                     np.array([0.5, 0.3, 0.2], dtype=object)])
     def test_non_numeric_frequencies_named(self, call, bad):
         fits = {"fit_frequencies": lambda: fit_frequencies(bad, [1, 1, 1]),
                 "fit_batch": lambda: fit_batch([bad], [[1, 1, 1]])}
@@ -769,9 +794,9 @@ class TestWarmStart:
             fit_batch(freqs, weights, start=start)
 
     @pytest.mark.parametrize("vq, vp, max_evals", [
-        (1e200, 1e200, _MAX_EVALS),  # vq vp overflows: nbar is inf
+        (2.0 ** 510 - 0.5, 2.0 ** 510 - 0.5, _MAX_EVALS),  # the hottest state: nbar = 2**510 - 1
         (1e-300, 1e300, 0),  # q = 5e299, returned as it is at a zero budget
-        (0.25 / 1.7e308, 1.7e308, _MAX_EVALS),  # q = 1.7e308
+        (0.25 * 2.0 ** -1021, 2.0 ** 1021, _MAX_EVALS),  # the most squeezed state: q = 2**1021
         (2e6, 2e6, _MAX_EVALS),  # nbar = 2e6 - 1/2
     ])
     def test_start_must_lie_in_the_search_box(self, vq, vp, max_evals):

@@ -60,8 +60,12 @@ class TestParameterizations:
         assert v.vp == pytest.approx(3.77, abs=5e-3)
 
     def test_squeezing_beyond_float_range_named(self):
-        # exp(2r) is a float up to r = 354.89; above it, a ValueError names r
-        assert math.isfinite(to_variances(SqueezedThermalState(354.8, 0.0)).vp)
+        # exp(2r) is a float up to r = 354.89; above it, a ValueError names
+        # r.  From r = 354.2 (at nbar = 0) the state is beyond the model's
+        # float range already.
+        assert math.isfinite(to_variances(SqueezedThermalState(354.19, 0.0)).vp)
+        with pytest.raises(ValueError, match="^state beyond the model's float range: "):
+            to_variances(SqueezedThermalState(354.8, 0.0))
         for r in (354.9, 400.0, 1e300):
             message = re.escape(f"r = {r} is too large: exp(2r) overflows a float")
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -117,6 +121,35 @@ class TestParameterizations:
             QuadratureVariances(0.5, math.inf)
         with pytest.raises(ValueError, match="^vq must be finite and positive, got 0.0$"):
             QuadratureVariances(0.0, 1.0)
+
+    def test_states_beyond_the_models_float_range_rejected(self):
+        message = r"^state beyond the model's float range: \(2vq \+ 1\)\(2vp \+ 1\) = "
+        for vq, vp, shown in ((1e160, 1e160, "inf"), (2.0 ** -1023, 1.0000001 * 2.0 ** 1021,
+                                                       "4.49423e\\+307"),
+                              (1.0000001 * 2.0 ** 510, 1.0000001 * 2.0 ** 510, "4.49423e\\+307")):
+            with pytest.raises(ValueError, match=rf"{message}{shown} > 2\*\*1022$"):
+                QuadratureVariances(vq, vp)
+        with pytest.raises(ValueError, match=rf"{message}inf > 2\*\*1022$"):
+            to_variances(SqueezedThermalState(0.0, 1e160))
+
+    def test_largest_states_give_finite_probabilities(self):
+        # States with (2vq + 1)(2vp + 1) at or just below 2**1022, from the
+        # most squeezed to thermal ones: every probability is finite and
+        # no step of the Fock table overflows (the test configuration makes
+        # RuntimeWarnings errors).
+        states = [QuadratureVariances(0.25 * 2.0 ** -1021, 2.0 ** 1021),
+                  QuadratureVariances(2.0 ** 510 - 0.5, 2.0 ** 510 - 0.5)]
+        for vq in np.logspace(-300, 150, 10):
+            vp = 0.5 * (2.0 ** 1022 / (2.0 * vq + 1.0) - 1.0)
+            while (2.0 * vq + 1.0) * (2.0 * vp + 1.0) > 2.0 ** 1022:
+                vp = np.nextafter(vp, 0.0)
+            states.append(QuadratureVariances(float(vq), float(vp)))
+        assert max((2.0 * v.vq + 1.0) * (2.0 * v.vp + 1.0) for v in states) == 2.0 ** 1022
+        for v in states:
+            for n_max in (1, 20, MAX_FOCK):
+                d = fock_distribution(v, n_max)
+                assert all(math.isfinite(p) for p in d.all_probs)
+            assert 0.0 < fidelity(v, VACUUM) <= 1.0 and fidelity(v, v) == 1.0
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ValueError):
@@ -283,7 +316,46 @@ class TestFidelity:
     def test_identical_states(self):
         rng = np.random.default_rng(23)
         for v in random_variances(rng, 50):
-            assert fidelity(v, v) == pytest.approx(1.0, abs=1e-12)
+            assert fidelity(v, v) == 1.0
+        # the closed form rounds to 1 - 2**-52 here
+        v = to_variances(SqueezedThermalState(1.171360696103887, 0.01079952680025247))
+        assert fidelity(v, v) == 1.0
+
+    @staticmethod
+    def _fidelity_oracle(a, b):
+        with mp.workdps(50):
+            vq1, vp1, vq2, vp2 = map(mp.mpf, (a.vq, a.vp, b.vq, b.vp))
+            xi = (vq1 + vq2) * (vp1 + vp2)
+            lam = 4 * max(vq1 * vp1 - 0.25, 0) * max(vq2 * vp2 - 0.25, 0)
+            return float((mp.sqrt(xi + lam) + mp.sqrt(lam)) / xi)
+
+    def test_overflowing_terms_give_the_true_value(self):
+        # Xi = (vq1 + vq2)(vp1 + vp2) overflows a float in the first two
+        # pairs, Lam = 4 (vq1 vp1 - 1/4)(vq2 vp2 - 1/4) in the last two and
+        # neither in the third; the fidelity is the 50-digit value, with no
+        # RuntimeWarning
+        pairs = [((300.0, 0.0), (0.0, 1e50)), ((354.0, 0.0), (0.0, 1e150)),
+                 ((354.0, 0.0), (353.0, 0.0)), ((0.0, 1e100), (0.0, 2e100)),
+                 ((100.0, 1e80), (90.0, 3e80))]
+        for s1, s2 in pairs:
+            a, b = (to_variances(SqueezedThermalState(*s)) for s in (s1, s2))
+            want = self._fidelity_oracle(a, b)
+            assert 0.0 < want < 1.0
+            assert fidelity(a, b) == pytest.approx(want, rel=1e-14)
+            assert fidelity(b, a) == pytest.approx(want, rel=1e-14)
+            assert fidelity(a, a) == 1.0
+        assert fidelity(to_variances(SqueezedThermalState(300.0, 0.0)),
+                        thermal(1e50)) == pytest.approx(7.280654576347254e-156, rel=1e-14)
+
+    def test_columns_equal_one_state_at_a_time(self):
+        # a FitBatch-like pair of columns, rows with and without overflow
+        states = [to_variances(SqueezedThermalState(r, nbar)) for r, nbar in
+                  ((300.0, 0.0), (1.0, 0.1), (0.0, 2e100), (0.0, 1e50), (2.5, 0.01))]
+        cols = type("Columns", (), {"vq": np.array([v.vq for v in states]),
+                                    "vp": np.array([v.vp for v in states])})
+        for b in states:
+            got = fidelity(cols, b)
+            assert got.tolist() == [fidelity(a, b) for a in states]
 
     def test_vacuum_vs_thermal(self):
         for nbar in (0.3, 1.0, 4.0):

@@ -508,6 +508,8 @@ class TestParseConfig:
          "true_states[1]: r = 400.0 is too large: exp(2r) overflows a float"),
         ({"true_states": [{"r": 0.0, "nbar": 1e308}]},
          "true_states[0]: vq must be finite and positive, got inf"),
+        ({"true_states": [{"r": 0.0, "nbar": 1e160}]},
+         "true_states[0]: state beyond the model's float range: (2vq + 1)(2vp + 1) = inf"),
         ({"shot_counts": [500, 2 ** 63]},
          "shot_counts: expected a nonempty list of integers in [1, 2**63 - 1]"),
         ({"true_states": {"r": 1.0, "nbar": 0.01}}, "true_states: expected a nonempty list"),
@@ -515,7 +517,7 @@ class TestParseConfig:
          "schemes[0]: expected an object with 'scheme'"),
         ({"prior": [1.0, 1.0]}, "prior: expected an object with 'nu' and 'eta'"),
     ], ids=["not-an-object", "no-study", "no-true_states", "state-not-an-object", "r=-1",
-            "r=400", "nbar=1e308", "shots=2**63",
+            "r=400", "nbar=1e308", "nbar=1e160", "shots=2**63",
             "true_states-not-a-list", "scheme-not-an-object", "prior-not-an-object"])
     def test_malformed_part_named_by_path(self, changes, message):
         # changes=None wraps the document in a list; a None value drops its field
