@@ -13,9 +13,10 @@ import numpy as np
 
 from ._io import check_int
 from ._parallel import parallel_map
-from .estimation import (_REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorShape, _fit_points,
-                         fit_batch, weights_for)
-from .model import QuadratureVariances, SqueezedThermalState, fock_distribution, to_variances
+from .estimation import (_REFINE_BLOCK, PARAMETERS, FitBatch, FitResult, PriorShape, _covariance,
+                         _fit_points, fit_batch, weights_for)
+from .model import (QuadratureVariances, SqueezedThermalState, _fit_coords, fock_distribution,
+                    to_variances)
 from .numerics import std_normal_cdf, std_normal_quantile
 from .sampling import SeedSpec, _check_streams, _sample_blocks
 
@@ -105,7 +106,13 @@ def parametric_bootstrap(
     pass the scheme the point estimate was fitted with.  Every refit
     starts at the point estimate, the state its histogram was drawn from,
     without the grid stage, as ``fit_batch(..., start=point.variances)``
-    does.  Raises BootstrapError if over MAX_FAILURE_FRACTION of them fail.
+    does, and stops by that fit's rules or, after an accepted step, once
+    its undamped Gauss-Newton step is within 1e-3 standard errors of the
+    point estimate's sandwich covariance (see _replicates); at the vacuum
+    point, where that covariance is 0, by the fit's rules only.  A
+    replicate is converged when any rule stopped it below the search box's
+    upper face.  Raises BootstrapError if over MAX_FAILURE_FRACTION of
+    them fail.
     """
     if not point.converged:
         raise ValueError("bootstrap requires a converged point estimate")
@@ -121,18 +128,41 @@ def _replicates(task) -> list[FitBatch]:
     ``SeedSpec(master_seed, first)``.  One _sample_blocks pass, one
     weights_for call and one _fit_points call, each row started at its own
     experiment's point, serve them all; the fit's FitBatch is cut into the
-    sets, and the failure check runs per experiment, in order."""
+    sets, and the failure check runs per experiment, in order.
+
+    Each row's refit stops within 1e-3 standard errors of its optimum
+    (estimation._SE_TOL): the scale is the sandwich covariance V of (q,
+    nbar) at the row's point estimate (estimation._covariance), under the
+    weights that the scheme and prior give the expected counts n_shots P
+    there.  Where V is not finite and positive definite (the vacuum point,
+    where P is one bin), its rows stop by the point fit's rules only."""
     experiments, prior, master_seed, n_max, scheme = task
-    points, shots, n_bs, _ = zip(*experiments)
-    counts = _sample_blocks([(fock_distribution(p.variances, n_max), n, first, n_b)
-                             for p, n, n_b, first in experiments], master_seed)
-    starts = np.repeat([(p.variances.vq, p.variances.vp) for p in points], n_bs, axis=0).T
+    points, shots, n_bs, firsts = zip(*experiments)
+    dists = [fock_distribution(p.variances, n_max) for p in points]
+    counts = _sample_blocks(list(zip(dists, shots, firsts, n_bs)), master_seed)
+    starts = np.array([(p.variances.vq, p.variances.vp) for p in points]).T
+    n = np.array(shots, dtype=float)
+    expected = np.array([d.all_probs for d in dists]) * n[:, None]
+    cov = _covariance(np.array(_fit_coords(*starts)), weights_for(expected, scheme, prior).T, n)
     _, reps = _fit_points(counts / np.repeat(shots, n_bs)[:, None],
-                          weights_for(counts, scheme, prior), start=starts)
+                          weights_for(counts, scheme, prior), start=np.repeat(starts, n_bs, axis=1),
+                          scale=np.repeat(_precision(cov), n_bs, axis=1))
     sets = [reps[stop - n_b:stop] for stop, n_b in zip(np.cumsum(n_bs).tolist(), n_bs)]
     for each in sets:
         _check_failures(each.n_failed, len(each), "bootstrap refits")
     return sets
+
+
+def _precision(cov: np.ndarray) -> np.ndarray:
+    """The inverse of each column of a (3, m) array of symmetric 2x2
+    matrices (v00, v01, v11), in the same layout, where the matrix is finite
+    and positive definite and its inverse finite; NaN elsewhere, which no
+    stop test of the refinement passes."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = cov[0] * cov[2] - cov[1] * cov[1]
+        inv = np.stack((cov[2], -cov[1], cov[0])) / det
+    ok = (cov[0] > 0.0) & (det > 0.0) & np.isfinite(cov).all(axis=0) & np.isfinite(inv).all(axis=0)
+    return np.where(ok, inv, np.nan)
 
 
 def _floor_index(x: float) -> int:

@@ -76,6 +76,10 @@ def _read_json(path: str) -> dict:
         raise _CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_USAGE, f"{path}: malformed JSON ({exc})") from exc
+    except ValueError as exc:
+        # json.load's others: an integer past Python's digit limit, or bytes
+        # that are not text
+        raise _CliError(EXIT_USAGE, f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise _CliError(EXIT_USAGE, f"{path}: expected a JSON object")
     return doc

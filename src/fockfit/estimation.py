@@ -401,6 +401,19 @@ _LM_LAMBDA0, _LM_FACTOR, _LM_LAMBDA_MAX = 1e-3, 10.0, 1e16
 # that bound.
 _STEP_TOL, _STEP_FLOOR = 1e-10, 1e-6
 _FLOOR_FACTOR = 2.0
+# Bootstrap replicate refits have a third rule: a row stops, converged,
+# once the undamped Gauss-Newton step delta from the point an accepted step
+# reached is within _SE_TOL standard errors, delta^T V^-1 delta <=
+# _SE_TOL^2, with V the sandwich covariance (_covariance) of (q, nbar) at
+# the point estimate.  delta estimates how far the row is from its
+# optimum, in units of the estimate's own spread, so a percentile endpoint
+# (an order statistic of the replicates) moves by about _SE_TOL of that
+# spread.  This is the k-step bootstrap (Davidson & MacKinnon, IER 40
+# (1999) 487; Andrews, Econometrica 70 (2002) 119) with the steps chosen
+# per row.  Where the residual curvature is large (N = 100) delta falls
+# short of the distance left in slowly converging rows.  Point fits run
+# to rho.
+_SE_TOL = 1e-3
 # The upper corner of the search box in (q, nbar), at r = 14.2 and
 # nbar = 1e6: far outside any state the model resolves and small enough
 # that every intermediate stays finite.  A fit that ends on an upper face
@@ -582,6 +595,39 @@ def _evaluate(x: np.ndarray, f: np.ndarray, w: np.ndarray, n_max: int) -> np.nda
     return rows[:7]
 
 
+def _covariance(x: np.ndarray, w: np.ndarray, n) -> np.ndarray:
+    """The sandwich covariance V = H^-1 J^T W Sigma W J H^-1 of the fitted
+    (q, nbar), linearised at points x = (q, nbar) of shape (2, m), for
+    weight columns w of shape (bins, m) held fixed and n shots per column:
+    the spread of the weighted least-squares estimate when its counts are
+    multinomial from the model's P, Sigma = (diag P - P P^T) / n, with J the
+    model's Jacobian and H = J^T W J.  Returns the rows (v00, v01, v11) of
+    a (3, m) array.  P and J come from one _fock_table call, and every sum
+    over the bins adds them in order (_bin_sum), so a column's V does not
+    depend on the columns beside it.  Where H is singular or a term
+    overflows V is not finite; where P puts all its mass in one bin (the
+    vacuum) V is 0."""
+    probs, jac = _fock_table(x[0], x[1], w.shape[0] - 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        wj = w[:, None] * jac
+        wjp = wj * probs[:, None]
+        # per bin: the entries of P_n (w J)(w J)^T and of w J J^T, then P_n w J
+        terms = np.stack((wjp[:, 0] * wj[:, 0], wjp[:, 0] * wj[:, 1], wjp[:, 1] * wj[:, 1],
+                          wj[:, 0] * jac[:, 0], wj[:, 0] * jac[:, 1], wj[:, 1] * jac[:, 1],
+                          wjp[:, 0], wjp[:, 1]), axis=1)
+        sums = _bin_sum(terms)
+        mean = sums[6:8]
+        meat = sums[0:3] - np.stack((mean[0] * mean[0], mean[0] * mean[1], mean[1] * mean[1]))
+        h = sums[3:6]
+        det = h[0] * h[2] - h[1] * h[1]
+        inv = np.stack((h[2], -h[1], h[0])) / det
+        # (H^-1 M) H^-1, both symmetric
+        am = np.stack((inv[0] * meat[0] + inv[1] * meat[1], inv[0] * meat[1] + inv[1] * meat[2],
+                       inv[1] * meat[0] + inv[2] * meat[1], inv[1] * meat[1] + inv[2] * meat[2]))
+        return np.stack((am[0] * inv[0] + am[1] * inv[1], am[0] * inv[1] + am[1] * inv[2],
+                         am[2] * inv[1] + am[3] * inv[2])) / n
+
+
 # The symmetric 2x2 matrices of the refinement (J^T W J, S) are three rows
 # per column, (m00, m01, m11); this is the identity.
 _IDENTITY = np.array([1.0, 0.0, 1.0])[:, None]
@@ -593,21 +639,32 @@ def _dot(a, b):
     return products[0] + products[1]
 
 
-def _trial_step(x, at, lam, sec, aug):
-    """One projected Levenberg-Marquardt trial of every column at x, from
-    _evaluate's rows ``at`` there, the damping lam, the residual-curvature
-    estimate ``sec`` and the columns ``aug`` that choose the augmented
-    model: the trial point, the step to it, the undamped Gauss-Newton
-    decrease g^T H^-1 g over the free coordinates and the columns that
-    solved the augmented system.  A coordinate on a face whose gradient
-    points out of the box is held fixed and drops its entries of H and S.
-    Its temporaries are gone before _iterate evaluates the trial."""
+def _gauss_newton(x, at):
+    """The undamped Gauss-Newton system H step = -g of every column at x,
+    from _evaluate's rows ``at`` there, over the free coordinates: a
+    coordinate on a face whose gradient points out of the box is held
+    fixed.  Returns the free coordinates (2, m), which of H's rows (h00,
+    h01, h11) they keep, H with a held coordinate's entries replaced by the
+    identity's, the right-hand side (-g, 0 where held) and H's determinant."""
     grad, h = at[1:3], at[3:6]
     free = ~(((x <= 0.0) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
     keep = np.stack((free[0], free[0] & free[1], free[1]))
     gn = np.where(keep, h, _IDENTITY)
     b = np.where(free, -grad, 0.0)
-    gn_det = gn[0] * gn[2] - gn[1] * gn[1]
+    return free, keep, gn, b, gn[0] * gn[2] - gn[1] * gn[1]
+
+
+def _trial_step(x, at, lam, sec, aug):
+    """One projected Levenberg-Marquardt trial of every column at x, from
+    _evaluate's rows ``at`` there, the damping lam, the residual-curvature
+    estimate ``sec`` and the columns ``aug`` that choose the augmented
+    model: the trial point, the step to it, the undamped Gauss-Newton
+    decrease g^T H^-1 g over the free coordinates (_gauss_newton) and the
+    columns that solved the augmented system.  A held coordinate drops its
+    entries of H and S.  Its temporaries are gone before _iterate evaluates
+    the trial."""
+    h = at[3:6]
+    free, keep, gn, b, gn_det = _gauss_newton(x, at)
     gn_gain = np.where(gn_det > 0.0, (gn[2] * b[0] * b[0] - 2.0 * gn[1] * b[0] * b[1]
                                       + gn[0] * b[1] * b[1])
                        / np.where(gn_det > 0.0, gn_det, 1.0), np.inf)
@@ -627,14 +684,15 @@ def _trial_step(x, at, lam, sec, aug):
     return trial, trial - x, gn_gain, use
 
 
-def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
+def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int, scale=None) -> np.ndarray:
     """One lock-step iteration of _refine at the points x with _evaluate's
     rows ``at`` there, the damping lam, the curvature estimate ``sec`` and
     the model choice ``aug``: evaluates every column's trial and, where it
     is better and the column is ``live``, moves x and ``at`` to it and
     updates ``sec``.  All five are updated in place.  Returns the columns
-    that stop here.  Its temporaries are gone before the next iteration's
-    evaluation."""
+    that stop here: by the two rules above _STEP_TOL and, given ``scale``,
+    by the scaled rule (see _SE_TOL) after an accepted step.  Its
+    temporaries are gone before the next iteration's evaluation."""
     obj, grad, h, rho = at[0], at[1:3], at[3:6], at[6]
     trial, step, gn_gain, use = _trial_step(x, at, lam, sec, aug)
     t_at = _evaluate(trial, f, w, n_max)
@@ -642,6 +700,14 @@ def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
     better = (gain > 0.0) & live
     small = np.abs(step) <= _STEP_TOL * (np.abs(x) + _STEP_FLOOR)
     done = (small[0] & small[1]) | (~better & (gn_gain <= rho))
+    if scale is not None:
+        *_, gn, b, det = _gauss_newton(trial, t_at)
+        solvable = det > 0.0
+        delta = np.stack((gn[2] * b[0] - gn[1] * b[1],
+                          gn[0] * b[1] - gn[1] * b[0])) / np.where(solvable, det, 1.0)
+        sq = delta * delta
+        dist = scale[0] * sq[0] + 2.0 * scale[1] * delta[0] * delta[1] + scale[2] * sq[1]
+        done |= better & solvable & (dist <= _SE_TOL * _SE_TOL)
     # each model's predicted decrease for the step taken, from H s and S s
     hs = h[0:2] * step[0] + h[1:3] * step[1]
     ss = sec[0:2] * step[0] + sec[1:3] * step[1]
@@ -682,7 +748,7 @@ def _iterate(x, at, lam, sec, aug, live, f, w, n_max: int) -> np.ndarray:
     return done
 
 
-def _refine(x, f, w, n_max: int, max_iter: int):
+def _refine(x, f, w, n_max: int, max_iter: int, scale=None):
     """The refinement stage of one row block: projected Levenberg-Marquardt
     on the residuals sqrt(w) (P - f), run in lock-step over the columns,
     from the start points x (2, m) inside the box [0, _UPPER].
@@ -693,10 +759,17 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     step onto the box and keeps it only if the objective decreases; S
     starts at 0 in every call.  A column stops when its step is below
     _STEP_TOL or a rejected trial's undamped Gauss-Newton decrease is within
-    rho, the two rules of the comment above _STEP_TOL.  At most max_iter
-    trials are made per column.  Every test reads only its own column.
-    The best points are then snapped onto the bounds (_snap_to_bounds,
-    never above the start objective).
+    rho, the two rules of the comment above _STEP_TOL.  Given ``scale``,
+    the rows (s00, s01, s11) of a (3, m) array of inverse covariances V^-1
+    of (q, nbar) (bootstrap replicates pass their point estimate's), a
+    column also stops, converged, once the undamped Gauss-Newton step delta
+    at the point an accepted step reached has delta^T V^-1 delta <=
+    _SE_TOL^2: it is within _SE_TOL standard errors of its optimum.  A
+    column whose scale is NaN (V not finite and positive definite) keeps
+    the two rules only.  At most max_iter trials are made per column.
+    Every test reads only its own column.  The best points are then
+    snapped onto the bounds (_snap_to_bounds, never above the start
+    objective).
 
     Returns the final points, their objectives, per-column convergence
     flags (false for a point on the upper face, where the box, not the
@@ -722,13 +795,14 @@ def _refine(x, f, w, n_max: int, max_iter: int):
     for _ in range(max_iter):
         if cols.size == 0:
             break
-        done = _iterate(x, at, lam, sec, aug, live, f_live, w_live, n_max)
+        done = _iterate(x, at, lam, sec, aug, live, f_live, w_live, n_max, scale)
         evals[cols] += live
         x_out[:, cols] = x
         obj_out[cols] = at[0]
         converged[cols[done & live]] = True
         live &= ~done
         if _COMPACT * np.count_nonzero(~live) >= live.size:
+            scale = None if scale is None else scale[:, live]
             cols, x, f_live, w_live, at, lam, sec, aug, live = (
                 a[..., live] for a in (cols, x, f_live, w_live, at, lam, sec, aug, live))
     converged &= ~np.any(x_out >= _UPPER, axis=0)
@@ -839,13 +913,16 @@ def fit_batch(frequencies, weights, *, max_evals: int = _MAX_EVALS,
     return _fit_points(freqs, wts, max_evals, None if start is None else (start.vq, start.vp))[1]
 
 
-def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int = _MAX_EVALS, start=None):
+def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int = _MAX_EVALS, start=None,
+                scale=None):
     """The fit of fit_batch and the replicate engine, on checked input.
     Each _REFINE_BLOCK of rows is refined (_refine) from its starts: the
     grid winners or, given ``start`` = (vq, vp), floats (one state for all
-    rows) or arrays (one per row).  The grid's evaluations are added to
-    each row's count.  Returns the fitted (q, nbar), (2, rows), which the
-    columns do not give back bit for bit, and their FitBatch."""
+    rows) or arrays (one per row).  ``scale``, the replicate engine's, is
+    _refine's: a (3, rows) array of inverse covariances, one column per
+    row.  The grid's evaluations are added to each row's count.  Returns
+    the fitted (q, nbar), (2, rows), which the columns do not give back bit
+    for bit, and their FitBatch."""
     rows, n_max = freqs.shape[0], freqs.shape[1] - 2
     points = np.empty((2, rows))
     objective = np.empty(rows)
@@ -859,7 +936,7 @@ def _fit_points(freqs: np.ndarray, wts: np.ndarray, max_evals: int = _MAX_EVALS,
         b = slice(first, first + _REFINE_BLOCK)
         x = grid_x[:, _grid_winners(freqs[b], wts[b])] if start is None else x0[:, b]
         points[:, b], objective[b], converged[b], evals[b] = _refine(
-            x, freqs[b].T, wts[b].T, n_max, max_evals)
+            x, freqs[b].T, wts[b].T, n_max, max_evals, None if scale is None else scale[:, b])
     if start is None:
         evals += grid_x.shape[1]
     return points, FitBatch(*_parameters(points), objective, converged, evals)

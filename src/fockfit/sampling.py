@@ -5,6 +5,7 @@ drawn from a model distribution with reproducible, independent streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -82,17 +83,34 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-@dataclass(frozen=True)
-class _StateWords:
-    """One stream's four uint64 state words as the minimal ISeedSequence
-    PCG64 seeds from; any request but generate_state(4, np.uint64) raises."""
+@cache
+def _state_words_type() -> type:
+    """_StateWords, built on first use: it subclasses numpy.random's
+    ISeedSequence, and importing fockfit does not load numpy.random.  A
+    subclass, not a registered class: ABCMeta caches no isinstance answer
+    for a registered class, so every PCG64 built from one would pay for
+    the registry lookup again."""
 
-    words: np.ndarray
+    @dataclass(frozen=True)
+    class _StateWords(np.random.bit_generator.ISeedSequence):
+        """One stream's four uint64 state words as the minimal ISeedSequence
+        PCG64 seeds from; any request but generate_state(4, np.uint64) raises."""
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"the state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
-        return self.words
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"the state words are 4 uint64, not {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return _StateWords
+
+
+def __getattr__(name: str):
+    # the module attribute _StateWords is _state_words_type() (PEP 562)
+    if name == "_StateWords":
+        return _state_words_type()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _stream_generators(master_seed: int, runs):
@@ -120,8 +138,8 @@ def _stream_generators(master_seed: int, runs):
     c = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL_SIZE + 1)
     state_words = _hashmix(np.tile(pools, (2, 1)), c[:-1], c[1:]).astype(np.uint64)
     seeds = np.ascontiguousarray((state_words[0::2] | state_words[1::2] << 32).T)
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-    return (np.random.Generator(np.random.PCG64(_StateWords(words))) for words in seeds)
+    words_type = _state_words_type()
+    return (np.random.Generator(np.random.PCG64(words_type(words))) for words in seeds)
 
 
 def _snapped_probs(d: FockDistribution) -> np.ndarray:

@@ -92,6 +92,11 @@ class StudyConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+        for i, state in enumerate(self.true_states):
+            try:
+                to_variances(state)  # its variances must be in the model's range
+            except ValueError as exc:
+                raise ConfigError(f"true_states[{i}]: {exc}") from exc
         # numpy integers pass the rules; stored as ints, they reach the
         # reports as the same numbers Python ints give.
         for name in ("shot_counts", "n_b"):
@@ -369,11 +374,9 @@ def _parse_state(entry, where: str) -> SqueezedThermalState:
     _reject_unknown(entry, {"r", "nbar"}, where)
     r, nbar = (_number(_require(entry, key, where), f"{where}.{key}") for key in ("r", "nbar"))
     try:
-        state = SqueezedThermalState(r, nbar)
-        to_variances(state)  # its variances must be finite floats
+        return SqueezedThermalState(r, nbar)  # StudyConfig checks its variances
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return state
 
 
 def _each(raw, field: str, parse) -> tuple:

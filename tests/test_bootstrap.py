@@ -19,8 +19,10 @@ from fockfit.bootstrap import (
     parametric_bootstrap,
     percentile_interval,
 )
-from fockfit.estimation import FitBatch, FitResult, PriorShape, fit, fit_batch, posterior_weights
-from fockfit.model import SqueezedThermalState, fock_distribution, to_variances
+from fockfit.estimation import (_SE_TOL, FitBatch, FitResult, FockHistogram, PriorShape,
+                                _covariance, _fit_points, fit, fit_batch, posterior_weights,
+                                weights_for)
+from fockfit.model import SqueezedThermalState, _fit_coords, fock_distribution, to_variances
 from fockfit.sampling import MAX_SEED, SeedSpec, _sample_blocks, sample_histogram
 
 PRIOR = PriorShape(1.0, 1.0)
@@ -187,15 +189,58 @@ class TestParametricBootstrap:
         assert boot_std > 0.5 * direct_std
 
     def test_refits_start_at_the_point_estimate(self):
-        # Replicates are drawn from the point estimate and refit from it:
-        # no grid stage, so every row counts fewer than the grid's 3600
-        # evaluations.
+        # Replicates are drawn from the point estimate and refit from it,
+        # under its scale: no grid stage, so every row counts fewer than
+        # the grid's 3600 evaluations.
         point = fit_state(1.0, 0.05, 10 ** 4)
         reps = parametric_bootstrap(point, 10 ** 4, 40, PRIOR, SeedSpec(9, 3))
         counts = _sample_blocks([(fock_distribution(point.variances, 20), 10 ** 4, 3, 40)], 9)
-        assert reps == fit_batch(counts / 10 ** 4, posterior_weights(counts, PRIOR),
-                                 start=point.variances)
+        v = point.variances
+        assert reps == _fit_points(counts / 10 ** 4, posterior_weights(counts, PRIOR),
+                                   start=(v.vq, v.vp), scale=_scale(point, 10 ** 4, 40))[1]
         assert reps.converged.all() and reps.evaluations.max() < 60 * 60
+
+    @pytest.mark.parametrize("r, nbar, shots", [
+        (1.0, 0.05, 10 ** 4), (2.5, 0.01, 10 ** 4), (0.0, 0.01, 10 ** 4), (2.0, 5.0, 100)])
+    def test_replicates_stop_within_the_scale_of_rounding_floor_refits(self, r, nbar, shots):
+        # Against refits run to the rounding floor from the same start
+        # (fit_batch(start=point.variances)), no row ends more than 2 tau
+        # (estimation._SE_TOL) away in V's metric where the Gauss-Newton
+        # step measures the distance left.  At N = 100 the residual
+        # curvature that J^T W J leaves out is large, so the undamped
+        # Gauss-Newton step falls short of it in slowly converging rows:
+        # there 4 of 1000 rows end beyond 2 tau, the farthest at 8.1 tau.
+        # No converged flag changes, and no row takes more evaluations.
+        point = fit_state(r, nbar, shots)
+        v = point.variances
+        counts = _sample_blocks([(fock_distribution(v, 20), shots, 3, 1000)], 9)
+        freqs, weights = counts / shots, posterior_weights(counts, PRIOR)
+        scale = _scale(point, shots, 1000)
+        x, reps = _fit_points(freqs, weights, start=(v.vq, v.vp), scale=scale)
+        assert reps == parametric_bootstrap(point, shots, 1000, PRIOR, SeedSpec(9, 3))
+        x_floor, floor = _fit_points(freqs, weights, start=(v.vq, v.vp))
+        d = x - x_floor
+        dist = np.sqrt(scale[0] * d[0] ** 2 + 2.0 * scale[1] * d[0] * d[1] + scale[2] * d[1] ** 2)
+        far = dist > 2.0 * _SE_TOL
+        if shots < 1000:
+            assert np.count_nonzero(far) <= 10 and dist.max() <= 20.0 * _SE_TOL
+        else:
+            assert not far.any()
+        np.testing.assert_array_equal(reps.converged, floor.converged)
+        assert np.all(reps.evaluations <= floor.evaluations)
+        assert reps.evaluations.mean() < 0.7 * floor.evaluations.mean()
+
+    def test_vacuum_point_keeps_the_point_fit_rules(self):
+        # At the vacuum all of P is in bin 0, so V = 0 has no inverse: the
+        # replicates stop by the point fit's rules only, exactly as
+        # fit_batch(start=point.variances) refits them.
+        h = FockHistogram((500,) + (0,) * 20, 0, 500)
+        point = fit(h, posterior_weights(h, PRIOR))
+        assert np.isnan(_scale(point, 500, 1)).all()
+        reps = parametric_bootstrap(point, 500, 10, PRIOR, SeedSpec(6, 0))
+        counts = _sample_blocks([(fock_distribution(point.variances, 20), 500, 0, 10)], 6)
+        assert reps == fit_batch(counts / 500, posterior_weights(counts, PRIOR),
+                                 start=point.variances)
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 6: at small N the objective has separated local minima, and a "
@@ -474,6 +519,16 @@ class TestCoverage:
                                     SeedSpec(5, 0))
         row_bytes = sum(column.itemsize for column in vars(reps).values())
         assert peak(20) - peak(5) <= 1.5 * 15 * 200 * row_bytes
+
+
+def _scale(point, n_shots, n_b, scheme="posterior"):
+    """The replicate engine's scale for n_b rows drawn from ``point``: V^-1
+    at the point estimate, under the weights of the expected counts."""
+    v = point.variances
+    expected = fock_distribution(v, 20).all_probs[None] * n_shots
+    cov = _covariance(np.array(_fit_coords(v.vq, v.vp))[:, None],
+                      weights_for(expected, scheme, PRIOR).T, float(n_shots))
+    return np.repeat(bt._precision(cov), n_b, axis=1)
 
 
 def _failing_refits(monkeypatch, failed):

@@ -1001,6 +1001,18 @@ class TestDuplicateJsonKeys:
         assert not out.exists()
 
 
+def test_over_long_integer_named_by_path(tmp_path, capsys):
+    # json.load refuses an integer of more digits than Python converts with
+    # a ValueError that is not a JSONDecodeError; it names the file too
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"format_version": 1, "n_max": 1, "counts": [%s, 7], "overflow": 0, '
+                      '"total": 9}' % ("9" * 5000))
+    out = tmp_path / "estimate.json"
+    assert run(["estimate", "--counts", str(counts), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"fockfit: {counts}: Exceeds the limit (4300 digits)")
+    assert not out.exists()
+
+
 class TestAtomicWrite:
     def test_concurrent_writers_never_clobber(self, tmp_path):
         # A fixed "<path>.tmp" lets one writer truncate or rename away the

@@ -36,9 +36,9 @@ from fockfit.model import (
 )
 from fockfit import estimation
 from fockfit.estimation import (
-    _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _REFINE_BLOCK, _UPPER, _evaluate,
-    _fit_points, _grid_winners, _iterate, _model_grid, _parameters, _refine, _snap_to_bounds,
-    _trial_step,
+    _FLOOR_FACTOR, _GRID_BLOCK, _GRID_GEMM_SIZE, _MAX_EVALS, _REFINE_BLOCK, _UPPER, _covariance,
+    _evaluate, _fit_points, _grid_winners, _iterate, _model_grid, _parameters, _refine,
+    _snap_to_bounds, _trial_step,
 )
 from fockfit.model import _bin_sum, _fit_coords, _fock_table
 from fockfit.sampling import SeedSpec, _sample_blocks, sample_histogram
@@ -829,6 +829,59 @@ class TestWarmStart:
                 warm = fit_batch(freqs, weights, start=v)
                 np.testing.assert_array_equal(warm.converged, grid.converged)
                 assert np.all(warm.objective - grid.objective <= rho)
+
+
+class TestReplicateScale:
+    """_covariance, the linearised spread V of the fitted (q, nbar), and the
+    stop rule of replicate refits that it scales (_SE_TOL)."""
+
+    def test_matches_the_spread_of_rounding_floor_refits(self):
+        # 1000 histograms of 1e5 shots drawn from one state, refit to the
+        # rounding floor: their (q, nbar) spread as V says, within Monte
+        # Carlo error.  A variance from 1000 draws has a relative standard
+        # error of sqrt(2 / 999), 4.5%, and a correlation 1 / sqrt(1000).
+        v, n = to_variances(SqueezedThermalState(1.0, 0.05)), 10 ** 5
+        dist = fock_distribution(v, 20)
+        cov = _covariance(np.array(_fit_coords(v.vq, v.vp))[:, None],
+                          posterior_weights(dist.all_probs[None] * n).T, float(n))[:, 0]
+        counts = _sample_blocks([(dist, n, 0, 1000)], 0)
+        x, fits = _fit_points(counts / n, posterior_weights(counts), start=(v.vq, v.vp))
+        assert fits.converged.all()
+        sample = np.cov(x)
+        assert sample[0, 0] == pytest.approx(cov[0], rel=4.0 * math.sqrt(2.0 / 999))
+        assert sample[1, 1] == pytest.approx(cov[2], rel=4.0 * math.sqrt(2.0 / 999))
+        assert sample[0, 1] / math.sqrt(sample[0, 0] * sample[1, 1]) == pytest.approx(
+            cov[1] / math.sqrt(cov[0] * cov[2]), abs=4.0 / math.sqrt(1000))
+
+    @pytest.mark.parametrize("n_max", [20, 64])
+    def test_each_column_equals_it_alone(self, n_max):
+        # Every sum over the bins adds them in order, so a column's V does
+        # not depend on the columns beside it: replicate sets do not change
+        # with the task split or the thread count.
+        rng = np.random.default_rng(5)
+        x = np.stack((rng.uniform(0.0, 30.0, 40), rng.uniform(0.0, 8.0, 40)))
+        x[:, :4] = [[0.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 1e-3]]
+        probs = _fock_table(x[0], x[1], n_max)[0]
+        n = rng.integers(100, 10 ** 6, 40).astype(float)
+        w = posterior_weights((probs * n).T).T
+        cov = _covariance(x, w, n)
+        for i in range(40):
+            assert np.array_equal(_covariance(x[:, i:i + 1], w[:, i:i + 1], n[i:i + 1]),
+                                  cov[:, i:i + 1], equal_nan=True), i
+        assert np.all(cov[:, 0] == 0.0)  # the vacuum: all of P in bin 0
+        assert np.all(np.isfinite(cov[:, 1:])) and np.all(cov[0, 1:] > 0.0)
+
+    def test_nan_scale_keeps_the_point_fit_rules(self):
+        # A column without a finite, positive definite V stops by the two
+        # rules above _STEP_TOL only: bit for bit the fit without a scale.
+        sets = [_sampled_rows(1.0, 0.05, 10 ** 4, 30), _dirichlet_rows(30)]
+        f = np.concatenate([s[1] for s in sets]).T.copy()
+        w = np.concatenate([s[2] for s in sets]).T.copy()
+        v = to_variances(SqueezedThermalState(1.0, 0.05))
+        x0 = np.repeat(np.array(_fit_coords(v.vq, v.vp))[:, None], 60, axis=1)
+        plain = _refine(x0, f, w, 20, _MAX_EVALS)
+        for got, want in zip(_refine(x0, f, w, 20, _MAX_EVALS, np.full((3, 60), np.nan)), plain):
+            assert np.array_equal(got, want)
 
 
 class TestEvaluate:

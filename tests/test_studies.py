@@ -94,6 +94,15 @@ class TestStudyConfigRules:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("state, reason", [
+        (SqueezedThermalState(0.0, 1e160), "state beyond the model's float range"),
+        (SqueezedThermalState(400.0, 0.0), "r = 400.0 is too large"),
+    ])
+    def test_state_beyond_the_model_named_by_index(self, state, reason):
+        # a valid SqueezedThermalState whose variances the model rejects
+        with pytest.raises(ConfigError, match=re.escape(f"true_states[1]: {reason}")):
+            small_cfg(true_states=(STATE, state))
+
     def test_numpy_integers_accepted(self):
         i = np.int64
         cfg = small_cfg(shot_counts=(i(500),), n_experiments=i(2), n_b=(i(20),),
